@@ -3,9 +3,11 @@
 A trajectory is written in two stages: a PREFIX record at prediction time
 (the PENDING trajectory plus the exact conversation shown to the agent), and
 later exactly one terminal record, either BACKFILL (label + reward) or
-DISCARD. Storage is one append-only JSONL log per issue day plus a derived
-index file; replaying the logs reconstructs the live state exactly, and any
-prefix of a log is a consistent state.
+DISCARD. Storage is one append-only JSONL log per UTC issue day and nothing
+else; replaying the logs reconstructs the live state exactly, and any prefix
+of a log is a consistent state. Every write call appends its records to one
+log and fsyncs once before it returns. A torn final line left by a crashed
+writer is skipped by replay and cut off before the next append to that log.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
@@ -20,7 +22,7 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .domain import (
     Outcome,
@@ -29,6 +31,7 @@ from .domain import (
     dumps_canonical,
     format_rfc3339,
 )
+from .resolve import Unresolved
 from .rollout import ROLE_AGENT, Turn
 
 KIND_PREFIX = "PREFIX"
@@ -36,6 +39,7 @@ KIND_BACKFILL = "BACKFILL"
 KIND_DISCARD = "DISCARD"
 
 RewardFn = Callable[[Optional[float], int], float]
+_Item = TypeVar("_Item", Outcome, Unresolved)
 
 
 class LedgerError(Exception):
@@ -139,9 +143,9 @@ class _StoredTrajectory:
 class TrajectoryLedger:
     """Append-only trajectory store rooted at a directory.
 
-    Concurrency contract: a single appender serializes writes; backfill and
-    discard for one question run under one writer; readers see immutable
-    snapshots (all returned records are frozen values).
+    Concurrency contract: a single appender serializes writes and is the
+    only one that repairs a torn log tail; readers see immutable snapshots
+    (all returned records are frozen values).
     """
 
     def __init__(self, root: Path):
@@ -151,15 +155,14 @@ class TrajectoryLedger:
         self._by_question: dict[str, list[str]] = {}
         self._day_questions: dict[date, set[str]] = {}
         self._day_seq: dict[date, int] = {}
+        #: byte length of each day log whose replay skipped a torn final line
+        self._torn_logs: dict[date, int] = {}
         self._replay_existing()
 
     # -- log files ---------------------------------------------------------
 
     def _log_path(self, day: date) -> Path:
         return self.root / f"ledger-{day.isoformat()}.jsonl"
-
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
 
     def log_days(self) -> list[date]:
         days = []
@@ -169,7 +172,9 @@ class TrajectoryLedger:
 
     def _replay_existing(self) -> None:
         for day in self.log_days():
-            records = read_log_records(self._log_path(day))
+            records, complete_bytes = read_log_records(self._log_path(day))
+            if complete_bytes is not None:
+                self._torn_logs[day] = complete_bytes
             apply_records(self, day, records)
 
     def _append_batch(self, day: date, records: Sequence[dict[str, Any]]) -> list[int]:
@@ -181,28 +186,14 @@ class TrajectoryLedger:
             numbered.append({"sequence_no": seq, **record})
         path = self._log_path(day)
         with path.open("a", encoding="utf-8") as fh:
+            if day in self._torn_logs:
+                fh.truncate(self._torn_logs.pop(day))
             for record in numbered:
                 fh.write(dumps_canonical(record) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         self._day_seq[day] = seq
-        self._write_index()
         return [r["sequence_no"] for r in numbered]
-
-    def _append(self, day: date, record: dict[str, Any]) -> int:
-        return self._append_batch(day, [record])[0]
-
-    def _write_index(self) -> None:
-        index = {
-            "days": {
-                day.isoformat(): sorted(qids)
-                for day, qids in sorted(self._day_questions.items())
-            },
-            "sequence": {day.isoformat(): seq for day, seq in sorted(self._day_seq.items())},
-        }
-        self._index_path().write_text(
-            json.dumps(index, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
 
     # -- queries -----------------------------------------------------------
 
@@ -227,33 +218,10 @@ class TrajectoryLedger:
 
     # -- mutations ---------------------------------------------------------
 
-    def append_prefix(self, trajectory: Trajectory, transcript: Sequence[Turn]) -> int:
-        """Durably record a prediction-time prefix; returns its sequence number."""
-        if trajectory.status is not TrajectoryStatus.PENDING:
-            raise LedgerError(f"only PENDING trajectories may be appended, got {trajectory.status}")
-        if trajectory.label is not None or trajectory.reward is not None:
-            raise LedgerError("PENDING trajectory must not carry label or reward")
-        if trajectory.trajectory_id in self._records:
-            raise DuplicateTrajectoryError(trajectory.trajectory_id)
-        day = trajectory.prediction_time.date()
-        seq = self._append(
-            day,
-            {
-                "kind": KIND_PREFIX,
-                "trajectory_id": trajectory.trajectory_id,
-                "payload": {
-                    "trajectory": trajectory.to_dict(),
-                    "transcript": [t.to_dict() for t in transcript],
-                },
-            },
-        )
-        self._apply_prefix(day, trajectory, list(transcript))
-        return seq
-
     def append_prefix_batch(
         self, prefixes: Sequence[tuple[Trajectory, Sequence[Turn]]]
     ) -> list[int]:
-        """Append several prefixes of one day with a single durability barrier."""
+        """Durably record prefixes of one issue day; returns their sequence numbers."""
         if not prefixes:
             return []
         days = {t.prediction_time.date() for t, _ in prefixes}
@@ -265,6 +233,8 @@ class TrajectoryLedger:
                 raise LedgerError(
                     f"only PENDING trajectories may be appended, got {trajectory.status}"
                 )
+            if trajectory.label is not None or trajectory.reward is not None:
+                raise LedgerError("PENDING trajectory must not carry label or reward")
             if trajectory.trajectory_id in self._records or trajectory.trajectory_id in seen:
                 raise DuplicateTrajectoryError(trajectory.trajectory_id)
             seen.add(trajectory.trajectory_id)
@@ -287,74 +257,82 @@ class TrajectoryLedger:
             self._apply_prefix(day, trajectory, list(transcript))
         return seqs
 
-    def backfill(self, question_id: str, outcome: Outcome, reward_fn: RewardFn) -> int:
-        """Write label and reward into every PENDING trajectory of a question.
+    def backfill(self, outcomes: Sequence[Outcome], reward_fn: RewardFn) -> int:
+        """Write label and reward into every PENDING trajectory of each outcome's question.
 
-        Idempotent: re-applying the same outcome changes nothing and returns
-        0. A conflicting outcome (different label) is rejected.
+        Idempotent: re-applying the same outcomes changes nothing and returns
+        0. An unknown question or a conflicting outcome (different label)
+        rejects the whole batch before anything is written.
         """
-        if question_id not in self._by_question:
-            raise LedgerError(f"unknown question {question_id}")
-        existing = [
-            t for t in self.trajectories_for(question_id)
-            if t.status is TrajectoryStatus.RESOLVED
-        ]
-        if existing and existing[0].label != outcome.label:
-            raise ConflictingOutcomeError(
-                f"question {question_id} already resolved with label {existing[0].label}"
-            )
-        pending: list[tuple[str, float, date]] = []
-        for tid in self._by_question[question_id]:
-            stored = self._records[tid]
-            if stored.trajectory.status is not TrajectoryStatus.PENDING:
-                continue
-            reward = reward_fn(stored.trajectory.final_probability, outcome.label)
-            pending.append((tid, reward, stored.day))
-        if not pending:
-            return 0
-        day = pending[0][2]
-        self._append_batch(
-            day,
-            [
-                {
-                    "kind": KIND_BACKFILL,
-                    "trajectory_id": tid,
-                    "payload": {
-                        "label": outcome.label,
-                        "reward": reward,
-                        "resolved_at": format_rfc3339(outcome.resolved_at),
-                    },
-                }
-                for tid, reward, _ in pending
-            ],
+        labels: dict[str, int] = {}
+        for outcome in outcomes:
+            qid = outcome.question_id
+            if qid not in labels:
+                resolved = [
+                    t.label for t in self.trajectories_for(qid)
+                    if t.status is TrajectoryStatus.RESOLVED
+                ]
+                labels[qid] = resolved[0] if resolved else outcome.label
+            if labels[qid] != outcome.label:
+                raise ConflictingOutcomeError(f"question {qid} resolved with label {labels[qid]}")
+        return self._append_terminals(
+            outcomes,
+            KIND_BACKFILL,
+            lambda trajectory, outcome: {
+                "label": outcome.label,
+                "reward": reward_fn(trajectory.final_probability, outcome.label),
+                "resolved_at": format_rfc3339(outcome.resolved_at),
+            },
         )
-        for tid, reward, _ in pending:
-            self._apply_backfill(tid, outcome.label, reward)
-        return len(pending)
 
-    def discard(self, question_id: str, reason: str, decided_at: datetime) -> int:
-        """Discard every PENDING trajectory of a question; RESOLVED are untouched."""
-        pending: list[tuple[str, date]] = []
-        for tid in self._by_question.get(question_id, []):
-            stored = self._records[tid]
-            if stored.trajectory.status is TrajectoryStatus.PENDING:
-                pending.append((tid, stored.day))
-        if not pending:
-            return 0
-        self._append_batch(
-            pending[0][1],
-            [
-                {
-                    "kind": KIND_DISCARD,
-                    "trajectory_id": tid,
-                    "payload": {"reason": reason, "decided_at": format_rfc3339(decided_at)},
-                }
-                for tid, _ in pending
-            ],
+    def discard(self, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
+        """Discard every PENDING trajectory of each unresolved question; RESOLVED are untouched.
+
+        An unknown question rejects the whole batch before anything is written.
+        """
+        return self._append_terminals(
+            unresolved,
+            KIND_DISCARD,
+            lambda trajectory, item: {
+                "reason": item.reason,
+                "decided_at": format_rfc3339(decided_at),
+            },
         )
-        for tid, _ in pending:
-            self._apply_discard(tid)
-        return len(pending)
+
+    def _append_terminals(
+        self,
+        items: Sequence[_Item],
+        kind: str,
+        payload_for: Callable[[Trajectory, _Item], dict[str, Any]],
+    ) -> int:
+        """Give every PENDING trajectory of the items' questions a terminal record.
+
+        Records keep item order, then ledger order within a question, and go
+        out in one append per log day. Returns the number written.
+        """
+        by_day: dict[date, list[dict[str, Any]]] = {}
+        seen: set[str] = set()
+        for item in items:
+            if item.question_id not in self._by_question:
+                raise LedgerError(f"unknown question {item.question_id}")
+            if item.question_id in seen:
+                continue
+            seen.add(item.question_id)
+            for tid in self._by_question[item.question_id]:
+                stored = self._records[tid]
+                if stored.trajectory.status is TrajectoryStatus.PENDING:
+                    by_day.setdefault(stored.day, []).append(
+                        {
+                            "kind": kind,
+                            "trajectory_id": tid,
+                            "payload": payload_for(stored.trajectory, item),
+                        }
+                    )
+        for day, records in by_day.items():
+            self._append_batch(day, records)
+            for record in records:
+                self._apply_terminal(record)
+        return sum(len(records) for records in by_day.values())
 
     # -- state transitions (shared by live mutation and replay) -------------
 
@@ -365,13 +343,13 @@ class TrajectoryLedger:
         self._by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
         self._day_questions.setdefault(day, set()).add(trajectory.question_id)
 
-    def _apply_backfill(self, trajectory_id: str, label: int, reward: float) -> None:
-        stored = self._records[trajectory_id]
-        stored.trajectory = stored.trajectory.resolved(label, reward)
-
-    def _apply_discard(self, trajectory_id: str) -> None:
-        stored = self._records[trajectory_id]
-        stored.trajectory = stored.trajectory.discarded()
+    def _apply_terminal(self, record: Mapping[str, Any]) -> None:
+        stored = self._records[record["trajectory_id"]]
+        if record["kind"] == KIND_BACKFILL:
+            payload = record["payload"]
+            stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
+        else:
+            stored.trajectory = stored.trajectory.discarded()
 
     # -- export --------------------------------------------------------------
 
@@ -421,20 +399,26 @@ def write_training_batch(path: Path, groups: Iterable[TrainingGroup]) -> None:
             fh.write(dumps_canonical(group.to_dict()) + "\n")
 
 
-def read_log_records(path: Path) -> list[dict[str, Any]]:
-    """Read one day log, tolerating a torn final line from a crashed writer."""
+def read_log_records(path: Path) -> tuple[list[dict[str, Any]], Optional[int]]:
+    """Read one day log, tolerating a torn final line from a crashed writer.
+
+    Only newline-terminated lines are records. Returns the records and, when
+    the log ends in a torn line, the byte length up to the end of its last
+    complete line (else None); the prefix up to there is consistent.
+    """
+    *lines, tail = path.read_bytes().split(b"\n")
     records: list[dict[str, Any]] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    complete_bytes = 0
     for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail write; the prefix up to here is consistent
-            raise ReplayError(f"malformed record at line {i + 1} of {path}")
-    return records
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                if i < len(lines) - 1 or tail.strip():
+                    raise ReplayError(f"malformed record at line {i + 1} of {path}")
+                return records, complete_bytes
+        complete_bytes += len(line) + 1
+    return records, complete_bytes if tail else None
 
 
 def apply_records(ledger: TrajectoryLedger, day: date, records: Sequence[Mapping[str, Any]]) -> None:
@@ -454,18 +438,12 @@ def apply_records(ledger: TrajectoryLedger, day: date, records: Sequence[Mapping
             trajectory = Trajectory.from_dict(payload["trajectory"])
             transcript = [Turn.from_dict(t) for t in payload.get("transcript", [])]
             ledger._apply_prefix(day, trajectory, transcript)
-        elif kind == KIND_BACKFILL:
+        elif kind in (KIND_BACKFILL, KIND_DISCARD):
             if tid not in ledger._records:
-                raise ReplayError(f"BACKFILL before PREFIX for {tid}", seq)
+                raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
             if ledger._records[tid].trajectory.status is not TrajectoryStatus.PENDING:
                 raise ReplayError(f"second terminal record for {tid}", seq)
-            ledger._apply_backfill(tid, payload["label"], payload["reward"])
-        elif kind == KIND_DISCARD:
-            if tid not in ledger._records:
-                raise ReplayError(f"DISCARD before PREFIX for {tid}", seq)
-            if ledger._records[tid].trajectory.status is not TrajectoryStatus.PENDING:
-                raise ReplayError(f"second terminal record for {tid}", seq)
-            ledger._apply_discard(tid)
+            ledger._apply_terminal(record)
         else:
             raise ReplayError(f"unknown record kind {kind!r}", seq)
     ledger._day_seq[day] = max(ledger._day_seq.get(day, 0), last_seq)

@@ -460,29 +460,27 @@ class Orchestrator:
         registry = self._resolver_registry()
         resolution = resolve_batch(questions, registry, now)
 
+        # The ledger keys a batch by the UTC date its prefixes were issued at.
+        ledger_day = self.phase_datetime(day, self.config.issue_time).date()
+        batch_qids = sorted(q.id for q in questions)
         rollouts: dict[str, int] = {}
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
-            for outcome in resolution.outcomes:
-                ledger.backfill(outcome.question_id, outcome, trajectory_reward)
-            for unresolved in resolution.unresolved:
-                ledger.discard(unresolved.question_id, unresolved.reason, now)
-            groups = ledger.export_training_batch(day)
+            ledger.backfill(resolution.outcomes, trajectory_reward)
+            ledger.discard(resolution.unresolved, now)
+            groups = ledger.export_training_batch(ledger_day)
             write_training_batch(self.export_path(agent_name, day), groups)
             groups_exported[agent_name] = len(groups)
 
-            batch_qids = set(q.id for q in questions)
-            resolved_trajectories = [
-                t
-                for t in ledger.all_trajectories()
-                if t.question_id in batch_qids and t.status is TrajectoryStatus.RESOLVED
-            ]
-            rollouts[agent_name] = sum(
-                len(ledger.trajectories_for(qid)) for qid in batch_qids if ledger.has_question(qid)
+            # Sorted question ids give the ledger's insertion order, which
+            # the order-sensitive metrics depend on.
+            batch = [t for qid in batch_qids for t in ledger.trajectories_for(qid)]
+            rollouts[agent_name] = len(batch)
+            metrics[agent_name] = self._batch_metrics(
+                [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
             )
-            metrics[agent_name] = self._batch_metrics(resolved_trajectories)
 
         report = CycleReport(
             day=day,

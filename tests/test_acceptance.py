@@ -23,6 +23,7 @@ from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
 from futureworld.prompts import BenchmarkCaps
 from futureworld.qpipeline import DEFAULT_DOMAIN_RULES, allocate_budget, resample
+from futureworld.resolve import Unresolved
 from futureworld.scoring import (
     ChoiceAnswer,
     NumericAnswer,
@@ -271,10 +272,10 @@ def test_criterion_5_ledger_properties(tmp_path):
             elif action == "backfill" and qid in next_k:
                 label = labels.setdefault(qid, rng.randrange(2))
                 outcome = Outcome(question_id=qid, label=label, resolved_at=T1)
-                ledger.backfill(qid, outcome, trajectory_reward)
-                ok &= ledger.backfill(qid, outcome, trajectory_reward) == 0  # idempotent
+                ledger.backfill([outcome], trajectory_reward)
+                ok &= ledger.backfill([outcome], trajectory_reward) == 0  # idempotent
             elif action == "discard" and qid in next_k:
-                ledger.discard(qid, "not_published", T1)
+                ledger.discard([Unresolved(qid, "not_published")], T1)
             else:
                 ok &= _ledger_states_equal(ledger, replay(root))
 

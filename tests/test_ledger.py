@@ -18,6 +18,7 @@ from futureworld.ledger import (
     replay,
     write_training_batch,
 )
+from futureworld.resolve import Unresolved
 from futureworld.rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
 from futureworld.scoring import trajectory_reward
 
@@ -35,7 +36,7 @@ def _transcript(t):
 
 
 def _append(ledger, t):
-    return ledger.append_prefix(t, _transcript(t))
+    return ledger.append_prefix_batch([(t, _transcript(t))])[0]
 
 
 def _group(ledger, qid="q-1", probs=(0.5, 0.9, None, 1.0)):
@@ -46,7 +47,7 @@ def _group(ledger, qid="q-1", probs=(0.5, 0.9, None, 1.0)):
 OUTCOME = Outcome(question_id="q-1", label=1, resolved_at=T1)
 
 
-# -- append_prefix -------------------------------------------------------------
+# -- append_prefix_batch -------------------------------------------------------
 
 
 def test_append_and_fetch(tmp_path):
@@ -71,6 +72,15 @@ def test_resolved_trajectory_rejected_at_append(tmp_path):
         _append(ledger, resolved)
 
 
+@pytest.mark.parametrize("fields", [{"label": 1}, {"reward": -0.25}])
+def test_pending_trajectory_with_label_or_reward_rejected_at_append(tmp_path, fields):
+    ledger = TrajectoryLedger(tmp_path)
+    with pytest.raises(LedgerError):
+        _append(ledger, make_trajectory(**fields))
+    assert ledger.all_trajectories() == []
+    assert list(tmp_path.glob("ledger-*.jsonl")) == []
+
+
 def test_batch_append_assigns_increasing_sequence(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     batch = [
@@ -86,7 +96,7 @@ def test_batch_append_assigns_increasing_sequence(tmp_path):
 def test_backfill_writes_negative_brier_rewards(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    count = ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    count = ledger.backfill([OUTCOME], trajectory_reward)
     assert count == 4
     rewards = [ledger.get(f"q-1#k{k}").reward for k in range(4)]
     assert rewards == pytest.approx([-0.25, -0.01 + 1e-17, -1.0, 0.0], abs=1e-12)
@@ -96,25 +106,54 @@ def test_backfill_writes_negative_brier_rewards(tmp_path):
 def test_backfill_is_idempotent(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    assert ledger.backfill("q-1", OUTCOME, trajectory_reward) == 4
+    assert ledger.backfill([OUTCOME], trajectory_reward) == 4
     before = [ledger.get(f"q-1#k{k}") for k in range(4)]
-    assert ledger.backfill("q-1", OUTCOME, trajectory_reward) == 0
+    assert ledger.backfill([OUTCOME], trajectory_reward) == 0
     assert [ledger.get(f"q-1#k{k}") for k in range(4)] == before
 
 
 def test_conflicting_backfill_rejected(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     flipped = Outcome(question_id="q-1", label=0, resolved_at=T1)
     with pytest.raises(ConflictingOutcomeError):
-        ledger.backfill("q-1", flipped, trajectory_reward)
+        ledger.backfill([flipped], trajectory_reward)
 
 
 def test_backfill_unknown_question_is_an_error(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     with pytest.raises(LedgerError):
-        ledger.backfill("q-none", OUTCOME, trajectory_reward)
+        ledger.backfill([Outcome(question_id="q-none", label=1, resolved_at=T1)], trajectory_reward)
+
+
+def test_batch_with_one_conflicting_outcome_writes_nothing(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    _group(ledger, "q-2")
+    ledger.backfill([OUTCOME], trajectory_reward)
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    before = log.read_bytes()
+    q2 = Outcome(question_id="q-2", label=0, resolved_at=T1)
+    flipped = Outcome(question_id="q-1", label=0, resolved_at=T1)
+    for batch in ([q2, flipped], [q2, Outcome(question_id="q-2", label=1, resolved_at=T1)]):
+        with pytest.raises(ConflictingOutcomeError):
+            ledger.backfill(batch, trajectory_reward)
+    unknown = Outcome(question_id="q-none", label=0, resolved_at=T1)
+    with pytest.raises(LedgerError):
+        ledger.backfill([q2, unknown], trajectory_reward)
+    assert log.read_bytes() == before
+    assert {t.status for t in ledger.trajectories_for("q-2")} == {TrajectoryStatus.PENDING}
+
+
+def test_backfill_batch_writes_one_record_per_pending_trajectory(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    _group(ledger, "q-2")
+    q2 = Outcome(question_id="q-2", label=0, resolved_at=T1)
+    assert ledger.backfill([q2, OUTCOME, q2], trajectory_reward) == 8
+    assert ledger.backfill([OUTCOME, q2], trajectory_reward) == 0
+    assert _ledger_states_equal(ledger, replay(tmp_path))
 
 
 # -- discard -----------------------------------------------------------------------
@@ -123,17 +162,28 @@ def test_backfill_unknown_question_is_an_error(tmp_path):
 def test_discard_unresolved_question(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    assert ledger.discard("q-1", "not_published", T1) == 4
+    assert ledger.discard([Unresolved("q-1", "not_published")], T1) == 4
     assert all(ledger.get(f"q-1#k{k}").status is TrajectoryStatus.DISCARDED for k in range(4))
-    assert ledger.discard("q-1", "not_published", T1) == 0
+    assert ledger.discard([Unresolved("q-1", "not_published")], T1) == 0
 
 
 def test_discard_leaves_resolved_untouched(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
-    assert ledger.discard("q-1", "late", T1) == 0
+    ledger.backfill([OUTCOME], trajectory_reward)
+    assert ledger.discard([Unresolved("q-1", "postponed")], T1) == 0
     assert all(ledger.get(f"q-1#k{k}").status is TrajectoryStatus.RESOLVED for k in range(4))
+
+
+def test_discard_batch_with_unknown_question_writes_nothing(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger)
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    before = log.read_bytes()
+    with pytest.raises(LedgerError):
+        ledger.discard([Unresolved("q-1", "not_published"), Unresolved("q-none", "postponed")], T1)
+    assert log.read_bytes() == before
+    assert {t.status for t in ledger.trajectories_for("q-1")} == {TrajectoryStatus.PENDING}
 
 
 # -- advantages ----------------------------------------------------------------------
@@ -177,9 +227,9 @@ def test_export_groups_only_resolved(tmp_path):
     _group(ledger, "q-1")
     _group(ledger, "q-2")
     _group(ledger, "q-3")
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
-    ledger.backfill("q-2", Outcome(question_id="q-2", label=0, resolved_at=T1), trajectory_reward)
-    ledger.discard("q-3", "not_published", T1)
+    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill([Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    ledger.discard([Unresolved("q-3", "not_published")], T1)
     groups = ledger.export_training_batch(T0.date())
     assert sorted(g.question_id for g in groups) == ["q-1", "q-2"]
     for group in groups:
@@ -198,7 +248,7 @@ def test_export_mask_covers_two_search_turns(tmp_path):
     steps = (make_step("first"), make_step("second"))
     t = make_trajectory(steps=steps, prob=0.7)
     _append(ledger, t)
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     group = ledger.export_training_batch(T0.date())[0]
     entry = group.entries[0]
     roles = [turn.role for turn in entry.transcript]
@@ -210,7 +260,7 @@ def test_export_mask_covers_two_search_turns(tmp_path):
 def test_export_rewards_recompute_from_stored_fields(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     for group in ledger.export_training_batch(T0.date()):
         for entry in group.entries:
             t = ledger.get(entry.trajectory_id)
@@ -223,7 +273,7 @@ def test_export_rewards_recompute_from_stored_fields(tmp_path):
 def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, probs=(None, 0.9))
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     group = ledger.export_training_batch(T0.date())[0]
     assert len(group.entries) == 2
     rewards = sorted(e.reward for e in group.entries)
@@ -234,7 +284,7 @@ def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
 def test_write_training_batch_jsonl(tmp_path):
     ledger = TrajectoryLedger(tmp_path / "led")
     _group(ledger)
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     out = tmp_path / "train.jsonl"
     write_training_batch(out, ledger.export_training_batch(T0.date()))
     rows = [json.loads(line) for line in out.read_text().splitlines()]
@@ -258,8 +308,8 @@ def test_replay_reconstructs_live_state(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
     _group(ledger, "q-2")
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
-    ledger.discard("q-2", "not_published", T1)
+    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.discard([Unresolved("q-2", "not_published")], T1)
     replayed = replay(tmp_path)
     assert _ledger_states_equal(ledger, replayed)
 
@@ -267,7 +317,7 @@ def test_replay_reconstructs_live_state(tmp_path):
 def test_replay_of_truncated_log_is_a_valid_prefix(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:5]) + "\n")
@@ -287,6 +337,26 @@ def test_replay_tolerates_torn_final_line(tmp_path):
     assert len(replayed.all_trajectories()) == 4
 
 
+def test_append_after_torn_tail_keeps_the_ledger_replayable(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    data = log.read_bytes()
+    log.write_bytes(data[: len(data) - 40])  # crashed mid-way through the last prefix
+    reopened = TrajectoryLedger(tmp_path)
+    assert len(reopened.all_trajectories()) == 3
+    assert reopened.backfill([OUTCOME], trajectory_reward) == 3
+    replayed = replay(tmp_path)
+    assert _ledger_states_equal(reopened, replayed)
+    assert {t.status for t in replayed.all_trajectories()} == {TrajectoryStatus.RESOLVED}
+
+
+def test_replay_keeps_unicode_line_separators_inside_records(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _append(ledger, make_trajectory(raw="line one\u2028line two\x85FINAL: 0.7"))
+    assert _ledger_states_equal(ledger, replay(tmp_path))
+
+
 def test_replay_rejects_backfill_before_prefix(tmp_path):
     log = tmp_path / f"ledger-{T0.date().isoformat()}.jsonl"
     record = {
@@ -304,7 +374,7 @@ def test_replay_rejects_backfill_before_prefix(tmp_path):
 def test_replay_rejects_double_terminal(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1", probs=(0.5,))
-    ledger.backfill("q-1", OUTCOME, trajectory_reward)
+    ledger.backfill([OUTCOME], trajectory_reward)
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     extra = json.loads(lines[-1])
@@ -351,10 +421,10 @@ def test_status_machine_over_random_interleavings(tmp_path):
             elif action == "backfill" and qid in next_k:
                 label = question_labels.setdefault(qid, rng.randrange(2))
                 outcome = Outcome(question_id=qid, label=label, resolved_at=T1)
-                first = ledger.backfill(qid, outcome, trajectory_reward)
-                assert ledger.backfill(qid, outcome, trajectory_reward) == 0 or first == 0
+                first = ledger.backfill([outcome], trajectory_reward)
+                assert ledger.backfill([outcome], trajectory_reward) == 0 or first == 0
             elif action == "discard" and qid in next_k:
-                ledger.discard(qid, "not_published", T1)
+                ledger.discard([Unresolved(qid, "not_published")], T1)
             elif action == "replay":
                 assert _ledger_states_equal(ledger, replay(root))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from datetime import date, timedelta
 
 import pytest
@@ -95,6 +96,45 @@ def test_unresolvable_world_exports_nothing(tmp_path):
     assert report.groups_exported == {"oracle": 0, "constant": 0}
     export = orch.export_path("oracle", START)
     assert export.read_text() == ""
+
+
+def test_resolve_phase_fsyncs_at_most_twice_per_agent(tmp_path, monkeypatch):
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    orch = Orchestrator(_config(benchmark=BenchmarkSettings(enabled=False)), tmp_path)
+    per_phase = []
+    resolve = orch.run_resolve_phase
+
+    def counted(day):
+        before = len(fsyncs)
+        report = resolve(day)
+        per_phase.append(len(fsyncs) - before)
+        return report
+
+    monkeypatch.setattr(orch, "run_resolve_phase", counted)
+    orch.simulate(2)
+    assert len(per_phase) == 2
+    assert all(0 < n <= 2 * len(orch.config.agents) for n in per_phase)
+    assert list(tmp_path.rglob("index.json")) == []
+
+
+def test_exports_follow_the_issue_day_west_of_utc(tmp_path):
+    config = CycleConfig(
+        seed=3,
+        questions_per_day=40,
+        agents=("oracle",),
+        timezone="America/New_York",
+        benchmark=BenchmarkSettings(enabled=False),
+    )
+    orch = Orchestrator(config, tmp_path)
+    result = orch.simulate(3)
+    for report in result.cycle_reports:
+        assert report.groups_exported["oracle"] == report.outcomes_resolved > 0
+        issued = {row["id"] for row in read_jsonl(orch.questions_path(report.day))}
+        export = orch.export_path("oracle", report.day)
+        exported = {row["question_id"] for row in read_jsonl(export)}
+        assert exported <= issued
 
 
 def test_simulation_reports_are_deterministic(tmp_path):
