@@ -29,6 +29,8 @@ OTHER_DOMAIN: DomainLabel = "other"
 
 def ensure_utc(ts: datetime) -> datetime:
     """Normalize a timestamp to tz-aware UTC, truncated to whole seconds."""
+    if ts.tzinfo is timezone.utc and not ts.microsecond:
+        return ts  # already normalized, as every parsed "+00:00" timestamp is
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc).replace(microsecond=0)
@@ -72,6 +74,11 @@ class CandidateEvent:
         object.__setattr__(self, "payload", dict(self.payload))
         if self.expected_resolution <= self.observed_at:
             raise ValueError("expected_resolution must be after observed_at")
+
+    @property
+    def identifier(self) -> str:
+        """The resolver identifier; the question and pair ids derive from it."""
+        return self.payload.get("identifier", self.source_url)
 
     def to_dict(self) -> dict[str, Any]:
         return {

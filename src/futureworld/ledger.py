@@ -9,6 +9,11 @@ of a log is a consistent state. Every write call appends its records to one
 log and fsyncs once before it returns. A torn final line left by a crashed
 writer is skipped by replay and cut off before the next append to that log.
 
+Logs are replayed lazily, one day at a time: every lookup by question or
+trajectory names its log day, and a day's log is read the first time that
+day is read or written. Only the whole-history readers (``all_trajectories``
+and ``replay``) read every log.
+
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
 trajectories. Tool and environment turns are masked; agent turns are not.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
@@ -137,11 +142,68 @@ class TrainingGroup:
 class _StoredTrajectory:
     trajectory: Trajectory
     transcript: list[Turn]
-    day: date
+
+
+@dataclass
+class _DayLog:
+    """The replayed state of one day's log."""
+
+    #: trajectory id -> stored trajectory, in log order
+    records: dict[str, _StoredTrajectory] = field(default_factory=dict)
+    #: question id -> its trajectory ids, in log order
+    by_question: dict[str, list[str]] = field(default_factory=dict)
+    #: last sequence number written
+    seq: int = 0
+    #: byte length up to the last complete line, when replay skipped a torn final line
+    torn_bytes: Optional[int] = None
+
+    # -- state transitions (shared by live mutation and replay) -------------
+
+    def add_prefix(self, trajectory: Trajectory, transcript: list[Turn]) -> None:
+        self.records[trajectory.trajectory_id] = _StoredTrajectory(trajectory, transcript)
+        self.by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
+
+    def add_terminal(self, record: Mapping[str, Any]) -> None:
+        stored = self.records[record["trajectory_id"]]
+        if record["kind"] == KIND_BACKFILL:
+            payload = record["payload"]
+            stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
+        else:
+            stored.trajectory = stored.trajectory.discarded()
+
+    def replay(self, records: Sequence[Mapping[str, Any]]) -> None:
+        """Fold the records read from this day's log, enforcing order invariants."""
+        last_seq = 0
+        for record in records:
+            seq = record.get("sequence_no")
+            if not isinstance(seq, int) or seq <= last_seq:
+                raise ReplayError("sequence_no must strictly increase", seq)
+            last_seq = seq
+            kind = record.get("kind")
+            tid = record.get("trajectory_id")
+            payload = record.get("payload", {})
+            if kind == KIND_PREFIX:
+                if tid in self.records:
+                    raise ReplayError(f"duplicate PREFIX for {tid}", seq)
+                trajectory = Trajectory.from_dict(payload["trajectory"])
+                transcript = [Turn.from_dict(t) for t in payload.get("transcript", [])]
+                self.add_prefix(trajectory, transcript)
+            elif kind in (KIND_BACKFILL, KIND_DISCARD):
+                if tid not in self.records:
+                    raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
+                if self.records[tid].trajectory.status is not TrajectoryStatus.PENDING:
+                    raise ReplayError(f"second terminal record for {tid}", seq)
+                self.add_terminal(record)
+            else:
+                raise ReplayError(f"unknown record kind {kind!r}", seq)
+        self.seq = last_seq
 
 
 class TrajectoryLedger:
     """Append-only trajectory store rooted at a directory.
+
+    Constructing a ledger reads nothing; each day's log is replayed the first
+    time that day is used. Trajectory ids are unique within a day log.
 
     Concurrency contract: a single appender serializes writes and is the
     only one that repairs a torn log tail; readers see immutable snapshots
@@ -151,13 +213,7 @@ class TrajectoryLedger:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._records: dict[str, _StoredTrajectory] = {}
-        self._by_question: dict[str, list[str]] = {}
-        self._day_questions: dict[date, set[str]] = {}
-        self._day_seq: dict[date, int] = {}
-        #: byte length of each day log whose replay skipped a torn final line
-        self._torn_logs: dict[date, int] = {}
-        self._replay_existing()
+        self._days: dict[date, _DayLog] = {}
 
     # -- log files ---------------------------------------------------------
 
@@ -170,51 +226,58 @@ class TrajectoryLedger:
             days.append(date.fromisoformat(path.stem.removeprefix("ledger-")))
         return days
 
-    def _replay_existing(self) -> None:
-        for day in self.log_days():
-            records, complete_bytes = read_log_records(self._log_path(day))
-            if complete_bytes is not None:
-                self._torn_logs[day] = complete_bytes
-            apply_records(self, day, records)
+    def _day(self, day: date) -> _DayLog:
+        """The state of one day's log, replaying the log on first use."""
+        log = self._days.get(day)
+        if log is None:
+            log = self._days[day] = _DayLog()
+            path = self._log_path(day)
+            if path.exists():
+                records, log.torn_bytes = read_log_records(path)
+                log.replay(records)
+        return log
+
+    def _all_days(self) -> list[_DayLog]:
+        """Every day's state, in log-day order."""
+        return [self._day(day) for day in self.log_days()]
 
     def _append_batch(self, day: date, records: Sequence[dict[str, Any]]) -> list[int]:
         """Write a batch of records durably: one flush+fsync per call."""
-        seq = self._day_seq.get(day, 0)
+        log = self._day(day)
+        seq = log.seq
         numbered = []
         for record in records:
             seq += 1
             numbered.append({"sequence_no": seq, **record})
-        path = self._log_path(day)
-        with path.open("a", encoding="utf-8") as fh:
-            if day in self._torn_logs:
-                fh.truncate(self._torn_logs.pop(day))
+        with self._log_path(day).open("a", encoding="utf-8") as fh:
+            if log.torn_bytes is not None:
+                fh.truncate(log.torn_bytes)
+                log.torn_bytes = None
             for record in numbered:
                 fh.write(dumps_canonical(record) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        self._day_seq[day] = seq
+        log.seq = seq
         return [r["sequence_no"] for r in numbered]
 
     # -- queries -----------------------------------------------------------
 
-    def get(self, trajectory_id: str) -> Trajectory:
-        return self._records[trajectory_id].trajectory
+    def get(self, day: date, trajectory_id: str) -> Trajectory:
+        return self._day(day).records[trajectory_id].trajectory
 
-    def transcript(self, trajectory_id: str) -> list[Turn]:
-        return list(self._records[trajectory_id].transcript)
+    def transcript(self, day: date, trajectory_id: str) -> list[Turn]:
+        return list(self._day(day).records[trajectory_id].transcript)
 
-    def trajectories_for(self, question_id: str) -> list[Trajectory]:
-        ids = self._by_question.get(question_id, [])
-        return [self._records[tid].trajectory for tid in ids]
+    def trajectories_for(self, day: date, question_id: str) -> list[Trajectory]:
+        log = self._day(day)
+        return [log.records[tid].trajectory for tid in log.by_question.get(question_id, [])]
 
     def questions_for_day(self, day: date) -> list[str]:
-        return sorted(self._day_questions.get(day, set()))
+        return sorted(self._day(day).by_question)
 
     def all_trajectories(self) -> list[Trajectory]:
-        return [rec.trajectory for rec in self._records.values()]
-
-    def has_question(self, question_id: str) -> bool:
-        return question_id in self._by_question
+        """Every trajectory, in (log day, log order), whichever days were read first."""
+        return [rec.trajectory for log in self._all_days() for rec in log.records.values()]
 
     # -- mutations ---------------------------------------------------------
 
@@ -227,6 +290,8 @@ class TrajectoryLedger:
         days = {t.prediction_time.date() for t, _ in prefixes}
         if len(days) != 1:
             raise LedgerError("a prefix batch must belong to a single issue day")
+        day = days.pop()
+        log = self._day(day)
         seen: set[str] = set()
         for trajectory, _ in prefixes:
             if trajectory.status is not TrajectoryStatus.PENDING:
@@ -235,10 +300,9 @@ class TrajectoryLedger:
                 )
             if trajectory.label is not None or trajectory.reward is not None:
                 raise LedgerError("PENDING trajectory must not carry label or reward")
-            if trajectory.trajectory_id in self._records or trajectory.trajectory_id in seen:
+            if trajectory.trajectory_id in log.records or trajectory.trajectory_id in seen:
                 raise DuplicateTrajectoryError(trajectory.trajectory_id)
             seen.add(trajectory.trajectory_id)
-        day = days.pop()
         seqs = self._append_batch(
             day,
             [
@@ -254,12 +318,13 @@ class TrajectoryLedger:
             ],
         )
         for trajectory, transcript in prefixes:
-            self._apply_prefix(day, trajectory, list(transcript))
+            log.add_prefix(trajectory, list(transcript))
         return seqs
 
-    def backfill(self, outcomes: Sequence[Outcome], reward_fn: RewardFn) -> int:
+    def backfill(self, day: date, outcomes: Sequence[Outcome], reward_fn: RewardFn) -> int:
         """Write label and reward into every PENDING trajectory of each outcome's question.
 
+        ``day`` is the log day the questions' prefixes were issued on.
         Idempotent: re-applying the same outcomes changes nothing and returns
         0. An unknown question or a conflicting outcome (different label)
         rejects the whole batch before anything is written.
@@ -269,13 +334,14 @@ class TrajectoryLedger:
             qid = outcome.question_id
             if qid not in labels:
                 resolved = [
-                    t.label for t in self.trajectories_for(qid)
+                    t.label for t in self.trajectories_for(day, qid)
                     if t.status is TrajectoryStatus.RESOLVED
                 ]
                 labels[qid] = resolved[0] if resolved else outcome.label
             if labels[qid] != outcome.label:
                 raise ConflictingOutcomeError(f"question {qid} resolved with label {labels[qid]}")
         return self._append_terminals(
+            day,
             outcomes,
             KIND_BACKFILL,
             lambda trajectory, outcome: {
@@ -285,12 +351,14 @@ class TrajectoryLedger:
             },
         )
 
-    def discard(self, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
+    def discard(self, day: date, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
         """Discard every PENDING trajectory of each unresolved question; RESOLVED are untouched.
 
-        An unknown question rejects the whole batch before anything is written.
+        ``day`` is the log day the questions' prefixes were issued on. An
+        unknown question rejects the whole batch before anything is written.
         """
         return self._append_terminals(
+            day,
             unresolved,
             KIND_DISCARD,
             lambda trajectory, item: {
@@ -301,55 +369,40 @@ class TrajectoryLedger:
 
     def _append_terminals(
         self,
+        day: date,
         items: Sequence[_Item],
         kind: str,
         payload_for: Callable[[Trajectory, _Item], dict[str, Any]],
     ) -> int:
         """Give every PENDING trajectory of the items' questions a terminal record.
 
-        Records keep item order, then ledger order within a question, and go
-        out in one append per log day. Returns the number written.
+        Records keep item order, then log order within a question, and go
+        out in one append. Returns the number written.
         """
-        by_day: dict[date, list[dict[str, Any]]] = {}
+        log = self._day(day)
+        records: list[dict[str, Any]] = []
         seen: set[str] = set()
         for item in items:
-            if item.question_id not in self._by_question:
-                raise LedgerError(f"unknown question {item.question_id}")
+            if item.question_id not in log.by_question:
+                raise LedgerError(f"unknown question {item.question_id} on {day.isoformat()}")
             if item.question_id in seen:
                 continue
             seen.add(item.question_id)
-            for tid in self._by_question[item.question_id]:
-                stored = self._records[tid]
-                if stored.trajectory.status is TrajectoryStatus.PENDING:
-                    by_day.setdefault(stored.day, []).append(
+            for tid in log.by_question[item.question_id]:
+                trajectory = log.records[tid].trajectory
+                if trajectory.status is TrajectoryStatus.PENDING:
+                    records.append(
                         {
                             "kind": kind,
                             "trajectory_id": tid,
-                            "payload": payload_for(stored.trajectory, item),
+                            "payload": payload_for(trajectory, item),
                         }
                     )
-        for day, records in by_day.items():
+        if records:
             self._append_batch(day, records)
             for record in records:
-                self._apply_terminal(record)
-        return sum(len(records) for records in by_day.values())
-
-    # -- state transitions (shared by live mutation and replay) -------------
-
-    def _apply_prefix(self, day: date, trajectory: Trajectory, transcript: list[Turn]) -> None:
-        self._records[trajectory.trajectory_id] = _StoredTrajectory(
-            trajectory=trajectory, transcript=transcript, day=day
-        )
-        self._by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
-        self._day_questions.setdefault(day, set()).add(trajectory.question_id)
-
-    def _apply_terminal(self, record: Mapping[str, Any]) -> None:
-        stored = self._records[record["trajectory_id"]]
-        if record["kind"] == KIND_BACKFILL:
-            payload = record["payload"]
-            stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
-        else:
-            stored.trajectory = stored.trajectory.discarded()
+                log.add_terminal(record)
+        return len(records)
 
     # -- export --------------------------------------------------------------
 
@@ -359,12 +412,13 @@ class TrajectoryLedger:
         Only RESOLVED trajectories are exported; a fully discarded or still
         pending question is absent from the batch.
         """
+        log = self._day(day)
         groups: list[TrainingGroup] = []
         for question_id in self.questions_for_day(day):
             resolved = [
-                self._records[tid]
-                for tid in self._by_question[question_id]
-                if self._records[tid].trajectory.status is TrajectoryStatus.RESOLVED
+                log.records[tid]
+                for tid in log.by_question[question_id]
+                if log.records[tid].trajectory.status is TrajectoryStatus.RESOLVED
             ]
             if not resolved:
                 continue
@@ -421,34 +475,8 @@ def read_log_records(path: Path) -> tuple[list[dict[str, Any]], Optional[int]]:
     return records, complete_bytes if tail else None
 
 
-def apply_records(ledger: TrajectoryLedger, day: date, records: Sequence[Mapping[str, Any]]) -> None:
-    """Fold one day's records into ledger state, enforcing order invariants."""
-    last_seq = 0
-    for record in records:
-        seq = record.get("sequence_no")
-        if not isinstance(seq, int) or seq <= last_seq:
-            raise ReplayError("sequence_no must strictly increase", seq)
-        last_seq = seq
-        kind = record.get("kind")
-        tid = record.get("trajectory_id")
-        payload = record.get("payload", {})
-        if kind == KIND_PREFIX:
-            if tid in ledger._records:
-                raise ReplayError(f"duplicate PREFIX for {tid}", seq)
-            trajectory = Trajectory.from_dict(payload["trajectory"])
-            transcript = [Turn.from_dict(t) for t in payload.get("transcript", [])]
-            ledger._apply_prefix(day, trajectory, transcript)
-        elif kind in (KIND_BACKFILL, KIND_DISCARD):
-            if tid not in ledger._records:
-                raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
-            if ledger._records[tid].trajectory.status is not TrajectoryStatus.PENDING:
-                raise ReplayError(f"second terminal record for {tid}", seq)
-            ledger._apply_terminal(record)
-        else:
-            raise ReplayError(f"unknown record kind {kind!r}", seq)
-    ledger._day_seq[day] = max(ledger._day_seq.get(day, 0), last_seq)
-
-
 def replay(root: Path) -> TrajectoryLedger:
-    """Rebuild a ledger's in-memory state purely from its log files."""
-    return TrajectoryLedger(root)
+    """Rebuild a ledger's whole in-memory state purely from its log files."""
+    ledger = TrajectoryLedger(root)
+    ledger._all_days()
+    return ledger

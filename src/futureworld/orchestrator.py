@@ -345,14 +345,22 @@ class Orchestrator:
         report.questions_issued = len(questions)
 
         issue_at = self.phase_datetime(day, self.config.issue_time)
+        log_day = issue_at.date()  # the ledger keys prefixes by their UTC issue date
         search_tool = self._search_tool_for(day, questions)
         prob_template = self.templates["probabilistic"]
         for agent_name in self.config.agents:
             agent = make_scripted_agent(agent_name, seed=self.config.seed)
             ledger = self.ledger_for(agent_name)
+            # Restart: run only the rollouts a crashed run left unrecorded.
+            # Rollouts are seeded by trajectory id, so a repaired day log is
+            # byte-identical to an uninterrupted one.
+            recorded = {
+                qid: {t.rollout_index for t in ledger.trajectories_for(log_day, qid)}
+                for qid in ledger.questions_for_day(log_day)
+            }
             pending = [
                 q for q in sorted(questions, key=lambda q: q.id)
-                if not ledger.has_question(q.id)  # restart: this group already ran
+                if len(recorded.get(q.id, ())) < self.config.rollouts_per_question
             ]
 
             def roll(question: Question):
@@ -365,6 +373,7 @@ class Orchestrator:
                     self.config.limits,
                     self.config.rollouts_per_question,
                     clock=lambda: issue_at,
+                    recorded=recorded.get(question.id, ()),
                 )
 
             if self.config.max_workers > 1:
@@ -375,11 +384,9 @@ class Orchestrator:
             else:
                 group_results = [roll(q) for q in pending]
 
-            recorded = 0
-            for results in group_results:
-                ledger.append_prefix_batch([(r.trajectory, r.transcript) for r in results])
-                recorded += len(results)
-            report.rollouts_recorded[agent_name] = recorded
+            prefixes = [(r.trajectory, r.transcript) for results in group_results for r in results]
+            ledger.append_prefix_batch(prefixes)  # one durable append per agent and day
+            report.rollouts_recorded[agent_name] = len(prefixes)
 
         self._write_json(self.report_path(f"issue-{day.isoformat()}.json"), report.to_dict())
         return report
@@ -457,7 +464,7 @@ class Orchestrator:
             raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
         questions = [Question.from_dict(row) for row in read_jsonl(path)]
         now = self.phase_datetime(day + timedelta(days=1), self.config.resolve_time)
-        registry = self._resolver_registry()
+        registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
 
         # The ledger keys a batch by the UTC date its prefixes were issued at.
@@ -468,15 +475,15 @@ class Orchestrator:
         metrics: dict[str, dict[str, Any]] = {}
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
-            ledger.backfill(resolution.outcomes, trajectory_reward)
-            ledger.discard(resolution.unresolved, now)
+            ledger.backfill(ledger_day, resolution.outcomes, trajectory_reward)
+            ledger.discard(ledger_day, resolution.unresolved, now)
             groups = ledger.export_training_batch(ledger_day)
             write_training_batch(self.export_path(agent_name, day), groups)
             groups_exported[agent_name] = len(groups)
 
             # Sorted question ids give the ledger's insertion order, which
             # the order-sensitive metrics depend on.
-            batch = [t for qid in batch_qids for t in ledger.trajectories_for(qid)]
+            batch = [t for qid in batch_qids for t in ledger.trajectories_for(ledger_day, qid)]
             rollouts[agent_name] = len(batch)
             metrics[agent_name] = self._batch_metrics(
                 [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
@@ -499,11 +506,12 @@ class Orchestrator:
         base.with_suffix(".txt").write_text(report.render_text() + "\n", encoding="utf-8")
         return report
 
-    def _resolver_registry(self) -> dict[str, Any]:
-        truth_files = sorted((self.run_dir / "truth").glob("truth-*.jsonl"))
+    def _resolver_registry(self, day: date) -> dict[str, Any]:
+        """Resolvers for the batch issued on ``day``, whose issue wrote its truth file."""
+        truth_path = self.truth_path(day)
         registry: dict[str, Any] = {}
-        if truth_files:
-            registry["synthetic"] = SyntheticTruthResolver.from_files(truth_files)
+        if truth_path.exists():
+            registry["synthetic"] = SyntheticTruthResolver.from_files([truth_path])
         for key, answer_file in self.config.answer_files.items():
             registry[key] = FileLookupResolver(path=Path(answer_file))
         return registry

@@ -132,7 +132,7 @@ def construct_pair(
     description: Optional[str] = event.payload.get("description")
     if description is None and template.description_pattern is not None:
         description = template.description_pattern.format(**event.payload)
-    identifier = event.payload.get("identifier", event.source_url)
+    identifier = event.identifier
     question = Question(
         id=f"q-{identifier}",
         text=text,

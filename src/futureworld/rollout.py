@@ -19,7 +19,7 @@ import re
 import time as _time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Collection, Optional, Protocol, Sequence
 
 from .domain import Question, Step, Trajectory, TrajectoryStatus
 
@@ -202,19 +202,22 @@ def run_group(
     limits: RolloutLimits,
     group_size: int = 4,
     clock: Callable[[], datetime] = _utcnow,
+    recorded: Collection[int] = (),
 ) -> list[RolloutResult]:
-    """Run ``group_size`` independent rollouts of one question.
+    """Run the independent rollouts of one question, indexes 0..group_size-1.
 
     Rollout indexes give stochastic agents distinct per-rollout identities.
-    A failure in one rollout never aborts the group; the failed rollout is
-    still recorded (with an invalid final).
+    Indexes in ``recorded`` already ran and are skipped. A failure in one
+    rollout never aborts the group; the failed rollout is still recorded
+    (with an invalid final).
     """
     if group_size < 1:
         raise ValueError("group_size must be at least 1")
-    results = []
-    for k in range(group_size):
-        results.append(run_rollout(prompt, question, agent, search_tool, limits, k, clock))
-    return results
+    return [
+        run_rollout(prompt, question, agent, search_tool, limits, k, clock)
+        for k in range(group_size)
+        if k not in recorded
+    ]
 
 
 def reconstruct_transcript(prompt: str, trajectory: Trajectory) -> list[Turn]:

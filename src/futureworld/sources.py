@@ -341,9 +341,14 @@ class FetchResult:
 
 
 def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]:
-    """Read a JSONL candidate feed; malformed records are reported, not fatal."""
+    """Read a JSONL candidate feed; malformed records are reported, not fatal.
+
+    Question ids derive from event identifiers, so an identifier already seen
+    on an earlier line is reported instead of being issued a second time.
+    """
     events: list[CandidateEvent] = []
     errors: list[RecordError] = []
+    first_line: dict[str, int] = {}
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -352,9 +357,20 @@ def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]
         if not line.strip():
             continue
         try:
-            events.append(CandidateEvent.from_dict(json.loads(line)))
+            event = CandidateEvent.from_dict(json.loads(line))
+            seen_on = first_line.setdefault(event.identifier, lineno)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             errors.append(RecordError(line_number=lineno, message=str(exc)))
+            continue
+        if seen_on != lineno:
+            errors.append(
+                RecordError(
+                    line_number=lineno,
+                    message=f"duplicate identifier {event.identifier!r} (first on line {seen_on})",
+                )
+            )
+            continue
+        events.append(event)
     return events, errors
 
 

@@ -272,10 +272,10 @@ def test_criterion_5_ledger_properties(tmp_path):
             elif action == "backfill" and qid in next_k:
                 label = labels.setdefault(qid, rng.randrange(2))
                 outcome = Outcome(question_id=qid, label=label, resolved_at=T1)
-                ledger.backfill([outcome], trajectory_reward)
-                ok &= ledger.backfill([outcome], trajectory_reward) == 0  # idempotent
+                ledger.backfill(T0.date(), [outcome], trajectory_reward)
+                ok &= ledger.backfill(T0.date(), [outcome], trajectory_reward) == 0  # idempotent
             elif action == "discard" and qid in next_k:
-                ledger.discard([Unresolved(qid, "not_published")], T1)
+                ledger.discard(T0.date(), [Unresolved(qid, "not_published")], T1)
             else:
                 ok &= _ledger_states_equal(ledger, replay(root))
 
@@ -286,7 +286,7 @@ def test_criterion_5_ledger_properties(tmp_path):
             else:
                 ok &= t.label is None and t.reward is None
         for group in ledger.export_training_batch(T0.date()):
-            statuses = {ledger.get(e.trajectory_id).status for e in group.entries}
+            statuses = {ledger.get(T0.date(), e.trajectory_id).status for e in group.entries}
             ok &= statuses == {TrajectoryStatus.RESOLVED}
             rewards = [e.reward for e in group.entries]
             advantages = [e.advantage for e in group.entries]
@@ -396,7 +396,7 @@ def test_criterion_8_non_leakage(sim):
     for agent in orch.config.agents:
         ledger = orch.ledger_for(agent)
         for t in ledger.all_trajectories():
-            transcript = ledger.transcript(t.trajectory_id)
+            transcript = ledger.transcript(t.prediction_time.date(), t.trajectory_id)
             joined = "\n".join(turn.text for turn in transcript)
             ok &= "realized_label" not in joined
             ok &= "will_resolve" not in joined

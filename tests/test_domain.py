@@ -29,6 +29,18 @@ def test_timestamps_normalized_to_utc_second_precision():
     assert ts.microsecond == 0
 
 
+def test_normalized_timestamps_pass_through_and_others_convert():
+    assert ensure_utc(T0) is T0
+    assert parse_rfc3339("2026-03-02T20:00:00+00:00").tzinfo is timezone.utc
+    for ts in (
+        T0.replace(microsecond=999),
+        datetime(2026, 3, 2, 22, 0, 0, 5, tzinfo=timezone(timedelta(hours=2))),
+    ):
+        normalized = ensure_utc(ts)
+        assert normalized == T0
+        assert normalized.tzinfo is timezone.utc and normalized.microsecond == 0
+
+
 def test_rfc3339_round_trip_and_zulu_parsing():
     ts = parse_rfc3339("2026-03-02T20:00:00Z")
     assert ts == T0

@@ -4,9 +4,12 @@ import json
 import math
 import random
 import statistics
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 
+from futureworld import ledger as ledger_module
 from futureworld.domain import Outcome, TrajectoryStatus, dumps_canonical
 from futureworld.ledger import (
     ConflictingOutcomeError,
@@ -44,6 +47,7 @@ def _group(ledger, qid="q-1", probs=(0.5, 0.9, None, 1.0)):
         _append(ledger, make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, prob=prob))
 
 
+DAY = T0.date()  # the log day of every prefix built by make_trajectory
 OUTCOME = Outcome(question_id="q-1", label=1, resolved_at=T1)
 
 
@@ -54,7 +58,7 @@ def test_append_and_fetch(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     seq = _append(ledger, make_trajectory())
     assert seq == 1
-    assert ledger.get("q-1#k0").status is TrajectoryStatus.PENDING
+    assert ledger.get(DAY, "q-1#k0").status is TrajectoryStatus.PENDING
     assert ledger.questions_for_day(T0.date()) == ["q-1"]
 
 
@@ -96,54 +100,54 @@ def test_batch_append_assigns_increasing_sequence(tmp_path):
 def test_backfill_writes_negative_brier_rewards(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    count = ledger.backfill([OUTCOME], trajectory_reward)
+    count = ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     assert count == 4
-    rewards = [ledger.get(f"q-1#k{k}").reward for k in range(4)]
+    rewards = [ledger.get(DAY, f"q-1#k{k}").reward for k in range(4)]
     assert rewards == pytest.approx([-0.25, -0.01 + 1e-17, -1.0, 0.0], abs=1e-12)
-    assert all(ledger.get(f"q-1#k{k}").label == 1 for k in range(4))
+    assert all(ledger.get(DAY, f"q-1#k{k}").label == 1 for k in range(4))
 
 
 def test_backfill_is_idempotent(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    assert ledger.backfill([OUTCOME], trajectory_reward) == 4
-    before = [ledger.get(f"q-1#k{k}") for k in range(4)]
-    assert ledger.backfill([OUTCOME], trajectory_reward) == 0
-    assert [ledger.get(f"q-1#k{k}") for k in range(4)] == before
+    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 4
+    before = [ledger.get(DAY, f"q-1#k{k}") for k in range(4)]
+    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 0
+    assert [ledger.get(DAY, f"q-1#k{k}") for k in range(4)] == before
 
 
 def test_conflicting_backfill_rejected(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     flipped = Outcome(question_id="q-1", label=0, resolved_at=T1)
     with pytest.raises(ConflictingOutcomeError):
-        ledger.backfill([flipped], trajectory_reward)
+        ledger.backfill(DAY, [flipped], trajectory_reward)
 
 
 def test_backfill_unknown_question_is_an_error(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     with pytest.raises(LedgerError):
-        ledger.backfill([Outcome(question_id="q-none", label=1, resolved_at=T1)], trajectory_reward)
+        ledger.backfill(DAY, [Outcome(question_id="q-none", label=1, resolved_at=T1)], trajectory_reward)
 
 
 def test_batch_with_one_conflicting_outcome_writes_nothing(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
     _group(ledger, "q-2")
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     log = next(tmp_path.glob("ledger-*.jsonl"))
     before = log.read_bytes()
     q2 = Outcome(question_id="q-2", label=0, resolved_at=T1)
     flipped = Outcome(question_id="q-1", label=0, resolved_at=T1)
     for batch in ([q2, flipped], [q2, Outcome(question_id="q-2", label=1, resolved_at=T1)]):
         with pytest.raises(ConflictingOutcomeError):
-            ledger.backfill(batch, trajectory_reward)
+            ledger.backfill(DAY, batch, trajectory_reward)
     unknown = Outcome(question_id="q-none", label=0, resolved_at=T1)
     with pytest.raises(LedgerError):
-        ledger.backfill([q2, unknown], trajectory_reward)
+        ledger.backfill(DAY, [q2, unknown], trajectory_reward)
     assert log.read_bytes() == before
-    assert {t.status for t in ledger.trajectories_for("q-2")} == {TrajectoryStatus.PENDING}
+    assert {t.status for t in ledger.trajectories_for(DAY, "q-2")} == {TrajectoryStatus.PENDING}
 
 
 def test_backfill_batch_writes_one_record_per_pending_trajectory(tmp_path):
@@ -151,8 +155,8 @@ def test_backfill_batch_writes_one_record_per_pending_trajectory(tmp_path):
     _group(ledger, "q-1")
     _group(ledger, "q-2")
     q2 = Outcome(question_id="q-2", label=0, resolved_at=T1)
-    assert ledger.backfill([q2, OUTCOME, q2], trajectory_reward) == 8
-    assert ledger.backfill([OUTCOME, q2], trajectory_reward) == 0
+    assert ledger.backfill(DAY, [q2, OUTCOME, q2], trajectory_reward) == 8
+    assert ledger.backfill(DAY, [OUTCOME, q2], trajectory_reward) == 0
     assert _ledger_states_equal(ledger, replay(tmp_path))
 
 
@@ -162,17 +166,17 @@ def test_backfill_batch_writes_one_record_per_pending_trajectory(tmp_path):
 def test_discard_unresolved_question(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    assert ledger.discard([Unresolved("q-1", "not_published")], T1) == 4
-    assert all(ledger.get(f"q-1#k{k}").status is TrajectoryStatus.DISCARDED for k in range(4))
-    assert ledger.discard([Unresolved("q-1", "not_published")], T1) == 0
+    assert ledger.discard(DAY, [Unresolved("q-1", "not_published")], T1) == 4
+    assert all(ledger.get(DAY, f"q-1#k{k}").status is TrajectoryStatus.DISCARDED for k in range(4))
+    assert ledger.discard(DAY, [Unresolved("q-1", "not_published")], T1) == 0
 
 
 def test_discard_leaves_resolved_untouched(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill([OUTCOME], trajectory_reward)
-    assert ledger.discard([Unresolved("q-1", "postponed")], T1) == 0
-    assert all(ledger.get(f"q-1#k{k}").status is TrajectoryStatus.RESOLVED for k in range(4))
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    assert ledger.discard(DAY, [Unresolved("q-1", "postponed")], T1) == 0
+    assert all(ledger.get(DAY, f"q-1#k{k}").status is TrajectoryStatus.RESOLVED for k in range(4))
 
 
 def test_discard_batch_with_unknown_question_writes_nothing(tmp_path):
@@ -181,9 +185,9 @@ def test_discard_batch_with_unknown_question_writes_nothing(tmp_path):
     log = next(tmp_path.glob("ledger-*.jsonl"))
     before = log.read_bytes()
     with pytest.raises(LedgerError):
-        ledger.discard([Unresolved("q-1", "not_published"), Unresolved("q-none", "postponed")], T1)
+        ledger.discard(DAY, [Unresolved("q-1", "not_published"), Unresolved("q-none", "postponed")], T1)
     assert log.read_bytes() == before
-    assert {t.status for t in ledger.trajectories_for("q-1")} == {TrajectoryStatus.PENDING}
+    assert {t.status for t in ledger.trajectories_for(DAY, "q-1")} == {TrajectoryStatus.PENDING}
 
 
 # -- advantages ----------------------------------------------------------------------
@@ -227,9 +231,9 @@ def test_export_groups_only_resolved(tmp_path):
     _group(ledger, "q-1")
     _group(ledger, "q-2")
     _group(ledger, "q-3")
-    ledger.backfill([OUTCOME], trajectory_reward)
-    ledger.backfill([Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
-    ledger.discard([Unresolved("q-3", "not_published")], T1)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    ledger.discard(DAY, [Unresolved("q-3", "not_published")], T1)
     groups = ledger.export_training_batch(T0.date())
     assert sorted(g.question_id for g in groups) == ["q-1", "q-2"]
     for group in groups:
@@ -248,7 +252,7 @@ def test_export_mask_covers_two_search_turns(tmp_path):
     steps = (make_step("first"), make_step("second"))
     t = make_trajectory(steps=steps, prob=0.7)
     _append(ledger, t)
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     group = ledger.export_training_batch(T0.date())[0]
     entry = group.entries[0]
     roles = [turn.role for turn in entry.transcript]
@@ -260,10 +264,10 @@ def test_export_mask_covers_two_search_turns(tmp_path):
 def test_export_rewards_recompute_from_stored_fields(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     for group in ledger.export_training_batch(T0.date()):
         for entry in group.entries:
-            t = ledger.get(entry.trajectory_id)
+            t = ledger.get(DAY, entry.trajectory_id)
             if t.final_probability is None:
                 assert entry.reward == -1.0
             else:
@@ -273,7 +277,7 @@ def test_export_rewards_recompute_from_stored_fields(tmp_path):
 def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, probs=(None, 0.9))
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     group = ledger.export_training_batch(T0.date())[0]
     assert len(group.entries) == 2
     rewards = sorted(e.reward for e in group.entries)
@@ -284,7 +288,7 @@ def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
 def test_write_training_batch_jsonl(tmp_path):
     ledger = TrajectoryLedger(tmp_path / "led")
     _group(ledger)
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     out = tmp_path / "train.jsonl"
     write_training_batch(out, ledger.export_training_batch(T0.date()))
     rows = [json.loads(line) for line in out.read_text().splitlines()]
@@ -298,18 +302,21 @@ def test_write_training_batch_jsonl(tmp_path):
 
 
 def _ledger_states_equal(a: TrajectoryLedger, b: TrajectoryLedger) -> bool:
-    ids = sorted(t.trajectory_id for t in a.all_trajectories())
-    if ids != sorted(t.trajectory_id for t in b.all_trajectories()):
+    ids = sorted((t.prediction_time.date(), t.trajectory_id) for t in a.all_trajectories())
+    if ids != sorted((t.prediction_time.date(), t.trajectory_id) for t in b.all_trajectories()):
         return False
-    return all(a.get(i) == b.get(i) and a.transcript(i) == b.transcript(i) for i in ids)
+    return all(
+        a.get(day, i) == b.get(day, i) and a.transcript(day, i) == b.transcript(day, i)
+        for day, i in ids
+    )
 
 
 def test_replay_reconstructs_live_state(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
     _group(ledger, "q-2")
-    ledger.backfill([OUTCOME], trajectory_reward)
-    ledger.discard([Unresolved("q-2", "not_published")], T1)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.discard(DAY, [Unresolved("q-2", "not_published")], T1)
     replayed = replay(tmp_path)
     assert _ledger_states_equal(ledger, replayed)
 
@@ -317,7 +324,7 @@ def test_replay_reconstructs_live_state(tmp_path):
 def test_replay_of_truncated_log_is_a_valid_prefix(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:5]) + "\n")
@@ -345,7 +352,7 @@ def test_append_after_torn_tail_keeps_the_ledger_replayable(tmp_path):
     log.write_bytes(data[: len(data) - 40])  # crashed mid-way through the last prefix
     reopened = TrajectoryLedger(tmp_path)
     assert len(reopened.all_trajectories()) == 3
-    assert reopened.backfill([OUTCOME], trajectory_reward) == 3
+    assert reopened.backfill(DAY, [OUTCOME], trajectory_reward) == 3
     replayed = replay(tmp_path)
     assert _ledger_states_equal(reopened, replayed)
     assert {t.status for t in replayed.all_trajectories()} == {TrajectoryStatus.RESOLVED}
@@ -374,7 +381,7 @@ def test_replay_rejects_backfill_before_prefix(tmp_path):
 def test_replay_rejects_double_terminal(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1", probs=(0.5,))
-    ledger.backfill([OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     extra = json.loads(lines[-1])
@@ -396,6 +403,97 @@ def test_replay_rejects_non_increasing_sequence(tmp_path):
     log.write_text("\n".join(lines + [dumps_canonical(duplicated)]) + "\n")
     with pytest.raises(ReplayError):
         replay(tmp_path)
+
+
+# -- lazy day loading ------------------------------------------------------------
+
+
+def _three_day_ledger(root):
+    """Day 0 resolved, day 1 half resolved / half discarded, day 2 pending."""
+    ledger = TrajectoryLedger(root)
+    for offset in range(3):
+        for q in range(2):
+            qid = f"q-d{offset}-{q}"
+            ledger.append_prefix_batch(
+                [
+                    (t, _transcript(t))
+                    for t in (
+                        replace(
+                            make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, prob=prob),
+                            prediction_time=T0 + timedelta(days=offset),
+                        )
+                        for k, prob in enumerate((0.2, 0.9, None))
+                    )
+                ]
+            )
+    resolved_at = T1 + timedelta(days=1)
+    ledger.backfill(
+        DAY,
+        [Outcome(question_id=f"q-d0-{q}", label=q, resolved_at=T1) for q in range(2)],
+        trajectory_reward,
+    )
+    day1 = DAY + timedelta(days=1)
+    ledger.backfill(day1, [Outcome(question_id="q-d1-0", label=1, resolved_at=resolved_at)], trajectory_reward)
+    ledger.discard(day1, [Unresolved("q-d1-1", "postponed")], resolved_at)
+    return ledger
+
+
+def _reads(monkeypatch):
+    """Record the path of every log the ledger reads."""
+    read = []
+    real = ledger_module.read_log_records
+    monkeypatch.setattr(
+        ledger_module, "read_log_records", lambda path: read.append(path) or real(path)
+    )
+    return read
+
+
+def test_construction_reads_no_log(tmp_path, monkeypatch):
+    _three_day_ledger(tmp_path)
+    read = _reads(monkeypatch)
+    TrajectoryLedger(tmp_path)
+    assert read == []
+
+
+def test_fresh_ledger_answers_day_scoped_queries_like_replay(tmp_path, monkeypatch):
+    _three_day_ledger(tmp_path)
+    whole = replay(tmp_path)
+    read = _reads(monkeypatch)
+    for day in whole.log_days():
+        fresh = TrajectoryLedger(tmp_path)
+        qids = fresh.questions_for_day(day)
+        assert qids == whole.questions_for_day(day) and len(qids) == 2
+        for qid in qids:
+            assert fresh.trajectories_for(day, qid) == whole.trajectories_for(day, qid)
+            for t in fresh.trajectories_for(day, qid):
+                assert fresh.get(day, t.trajectory_id) == whole.get(day, t.trajectory_id)
+                assert fresh.transcript(day, t.trajectory_id) == whole.transcript(day, t.trajectory_id)
+        assert [g.to_dict() for g in fresh.export_training_batch(day)] == [
+            g.to_dict() for g in whole.export_training_batch(day)
+        ]
+        assert [path.name for path in read] == [f"ledger-{day.isoformat()}.jsonl"]
+        read.clear()
+
+
+def test_all_trajectories_keep_day_order_after_a_later_day_was_read_first(tmp_path):
+    _three_day_ledger(tmp_path)
+    fresh = TrajectoryLedger(tmp_path)
+    fresh.questions_for_day(DAY + timedelta(days=2))
+    fresh.backfill(
+        DAY + timedelta(days=1),
+        [Outcome(question_id="q-d1-0", label=1, resolved_at=T1)],
+        trajectory_reward,
+    )
+    order = [t.trajectory_id for t in fresh.all_trajectories()]
+    assert order == [t.trajectory_id for t in replay(tmp_path).all_trajectories()]
+    assert order == [f"q-d{d}-{q}#k{k}" for d in range(3) for q in range(2) for k in range(3)]
+
+
+def test_day_lookups_do_not_see_other_days(tmp_path):
+    ledger = _three_day_ledger(tmp_path)
+    assert ledger.trajectories_for(DAY, "q-d1-0") == []
+    with pytest.raises(LedgerError):
+        ledger.discard(DAY, [Unresolved("q-d2-0", "not_published")], T1)
 
 
 # -- random interleaving property --------------------------------------------------------
@@ -421,10 +519,10 @@ def test_status_machine_over_random_interleavings(tmp_path):
             elif action == "backfill" and qid in next_k:
                 label = question_labels.setdefault(qid, rng.randrange(2))
                 outcome = Outcome(question_id=qid, label=label, resolved_at=T1)
-                first = ledger.backfill([outcome], trajectory_reward)
-                assert ledger.backfill([outcome], trajectory_reward) == 0 or first == 0
+                first = ledger.backfill(DAY, [outcome], trajectory_reward)
+                assert ledger.backfill(DAY, [outcome], trajectory_reward) == 0 or first == 0
             elif action == "discard" and qid in next_k:
-                ledger.discard([Unresolved(qid, "not_published")], T1)
+                ledger.discard(DAY, [Unresolved(qid, "not_published")], T1)
             elif action == "replay":
                 assert _ledger_states_equal(ledger, replay(root))
 
@@ -434,7 +532,7 @@ def test_status_machine_over_random_interleavings(tmp_path):
         for group in ledger.export_training_batch(T0.date()):
             rewards = [e.reward for e in group.entries]
             assert all(-1.0 <= r <= 0.0 for r in rewards)
-            labels = {ledger.get(e.trajectory_id).label for e in group.entries}
+            labels = {ledger.get(DAY, e.trajectory_id).label for e in group.entries}
             assert labels == {group.label}
             advantages = [e.advantage for e in group.entries]
             if max(rewards) > min(rewards):

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import os
-from datetime import date, timedelta
+import random
+import shutil
+from datetime import date, datetime, time, timedelta, timezone
 
 import pytest
 
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
+from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig, read_jsonl
 from futureworld.sources import SourceSpec
+
+from test_ledger import _reads
 
 START = date(2026, 3, 2)
 
@@ -98,10 +103,15 @@ def test_unresolvable_world_exports_nothing(tmp_path):
     assert export.read_text() == ""
 
 
-def test_resolve_phase_fsyncs_at_most_twice_per_agent(tmp_path, monkeypatch):
+def _count_fsyncs(monkeypatch):
     fsyncs = []
     real_fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    return fsyncs
+
+
+def test_resolve_phase_fsyncs_at_most_twice_per_agent(tmp_path, monkeypatch):
+    fsyncs = _count_fsyncs(monkeypatch)
     orch = Orchestrator(_config(benchmark=BenchmarkSettings(enabled=False)), tmp_path)
     per_phase = []
     resolve = orch.run_resolve_phase
@@ -117,6 +127,81 @@ def test_resolve_phase_fsyncs_at_most_twice_per_agent(tmp_path, monkeypatch):
     assert len(per_phase) == 2
     assert all(0 < n <= 2 * len(orch.config.agents) for n in per_phase)
     assert list(tmp_path.rglob("index.json")) == []
+
+
+def test_issue_phase_makes_one_durable_append_per_agent(tmp_path, monkeypatch):
+    fsyncs = _count_fsyncs(monkeypatch)
+    orch = Orchestrator(_config(), tmp_path)
+    report = orch.run_issue_phase(START)
+    assert report.rollouts_recorded == {"oracle": 80, "constant": 80}
+    assert len(fsyncs) == len(orch.config.agents)
+    orch.run_issue_phase(START)
+    assert len(fsyncs) == len(orch.config.agents)  # a complete day appends nothing
+
+
+def _files(run_dir, pattern):
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in sorted(run_dir.glob(pattern))}
+
+
+def test_restart_completes_groups_cut_anywhere_in_the_issue_batch(tmp_path):
+    config = _config(benchmark=BenchmarkSettings(enabled=False))
+    straight = tmp_path / "straight"
+    orch = Orchestrator(config, straight)
+    orch.run_issue_phase(START)
+    issued = tmp_path / "issued"
+    shutil.copytree(straight, issued)
+    orch.run_resolve_phase(START)
+    expected = {glob: _files(straight, glob) for glob in ("ledgers/*/*.jsonl", "exports/*/*.jsonl")}
+
+    log_name = f"ledger-{START.isoformat()}.jsonl"
+    size = (issued / "ledgers" / "oracle" / log_name).stat().st_size
+    offsets = [0, 1, size - 1] + random.Random(5).sample(range(2, size - 1), 6)
+    for i, offset in enumerate(offsets):
+        crashed = tmp_path / f"crash-{i}"
+        shutil.copytree(issued, crashed)
+        # The crash hit the first agent's append, so the second never started.
+        oracle_log = crashed / "ledgers" / "oracle" / log_name
+        oracle_log.write_bytes(oracle_log.read_bytes()[:offset])
+        (crashed / "ledgers" / "constant" / log_name).unlink()
+        rerun = Orchestrator(config, crashed)
+        rerun.run_issue_phase(START)
+        rerun.run_resolve_phase(START)
+        for glob, files in expected.items():
+            assert _files(crashed, glob) == files, f"cut at byte {offset}"
+
+
+def test_evening_reads_only_todays_and_yesterdays_logs(tmp_path, monkeypatch):
+    config = _config(benchmark=BenchmarkSettings(enabled=False))
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    for offset in range(4):
+        Orchestrator(config, tmp_path).run_due_phases(evening(offset))
+    assert len(list((tmp_path / "ledgers" / "oracle").glob("ledger-*.jsonl"))) == 4
+
+    read = _reads(monkeypatch)
+    today = START + timedelta(days=4)
+    executed = Orchestrator(config, tmp_path).run_due_phases(evening(4))
+    assert executed == [f"issue:{today}", f"resolve:{today - timedelta(days=1)}"]
+    yesterday_logs = {
+        f"{agent}/ledger-{(today - timedelta(days=1)).isoformat()}.jsonl" for agent in config.agents
+    }
+    assert {f"{p.parent.name}/{p.name}" for p in read} == yesterday_logs  # today's was new
+
+
+def test_resolve_phase_reads_only_the_batch_days_truth_file(tmp_path, monkeypatch):
+    config = _config(benchmark=BenchmarkSettings(enabled=False))
+    orch = Orchestrator(config, tmp_path)
+    for offset in range(3):
+        orch.run_issue_phase(START + timedelta(days=offset))
+    read = []
+    real = SyntheticTruthResolver.from_files.__func__
+    monkeypatch.setattr(
+        SyntheticTruthResolver,
+        "from_files",
+        classmethod(lambda cls, paths: read.extend(p.name for p in paths) or real(cls, paths)),
+    )
+    report = orch.run_resolve_phase(START + timedelta(days=1))
+    assert read == [f"truth-{(START + timedelta(days=1)).isoformat()}.jsonl"]
+    assert report.outcomes_resolved > 0
 
 
 def test_exports_follow_the_issue_day_west_of_utc(tmp_path):

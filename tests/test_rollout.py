@@ -211,6 +211,16 @@ def test_group_size_one_and_validation(question):
         run_group(question, _prompt(question), ConstantAgent(), EchoSearch(), LIMITS, group_size=0)
 
 
+def test_group_skips_recorded_indexes(question):
+    agent = NoisyOracleAgent(seed=3)
+    tool = SimulatedSearchTool(latent_by_text={question.text: 0.5})
+    full = run_group(question, _prompt(question), agent, tool, LIMITS, group_size=4)
+    rest = run_group(question, _prompt(question), agent, tool, LIMITS, group_size=4, recorded={0, 2})
+    assert [r.trajectory.rollout_index for r in rest] == [1, 3]
+    assert [r.trajectory for r in rest] == [full[1].trajectory, full[3].trajectory]
+    assert [r.transcript for r in rest] == [full[1].transcript, full[3].transcript]
+
+
 def test_noisy_rollouts_vary_per_index(question):
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.5})
     agent = NoisyOracleAgent(sigma=0.1, seed=1)

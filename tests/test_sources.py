@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -10,6 +11,7 @@ from futureworld.sources import (
     SyntheticWorldConfig,
     fetch_candidates,
     generate_synthetic_world,
+    read_feed_file,
     read_truth_file,
     write_truth_file,
 )
@@ -143,6 +145,21 @@ def test_file_feed_filters_to_cycle_alignment(tmp_path):
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
     assert len(fetch_candidates(spec, DAY).events) == 1
     assert fetch_candidates(spec, DAY + timedelta(days=3)).events == []
+
+
+def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
+    feed = tmp_path / "feed.jsonl"
+    first = make_event(identifier="evt-007")
+    again = replace(first, expected_resolution=first.expected_resolution + timedelta(days=1))
+    feed.write_text("\n".join(dumps_canonical(e.to_dict()) for e in (first, again)) + "\n")
+    events, errors = read_feed_file(feed)
+    assert events == [first]
+    assert [e.line_number for e in errors] == [2]
+    assert "evt-007" in errors[0].message
+    # the repeat would have been issued a day later under the same question id
+    spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
+    later = fetch_candidates(spec, DAY + timedelta(days=1))
+    assert later.events == [] and len(later.errors) == 1
 
 
 def test_missing_feed_file_raises(tmp_path):
