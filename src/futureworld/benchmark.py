@@ -17,7 +17,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Protocol, Sequence
 
-from .domain import dumps_canonical
+from .domain import dumps_canonical, write_atomically
 from .prompts import (
     BENCHMARK_TYPES,
     BINARY_CHOICE,
@@ -314,10 +314,7 @@ def score_benchmark_batch(
 
 
 def write_jsonl(path: Path, rows: Iterable[Mapping[str, Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(dumps_canonical(dict(row)) + "\n")
+    write_atomically(path, (dumps_canonical(dict(row)) + "\n" for row in rows))
 
 
 def read_jsonl(path: Path) -> list[dict[str, Any]]:

@@ -68,7 +68,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     orch = _orchestrator(args)
     day = date.fromisoformat(args.day)
     for agent in orch.config.agents:
-        groups = orch.ledger_for(agent).export_training_batch(day)
+        groups = orch.ledger_for(agent).export_training_batch(orch.log_day(day))
         path = orch.export_path(agent, day)
         write_training_batch(path, groups)
         print(f"{agent}: {len(groups)} groups -> {path}")

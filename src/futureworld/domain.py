@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any, Mapping, Optional
+from pathlib import Path
+from typing import Any, Iterable, Mapping, Optional
 
 QuestionId = str
 PairId = str
@@ -188,7 +190,7 @@ class QuestionDescriptionPair:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One search action and the observation the tool returned for it."""
 
@@ -217,7 +219,7 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """One stochastic rollout of a question.
 
@@ -352,3 +354,22 @@ def validate_trajectory(t: Trajectory) -> list[str]:
 def dumps_canonical(obj: Any) -> str:
     """Serialize to the canonical single-line JSON used in every JSONL file."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def write_atomically(path: Path, chunks: Iterable[str]) -> None:
+    """Replace ``path`` with the concatenated text ``chunks``, all or nothing.
+
+    The text goes to a temporary file beside ``path`` that ``os.replace``
+    renames over it, so a process that dies or raises part-way leaves the
+    previous file, or no file, never a short one. Derived files are not
+    fsynced: they can be rebuilt from the durable ledger logs and inputs.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

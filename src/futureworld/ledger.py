@@ -35,6 +35,7 @@ from .domain import (
     TrajectoryStatus,
     dumps_canonical,
     format_rfc3339,
+    write_atomically,
 )
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, Turn
@@ -138,7 +139,7 @@ class TrainingGroup:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _StoredTrajectory:
     trajectory: Trajectory
     transcript: list[Turn]
@@ -171,32 +172,50 @@ class _DayLog:
         else:
             stored.trajectory = stored.trajectory.discarded()
 
-    def replay(self, records: Sequence[Mapping[str, Any]]) -> None:
-        """Fold the records read from this day's log, enforcing order invariants."""
-        last_seq = 0
-        for record in records:
-            seq = record.get("sequence_no")
-            if not isinstance(seq, int) or seq <= last_seq:
-                raise ReplayError("sequence_no must strictly increase", seq)
-            last_seq = seq
-            kind = record.get("kind")
-            tid = record.get("trajectory_id")
-            payload = record.get("payload", {})
-            if kind == KIND_PREFIX:
-                if tid in self.records:
-                    raise ReplayError(f"duplicate PREFIX for {tid}", seq)
-                trajectory = Trajectory.from_dict(payload["trajectory"])
-                transcript = [Turn.from_dict(t) for t in payload.get("transcript", [])]
-                self.add_prefix(trajectory, transcript)
-            elif kind in (KIND_BACKFILL, KIND_DISCARD):
-                if tid not in self.records:
-                    raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
-                if self.records[tid].trajectory.status is not TrajectoryStatus.PENDING:
-                    raise ReplayError(f"second terminal record for {tid}", seq)
-                self.add_terminal(record)
-            else:
-                raise ReplayError(f"unknown record kind {kind!r}", seq)
-        self.seq = last_seq
+    def replay_record(self, record: Mapping[str, Any]) -> None:
+        """Fold one record read from this day's log, enforcing order invariants."""
+        seq = record.get("sequence_no")
+        if not isinstance(seq, int) or seq <= self.seq:
+            raise ReplayError("sequence_no must strictly increase", seq)
+        kind = record.get("kind")
+        tid = record.get("trajectory_id")
+        payload = record.get("payload", {})
+        if kind == KIND_PREFIX:
+            if tid in self.records:
+                raise ReplayError(f"duplicate PREFIX for {tid}", seq)
+            trajectory = Trajectory.from_dict(payload["trajectory"])
+            transcript = self._shared_turns(trajectory, payload.get("transcript", []))
+            self.add_prefix(trajectory, transcript)
+        elif kind in (KIND_BACKFILL, KIND_DISCARD):
+            if tid not in self.records:
+                raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
+            if self.records[tid].trajectory.status is not TrajectoryStatus.PENDING:
+                raise ReplayError(f"second terminal record for {tid}", seq)
+            self.add_terminal(record)
+        else:
+            raise ReplayError(f"unknown record kind {kind!r}", seq)
+        self.seq = seq
+
+    def _shared_turns(
+        self, trajectory: Trajectory, turns: Sequence[Mapping[str, Any]]
+    ) -> list[Turn]:
+        """Decode a transcript, sharing each text that equals one already held.
+
+        A live rollout holds one string for a step's action and its agent
+        turn, for its observation and tool turn, for the final answer and the
+        last turn, and for the prompt of all K rollouts of a question;
+        replay shares the same strings, so a replayed day costs no more
+        memory than a live one.
+        """
+        texts = {trajectory.raw_final_answer: trajectory.raw_final_answer}
+        for step in trajectory.steps:
+            texts[step.action] = step.action
+            texts[step.observation] = step.observation
+        siblings = self.by_question.get(trajectory.question_id)
+        if siblings and self.records[siblings[0]].transcript:
+            prompt = self.records[siblings[0]].transcript[0].text
+            texts.setdefault(prompt, prompt)
+        return [Turn(t["role"], texts.get(t["text"], t["text"])) for t in turns]
 
 
 class TrajectoryLedger:
@@ -227,14 +246,18 @@ class TrajectoryLedger:
         return days
 
     def _day(self, day: date) -> _DayLog:
-        """The state of one day's log, replaying the log on first use."""
+        """The state of one day's log, replaying the log on first use.
+
+        A day is cached only once its replay succeeded, so a log that fails
+        to replay fails on every access instead of reading as a partial day.
+        """
         log = self._days.get(day)
         if log is None:
-            log = self._days[day] = _DayLog()
+            log = _DayLog()
             path = self._log_path(day)
             if path.exists():
-                records, log.torn_bytes = read_log_records(path)
-                log.replay(records)
+                log.torn_bytes = read_log_records(path, log.replay_record)
+            self._days[day] = log
         return log
 
     def _all_days(self) -> list[_DayLog]:
@@ -447,32 +470,36 @@ class TrajectoryLedger:
 
 
 def write_training_batch(path: Path, groups: Iterable[TrainingGroup]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for group in groups:
-            fh.write(dumps_canonical(group.to_dict()) + "\n")
+    write_atomically(path, (dumps_canonical(group.to_dict()) + "\n" for group in groups))
 
 
-def read_log_records(path: Path) -> tuple[list[dict[str, Any]], Optional[int]]:
-    """Read one day log, tolerating a torn final line from a crashed writer.
+def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Optional[int]:
+    """Fold each record of one day log as it is read; tolerate a torn final line.
 
-    Only newline-terminated lines are records. Returns the records and, when
-    the log ends in a torn line, the byte length up to the end of its last
-    complete line (else None); the prefix up to there is consistent.
+    Only newline-terminated lines are records, and only the bytes ``\\n``
+    end a line. The log is streamed: neither its bytes nor its records are
+    held. Returns, when the log ends in a torn line from a crashed writer,
+    the byte length up to the end of its last complete line (else None); the
+    prefix up to there is consistent. A malformed line raises
+    ``ReplayError`` unless it is the last line and nothing but whitespace
+    follows it, in which case it is the torn line.
     """
-    *lines, tail = path.read_bytes().split(b"\n")
-    records: list[dict[str, Any]] = []
     complete_bytes = 0
-    for i, line in enumerate(lines):
-        if line.strip():
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                if i < len(lines) - 1 or tail.strip():
-                    raise ReplayError(f"malformed record at line {i + 1} of {path}")
-                return records, complete_bytes
-        complete_bytes += len(line) + 1
-    return records, complete_bytes if tail else None
+    with path.open("rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                return complete_bytes  # an unterminated tail is torn, even if it parses
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    rest = fh.readline()
+                    if rest.endswith(b"\n") or rest.strip():
+                        raise ReplayError(f"malformed record at line {number} of {path}")
+                    return complete_bytes
+                fold(record)
+            complete_bytes += len(line)
+    return None
 
 
 def replay(root: Path) -> TrajectoryLedger:

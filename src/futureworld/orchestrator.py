@@ -40,7 +40,7 @@ from .benchmark import (
     score_benchmark_batch,
     write_jsonl,
 )
-from .domain import Question, TrajectoryStatus
+from .domain import Question, TrajectoryStatus, write_atomically
 from .embedding import HashingEmbedder
 from .ledger import TrajectoryLedger, write_training_batch
 from .prompts import (
@@ -336,6 +336,10 @@ class Orchestrator:
         )
         return local.astimezone(timezone.utc)
 
+    def log_day(self, day: date) -> date:
+        """The ledger day of the batch issued on local ``day``: the UTC date of its issue time."""
+        return self.phase_datetime(day, self.config.issue_time).date()
+
     # -- issue phase -------------------------------------------------------------
 
     def run_issue_phase(self, day: date) -> IssueReport:
@@ -345,7 +349,6 @@ class Orchestrator:
         report.questions_issued = len(questions)
 
         issue_at = self.phase_datetime(day, self.config.issue_time)
-        log_day = issue_at.date()  # the ledger keys prefixes by their UTC issue date
         search_tool = self._search_tool_for(day, questions)
         prob_template = self.templates["probabilistic"]
         for agent_name in self.config.agents:
@@ -354,14 +357,7 @@ class Orchestrator:
             # Restart: run only the rollouts a crashed run left unrecorded.
             # Rollouts are seeded by trajectory id, so a repaired day log is
             # byte-identical to an uninterrupted one.
-            recorded = {
-                qid: {t.rollout_index for t in ledger.trajectories_for(log_day, qid)}
-                for qid in ledger.questions_for_day(log_day)
-            }
-            pending = [
-                q for q in sorted(questions, key=lambda q: q.id)
-                if len(recorded.get(q.id, ())) < self.config.rollouts_per_question
-            ]
+            recorded, pending = self._short_groups(agent_name, day, questions)
 
             def roll(question: Question):
                 prompt = render_prediction_prompt(question, prob_template)
@@ -390,6 +386,26 @@ class Orchestrator:
 
         self._write_json(self.report_path(f"issue-{day.isoformat()}.json"), report.to_dict())
         return report
+
+    def _short_groups(
+        self, agent_name: str, day: date, questions: Sequence[Question]
+    ) -> tuple[dict[str, set[int]], list[Question]]:
+        """Which rollouts of the batch issued on ``day`` the agent's day log holds.
+
+        Returns the recorded rollout indexes per question, and the batch's
+        questions whose group has fewer than K, sorted by id.
+        """
+        ledger = self.ledger_for(agent_name)
+        log_day = self.log_day(day)
+        recorded = {
+            qid: {t.rollout_index for t in ledger.trajectories_for(log_day, qid)}
+            for qid in ledger.questions_for_day(log_day)
+        }
+        short = [
+            q for q in sorted(questions, key=lambda q: q.id)
+            if len(recorded.get(q.id, ())) < self.config.rollouts_per_question
+        ]
+        return recorded, short
 
     def _load_or_build_questions(self, day: date, report: IssueReport) -> list[Question]:
         path = self.questions_path(day)
@@ -459,16 +475,12 @@ class Orchestrator:
 
     def run_resolve_phase(self, day: date) -> CycleReport:
         """Resolve and backfill the batch issued on ``day`` (runs on day+1)."""
-        path = self.questions_path(day)
-        if not path.exists():
-            raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
-        questions = [Question.from_dict(row) for row in read_jsonl(path)]
+        questions = self._issued_questions(day)
         now = self.phase_datetime(day + timedelta(days=1), self.config.resolve_time)
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
 
-        # The ledger keys a batch by the UTC date its prefixes were issued at.
-        ledger_day = self.phase_datetime(day, self.config.issue_time).date()
+        ledger_day = self.log_day(day)
         batch_qids = sorted(q.id for q in questions)
         rollouts: dict[str, int] = {}
         groups_exported: dict[str, int] = {}
@@ -503,8 +515,14 @@ class Orchestrator:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
         base = self.report_path(f"cycle-{day.isoformat()}")
         self._write_json(base.with_suffix(".json"), report.to_dict())
-        base.with_suffix(".txt").write_text(report.render_text() + "\n", encoding="utf-8")
+        write_atomically(base.with_suffix(".txt"), [report.render_text() + "\n"])
         return report
+
+    def _issued_questions(self, day: date) -> list[Question]:
+        path = self.questions_path(day)
+        if not path.exists():
+            raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
+        return [Question.from_dict(row) for row in read_jsonl(path)]
 
     def _resolver_registry(self, day: date) -> dict[str, Any]:
         """Resolvers for the batch issued on ``day``, whose issue wrote its truth file."""
@@ -597,8 +615,7 @@ class Orchestrator:
                 score = score_benchmark_batch(questions, answers, target_gold)
                 report["scores"][agent_name] = score.to_dict()
                 score_txt = bench_dir / f"scores-{agent_name}-{day.isoformat()}.txt"
-                score_txt.parent.mkdir(parents=True, exist_ok=True)
-                score_txt.write_text(score.render_text() + "\n", encoding="utf-8")
+                write_atomically(score_txt, [score.render_text() + "\n"])
 
         self._write_json(bench_dir / f"benchmark-{day.isoformat()}.json", report)
         return report
@@ -647,7 +664,7 @@ class Orchestrator:
             text.append(f"[{agent}]")
             text.append(report.render_text())
             text.append("-" * 60)
-        self.report_path("summary.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+        write_atomically(self.report_path("summary.txt"), ["\n".join(text) + "\n"])
         return SimulationResult(
             run_dir=self.run_dir,
             cycle_reports=cycle_reports,
@@ -691,6 +708,12 @@ class Orchestrator:
         if self.questions_path(yesterday).exists() and now >= self.phase_datetime(
             today, self.config.resolve_time
         ):
+            # A crash inside yesterday's prefix append left groups short;
+            # complete them before their outcomes are backfilled.
+            questions = self._issued_questions(yesterday)
+            if any(self._short_groups(a, yesterday, questions)[1] for a in self.config.agents):
+                self.run_issue_phase(yesterday)
+                executed.append(f"issue:{yesterday.isoformat()}")
             self.run_resolve_phase(yesterday)
             executed.append(f"resolve:{yesterday.isoformat()}")
         if self.config.benchmark.enabled and now >= self.phase_datetime(
@@ -704,10 +727,7 @@ class Orchestrator:
 
     @staticmethod
     def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        write_atomically(path, [json.dumps(payload, sort_keys=True, indent=1) + "\n"])
 
 
 def _count_by_type(questions: Sequence[BenchmarkQuestion]) -> dict[str, int]:

@@ -313,9 +313,6 @@ class BudgetAllocation:
     def budget(self, domain: str) -> int:
         return self.per_domain[domain][1]
 
-    def total(self) -> int:
-        return sum(m for _, m in self.per_domain.values())
-
 
 def allocate_budget(counts: Mapping[str, int], target: int) -> BudgetAllocation:
     """Water-fill the retention target across non-empty domains.
@@ -348,24 +345,10 @@ def allocate_budget(counts: Mapping[str, int], target: int) -> BudgetAllocation:
     return BudgetAllocation({d: (counts[d], allocated[d]) for d in domains})
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A fixed-length, unit-norm embedding of one pair's text."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.values))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"embedding must be unit-norm, got {norm}")
-
-
-def embed_pair(
-    pair: QuestionDescriptionPair, embedder: HashingEmbedder
-) -> EmbeddingVector:
-    """Embed the question concatenated with its description (if any)."""
+def embed_pair(pair: QuestionDescriptionPair, embedder: HashingEmbedder) -> np.ndarray:
+    """Unit-norm embedding of the question concatenated with its description (if any)."""
     text = pair.question.text + "\n" + (pair.description or "")
-    return EmbeddingVector(values=embed_text(text, embedder))
+    return embed_text(text, embedder)
 
 
 def _kmeans(
@@ -436,7 +419,7 @@ def resample_domain(
     if budget == 0:
         return []
 
-    points = np.stack([embed_pair(p, embedder).values for p in pairs])
+    points = np.stack([embed_pair(p, embedder) for p in pairs])
     assignments = _kmeans(points, budget, seed)
 
     selected_ids: set[str] = set()

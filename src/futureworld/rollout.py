@@ -35,7 +35,7 @@ CORRECTIVE_MESSAGE = (
 _FINAL_LINE = re.compile(r"^\s*FINAL:\s*([-+]?(?:\d+\.?\d*|\.\d+))\s*(%)?\s*$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     role: str
     text: str

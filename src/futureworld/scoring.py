@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,7 +119,11 @@ def accuracy(preds: Sequence[ProbPrediction], threshold: float = 0.5) -> float:
     return correct / len(preds)
 
 
-def ece(preds: Sequence[ProbPrediction], bins: int = 10) -> float:
+#: Equal-width bins of the reported ECE.
+ECE_BINS = 10
+
+
+def ece(preds: Sequence[ProbPrediction], bins: int = ECE_BINS) -> float:
     """Expected calibration error over equal-width bins.
 
     Bins are [0, 1/bins), ..., [1-1/bins, 1.0] with the last bin closed;
@@ -190,6 +194,30 @@ def overall(
     return sum(present) / len(present)
 
 
+#: Resample indexes drawn per block; bounds a bootstrap's working memory.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _resample_blocks(n: int, n_resamples: int, seed: int) -> Iterator[np.ndarray]:
+    """The seeded (n_resamples, n) bootstrap index matrix, a block of rows at a time.
+
+    The generator yields the same index stream whether it is drawn whole, in
+    row blocks or row by row, so the block size changes no interval.
+    """
+    if n == 0:
+        raise ValueError("cannot bootstrap an empty sample")
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n_resamples, rows):
+        yield rng.integers(0, n, size=(min(rows, n_resamples - start), n))
+
+
+def _percentile_interval(stats: list[np.ndarray], level: float) -> tuple[float, float]:
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(np.concatenate(stats), [alpha, 1.0 - alpha])
+    return float(low), float(high)
+
+
 def bootstrap_ci(
     values: Sequence[float],
     level: float = 0.95,
@@ -197,35 +225,46 @@ def bootstrap_ci(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Seeded percentile bootstrap interval for the mean of per-question scores."""
-    if len(values) == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    rng = np.random.default_rng(seed)
     arr = np.asarray(values, dtype=float)
-    idx = rng.integers(0, len(arr), size=(n_resamples, len(arr)))
-    means = arr[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    means = [arr[idx].mean(axis=1) for idx in _resample_blocks(len(arr), n_resamples, seed)]
+    return _percentile_interval(means, level)
 
 
 def bootstrap_metric_ci(
-    preds: Sequence[ProbPrediction],
-    metric: Callable[[Sequence[ProbPrediction]], float],
+    probs: Sequence[float],
+    labels: Sequence[int],
     level: float = 0.95,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Bootstrap interval for a metric that is not a plain per-question mean."""
-    if not preds:
-        raise ValueError("cannot bootstrap an empty sample")
-    rng = np.random.default_rng(seed)
+    """Seeded percentile bootstrap interval for ECE, which is not a per-question mean.
+
+    Takes the valid predictions as parallel probability and label sequences.
+    Each resample's statistic equals ``ece`` on the resampled predictions
+    bit for bit: bin sums accumulate in resample order and the bins' terms
+    are added in bin order, as ``ece`` adds them.
+    """
+    bins = ECE_BINS
+    p = np.asarray(probs, dtype=float)
+    z = np.asarray(labels, dtype=float)
+    n = len(p)
+    bin_of = np.minimum((p * bins).astype(np.int64), bins - 1)
     stats = []
-    for _ in range(n_resamples):
-        idx = rng.integers(0, len(preds), size=len(preds))
-        stats.append(metric([preds[i] for i in idx]))
-    alpha = (1.0 - level) / 2.0
-    low, high = np.quantile(np.asarray(stats), [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    for idx in _resample_blocks(n, n_resamples, seed):
+        rows = len(idx)
+        keys = (np.arange(rows)[:, None] * bins + bin_of[idx]).ravel()
+        size = rows * bins
+        counts = np.bincount(keys, minlength=size).reshape(rows, bins)
+        sums_p = np.bincount(keys, p[idx].ravel(), size).reshape(rows, bins)
+        sums_z = np.bincount(keys, z[idx].ravel(), size).reshape(rows, bins)
+        total = np.zeros(rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for b in range(bins):
+                c = counts[:, b]
+                gap = np.abs(sums_z[:, b] / c - sums_p[:, b] / c)
+                total += np.where(c > 0, c / n * gap, 0.0)  # an empty bin adds nothing
+        stats.append(total)
+    return _percentile_interval(stats, level)
 
 
 @dataclass
@@ -305,5 +344,7 @@ def summarize_probabilistic(
         report.intervals["accuracy"] = bootstrap_ci(acc_scores, seed=seed)
         report.intervals["brier"] = bootstrap_ci(brier_terms, seed=seed + 1)
         if valid:
-            report.intervals["ece"] = bootstrap_metric_ci(valid, ece, seed=seed + 2)
+            report.intervals["ece"] = bootstrap_metric_ci(
+                [p.prob for p in valid], [p.label for p in valid], seed=seed + 2
+            )
     return report

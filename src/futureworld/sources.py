@@ -22,7 +22,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .domain import CandidateEvent, DomainLabel, SourceId, dumps_canonical
+from .domain import CandidateEvent, DomainLabel, SourceId, dumps_canonical, write_atomically
 from .seeding import derive_seed
 
 #: Observed unresolved share of daily questions; used as the default rate at
@@ -425,10 +425,7 @@ def fetch_all(specs: Iterable[SourceSpec], day: date) -> FetchResult:
 
 
 def write_truth_file(path: Path, rows: Iterable[Mapping[str, Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(dumps_canonical(dict(row)) + "\n")
+    write_atomically(path, (dumps_canonical(dict(row)) + "\n" for row in rows))
 
 
 def read_truth_file(path: Path) -> dict[str, dict[str, Any]]:

@@ -4,6 +4,7 @@ import json
 
 from futureworld.cli import main
 from futureworld.domain import dumps_canonical
+from futureworld.orchestrator import CycleConfig, Orchestrator
 
 
 def test_simulate_issue_resolve_export_cycle(tmp_path, capsys):
@@ -20,6 +21,22 @@ def test_simulate_issue_resolve_export_cycle(tmp_path, capsys):
     assert "questions_issued" in out
     assert "constant" in out
     assert (run_dir / "exports" / "constant" / "train-2026-03-02.jsonl").exists()
+
+
+def test_export_command_writes_the_resolve_phases_groups_west_of_utc(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "seed: 3\nquestions_per_day: 40\nagents: [oracle]\ntimezone: America/New_York\n"
+        "benchmark: {enabled: false}\n"
+    )
+    Orchestrator(CycleConfig.from_yaml(config), run_dir).simulate(2)
+    for day in ("2026-03-02", "2026-03-03"):
+        export = run_dir / "exports" / "oracle" / f"train-{day}.jsonl"
+        written = export.read_bytes()
+        export.unlink()
+        assert main(["export", "--config", str(config), "--run-dir", str(run_dir), "--day", day]) == 0
+        assert written and export.read_bytes() == written
 
 
 def test_simulate_command_prints_reports(tmp_path, capsys):

@@ -18,6 +18,9 @@ from futureworld.domain import (
     parse_rfc3339,
     validate_trajectory,
 )
+from futureworld.benchmark import write_jsonl
+from futureworld.ledger import TrainingGroup, write_training_batch
+from futureworld.sources import write_truth_file
 
 from conftest import T0, T1, make_event, make_question, make_pair, make_step, make_trajectory
 
@@ -205,3 +208,32 @@ def test_wire_schema_freeze():
     assert set(Outcome(question_id="q", label=0, resolved_at=T1).to_dict()) == {
         "question_id", "label", "resolved_at", "evidence",
     }
+
+
+def _rows_then_crash(first):
+    yield first
+    raise RuntimeError("writer died mid-batch")
+
+
+ROW = {"id": "q-1"}
+
+
+@pytest.mark.parametrize(
+    "writer, first",
+    [
+        (write_jsonl, ROW),
+        (write_truth_file, ROW),
+        (write_training_batch, TrainingGroup(question_id="q-1", label=1, entries=[])),
+    ],
+)
+def test_a_writer_that_fails_part_way_leaves_the_old_file_or_none(tmp_path, writer, first):
+    path = tmp_path / "derived" / "questions-2026-03-02.jsonl"
+    with pytest.raises(RuntimeError):
+        writer(path, _rows_then_crash(first))
+    assert not path.exists()
+
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        writer(path, _rows_then_crash(first))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left

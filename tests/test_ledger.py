@@ -364,6 +364,34 @@ def test_replay_keeps_unicode_line_separators_inside_records(tmp_path):
     assert _ledger_states_equal(ledger, replay(tmp_path))
 
 
+def test_a_log_that_fails_to_replay_fails_on_every_access(tmp_path):
+    _group(TrajectoryLedger(tmp_path), "q-1")
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    lines[1] = lines[1][:-7]  # a malformed record that is not the last line
+    log.write_text("\n".join(lines) + "\n")
+    ledger = TrajectoryLedger(tmp_path)
+    for _ in range(2):
+        with pytest.raises(ReplayError, match="malformed record at line 2"):
+            ledger.questions_for_day(DAY)
+        with pytest.raises(ReplayError):
+            ledger.trajectories_for(DAY, "q-1")
+
+
+def test_replay_shares_equal_texts_between_steps_and_turns(tmp_path):
+    _group(TrajectoryLedger(tmp_path), "q-1")
+    replayed = replay(tmp_path)
+    first = replayed.transcript(DAY, "q-1#k0")
+    for k in range(4):
+        t = replayed.get(DAY, f"q-1#k{k}")
+        turns = replayed.transcript(DAY, t.trajectory_id)
+        assert turns[1].text is t.steps[0].action
+        assert turns[2].text is t.steps[0].observation
+        assert turns[3].text is t.raw_final_answer
+        assert turns[0].text is first[0].text  # one prompt for the question's K rollouts
+    assert _ledger_states_equal(replayed, replay(tmp_path))
+
+
 def test_replay_rejects_backfill_before_prefix(tmp_path):
     log = tmp_path / f"ledger-{T0.date().isoformat()}.jsonl"
     record = {
@@ -443,7 +471,7 @@ def _reads(monkeypatch):
     read = []
     real = ledger_module.read_log_records
     monkeypatch.setattr(
-        ledger_module, "read_log_records", lambda path: read.append(path) or real(path)
+        ledger_module, "read_log_records", lambda path, fold: read.append(path) or real(path, fold)
     )
     return read
 

@@ -187,6 +187,31 @@ def test_evening_reads_only_todays_and_yesterdays_logs(tmp_path, monkeypatch):
     assert {f"{p.parent.name}/{p.name}" for p in read} == yesterday_logs  # today's was new
 
 
+def test_cron_evening_completes_yesterdays_short_batch_before_resolving_it(tmp_path):
+    config = _config(benchmark=BenchmarkSettings(enabled=False))
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    tomorrow = START + timedelta(days=1)
+    straight = tmp_path / "straight"
+    Orchestrator(config, straight).run_due_phases(evening(0))
+    crashed = tmp_path / "crashed"
+    shutil.copytree(straight, crashed)
+    issue_report = straight / "reports" / f"issue-{START.isoformat()}.json"
+    issued = issue_report.read_bytes()
+    executed = Orchestrator(config, straight).run_due_phases(evening(1))
+    assert executed == [f"issue:{tomorrow}", f"resolve:{START}"]
+    assert issue_report.read_bytes() == issued  # a complete batch is not re-issued
+
+    # The crash hit the first agent's prefix append, so the second never started.
+    log_name = f"ledger-{START.isoformat()}.jsonl"
+    oracle_log = crashed / "ledgers" / "oracle" / log_name
+    oracle_log.write_bytes(oracle_log.read_bytes()[: oracle_log.stat().st_size // 2])
+    (crashed / "ledgers" / "constant" / log_name).unlink()
+    executed = Orchestrator(config, crashed).run_due_phases(evening(1))
+    assert executed == [f"issue:{tomorrow}", f"issue:{START}", f"resolve:{START}"]
+    for glob in ("ledgers/*/*.jsonl", "exports/*/*.jsonl"):
+        assert _files(crashed, glob) == _files(straight, glob)
+
+
 def test_resolve_phase_reads_only_the_batch_days_truth_file(tmp_path, monkeypatch):
     config = _config(benchmark=BenchmarkSettings(enabled=False))
     orch = Orchestrator(config, tmp_path)

@@ -206,7 +206,7 @@ def test_allocate_invariants_hold_on_larger_random_instances():
 def test_embed_identical_pairs_identical_vectors():
     a = embed_pair(make_pair(), EMBEDDER)
     b = embed_pair(make_pair(), EMBEDDER)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_embed_unit_norm():
@@ -214,14 +214,14 @@ def test_embed_unit_norm():
     for _ in range(25):
         text = "".join(rng.choice("abcdefg hij") for _ in range(rng.randrange(0, 60)))
         pair = make_pair(text=(text or "x") + " will it happen on April 18?", description=None)
-        vec = embed_pair(pair, EMBEDDER).values
+        vec = embed_pair(pair, EMBEDDER)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_description_changes_embedding():
     with_desc = embed_pair(make_pair(description="A long background paragraph."), EMBEDDER)
     without = embed_pair(make_pair(description=None), EMBEDDER)
-    assert not np.array_equal(with_desc.values, without.values)
+    assert not np.array_equal(with_desc, without)
 
 
 # -- resample_domain --------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _blob_pairs():
 def test_two_blob_embedding_geometry_and_selection():
     weather, sports = _blob_pairs()
     pairs = weather + sports
-    vectors = [embed_pair(p, EMBEDDER).values for p in pairs]
+    vectors = [embed_pair(p, EMBEDDER) for p in pairs]
     within = []
     between = []
     for i in range(len(pairs)):
@@ -272,7 +272,7 @@ def test_resample_domain_identity_and_k1():
     assert resample_domain(pairs, len(pairs), EMBEDDER, seed=1) == pairs
     assert resample_domain(pairs, 0, EMBEDDER, seed=1) == []
     single = resample_domain(pairs, 1, EMBEDDER, seed=1)
-    points = np.stack([embed_pair(p, EMBEDDER).values for p in pairs])
+    points = np.stack([embed_pair(p, EMBEDDER) for p in pairs])
     centroid = points.mean(axis=0)
     dists = np.linalg.norm(points - centroid, axis=1)
     expected = pairs[int(np.argmin(dists))]

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from futureworld.scoring import (
@@ -245,9 +246,50 @@ def test_bootstrap_contains_sample_mean_on_symmetric_data():
 def test_bootstrap_metric_ci_brackets_point_estimate():
     rng = random.Random(6)
     preds = [ProbPrediction(rng.random(), rng.randrange(2)) for _ in range(80)]
-    low, high = bootstrap_metric_ci(preds, ece, seed=1)
-    assert low <= high
+    low, high = bootstrap_metric_ci([p.prob for p in preds], [p.label for p in preds], seed=1)
+    assert low <= ece(preds) <= high
     assert high - low < 1.0
+
+
+# The whole-matrix and per-row loops the block bootstrap replaced, kept as references.
+
+
+def reference_bootstrap_ci(values, level=0.95, n_resamples=1000, seed=0):
+    rng = np.random.default_rng(seed)
+    arr = np.asarray(values, dtype=float)
+    idx = rng.integers(0, len(arr), size=(n_resamples, len(arr)))
+    means = arr[idx].mean(axis=1)
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    return float(low), float(high)
+
+
+def reference_bootstrap_ece_ci(preds, level=0.95, n_resamples=1000, seed=0):
+    rng = np.random.default_rng(seed)
+    stats = []
+    for _ in range(n_resamples):
+        idx = rng.integers(0, len(preds), size=len(preds))
+        stats.append(ece([preds[i] for i in idx]))
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(np.asarray(stats), [alpha, 1.0 - alpha])
+    return float(low), float(high)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 1301])
+@pytest.mark.parametrize("n_resamples", [1000, 1234])
+def test_block_bootstrap_equals_the_reference_loops_bit_for_bit(n, n_resamples):
+    rng = random.Random(n * 7919 + n_resamples)
+    # 0.0, 0.9 and 1.0 sit on bin edges; 1.0 falls into the closed last bin.
+    probs = [rng.choice([0.0, 0.9, 1.0, rng.random(), round(rng.random(), 1)]) for _ in range(n)]
+    labels = [rng.randrange(2) for _ in range(n)]
+    preds = [ProbPrediction(p, z) for p, z in zip(probs, labels)]
+    seed = rng.randrange(1 << 30)
+    assert bootstrap_ci(probs, n_resamples=n_resamples, seed=seed) == reference_bootstrap_ci(
+        probs, n_resamples=n_resamples, seed=seed
+    )
+    assert bootstrap_metric_ci(
+        probs, labels, n_resamples=n_resamples, seed=seed
+    ) == reference_bootstrap_ece_ci(preds, n_resamples=n_resamples, seed=seed)
 
 
 # -- oracle agreement over random instances ---------------------------------------
