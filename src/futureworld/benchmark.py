@@ -10,14 +10,11 @@ the overall score averages the rest.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Any, Mapping, Optional, Protocol, Sequence
 
-from .domain import dumps_canonical, write_atomically
 from .prompts import (
     BENCHMARK_TYPES,
     BINARY_CHOICE,
@@ -311,15 +308,3 @@ def score_benchmark_batch(
         report.s_overall = overall(report.s_bin, report.s_smc, report.s_dmc, report.s_num)
     report.n_predictions = sum(len(v) for v in per_type.values())
     return report
-
-
-def write_jsonl(path: Path, rows: Iterable[Mapping[str, Any]]) -> None:
-    write_atomically(path, (dumps_canonical(dict(row)) + "\n" for row in rows))
-
-
-def read_jsonl(path: Path) -> list[dict[str, Any]]:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rows.append(json.loads(line))
-    return rows

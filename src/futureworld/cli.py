@@ -13,8 +13,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from .benchmark import BenchmarkAnswer, GoldRecord, read_jsonl, score_benchmark_batch
-from .domain import dumps_canonical
+from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
+from .jsonl import read_jsonl, write_json, write_jsonl
 from .ledger import write_training_batch
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
@@ -37,9 +37,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     day = date.fromisoformat(args.day)
     result = fetch_all(config.source_specs(), day)
     out = Path(args.out) if args.out else Path(f"candidates-{day.isoformat()}.jsonl")
-    with out.open("w", encoding="utf-8") as fh:
-        for event in result.events:
-            fh.write(dumps_canonical(event.to_dict()) + "\n")
+    write_jsonl(out, (event.to_dict() for event in result.events))
     print(f"wrote {len(result.events)} candidates to {out}")
     for error in result.errors:
         print(f"record error at line {error.line_number}: {error.message}", file=sys.stderr)
@@ -95,9 +93,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         report = score_benchmark_batch(questions, answers, gold)
     print(report.render_text())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(Path(args.out), report.to_dict())
     return 0
 
 

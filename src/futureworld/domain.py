@@ -5,19 +5,16 @@ configuration (issue/resolve times in a local timezone) is converted on
 ingest. Types are immutable value records and safe to share across threads.
 
 The canonical wire encoding for each record is a flat JSON object whose field
-names match the dataclass fields, with timestamps as RFC 3339 strings. Every
-module reuses these encodings for its JSONL files.
+names match the dataclass fields, with timestamps as RFC 3339 strings. The
+``jsonl`` module writes them to the run directory's JSONL files.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 QuestionId = str
 PairId = str
@@ -349,27 +346,3 @@ def validate_trajectory(t: Trajectory) -> list[str]:
     if t.final_probability is not None and not 0.0 <= t.final_probability <= 1.0:
         violations.append("final_probability outside [0, 1]")
     return violations
-
-
-def dumps_canonical(obj: Any) -> str:
-    """Serialize to the canonical single-line JSON used in every JSONL file."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def write_atomically(path: Path, chunks: Iterable[str]) -> None:
-    """Replace ``path`` with the concatenated text ``chunks``, all or nothing.
-
-    The text goes to a temporary file beside ``path`` that ``os.replace``
-    renames over it, so a process that dies or raises part-way leaves the
-    previous file, or no file, never a short one. Derived files are not
-    fsynced: they can be rebuilt from the durable ledger logs and inputs.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise

@@ -33,10 +33,9 @@ from .domain import (
     Outcome,
     Trajectory,
     TrajectoryStatus,
-    dumps_canonical,
     format_rfc3339,
-    write_atomically,
 )
+from .jsonl import dumps_canonical, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, Turn
 
@@ -470,7 +469,7 @@ class TrajectoryLedger:
 
 
 def write_training_batch(path: Path, groups: Iterable[TrainingGroup]) -> None:
-    write_atomically(path, (dumps_canonical(group.to_dict()) + "\n" for group in groups))
+    write_jsonl(path, (group.to_dict() for group in groups))
 
 
 def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Optional[int]:

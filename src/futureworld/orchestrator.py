@@ -9,15 +9,15 @@ its own two-day resolution lag.
 
 Two modes share all of this code. ``simulate`` drives D virtual days against
 a synthetic world with an injected clock (no waiting, fully deterministic
-given the seed); ``live`` schedules the same phases by wall clock and binds
-the agent/search/judge interfaces to external HTTP endpoints. Every phase is
+given the seed); ``live`` schedules the same phases by wall clock, with the
+same scripted agents, simulated search and rule-based judges (nothing binds
+the clients in ``http_clients`` yet). Every phase is
 a pure function of (config, ledger state, day), so a run can be killed
 between phases and re-invoked without changing the final ledger.
 """
 
 from __future__ import annotations
 
-import json
 import time as _walltime
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -36,12 +36,12 @@ from .benchmark import (
     GoldRecord,
     SeededAnswerer,
     generate_benchmark_pool,
-    read_jsonl,
     score_benchmark_batch,
-    write_jsonl,
 )
-from .domain import Question, TrajectoryStatus, write_atomically
+from .domain import Question, TrajectoryStatus
 from .embedding import HashingEmbedder
+from . import jsonl
+from .jsonl import read_json, read_jsonl, write_json, write_jsonl
 from .ledger import TrajectoryLedger, write_training_batch
 from .prompts import (
     BenchmarkCaps,
@@ -323,6 +323,9 @@ class Orchestrator:
     def report_path(self, name: str) -> Path:
         return self.run_dir / "reports" / name
 
+    def issue_report_path(self, day: date) -> Path:
+        return self.report_path(f"issue-{day.isoformat()}.json")
+
     def ledger_for(self, agent: str) -> TrajectoryLedger:
         if agent not in self._ledgers:
             self._ledgers[agent] = TrajectoryLedger(self.run_dir / "ledgers" / agent)
@@ -343,10 +346,21 @@ class Orchestrator:
     # -- issue phase -------------------------------------------------------------
 
     def run_issue_phase(self, day: date) -> IssueReport:
-        """Fetch, construct, filter, resample, render, and roll out one day."""
-        report = IssueReport(day=day)
-        questions = self._load_or_build_questions(day, report)
-        report.questions_issued = len(questions)
+        """Fetch, construct, filter, resample, render, and roll out one day.
+
+        Re-run over an issued day, it completes the groups a crash left short
+        and writes the same report as an uninterrupted run.
+        """
+        if self.questions_path(day).exists():
+            # The pipeline counts were saved before the questions marker (a run
+            # dir issued by an older version may lack them: count zero).
+            path = self.issue_report_path(day)
+            saved = read_json(path) if path.exists() else {}
+            report = IssueReport(**{**saved, "day": day, "rollouts_recorded": {}})
+            questions = self._issued_questions(day)
+        else:
+            report = IssueReport(day=day)
+            questions = self._build_questions(day, report)
 
         issue_at = self.phase_datetime(day, self.config.issue_time)
         search_tool = self._search_tool_for(day, questions)
@@ -382,9 +396,11 @@ class Orchestrator:
 
             prefixes = [(r.trajectory, r.transcript) for results in group_results for r in results]
             ledger.append_prefix_batch(prefixes)  # one durable append per agent and day
-            report.rollouts_recorded[agent_name] = len(prefixes)
+            report.rollouts_recorded[agent_name] = len(prefixes) + sum(
+                len(recorded.get(q.id, ())) for q in questions
+            )
 
-        self._write_json(self.report_path(f"issue-{day.isoformat()}.json"), report.to_dict())
+        write_json(self.issue_report_path(day), report.to_dict())
         return report
 
     def _short_groups(
@@ -407,13 +423,7 @@ class Orchestrator:
         ]
         return recorded, short
 
-    def _load_or_build_questions(self, day: date, report: IssueReport) -> list[Question]:
-        path = self.questions_path(day)
-        if path.exists():
-            questions = [Question.from_dict(row) for row in read_jsonl(path)]
-            report.questions_issued = len(questions)
-            return questions
-
+    def _build_questions(self, day: date, report: IssueReport) -> list[Question]:
         fetched = fetch_all(self.config.source_specs(), day)
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
@@ -451,7 +461,10 @@ class Orchestrator:
         )
         write_jsonl(self.pairs_path(day), (p.to_dict() for p in selected))
         questions = [p.question for p in selected]
-        write_jsonl(path, (q.to_dict() for q in questions))
+        report.questions_issued = len(questions)
+        # The questions file marks the day as issued, so it is written last.
+        write_json(self.issue_report_path(day), report.to_dict())
+        write_jsonl(self.questions_path(day), (q.to_dict() for q in questions))
         return questions
 
     def _search_tool_for(self, day: date, questions: Sequence[Question]) -> SimulatedSearchTool:
@@ -473,9 +486,12 @@ class Orchestrator:
 
     # -- resolve phase --------------------------------------------------------
 
-    def run_resolve_phase(self, day: date) -> CycleReport:
-        """Resolve and backfill the batch issued on ``day`` (runs on day+1)."""
-        questions = self._issued_questions(day)
+    def run_resolve_phase(self, day: date, questions: Optional[list[Question]] = None) -> CycleReport:
+        """Resolve and backfill the batch issued on ``day`` (runs on day+1).
+
+        ``questions`` is that batch, when the caller has already read it.
+        """
+        questions = self._issued_questions(day) if questions is None else questions
         now = self.phase_datetime(day + timedelta(days=1), self.config.resolve_time)
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
@@ -514,8 +530,8 @@ class Orchestrator:
         if report.outcomes_resolved + report.unresolved_count != report.questions_issued:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
         base = self.report_path(f"cycle-{day.isoformat()}")
-        self._write_json(base.with_suffix(".json"), report.to_dict())
-        write_atomically(base.with_suffix(".txt"), [report.render_text() + "\n"])
+        write_json(base.with_suffix(".json"), report.to_dict())
+        jsonl.write_atomically(base.with_suffix(".txt"), [report.render_text() + "\n"])
         return report
 
     def _issued_questions(self, day: date) -> list[Question]:
@@ -567,8 +583,9 @@ class Orchestrator:
                 pool, settings.caps, derive_seed(self.config.seed, "bench-day", day.isoformat())
             )
             selected_ids = {q.id for q in selection}
-            write_jsonl(issued_path, (q.to_dict() for q in selection))
+            # The issued file marks the day as issued, so it is written last.
             write_jsonl(gold_path, (g.to_dict() for g in gold if g.question_id in selected_ids))
+            write_jsonl(issued_path, (q.to_dict() for q in selection))
 
         gold_records = {
             g.question_id: g for g in map(GoldRecord.from_dict, read_jsonl(gold_path))
@@ -615,9 +632,9 @@ class Orchestrator:
                 score = score_benchmark_batch(questions, answers, target_gold)
                 report["scores"][agent_name] = score.to_dict()
                 score_txt = bench_dir / f"scores-{agent_name}-{day.isoformat()}.txt"
-                write_atomically(score_txt, [score.render_text() + "\n"])
+                jsonl.write_atomically(score_txt, [score.render_text() + "\n"])
 
-        self._write_json(bench_dir / f"benchmark-{day.isoformat()}.json", report)
+        write_json(bench_dir / f"benchmark-{day.isoformat()}.json", report)
         return report
 
     def _benchmark_answerer(self, agent_name: str, gold: Mapping[str, GoldRecord]):
@@ -655,7 +672,7 @@ class Orchestrator:
             "benchmarks": benchmark_reports,
             "final": {agent: report.to_dict() for agent, report in final_reports.items()},
         }
-        self._write_json(self.report_path("summary.json"), summary)
+        write_json(self.report_path("summary.json"), summary)
         text = ["simulation summary", "=" * 60]
         for r in cycle_reports:
             text.append(r.render_text())
@@ -664,7 +681,7 @@ class Orchestrator:
             text.append(f"[{agent}]")
             text.append(report.render_text())
             text.append("-" * 60)
-        write_atomically(self.report_path("summary.txt"), ["\n".join(text) + "\n"])
+        jsonl.write_atomically(self.report_path("summary.txt"), ["\n".join(text) + "\n"])
         return SimulationResult(
             run_dir=self.run_dir,
             cycle_reports=cycle_reports,
@@ -714,7 +731,7 @@ class Orchestrator:
             if any(self._short_groups(a, yesterday, questions)[1] for a in self.config.agents):
                 self.run_issue_phase(yesterday)
                 executed.append(f"issue:{yesterday.isoformat()}")
-            self.run_resolve_phase(yesterday)
+            self.run_resolve_phase(yesterday, questions)
             executed.append(f"resolve:{yesterday.isoformat()}")
         if self.config.benchmark.enabled and now >= self.phase_datetime(
             today, self.config.issue_time
@@ -722,12 +739,6 @@ class Orchestrator:
             self.run_benchmark_phase(today)
             executed.append(f"benchmark:{today.isoformat()}")
         return executed
-
-    # -- helpers --------------------------------------------------------------------
-
-    @staticmethod
-    def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
-        write_atomically(path, [json.dumps(payload, sort_keys=True, indent=1) + "\n"])
 
 
 def _count_by_type(questions: Sequence[BenchmarkQuestion]) -> dict[str, int]:

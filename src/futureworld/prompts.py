@@ -17,7 +17,6 @@ import string
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .domain import (
@@ -72,10 +71,6 @@ class PromptTemplate:
             raise PromptError(f"template {self.name} must contain {OPTIONS_PLACEHOLDER} exactly once")
         if not needs_options and count != 0:
             raise PromptError(f"template {self.name} must not contain {OPTIONS_PLACEHOLDER}")
-
-
-def load_template_file(path: Path, name: str) -> PromptTemplate:
-    return PromptTemplate(name=name, body=path.read_text(encoding="utf-8"))
 
 
 def load_default_templates() -> dict[str, PromptTemplate]:

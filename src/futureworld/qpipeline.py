@@ -9,9 +9,8 @@ Stages, in order:
      seeded K-means over text embeddings, keeping one representative per
      cluster (the pair closest to its centroid).
 
-Reference judges are rule-based so the pipeline is testable offline; an HTTP
-judge client (see ``http_clients``) conforms to the same interface for live
-model-backed judging.
+The judges are rule-based in both modes. The HTTP judge client in
+``http_clients`` conforms to the same interface, but nothing constructs it yet.
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ the orchestrator's job.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Protocol, Sequence, Union
 
 from .domain import Outcome, Question, parse_rfc3339
+from .jsonl import read_jsonl
 
 REASON_NOT_PUBLISHED = "not_published"
 REASON_MATCH_FAILED = "match_failed"
@@ -79,12 +79,7 @@ class SyntheticTruthResolver:
 
     @classmethod
     def from_files(cls, paths: Iterable[Path]) -> "SyntheticTruthResolver":
-        from .sources import read_truth_file
-
-        table: dict[str, dict[str, Any]] = {}
-        for path in paths:
-            table.update(read_truth_file(Path(path)))
-        return cls(truth=table)
+        return cls(truth={row["identifier"]: row for path in paths for row in read_jsonl(path)})
 
     def resolve(self, question: Question) -> Optional[ResolutionRecord]:
         identifier = question.resolver_metadata.get("identifier", "")
@@ -107,21 +102,11 @@ class FileLookupResolver:
     """Keyed JSONL answer file: {resolver_key, identifier, label|value, published_at}."""
 
     path: Path
-    _rows: dict[str, dict[str, Any]] = field(default_factory=dict, repr=False)
-    _loaded: bool = field(default=False, repr=False)
-
-    def _load(self) -> None:
-        if self._loaded:
-            return
-        for line in Path(self.path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            self._rows[row["identifier"]] = row
-        self._loaded = True
+    _rows: Optional[dict[str, dict[str, Any]]] = field(default=None, repr=False)
 
     def resolve(self, question: Question) -> Optional[ResolutionRecord]:
-        self._load()
+        if self._rows is None:
+            self._rows = {row["identifier"]: row for row in read_jsonl(self.path)}
         identifier = question.resolver_metadata.get("identifier", "")
         row = self._rows.get(identifier)
         if row is None:

@@ -22,7 +22,8 @@ from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .domain import CandidateEvent, DomainLabel, SourceId, dumps_canonical, write_atomically
+from .domain import CandidateEvent, DomainLabel, SourceId
+from .jsonl import read_lines, write_jsonl
 from .seeding import derive_seed
 
 #: Observed unresolved share of daily questions; used as the default rate at
@@ -350,7 +351,7 @@ def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]
     errors: list[RecordError] = []
     first_line: dict[str, int] = {}
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         raise FileNotFoundError(f"unreadable feed file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -425,15 +426,4 @@ def fetch_all(specs: Iterable[SourceSpec], day: date) -> FetchResult:
 
 
 def write_truth_file(path: Path, rows: Iterable[Mapping[str, Any]]) -> None:
-    write_atomically(path, (dumps_canonical(dict(row)) + "\n" for row in rows))
-
-
-def read_truth_file(path: Path) -> dict[str, dict[str, Any]]:
-    """Load a truth sidecar keyed by resolver identifier."""
-    table: dict[str, dict[str, Any]] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        table[row["identifier"]] = row
-    return table
+    write_jsonl(path, rows)

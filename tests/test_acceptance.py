@@ -16,8 +16,9 @@ from datetime import timedelta
 
 import pytest
 
-from futureworld.benchmark import BenchmarkPoolConfig, read_jsonl
-from futureworld.domain import TrajectoryStatus, dumps_canonical
+from futureworld.benchmark import BenchmarkPoolConfig
+from futureworld.domain import TrajectoryStatus
+from futureworld.jsonl import dumps_canonical, read_jsonl
 from futureworld.embedding import HashingEmbedder
 from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 from futureworld.cli import main
-from futureworld.domain import dumps_canonical
+from futureworld.jsonl import dumps_canonical
 from futureworld.orchestrator import CycleConfig, Orchestrator
 
 

@@ -18,7 +18,7 @@ from futureworld.domain import (
     parse_rfc3339,
     validate_trajectory,
 )
-from futureworld.benchmark import write_jsonl
+from futureworld.jsonl import write_jsonl
 from futureworld.ledger import TrainingGroup, write_training_batch
 from futureworld.sources import write_truth_file
 

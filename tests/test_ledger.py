@@ -10,7 +10,8 @@ from datetime import timedelta
 import pytest
 
 from futureworld import ledger as ledger_module
-from futureworld.domain import Outcome, TrajectoryStatus, dumps_canonical
+from futureworld.domain import Outcome, TrajectoryStatus
+from futureworld.jsonl import dumps_canonical
 from futureworld.ledger import (
     ConflictingOutcomeError,
     DuplicateTrajectoryError,

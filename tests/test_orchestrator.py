@@ -4,13 +4,17 @@ import json
 import os
 import random
 import shutil
+from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 
 import pytest
 
+from futureworld import jsonl, orchestrator
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
+from futureworld.ledger import TrajectoryLedger
 from futureworld.resolve import SyntheticTruthResolver
-from futureworld.benchmark import BenchmarkPoolConfig, read_jsonl
+from futureworld.benchmark import BenchmarkPoolConfig
+from futureworld.jsonl import read_jsonl
 from futureworld.sources import SourceSpec
 
 from test_ledger import _reads
@@ -63,9 +67,10 @@ def test_issue_phase_zero_candidates(tmp_path):
 def test_issue_phase_is_idempotent(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     first = orch.run_issue_phase(START)
-    again = orch.run_issue_phase(START)
-    assert again.questions_issued == first.questions_issued
-    assert again.rollouts_recorded == {"oracle": 0, "constant": 0}  # groups already ledgered
+    written = orch.issue_report_path(START).read_bytes()
+    again = Orchestrator(_config(), tmp_path).run_issue_phase(START)
+    assert again.to_dict() == first.to_dict()  # counts the rollouts the day log holds
+    assert orch.issue_report_path(START).read_bytes() == written
 
 
 def test_resolve_phase_accounting_and_idempotence(tmp_path):
@@ -178,13 +183,18 @@ def test_evening_reads_only_todays_and_yesterdays_logs(tmp_path, monkeypatch):
     assert len(list((tmp_path / "ledgers" / "oracle").glob("ledger-*.jsonl"))) == 4
 
     read = _reads(monkeypatch)
+    derived = []
+    real_read_jsonl = orchestrator.read_jsonl
+    monkeypatch.setattr(
+        orchestrator, "read_jsonl", lambda path: derived.append(path.name) or real_read_jsonl(path)
+    )
     today = START + timedelta(days=4)
+    yesterday = today - timedelta(days=1)
     executed = Orchestrator(config, tmp_path).run_due_phases(evening(4))
-    assert executed == [f"issue:{today}", f"resolve:{today - timedelta(days=1)}"]
-    yesterday_logs = {
-        f"{agent}/ledger-{(today - timedelta(days=1)).isoformat()}.jsonl" for agent in config.agents
-    }
+    assert executed == [f"issue:{today}", f"resolve:{yesterday}"]
+    yesterday_logs = {f"{agent}/ledger-{yesterday.isoformat()}.jsonl" for agent in config.agents}
     assert {f"{p.parent.name}/{p.name}" for p in read} == yesterday_logs  # today's was new
+    assert derived.count(f"questions-{yesterday.isoformat()}.jsonl") == 1
 
 
 def test_cron_evening_completes_yesterdays_short_batch_before_resolving_it(tmp_path):
@@ -210,6 +220,89 @@ def test_cron_evening_completes_yesterdays_short_batch_before_resolving_it(tmp_p
     assert executed == [f"issue:{tomorrow}", f"issue:{START}", f"resolve:{START}"]
     for glob in ("ledgers/*/*.jsonl", "exports/*/*.jsonl"):
         assert _files(crashed, glob) == _files(straight, glob)
+
+
+class _Killed(Exception):
+    pass
+
+
+def _kill_before_write(monkeypatch, n):
+    """Raise before the n-th derived-file write or ledger append; return the calls seen."""
+    calls = []
+
+    def guarded(write):
+        def call(*args, **kwargs):
+            calls.append(write.__name__)
+            if len(calls) == n:
+                raise _Killed(f"write {n}: {write.__name__}")
+            return write(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(jsonl, "write_atomically", guarded(jsonl.write_atomically))
+    monkeypatch.setattr(TrajectoryLedger, "_append_batch", guarded(TrajectoryLedger._append_batch))
+    return calls
+
+
+def _run_files(run_dir):
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
+def test_an_evening_killed_before_any_write_reruns_to_the_uninterrupted_files(tmp_path, monkeypatch):
+    config = _config(seed=3, event_rate=40)
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    history = tmp_path / "history"
+    for offset in range(2):
+        Orchestrator(config, history).run_due_phases(evening(offset))
+    straight = tmp_path / "straight"
+    shutil.copytree(history, straight)
+    with monkeypatch.context() as m:
+        writes = _kill_before_write(m, 0)
+        Orchestrator(config, straight).run_due_phases(evening(2))
+    expected = _run_files(straight)
+    assert writes.count("_append_batch") == 2 * 3 and len(writes) > 20  # prefixes, backfills, discards
+
+    for n in range(1, len(writes) + 1):
+        killed = tmp_path / f"killed-{n}"
+        shutil.copytree(history, killed)
+        with monkeypatch.context() as m:
+            _kill_before_write(m, n)
+            with pytest.raises(_Killed):
+                Orchestrator(config, killed).run_due_phases(evening(2))
+        Orchestrator(config, killed).run_due_phases(evening(2))
+        files = _run_files(killed)
+        differ = sorted(k for k in expected.keys() | files.keys() if expected.get(k) != files.get(k))
+        assert differ == [], f"killed before write {n} ({writes[n - 1]})"
+
+
+def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
+    from conftest import make_event
+
+    # Escaped in the feed, the separator is raw in the questions file.
+    events = [
+        replace(
+            make_event(identifier=f"evt-u{i}", city="Oslo\u2028Nord", band=f"{50+i}-{51+i}°F"),
+            resolver_key="answers",
+        )
+        for i in range(4)
+    ]
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(json.dumps(e.to_dict()) + "\n" for e in events))
+    answers = tmp_path / "answers.jsonl"
+    answers.write_text(
+        "".join(json.dumps({"identifier": e.identifier, "label": i % 2}) + "\n" for i, e in enumerate(events))
+    )
+    config = _config(
+        sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
+        answer_files={"answers": str(answers)},
+        agents=("constant",),
+        benchmark=BenchmarkSettings(enabled=False),
+    )
+    orch = Orchestrator(config, tmp_path / "run")
+    assert orch.run_issue_phase(START).questions_issued == 4
+    assert "\u2028" in orch.questions_path(START).read_text(encoding="utf-8")
+    report = orch.run_resolve_phase(START)
+    assert report.outcomes_resolved == 4
 
 
 def test_resolve_phase_reads_only_the_batch_days_truth_file(tmp_path, monkeypatch):
@@ -327,7 +420,7 @@ def test_restart_between_phases_matches_uninterrupted_run(tmp_path):
 
 
 def test_file_feed_source_flows_through_issue(tmp_path):
-    from futureworld.domain import dumps_canonical
+    from futureworld.jsonl import dumps_canonical
     from conftest import make_event
 
     feed = tmp_path / "feed.jsonl"

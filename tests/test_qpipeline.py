@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from futureworld.domain import OTHER_DOMAIN, dumps_canonical
+from futureworld.domain import OTHER_DOMAIN
+from futureworld.jsonl import dumps_canonical
 from futureworld.embedding import HashingEmbedder
 from futureworld.qpipeline import (
     DEFAULT_DOMAIN_RULES,

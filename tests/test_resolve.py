@@ -4,7 +4,8 @@ from datetime import date, timedelta
 
 import pytest
 
-from futureworld.domain import Outcome, dumps_canonical
+from futureworld.domain import Outcome
+from futureworld.jsonl import dumps_canonical
 from futureworld.sources import SyntheticWorldConfig, generate_synthetic_world
 from futureworld.resolve import (
     FileLookupResolver,

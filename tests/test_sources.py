@@ -5,14 +5,13 @@ from datetime import date, timedelta
 
 import pytest
 
-from futureworld.domain import dumps_canonical
+from futureworld.jsonl import dumps_canonical, read_jsonl
 from futureworld.sources import (
     SourceSpec,
     SyntheticWorldConfig,
     fetch_candidates,
     generate_synthetic_world,
     read_feed_file,
-    read_truth_file,
     write_truth_file,
 )
 
@@ -106,7 +105,7 @@ def test_truth_file_round_trip(tmp_path):
     world = generate_synthetic_world(SyntheticWorldConfig(day=DAY, event_count=30), seed=9)
     path = tmp_path / "truth.jsonl"
     write_truth_file(path, world.truth_rows())
-    table = read_truth_file(path)
+    table = {row["identifier"]: row for row in read_jsonl(path)}
     assert len(table) == 30
     sample = world.events[0]
     assert table[sample.identifier]["label"] == sample.realized_label
@@ -160,6 +159,13 @@ def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
     later = fetch_candidates(spec, DAY + timedelta(days=1))
     assert later.events == [] and len(later.errors) == 1
+
+
+def test_file_feed_keeps_raw_line_separators_inside_a_string(tmp_path):
+    feed = tmp_path / "feed.jsonl"
+    event = make_event(city="Oslo\u2028Nord\x85Vest")
+    feed.write_text(dumps_canonical(event.to_dict()) + "\n", encoding="utf-8")
+    assert read_feed_file(feed) == ([event], [])
 
 
 def test_missing_feed_file_raises(tmp_path):
