@@ -19,7 +19,7 @@ from .domain import (
     validate_trajectory,
 )
 from .ledger import TrajectoryLedger, TrainingGroup, compute_group_advantages
-from .orchestrator import CycleConfig, Orchestrator, simulate
+from .orchestrator import CycleConfig, Orchestrator
 from .rollout import AgentMove, RolloutLimits, parse_final_probability, run_group, run_rollout
 from .scoring import (
     ChoiceAnswer,
@@ -68,6 +68,5 @@ __all__ = [
     "reward",
     "run_group",
     "run_rollout",
-    "simulate",
     "validate_trajectory",
 ]

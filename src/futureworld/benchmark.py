@@ -196,8 +196,7 @@ class BenchmarkAnswer:
 
 
 class BenchmarkAnswerer(Protocol):
-    """Answers one rendered benchmark prompt; live implementations see both
-    the typed question and the exact prompt text."""
+    """Answers one rendered benchmark prompt, given the typed question too."""
 
     def answer(self, question: BenchmarkQuestion, prompt: str) -> BenchmarkAnswer:
         ...

@@ -1,8 +1,8 @@
 """Reference text embedder: seeded feature hashing of character 3-grams.
 
 This stands in for a pretrained semantic encoder so that similarity
-resampling is deterministic and dependency-free. Any embedder with the same
-``embed(text) -> unit vector`` surface can be swapped in for live use.
+resampling is deterministic and dependency-free. ``HashingEmbedder`` holds
+the parameters; ``embed_text`` does the work.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 class HashingEmbedder:
     dim: int = 256
     seed: int = 0
-
-    def embed(self, text: str) -> np.ndarray:
-        return embed_text(text, self)
 
 
 def _grams(text: str, n: int = 3) -> list[str]:

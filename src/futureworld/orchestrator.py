@@ -9,18 +9,18 @@ its own two-day resolution lag.
 
 Two modes share all of this code. ``simulate`` drives D virtual days against
 a synthetic world with an injected clock (no waiting, fully deterministic
-given the seed); ``live`` schedules the same phases by wall clock, with the
-same scripted agents, simulated search and rule-based judges (nothing binds
-the clients in ``http_clients`` yet). Every phase is
-a pure function of (config, ledger state, day), so a run can be killed
-between phases and re-invoked without changing the final ledger.
+given the seed); ``live`` schedules the same phases by wall clock. Both run
+the scripted agents, the simulated search tool and the rule-based judges, and
+each is built in one place below. Every phase is a pure function of (config,
+ledger state, day), so a run can be killed between phases and re-invoked
+without changing the final ledger.
 """
 
 from __future__ import annotations
 
 import time as _walltime
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
@@ -28,7 +28,7 @@ from zoneinfo import ZoneInfo
 
 import yaml
 
-from .agents import SimulatedSearchTool, make_scripted_agent
+from .agents import SCRIPTED_AGENTS, SimulatedSearchTool, make_scripted_agent
 from .benchmark import (
     BenchmarkAnswer,
     BenchmarkPoolConfig,
@@ -56,12 +56,10 @@ from .qpipeline import (
     DEFAULT_DOMAIN_RULES,
     DEFAULT_TEMPLATES,
     DomainRule,
-    MeaningfulJudge,
     QuestionTemplate,
-    ResolvableJudge,
-    SafeJudge,
     apply_filters,
     construct_pair,
+    default_judges,
     resample,
 )
 from .resolve import SyntheticTruthResolver, FileLookupResolver, resolve_batch
@@ -117,9 +115,24 @@ class CycleConfig:
             raise ValueError("unresolved_rate must lie in [0, 1]")
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
+        # Checked here, before a phase writes anything under an agent's name.
+        unknown = [a for a in self.agents if a not in SCRIPTED_AGENTS]
+        if unknown:
+            raise ValueError(f"unknown agents {unknown}; available: {list(SCRIPTED_AGENTS)}")
+        if len(set(self.agents)) != len(self.agents):
+            raise ValueError(f"agent names repeat: {list(self.agents)}")
         _parse_clock(self.issue_time)
         _parse_clock(self.resolve_time)
         ZoneInfo(self.timezone)
+
+    def phase_datetime(self, day: date, clock_text: str) -> datetime:
+        """The UTC instant of local time ``clock_text`` on local ``day``."""
+        local = datetime.combine(day, _parse_clock(clock_text), tzinfo=ZoneInfo(self.timezone))
+        return local.astimezone(timezone.utc)
+
+    def resolve_at(self, day: date) -> datetime:
+        """When the batch issued on local ``day`` resolves: resolve time on day+1."""
+        return self.phase_datetime(day + timedelta(days=1), self.resolve_time)
 
     def source_specs(self) -> tuple[SourceSpec, ...]:
         if self.sources:
@@ -139,6 +152,9 @@ class CycleConfig:
     @classmethod
     def from_yaml(cls, path: Path) -> "CycleConfig":
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(str, unknown))}")
         kwargs: dict[str, Any] = {}
         simple = (
             "seed", "issue_time", "resolve_time", "timezone", "questions_per_day",
@@ -289,11 +305,7 @@ class Orchestrator:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.templates = load_default_templates()
         self.question_templates = config.question_templates
-        self.judges = [
-            ResolvableJudge(),
-            MeaningfulJudge(),
-            SafeJudge(blocklist=config.blocklist),
-        ]
+        self.judges = default_judges(config.blocklist)
         self.embedder = HashingEmbedder(seed=config.seed)
         self._ledgers: dict[str, TrajectoryLedger] = {}
 
@@ -333,15 +345,9 @@ class Orchestrator:
 
     # -- clock -----------------------------------------------------------------
 
-    def phase_datetime(self, day: date, clock_text: str) -> datetime:
-        local = datetime.combine(
-            day, _parse_clock(clock_text), tzinfo=ZoneInfo(self.config.timezone)
-        )
-        return local.astimezone(timezone.utc)
-
     def log_day(self, day: date) -> date:
         """The ledger day of the batch issued on local ``day``: the UTC date of its issue time."""
-        return self.phase_datetime(day, self.config.issue_time).date()
+        return self.config.phase_datetime(day, self.config.issue_time).date()
 
     # -- issue phase -------------------------------------------------------------
 
@@ -362,7 +368,7 @@ class Orchestrator:
             report = IssueReport(day=day)
             questions = self._build_questions(day, report)
 
-        issue_at = self.phase_datetime(day, self.config.issue_time)
+        issue_at = self.config.phase_datetime(day, self.config.issue_time)
         search_tool = self._search_tool_for(day, questions)
         prob_template = self.templates["probabilistic"]
         for agent_name in self.config.agents:
@@ -424,7 +430,7 @@ class Orchestrator:
         return recorded, short
 
     def _build_questions(self, day: date, report: IssueReport) -> list[Question]:
-        fetched = fetch_all(self.config.source_specs(), day)
+        fetched = fetch_all(self.config.source_specs(), day, self.config.resolve_at(day))
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
         write_jsonl(self.candidates_path(day), (e.to_dict() for e in fetched.events))
@@ -433,7 +439,7 @@ class Orchestrator:
         if fetched.hint_rows:
             write_truth_file(self.hints_path(day), fetched.hint_rows)
 
-        issue_at = self.phase_datetime(day, self.config.issue_time)
+        issue_at = self.config.phase_datetime(day, self.config.issue_time)
         pairs = []
         for event in fetched.events:
             try:
@@ -492,7 +498,7 @@ class Orchestrator:
         ``questions`` is that batch, when the caller has already read it.
         """
         questions = self._issued_questions(day) if questions is None else questions
-        now = self.phase_datetime(day + timedelta(days=1), self.config.resolve_time)
+        now = self.config.resolve_at(day)
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
 
@@ -718,13 +724,12 @@ class Orchestrator:
         now = now or datetime.now(timezone.utc)
         executed: list[str] = []
         today = now.astimezone(ZoneInfo(self.config.timezone)).date()
-        if now >= self.phase_datetime(today, self.config.issue_time):
+        issue_due = now >= self.config.phase_datetime(today, self.config.issue_time)
+        if issue_due:
             self.run_issue_phase(today)
             executed.append(f"issue:{today.isoformat()}")
         yesterday = today - timedelta(days=1)
-        if self.questions_path(yesterday).exists() and now >= self.phase_datetime(
-            today, self.config.resolve_time
-        ):
+        if self.questions_path(yesterday).exists() and now >= self.config.resolve_at(yesterday):
             # A crash inside yesterday's prefix append left groups short;
             # complete them before their outcomes are backfilled.
             questions = self._issued_questions(yesterday)
@@ -733,9 +738,7 @@ class Orchestrator:
                 executed.append(f"issue:{yesterday.isoformat()}")
             self.run_resolve_phase(yesterday, questions)
             executed.append(f"resolve:{yesterday.isoformat()}")
-        if self.config.benchmark.enabled and now >= self.phase_datetime(
-            today, self.config.issue_time
-        ):
+        if self.config.benchmark.enabled and issue_due:
             self.run_benchmark_phase(today)
             executed.append(f"benchmark:{today.isoformat()}")
         return executed
@@ -747,19 +750,3 @@ def _count_by_type(questions: Sequence[BenchmarkQuestion]) -> dict[str, int]:
         counts[q.qtype] = counts.get(q.qtype, 0) + 1
     return counts
 
-
-def simulate(
-    days: int,
-    seed: int = 0,
-    agents: Sequence[str] = ("oracle", "constant"),
-    run_dir: Optional[Path] = None,
-    config: Optional[CycleConfig] = None,
-) -> SimulationResult:
-    """Convenience entry point for closed-loop simulation runs."""
-    if config is None:
-        config = CycleConfig(seed=seed, agents=tuple(agents))
-    else:
-        config = replace(config, seed=seed, agents=tuple(agents))
-    if run_dir is None:
-        run_dir = Path.cwd() / f"fw-run-{seed}"
-    return Orchestrator(config, Path(run_dir)).simulate(days)

@@ -9,8 +9,8 @@ Stages, in order:
      seeded K-means over text embeddings, keeping one representative per
      cluster (the pair closest to its centroid).
 
-The judges are rule-based in both modes. The HTTP judge client in
-``http_clients`` conforms to the same interface, but nothing constructs it yet.
+The judges are rule-based in both modes; ``default_judges`` is the one place
+that builds them.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ class SafeJudge:
         return True, "no blocklisted content"
 
 
-def default_judges() -> list[Judge]:
-    return [ResolvableJudge(), MeaningfulJudge(), SafeJudge()]
+def default_judges(blocklist: Sequence[str] = DEFAULT_BLOCKLIST) -> list[Judge]:
+    return [ResolvableJudge(), MeaningfulJudge(), SafeJudge(blocklist=blocklist)]
 
 
 @dataclass

@@ -5,11 +5,11 @@ conversation so far, the agent replies with either a search action or a final
 answer, and search results are injected as tool observations. The engine
 enforces the minimum-search rule (a premature final answer is rejected once
 with a corrective message; a second violation terminates the rollout as
-invalid), a step cap, and a per-move time budget. Transport failures are
-never silently dropped: the rollout is recorded with an invalid final so the
-floor reward applies at backfill.
+invalid), a step cap, and a per-move time budget. An agent or search tool
+that raises is never silently dropped: the rollout is recorded with an
+invalid final so the floor reward applies at backfill.
 
-The final answer wire contract is a single line ``FINAL: <number>`` where the
+The final answer contract is a single line ``FINAL: <number>`` where the
 number is a probability in [0, 1] or a percentage.
 """
 
@@ -81,7 +81,7 @@ class RolloutLimits:
 
 
 class Agent(Protocol):
-    """A policy reachable in-process or over HTTP through the same surface."""
+    """A policy: given the conversation so far, reply with one move."""
 
     def act(self, trajectory_id: str, rollout_index: int, turns: Sequence[Turn]) -> AgentMove:
         ...

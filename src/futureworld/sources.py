@@ -3,9 +3,8 @@
 Two adapter kinds ship in-repo. ``file_feed`` replays a JSONL fixture of
 candidate events. ``synthetic`` generates a deterministic world for a given
 day and also owns the ground truth for it, which makes fully closed-loop
-simulation possible without touching the network. Live HTTP adapters are an
-extension point only: implement the same fetch contract and register the
-spec kind.
+simulation possible without touching the network. Synthetic events resolve
+at the instant the caller passes in: the cycle's resolve time on day+1.
 
 Ground-truth isolation: the latent probability, realized label, and
 resolvability of a synthetic event never appear in the candidate payload
@@ -120,11 +119,11 @@ class SyntheticWorld:
 @dataclass(frozen=True)
 class SyntheticWorldConfig:
     day: date
+    #: when every event of the day resolves (the cycle's resolve time on day+1)
+    resolve_at: datetime
     event_count: int = 300
     unresolved_rate: float = DEFAULT_UNRESOLVED_RATE
     latent_mixture: Sequence[tuple[float, float, float]] = DEFAULT_LATENT_MIXTURE
-    resolve_hour: int = 20
-    resolve_minute: int = 30
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.unresolved_rate <= 1.0:
@@ -264,9 +263,6 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
     """
     rng = random.Random(derive_seed(seed, config.day.isoformat(), "world"))
     target_day = config.day + timedelta(days=1)
-    resolve_at = datetime.combine(
-        target_day, time(config.resolve_hour, config.resolve_minute), tzinfo=timezone.utc
-    )
     weights = [k["weight"] for k in _ARCHETYPES]
 
     events: list[SyntheticEvent] = []
@@ -292,7 +288,7 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
             source_url=f"synthetic://{kind['name']}/{identifier}",
             observed_at=observed_at,
             payload=payload,
-            expected_resolution=resolve_at,
+            expected_resolution=config.resolve_at,
             resolver_key="synthetic",
         )
         events.append(
@@ -375,31 +371,30 @@ def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]
     return events, errors
 
 
-def _synthetic_config_from_spec(spec: SourceSpec, day: date) -> SyntheticWorldConfig:
+def _synthetic_config_from_spec(
+    spec: SourceSpec, day: date, resolve_at: datetime
+) -> SyntheticWorldConfig:
     params = spec.params
     mixture = params.get("latent_p_mixture")
-    if mixture is None and "latent_p_range" in params:
-        lo, hi = params["latent_p_range"]
-        mixture = [(float(lo), float(hi), 1.0)]
     return SyntheticWorldConfig(
         day=day,
+        resolve_at=resolve_at,
         event_count=int(params.get("event_rate", 300)),
         unresolved_rate=float(params.get("unresolved_rate", DEFAULT_UNRESOLVED_RATE)),
         latent_mixture=tuple(tuple(c) for c in mixture) if mixture else DEFAULT_LATENT_MIXTURE,
-        resolve_hour=int(params.get("resolve_hour", 20)),
-        resolve_minute=int(params.get("resolve_minute", 30)),
     )
 
 
-def fetch_candidates(spec: SourceSpec, day: date) -> FetchResult:
+def fetch_candidates(spec: SourceSpec, day: date, resolve_at: datetime) -> FetchResult:
     """Fetch the candidates of one source whose outcomes land on day+1.
 
-    Pure in (spec, day) for both shipped adapter kinds: repeated calls return
-    identical results.
+    ``resolve_at`` is when the batch issued on ``day`` resolves; synthetic
+    events are scheduled to resolve then. Pure in (spec, day, resolve_at) for
+    both shipped adapter kinds: repeated calls return identical results.
     """
     if spec.kind == "synthetic":
         seed = int(spec.params.get("seed", 0))
-        world = generate_synthetic_world(_synthetic_config_from_spec(spec, day), seed)
+        world = generate_synthetic_world(_synthetic_config_from_spec(spec, day, resolve_at), seed)
         return FetchResult(
             events=world.candidates(),
             truth_rows=world.truth_rows(),
@@ -413,11 +408,11 @@ def fetch_candidates(spec: SourceSpec, day: date) -> FetchResult:
     raise ValueError(f"unknown source kind {spec.kind!r}")
 
 
-def fetch_all(specs: Iterable[SourceSpec], day: date) -> FetchResult:
+def fetch_all(specs: Iterable[SourceSpec], day: date, resolve_at: datetime) -> FetchResult:
     """Fetch and concatenate candidates across registered sources."""
     merged = FetchResult(events=[])
     for spec in specs:
-        result = fetch_candidates(spec, day)
+        result = fetch_candidates(spec, day, resolve_at)
         merged.events.extend(result.events)
         merged.errors.extend(result.errors)
         merged.truth_rows.extend(result.truth_rows)

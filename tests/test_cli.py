@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from futureworld.cli import main
 from futureworld.jsonl import dumps_canonical
 from futureworld.orchestrator import CycleConfig, Orchestrator
@@ -88,3 +90,15 @@ def test_score_command_probabilistic(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["accuracy"] == 1.0
     assert report["brier"] < 0.25
+
+
+@pytest.mark.parametrize(
+    "agents, named", [("[oracle, orcale]", "orcale"), ("[oracle, oracle]", "repeat")]
+)
+def test_bad_agent_names_are_rejected_before_anything_is_written(tmp_path, capsys, agents, named):
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"seed: 11\nquestions_per_day: 8\nevent_rate: 40\nagents: {agents}\n")
+    assert main(["issue", "--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 1
+    assert named in capsys.readouterr().err
+    assert not run_dir.exists()

@@ -14,6 +14,7 @@ from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrato
 from futureworld.ledger import TrajectoryLedger
 from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig
+from futureworld.domain import Question
 from futureworld.jsonl import read_jsonl
 from futureworld.sources import SourceSpec
 
@@ -469,9 +470,38 @@ domain_rules:
     assert config.limits.max_steps == 6
     assert config.domain_rules[0].label == "weather"
     # local clock times convert through the configured timezone
-    orch = Orchestrator(config, tmp_path / "run")
-    issue_utc = orch.phase_datetime(date(2026, 4, 1), config.issue_time)
+    issue_utc = config.phase_datetime(date(2026, 4, 1), config.issue_time)
     assert issue_utc.hour == 0 and issue_utc.date() == date(2026, 4, 2)  # EDT 20:00 -> 00:00Z
+
+
+def test_config_yaml_names_unknown_keys(tmp_path):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text("seed: 4\nquestion_per_day: 10\nagent: [oracle]\n")
+    with pytest.raises(ValueError, match="unknown config keys: agent, question_per_day"):
+        CycleConfig.from_yaml(config_file)
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["built-in", "declared"])
+@pytest.mark.parametrize("tz", ["Asia/Tokyo", "Europe/Berlin"])
+def test_synthetic_events_resolve_at_the_cycle_resolve_time(tmp_path, tz, declared):
+    sources = (SourceSpec("world", "synthetic", params={"seed": 3, "event_rate": 40}),)
+
+    def run(zone: str):
+        config = _config(
+            seed=3, event_rate=40, agents=("oracle",), timezone=zone,
+            sources=sources if declared else (), benchmark=BenchmarkSettings(enabled=False),
+        )
+        orch = Orchestrator(config, tmp_path / zone.replace("/", "-"))
+        return orch, orch.simulate(2).cycle_reports
+
+    _, at_utc = run("UTC")
+    orch, local = run(tz)
+    assert [r.outcomes_resolved for r in local] == [r.outcomes_resolved for r in at_utc]
+    assert [r.unresolved_reasons for r in local] == [r.unresolved_reasons for r in at_utc]
+    assert all(r.outcomes_resolved > 0 for r in local)
+    for report in local:
+        for row in read_jsonl(orch.questions_path(report.day)):
+            assert Question.from_dict(row).resolution_time == orch.config.resolve_at(report.day)
 
 
 def test_config_validation():

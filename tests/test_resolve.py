@@ -28,7 +28,8 @@ NOW = T1
 
 def _world(n=100, unresolved_rate=0.0, seed=1):
     return generate_synthetic_world(
-        SyntheticWorldConfig(day=DAY, event_count=n, unresolved_rate=unresolved_rate), seed=seed
+        SyntheticWorldConfig(day=DAY, resolve_at=NOW, event_count=n, unresolved_rate=unresolved_rate),
+        seed=seed,
     )
 
 

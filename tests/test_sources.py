@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import date, timedelta
+from datetime import date, datetime, time, timedelta, timezone
 
 import pytest
 
@@ -20,6 +20,18 @@ from conftest import make_event
 DAY = date(2026, 3, 2)
 
 
+def resolve_at(day: date) -> datetime:
+    return datetime.combine(day + timedelta(days=1), time(20, 30), tzinfo=timezone.utc)
+
+
+def fetch(spec: SourceSpec, day: date = DAY):
+    return fetch_candidates(spec, day, resolve_at(day))
+
+
+def world_config(**params) -> SyntheticWorldConfig:
+    return SyntheticWorldConfig(day=DAY, resolve_at=resolve_at(DAY), **params)
+
+
 def synthetic_spec(seed: int = 7, event_rate: int = 100, **params) -> SourceSpec:
     merged = {"seed": seed, "event_rate": event_rate}
     merged.update(params)
@@ -35,8 +47,8 @@ def test_source_spec_validates_kind_and_params():
 
 def test_synthetic_fetch_is_deterministic_byte_for_byte():
     spec = synthetic_spec(seed=7, event_rate=100)
-    first = fetch_candidates(spec, DAY)
-    second = fetch_candidates(spec, DAY)
+    first = fetch(spec)
+    second = fetch(spec)
     assert len(first.events) == 100
     encode = lambda r: "\n".join(dumps_canonical(e.to_dict()) for e in r.events)
     assert encode(first) == encode(second)
@@ -44,33 +56,33 @@ def test_synthetic_fetch_is_deterministic_byte_for_byte():
 
 def test_synthetic_worlds_differ_across_days_and_seeds():
     spec = synthetic_spec(seed=7, event_rate=50)
-    a = fetch_candidates(spec, DAY).events
-    b = fetch_candidates(spec, DAY + timedelta(days=1)).events
-    c = fetch_candidates(synthetic_spec(seed=8, event_rate=50), DAY).events
+    a = fetch(spec).events
+    b = fetch(spec, DAY + timedelta(days=1)).events
+    c = fetch(synthetic_spec(seed=8, event_rate=50)).events
     assert [e.payload for e in a] != [e.payload for e in b]
     assert [e.payload for e in a] != [e.payload for e in c]
 
 
 def test_expected_resolution_falls_on_next_day():
-    for event in fetch_candidates(synthetic_spec(event_rate=40), DAY).events:
-        assert event.expected_resolution.date() == DAY + timedelta(days=1)
+    for event in fetch(synthetic_spec(event_rate=40)).events:
+        assert event.expected_resolution == resolve_at(DAY)
         assert event.expected_resolution > event.observed_at
 
 
 def test_unresolved_rate_zero_means_everything_resolves():
-    world = generate_synthetic_world(SyntheticWorldConfig(day=DAY, event_count=200, unresolved_rate=0.0), seed=1)
+    world = generate_synthetic_world(world_config(event_count=200, unresolved_rate=0.0), seed=1)
     assert all(e.will_resolve for e in world.events)
 
 
 def test_latent_one_means_all_labels_positive():
-    config = SyntheticWorldConfig(day=DAY, event_count=150, latent_mixture=((1.0, 1.0, 1.0),))
+    config = world_config(event_count=150, latent_mixture=((1.0, 1.0, 1.0),))
     world = generate_synthetic_world(config, seed=3)
     assert all(e.realized_label == 1 for e in world.events)
     assert all(e.latent_p == 1.0 for e in world.events)
 
 
 def test_unresolved_fraction_tracks_configured_rate():
-    config = SyntheticWorldConfig(day=DAY, event_count=10_000, unresolved_rate=0.3565)
+    config = world_config(event_count=10_000, unresolved_rate=0.3565)
     world = generate_synthetic_world(config, seed=5)
     frac = sum(1 for e in world.events if not e.will_resolve) / len(world.events)
     assert abs(frac - 0.3565) <= 0.02
@@ -78,13 +90,13 @@ def test_unresolved_fraction_tracks_configured_rate():
 
 def test_invalid_config_ranges_rejected():
     with pytest.raises(ValueError):
-        SyntheticWorldConfig(day=DAY, unresolved_rate=1.5)
+        world_config(unresolved_rate=1.5)
     with pytest.raises(ValueError):
-        SyntheticWorldConfig(day=DAY, latent_mixture=((0.9, 0.2, 1.0),))
+        world_config(latent_mixture=((0.9, 0.2, 1.0),))
 
 
 def test_truth_never_leaks_into_candidate_payload():
-    world = generate_synthetic_world(SyntheticWorldConfig(day=DAY, event_count=120), seed=2)
+    world = generate_synthetic_world(world_config(event_count=120), seed=2)
     for event in world.candidates():
         serialized = dumps_canonical(event.to_dict())
         assert "realized_label" not in serialized
@@ -93,7 +105,7 @@ def test_truth_never_leaks_into_candidate_payload():
 
 
 def test_question_texts_unique_within_a_day():
-    world = generate_synthetic_world(SyntheticWorldConfig(day=DAY, event_count=300), seed=4)
+    world = generate_synthetic_world(world_config(event_count=300), seed=4)
     signatures = [
         tuple(sorted((k, v) for k, v in e.event.payload.items() if k != "identifier"))
         for e in world.events
@@ -102,7 +114,7 @@ def test_question_texts_unique_within_a_day():
 
 
 def test_truth_file_round_trip(tmp_path):
-    world = generate_synthetic_world(SyntheticWorldConfig(day=DAY, event_count=30), seed=9)
+    world = generate_synthetic_world(world_config(event_count=30), seed=9)
     path = tmp_path / "truth.jsonl"
     write_truth_file(path, world.truth_rows())
     table = {row["identifier"]: row for row in read_jsonl(path)}
@@ -119,7 +131,7 @@ def test_file_feed_passthrough(tmp_path):
     events = [make_event(identifier=f"evt-{i:03d}") for i in range(3)]
     feed.write_text("\n".join(dumps_canonical(e.to_dict()) for e in events) + "\n")
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
-    result = fetch_candidates(spec, DAY)
+    result = fetch(spec)
     assert len(result.events) == 3
     assert result.errors == []
 
@@ -130,7 +142,7 @@ def test_file_feed_reports_malformed_records_and_continues(tmp_path):
     lines = [dumps_canonical(e.to_dict()) for e in events]
     lines[1] = '{"source_id": "broken"'
     feed.write_text("\n".join(lines) + "\n")
-    result = fetch_candidates(
+    result = fetch(
         SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}), DAY
     )
     assert len(result.events) == 2
@@ -142,8 +154,8 @@ def test_file_feed_filters_to_cycle_alignment(tmp_path):
     feed = tmp_path / "feed.jsonl"
     feed.write_text(dumps_canonical(make_event().to_dict()) + "\n")
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
-    assert len(fetch_candidates(spec, DAY).events) == 1
-    assert fetch_candidates(spec, DAY + timedelta(days=3)).events == []
+    assert len(fetch(spec).events) == 1
+    assert fetch(spec, DAY + timedelta(days=3)).events == []
 
 
 def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
@@ -157,7 +169,7 @@ def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
     assert "evt-007" in errors[0].message
     # the repeat would have been issued a day later under the same question id
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
-    later = fetch_candidates(spec, DAY + timedelta(days=1))
+    later = fetch(spec, DAY + timedelta(days=1))
     assert later.events == [] and len(later.errors) == 1
 
 
@@ -171,4 +183,4 @@ def test_file_feed_keeps_raw_line_separators_inside_a_string(tmp_path):
 def test_missing_feed_file_raises(tmp_path):
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(tmp_path / "nope.jsonl")})
     with pytest.raises(FileNotFoundError):
-        fetch_candidates(spec, DAY)
+        fetch(spec)
