@@ -11,8 +11,10 @@ writer is skipped by replay and cut off before the next append to that log.
 
 Logs are replayed lazily, one day at a time: every lookup by question or
 trajectory names its log day, and a day's log is read the first time that
-day is read or written. Only the whole-history readers (``all_trajectories``
-and ``replay``) read every log.
+day is read or written. ``release`` drops a day's replayed state again, so a
+caller that is done with a day holds only the days it is still working on.
+Only the whole-history readers (``all_trajectories`` and ``replay``) read
+every log.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
@@ -221,7 +223,10 @@ class TrajectoryLedger:
     """Append-only trajectory store rooted at a directory.
 
     Constructing a ledger reads nothing; each day's log is replayed the first
-    time that day is used. Trajectory ids are unique within a day log.
+    time that day is used and cached from then on. ``release(day)`` drops
+    that cache entry: the log on disk is untouched, and the next access to
+    the day replays it again, sequence numbers and torn-tail repair included.
+    Trajectory ids are unique within a day log.
 
     Concurrency contract: a single appender serializes writes and is the
     only one that repairs a torn log tail; readers see immutable snapshots
@@ -259,10 +264,6 @@ class TrajectoryLedger:
             self._days[day] = log
         return log
 
-    def _all_days(self) -> list[_DayLog]:
-        """Every day's state, in log-day order."""
-        return [self._day(day) for day in self.log_days()]
-
     def _append_batch(self, day: date, records: Sequence[dict[str, Any]]) -> list[int]:
         """Write a batch of records durably: one flush+fsync per call."""
         log = self._day(day)
@@ -297,9 +298,17 @@ class TrajectoryLedger:
     def questions_for_day(self, day: date) -> list[str]:
         return sorted(self._day(day).by_question)
 
+    def trajectories_on(self, day: date) -> list[Trajectory]:
+        """Every trajectory of one log day, in log order."""
+        return [rec.trajectory for rec in self._day(day).records.values()]
+
     def all_trajectories(self) -> list[Trajectory]:
         """Every trajectory, in (log day, log order), whichever days were read first."""
-        return [rec.trajectory for log in self._all_days() for rec in log.records.values()]
+        return [t for day in self.log_days() for t in self.trajectories_on(day)]
+
+    def release(self, day: date) -> None:
+        """Drop one day's replayed state from memory; a later access replays its log."""
+        self._days.pop(day, None)
 
     # -- mutations ---------------------------------------------------------
 
@@ -504,5 +513,6 @@ def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Opti
 def replay(root: Path) -> TrajectoryLedger:
     """Rebuild a ledger's whole in-memory state purely from its log files."""
     ledger = TrajectoryLedger(root)
-    ledger._all_days()
+    for day in ledger.log_days():
+        ledger._day(day)
     return ledger

@@ -131,8 +131,13 @@ class CycleConfig:
         return local.astimezone(timezone.utc)
 
     def resolve_at(self, day: date) -> datetime:
-        """When the batch issued on local ``day`` resolves: resolve time on day+1."""
-        return self.phase_datetime(day + timedelta(days=1), self.resolve_time)
+        """When the batch issued on local ``day`` resolves: resolve time on day+1.
+
+        The instant is given in the cycle's timezone, so a source can place
+        its events on the cycle's local days.
+        """
+        at = self.phase_datetime(day + timedelta(days=1), self.resolve_time)
+        return at.astimezone(ZoneInfo(self.timezone))
 
     def source_specs(self) -> tuple[SourceSpec, ...]:
         if self.sources:
@@ -652,24 +657,33 @@ class Orchestrator:
     # -- simulation --------------------------------------------------------------
 
     def simulate(self, days: int) -> SimulationResult:
-        """Run D virtual days end to end; deterministic given the config seed."""
+        """Run D virtual days end to end; deterministic given the config seed.
+
+        Memory does not grow with D: once a day is resolved and exported, only
+        its resolved (probability, label) pairs are kept for the final
+        reports, and the day is released from every agent's ledger.
+        """
         if days < 1:
             raise ValueError("simulation needs at least one day")
         started = _walltime.monotonic()
         cycle_reports: list[CycleReport] = []
         benchmark_reports: list[dict[str, Any]] = []
+        resolved: dict[str, list[ProbPrediction]] = {a: [] for a in self.config.agents}
+
+        def resolve(day: date) -> None:
+            cycle_reports.append(self.run_resolve_phase(day))
+            self._release_resolved_day(day, resolved)
+
         for offset in range(days):
             day = self.config.start_day + timedelta(days=offset)
             self.run_issue_phase(day)
             if offset > 0:
-                cycle_reports.append(self.run_resolve_phase(day - timedelta(days=1)))
+                resolve(day - timedelta(days=1))
             if self.config.benchmark.enabled:
                 benchmark_reports.append(self.run_benchmark_phase(day))
-        cycle_reports.append(
-            self.run_resolve_phase(self.config.start_day + timedelta(days=days - 1))
-        )
+        resolve(self.config.start_day + timedelta(days=days - 1))
 
-        final_reports = self._final_reports()
+        final_reports = self._final_reports(resolved)
         elapsed = _walltime.monotonic() - started
         summary = {
             "days": days,
@@ -696,18 +710,38 @@ class Orchestrator:
             elapsed_seconds=elapsed,
         )
 
-    def _final_reports(self) -> dict[str, ScoreReport]:
-        """Aggregate probabilistic metrics per agent over all resolved rollouts."""
-        reports: dict[str, ScoreReport] = {}
+    def _release_resolved_day(
+        self, day: date, resolved: Mapping[str, list[ProbPrediction]]
+    ) -> None:
+        """Release the batch issued on ``day`` from every agent's ledger.
+
+        The (probability, label) pairs of its RESOLVED rollouts are first
+        appended to the agent's list in ``resolved``, in log order.
+        """
+        log_day = self.log_day(day)
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
-            resolved = [
-                t for t in ledger.all_trajectories() if t.status is TrajectoryStatus.RESOLVED
-            ]
-            if not resolved:
+            resolved[agent_name].extend(
+                ProbPrediction(prob=t.final_probability, label=t.label)
+                for t in ledger.trajectories_on(log_day)
+                if t.status is TrajectoryStatus.RESOLVED
+            )
+            ledger.release(log_day)
+
+    def _final_reports(
+        self, resolved: Mapping[str, Sequence[ProbPrediction]]
+    ) -> dict[str, ScoreReport]:
+        """Aggregate probabilistic metrics per agent over its resolved rollouts.
+
+        ``resolved`` holds them in (log day, log order), the order of a
+        whole-ledger replay, so the bootstrap intervals match one.
+        """
+        reports: dict[str, ScoreReport] = {}
+        for agent_name in self.config.agents:
+            preds = resolved[agent_name]
+            if not preds:
                 reports[agent_name] = ScoreReport()
                 continue
-            preds = [ProbPrediction(prob=t.final_probability, label=t.label) for t in resolved]
             reports[agent_name] = summarize_probabilistic(
                 preds, seed=derive_seed(self.config.seed, "final-ci", agent_name)
             )

@@ -350,6 +350,34 @@ def embed_pair(pair: QuestionDescriptionPair, embedder: HashingEmbedder) -> np.n
     return embed_text(text, embedder)
 
 
+#: Squared-distance slack within which a centre is re-checked exactly. The
+#: Gram form is off by ~1e-15 for unit-norm points; the slack covers that.
+_TIE_SLACK = 1e-9
+
+
+def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, ties to the lowest index.
+
+    Equal to ``argmin(norm(points[:, None] - centroids[None], axis=2), axis=1)``
+    without the n x k x dim tensor. Squared distances come from one matmul
+    in Gram form; a point with more than one centre within the slack of its
+    minimum has its exact distances to those centres recomputed as the
+    reference does, since hashed embeddings tie exactly and often.
+    """
+    sq = (
+        np.einsum("ij,ij->i", points, points)[:, None]
+        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        - 2.0 * (points @ centroids.T)
+    )
+    candidates = sq <= sq.min(axis=1, keepdims=True) + _TIE_SLACK
+    nearest = np.argmax(candidates, axis=1)  # the first candidate
+    for row in np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1):
+        cols = np.flatnonzero(candidates[row])
+        exact = np.linalg.norm(points[row] - centroids[cols], axis=1)
+        nearest[row] = cols[np.argmin(exact)]
+    return nearest
+
+
 def _kmeans(
     points: np.ndarray, k: int, seed: int, max_iterations: int = 100
 ) -> np.ndarray:
@@ -374,8 +402,7 @@ def _kmeans(
 
     assignments = np.full(n, -1, dtype=int)
     for _ in range(max_iterations):
-        distances = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
-        new_assignments = np.argmin(distances, axis=1)
+        new_assignments = _nearest_centroids(points, centroids)
 
         for cluster in range(k):
             if np.any(new_assignments == cluster):

@@ -4,7 +4,9 @@ Two adapter kinds ship in-repo. ``file_feed`` replays a JSONL fixture of
 candidate events. ``synthetic`` generates a deterministic world for a given
 day and also owns the ground truth for it, which makes fully closed-loop
 simulation possible without touching the network. Synthetic events resolve
-at the instant the caller passes in: the cycle's resolve time on day+1.
+at the instant the caller passes in: the cycle's resolve time on day+1. That
+instant carries the cycle's timezone, which also places synthetic observation
+times and the file feed's day+1 in local time.
 
 Ground-truth isolation: the latent probability, realized label, and
 resolvability of a synthetic event never appear in the candidate payload
@@ -119,7 +121,8 @@ class SyntheticWorld:
 @dataclass(frozen=True)
 class SyntheticWorldConfig:
     day: date
-    #: when every event of the day resolves (the cycle's resolve time on day+1)
+    #: when every event of the day resolves (the cycle's resolve time on day+1);
+    #: its timezone is the one ``day`` is a local day of
     resolve_at: datetime
     event_count: int = 300
     unresolved_rate: float = DEFAULT_UNRESOLVED_RATE
@@ -279,7 +282,9 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
                 break
         seen_signatures.add(signature)
         observed_at = datetime.combine(
-            config.day, time(rng.randrange(6, 18), rng.randrange(0, 60)), tzinfo=timezone.utc
+            config.day,
+            time(rng.randrange(6, 18), rng.randrange(0, 60)),
+            tzinfo=config.resolve_at.tzinfo,
         )
         latent_p = _draw_latent_p(rng, config.latent_mixture)
         realized_label = 1 if rng.random() < latent_p else 0
@@ -388,9 +393,11 @@ def _synthetic_config_from_spec(
 def fetch_candidates(spec: SourceSpec, day: date, resolve_at: datetime) -> FetchResult:
     """Fetch the candidates of one source whose outcomes land on day+1.
 
-    ``resolve_at`` is when the batch issued on ``day`` resolves; synthetic
-    events are scheduled to resolve then. Pure in (spec, day, resolve_at) for
-    both shipped adapter kinds: repeated calls return identical results.
+    ``resolve_at`` is when the batch issued on ``day`` resolves, in the
+    cycle's timezone; synthetic events are scheduled to resolve then, and a
+    file feed keeps the events resolving on day+1 in that zone. Pure in
+    (spec, day, resolve_at) for both shipped adapter kinds: repeated calls
+    return identical results.
     """
     if spec.kind == "synthetic":
         seed = int(spec.params.get("seed", 0))
@@ -403,7 +410,8 @@ def fetch_candidates(spec: SourceSpec, day: date, resolve_at: datetime) -> Fetch
     if spec.kind == "file_feed":
         events, errors = read_feed_file(Path(spec.params["path"]))
         next_day = day + timedelta(days=1)
-        kept = [e for e in events if e.expected_resolution.date() == next_day]
+        zone = resolve_at.tzinfo or timezone.utc  # naive means UTC, as everywhere
+        kept = [e for e in events if e.expected_resolution.astimezone(zone).date() == next_day]
         return FetchResult(events=kept, errors=errors)
     raise ValueError(f"unknown source kind {spec.kind!r}")
 

@@ -518,6 +518,66 @@ def test_all_trajectories_keep_day_order_after_a_later_day_was_read_first(tmp_pa
     assert order == [f"q-d{d}-{q}#k{k}" for d in range(3) for q in range(2) for k in range(3)]
 
 
+def _day_answers(ledger, day):
+    """Every query about one log day, as comparable values."""
+    answers = {
+        "questions": ledger.questions_for_day(day),
+        "on": ledger.trajectories_on(day),
+        "export": [g.to_dict() for g in ledger.export_training_batch(day)],
+    }
+    for qid in answers["questions"]:
+        answers[qid] = ledger.trajectories_for(day, qid)
+        for t in answers[qid]:
+            answers[t.trajectory_id] = (
+                ledger.get(day, t.trajectory_id), ledger.transcript(day, t.trajectory_id)
+            )
+    return answers
+
+
+def test_release_drops_a_day_that_the_next_query_replays_unchanged(tmp_path, monkeypatch):
+    ledger = _three_day_ledger(tmp_path)
+    days = ledger.log_days()
+    before = {day: _day_answers(ledger, day) for day in days}
+    everything = ledger.all_trajectories()
+    read = _reads(monkeypatch)
+    for day in days:
+        ledger.release(day)
+        assert day not in ledger._days
+        assert _day_answers(ledger, day) == before[day]
+        assert [path.name for path in read] == [f"ledger-{day.isoformat()}.jsonl"]
+        read.clear()
+    ledger.release(days[0])
+    ledger.release(days[0] - timedelta(days=9))  # never read: nothing to drop
+    assert ledger.all_trajectories() == everything
+    assert ledger.trajectories_on(days[0] - timedelta(days=9)) == []
+
+
+def test_append_after_release_continues_the_sequence(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    ledger.release(DAY)
+    assert _append(ledger, make_trajectory(tid="q-2#k0", qid="q-2")) == 5
+    ledger.release(DAY)
+    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 4
+    assert _ledger_states_equal(ledger, replay(tmp_path))
+    seqs = [json.loads(line)["sequence_no"] for line in next(tmp_path.glob("ledger-*.jsonl")).open()]
+    assert seqs == list(range(1, 10))
+
+
+def test_release_then_append_repairs_a_torn_tail(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    ledger.release(DAY)
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    data = log.read_bytes()
+    log.write_bytes(data[: len(data) - 40])  # a crashed writer tore the last prefix
+    assert len(ledger.trajectories_on(DAY)) == 3
+    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 3
+    replayed = replay(tmp_path)
+    assert _ledger_states_equal(ledger, replayed)
+    assert {t.status for t in replayed.all_trajectories()} == {TrajectoryStatus.RESOLVED}
+
+
 def test_day_lookups_do_not_see_other_days(tmp_path):
     ledger = _three_day_ledger(tmp_path)
     assert ledger.trajectories_for(DAY, "q-d1-0") == []

@@ -4,19 +4,23 @@ import json
 import os
 import random
 import shutil
+import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 
 from futureworld import jsonl, orchestrator
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
-from futureworld.ledger import TrajectoryLedger
+from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig
-from futureworld.domain import Question
+from futureworld.domain import CandidateEvent, Question, TrajectoryStatus
 from futureworld.jsonl import read_jsonl
-from futureworld.sources import SourceSpec
+from futureworld.scoring import ProbPrediction, summarize_probabilistic
+from futureworld.seeding import derive_seed
+from futureworld.sources import SourceSpec, fetch_all
 
 from test_ledger import _reads
 
@@ -353,6 +357,49 @@ def test_simulation_reports_are_deterministic(tmp_path):
     assert summary_a == summary_b
 
 
+def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path):
+    config = _config()
+    orch = Orchestrator(config, tmp_path)
+    orch.simulate(3)
+    # every simulated day was released once it was exported
+    assert all(orch.ledger_for(agent)._days == {} for agent in config.agents)
+    final = json.loads(orch.report_path("summary.json").read_text())["final"]
+    for agent in config.agents:
+        preds = [
+            ProbPrediction(prob=t.final_probability, label=t.label)
+            for t in replay(tmp_path / "ledgers" / agent).all_trajectories()
+            if t.status is TrajectoryStatus.RESOLVED
+        ]
+        expected = summarize_probabilistic(preds, seed=derive_seed(config.seed, "final-ci", agent))
+        assert final[agent] == json.loads(json.dumps(expected.to_dict()))
+        assert final[agent]["n_predictions"] == len(preds) > 0
+
+
+def _simulation_peak_bytes(config: CycleConfig, run_dir, days: int) -> int:
+    orch = Orchestrator(config, run_dir)
+    tracemalloc.start()
+    try:
+        orch.simulate(days)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_memory_does_not_grow_with_the_number_of_days(tmp_path):
+    """Only the days in flight are held: D=6 peaks within 15% of D=2.
+
+    What still grows with D is small: the resolved (probability, label)
+    pairs and the cycle reports, ~20 KB a day here. Holding every
+    replayed day, as simulate once did, adds ~300 KB a day, so D=6 then
+    peaks ~40% above D=2.
+    """
+    config = _config(questions_per_day=30, event_rate=40, benchmark=BenchmarkSettings(enabled=False))
+    Orchestrator(config, tmp_path / "warm-up").simulate(1)  # first-use caches are not the loop's
+    short = _simulation_peak_bytes(config, tmp_path / "d2", 2)
+    long = _simulation_peak_bytes(config, tmp_path / "d6", 6)
+    assert long <= 1.15 * short, (short, long)
+
+
 def test_benchmark_phase_caps_and_two_day_lag(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     day0, day1, day2 = START, START + timedelta(days=1), START + timedelta(days=2)
@@ -502,6 +549,57 @@ def test_synthetic_events_resolve_at_the_cycle_resolve_time(tmp_path, tz, declar
     for report in local:
         for row in read_jsonl(orch.questions_path(report.day)):
             assert Question.from_dict(row).resolution_time == orch.config.resolve_at(report.day)
+
+
+def test_file_feed_keeps_events_resolving_on_the_next_local_day_east_of_utc(tmp_path):
+    tokyo = ZoneInfo("Asia/Tokyo")
+    feed = tmp_path / "feed.jsonl"
+    events = [
+        CandidateEvent(
+            source_id="feed",
+            source_url=f"feed://{i}",
+            observed_at=datetime(2026, 3, 2, 1, 0, tzinfo=timezone.utc),
+            payload={"template": "temperature", "identifier": f"evt-{i}", "city": "Oslo",
+                     "band": "50-51°F", "date": f"March {3 + i}"},
+            # 08:00 JST on March 3 and 4 is 23:00 UTC on March 2 and 3
+            expected_resolution=datetime(2026, 3, 3 + i, 8, 0, tzinfo=tokyo),
+            resolver_key="feed",
+        )
+        for i in range(2)
+    ]
+    feed.write_text("".join(jsonl.dumps_canonical(e.to_dict()) + "\n" for e in events))
+    config = _config(
+        timezone="Asia/Tokyo",
+        sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
+    )
+
+    def issued_on(day: date) -> list[str]:
+        fetched = fetch_all(config.source_specs(), day, config.resolve_at(day))
+        return [e.identifier for e in fetched.events]
+
+    assert issued_on(date(2026, 3, 1)) == []
+    assert issued_on(date(2026, 3, 2)) == ["evt-0"]
+    assert issued_on(date(2026, 3, 3)) == ["evt-1"]
+    report = Orchestrator(config, tmp_path / "run").run_issue_phase(date(2026, 3, 2))
+    assert report.candidates == 1 and report.questions_issued == 1
+
+
+def test_synthetic_events_are_observed_before_the_issue_time_far_east_of_utc(tmp_path):
+    zone = ZoneInfo("Pacific/Kiritimati")  # UTC+14: 20:00 local is 06:00 UTC the same day
+    config = _config(
+        seed=3, event_rate=40, agents=("oracle",), timezone="Pacific/Kiritimati",
+        resolve_time="07:00", benchmark=BenchmarkSettings(enabled=False),
+    )
+    orch = Orchestrator(config, tmp_path)
+    reports = orch.simulate(2).cycle_reports
+    assert all(r.outcomes_resolved > 0 for r in reports)
+    for report in reports:
+        issue_at = config.phase_datetime(report.day, config.issue_time)
+        for row in read_jsonl(orch.candidates_path(report.day)):
+            event = CandidateEvent.from_dict(row)
+            local = event.observed_at.astimezone(zone)
+            assert local.date() == report.day and 6 <= local.hour < 18
+            assert event.observed_at < issue_at < event.expected_resolution
 
 
 def test_config_validation():
