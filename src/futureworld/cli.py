@@ -35,7 +35,7 @@ def _orchestrator(args: argparse.Namespace) -> Orchestrator:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     day = date.fromisoformat(args.day)
-    result = fetch_all(config.source_specs(), day, config.resolve_at(day))
+    result = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
     out = Path(args.out) if args.out else Path(f"candidates-{day.isoformat()}.jsonl")
     write_jsonl(out, (event.to_dict() for event in result.events))
     print(f"wrote {len(result.events)} candidates to {out}")

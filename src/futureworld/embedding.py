@@ -2,14 +2,13 @@
 
 This stands in for a pretrained semantic encoder so that similarity
 resampling is deterministic and dependency-free. ``HashingEmbedder`` holds
-the parameters and a memo of the grams it has hashed; ``embed_text`` does
-the work.
+the parameters; ``embed_text`` does the work.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,26 +17,12 @@ import numpy as np
 class HashingEmbedder:
     dim: int = 256
     seed: int = 0
-    #: gram -> (index, sign), filled as grams are first hashed. Templated
-    #: questions repeat few grams: a day of ~36k gram hashes has ~1.6k distinct.
-    _slots: dict[str, tuple[int, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
 def _grams(text: str, n: int = 3) -> list[str]:
     if len(text) < n:
         return [text] if text else []
     return [text[i : i + n] for i in range(len(text) - n + 1)]
-
-
-def _hash_gram(gram: str, embedder: HashingEmbedder) -> tuple[int, float]:
-    """The vector index a gram lands on and the sign it adds there."""
-    digest = hashlib.blake2b(
-        f"{embedder.seed}:{gram}".encode("utf-8"), digest_size=8
-    ).digest()
-    h = int.from_bytes(digest, "big")
-    return h % embedder.dim, 1.0 if (h >> 62) & 1 else -1.0
 
 
 def embed_text(text: str, embedder: HashingEmbedder) -> np.ndarray:
@@ -47,12 +32,13 @@ def embed_text(text: str, embedder: HashingEmbedder) -> np.ndarray:
     vector so the output is always unit-norm.
     """
     vec = np.zeros(embedder.dim, dtype=float)
-    slots = embedder._slots
+    prefix = f"{embedder.seed}:".encode("utf-8")
     for gram in _grams(text):
-        slot = slots.get(gram)
-        if slot is None:
-            slot = slots[gram] = _hash_gram(gram, embedder)
-        vec[slot[0]] += slot[1]
+        digest = hashlib.blake2b(prefix + gram.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "big")
+        index = h % embedder.dim
+        sign = 1.0 if (h >> 62) & 1 else -1.0
+        vec[index] += sign
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         vec[0] = 1.0

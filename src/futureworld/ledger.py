@@ -264,6 +264,10 @@ class TrajectoryLedger:
             self._days[day] = log
         return log
 
+    def _all_days(self) -> list[_DayLog]:
+        """Every day's state, in log-day order."""
+        return [self._day(day) for day in self.log_days()]
+
     def _append_batch(self, day: date, records: Sequence[dict[str, Any]]) -> list[int]:
         """Write a batch of records durably: one flush+fsync per call."""
         log = self._day(day)
@@ -298,13 +302,9 @@ class TrajectoryLedger:
     def questions_for_day(self, day: date) -> list[str]:
         return sorted(self._day(day).by_question)
 
-    def trajectories_on(self, day: date) -> list[Trajectory]:
-        """Every trajectory of one log day, in log order."""
-        return [rec.trajectory for rec in self._day(day).records.values()]
-
     def all_trajectories(self) -> list[Trajectory]:
         """Every trajectory, in (log day, log order), whichever days were read first."""
-        return [t for day in self.log_days() for t in self.trajectories_on(day)]
+        return [rec.trajectory for log in self._all_days() for rec in log.records.values()]
 
     def release(self, day: date) -> None:
         """Drop one day's replayed state from memory; a later access replays its log."""
@@ -513,6 +513,5 @@ def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Opti
 def replay(root: Path) -> TrajectoryLedger:
     """Rebuild a ledger's whole in-memory state purely from its log files."""
     ledger = TrajectoryLedger(root)
-    for day in ledger.log_days():
-        ledger._day(day)
+    ledger._all_days()
     return ledger

@@ -125,19 +125,19 @@ class CycleConfig:
         _parse_clock(self.resolve_time)
         ZoneInfo(self.timezone)
 
+    @property
+    def zone(self) -> ZoneInfo:
+        """The timezone whose local days the cycle's days are."""
+        return ZoneInfo(self.timezone)
+
     def phase_datetime(self, day: date, clock_text: str) -> datetime:
         """The UTC instant of local time ``clock_text`` on local ``day``."""
-        local = datetime.combine(day, _parse_clock(clock_text), tzinfo=ZoneInfo(self.timezone))
+        local = datetime.combine(day, _parse_clock(clock_text), tzinfo=self.zone)
         return local.astimezone(timezone.utc)
 
     def resolve_at(self, day: date) -> datetime:
-        """When the batch issued on local ``day`` resolves: resolve time on day+1.
-
-        The instant is given in the cycle's timezone, so a source can place
-        its events on the cycle's local days.
-        """
-        at = self.phase_datetime(day + timedelta(days=1), self.resolve_time)
-        return at.astimezone(ZoneInfo(self.timezone))
+        """When the batch issued on local ``day`` resolves: resolve time on day+1."""
+        return self.phase_datetime(day + timedelta(days=1), self.resolve_time)
 
     def source_specs(self) -> tuple[SourceSpec, ...]:
         if self.sources:
@@ -254,6 +254,9 @@ class CycleReport:
     unresolved_reasons: dict[str, int]
     groups_exported: dict[str, int]
     metrics: dict[str, dict[str, Any]]
+    #: each agent's (probability, label) pairs of the batch's RESOLVED
+    #: rollouts, in log order; what the final reports score, not serialized
+    predictions: dict[str, list[ProbPrediction]] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -435,7 +438,8 @@ class Orchestrator:
         return recorded, short
 
     def _build_questions(self, day: date, report: IssueReport) -> list[Question]:
-        fetched = fetch_all(self.config.source_specs(), day, self.config.resolve_at(day))
+        config = self.config
+        fetched = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
         write_jsonl(self.candidates_path(day), (e.to_dict() for e in fetched.events))
@@ -512,6 +516,7 @@ class Orchestrator:
         rollouts: dict[str, int] = {}
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
+        predictions: dict[str, list[ProbPrediction]] = {}
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
             ledger.backfill(ledger_day, resolution.outcomes, trajectory_reward)
@@ -524,9 +529,11 @@ class Orchestrator:
             # the order-sensitive metrics depend on.
             batch = [t for qid in batch_qids for t in ledger.trajectories_for(ledger_day, qid)]
             rollouts[agent_name] = len(batch)
-            metrics[agent_name] = self._batch_metrics(
-                [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
-            )
+            batch = [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
+            metrics[agent_name] = self._batch_metrics(batch)
+            predictions[agent_name] = [
+                ProbPrediction(prob=t.final_probability, label=t.label) for t in batch
+            ]
 
         report = CycleReport(
             day=day,
@@ -537,6 +544,7 @@ class Orchestrator:
             unresolved_reasons=resolution.unresolved_reasons(),
             groups_exported=groups_exported,
             metrics=metrics,
+            predictions=predictions,
         )
         if report.outcomes_resolved + report.unresolved_count != report.questions_issued:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
@@ -659,20 +667,21 @@ class Orchestrator:
     def simulate(self, days: int) -> SimulationResult:
         """Run D virtual days end to end; deterministic given the config seed.
 
-        Memory does not grow with D: once a day is resolved and exported, only
-        its resolved (probability, label) pairs are kept for the final
-        reports, and the day is released from every agent's ledger.
+        Memory does not grow with D: once a batch is resolved and exported,
+        its cycle report keeps its resolved (probability, label) pairs for
+        the final reports, and its log day is released from every agent's
+        ledger.
         """
         if days < 1:
             raise ValueError("simulation needs at least one day")
         started = _walltime.monotonic()
         cycle_reports: list[CycleReport] = []
         benchmark_reports: list[dict[str, Any]] = []
-        resolved: dict[str, list[ProbPrediction]] = {a: [] for a in self.config.agents}
 
         def resolve(day: date) -> None:
             cycle_reports.append(self.run_resolve_phase(day))
-            self._release_resolved_day(day, resolved)
+            for agent_name in self.config.agents:
+                self.ledger_for(agent_name).release(self.log_day(day))
 
         for offset in range(days):
             day = self.config.start_day + timedelta(days=offset)
@@ -683,7 +692,7 @@ class Orchestrator:
                 benchmark_reports.append(self.run_benchmark_phase(day))
         resolve(self.config.start_day + timedelta(days=days - 1))
 
-        final_reports = self._final_reports(resolved)
+        final_reports = self._final_reports(cycle_reports)
         elapsed = _walltime.monotonic() - started
         summary = {
             "days": days,
@@ -710,35 +719,15 @@ class Orchestrator:
             elapsed_seconds=elapsed,
         )
 
-    def _release_resolved_day(
-        self, day: date, resolved: Mapping[str, list[ProbPrediction]]
-    ) -> None:
-        """Release the batch issued on ``day`` from every agent's ledger.
+    def _final_reports(self, cycle_reports: Sequence[CycleReport]) -> dict[str, ScoreReport]:
+        """Aggregate probabilistic metrics per agent over all resolved rollouts.
 
-        The (probability, label) pairs of its RESOLVED rollouts are first
-        appended to the agent's list in ``resolved``, in log order.
-        """
-        log_day = self.log_day(day)
-        for agent_name in self.config.agents:
-            ledger = self.ledger_for(agent_name)
-            resolved[agent_name].extend(
-                ProbPrediction(prob=t.final_probability, label=t.label)
-                for t in ledger.trajectories_on(log_day)
-                if t.status is TrajectoryStatus.RESOLVED
-            )
-            ledger.release(log_day)
-
-    def _final_reports(
-        self, resolved: Mapping[str, Sequence[ProbPrediction]]
-    ) -> dict[str, ScoreReport]:
-        """Aggregate probabilistic metrics per agent over its resolved rollouts.
-
-        ``resolved`` holds them in (log day, log order), the order of a
-        whole-ledger replay, so the bootstrap intervals match one.
+        The batches' predictions, taken in resolve order, are in the order of
+        a whole-ledger replay, so the bootstrap intervals match one.
         """
         reports: dict[str, ScoreReport] = {}
         for agent_name in self.config.agents:
-            preds = resolved[agent_name]
+            preds = [p for r in cycle_reports for p in r.predictions[agent_name]]
             if not preds:
                 reports[agent_name] = ScoreReport()
                 continue

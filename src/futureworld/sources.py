@@ -4,9 +4,9 @@ Two adapter kinds ship in-repo. ``file_feed`` replays a JSONL fixture of
 candidate events. ``synthetic`` generates a deterministic world for a given
 day and also owns the ground truth for it, which makes fully closed-loop
 simulation possible without touching the network. Synthetic events resolve
-at the instant the caller passes in: the cycle's resolve time on day+1. That
-instant carries the cycle's timezone, which also places synthetic observation
-times and the file feed's day+1 in local time.
+at the instant the caller passes in: the cycle's resolve time on day+1. The
+caller also names the timezone whose local day ``day`` is; synthetic
+observation times and the file feed's day+1 are local to it.
 
 Ground-truth isolation: the latent probability, realized label, and
 resolvability of a synthetic event never appear in the candidate payload
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone, tzinfo
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -121,9 +121,10 @@ class SyntheticWorld:
 @dataclass(frozen=True)
 class SyntheticWorldConfig:
     day: date
-    #: when every event of the day resolves (the cycle's resolve time on day+1);
-    #: its timezone is the one ``day`` is a local day of
+    #: when every event of the day resolves (the cycle's resolve time on day+1)
     resolve_at: datetime
+    #: the timezone whose local day ``day`` is
+    zone: tzinfo = timezone.utc
     event_count: int = 300
     unresolved_rate: float = DEFAULT_UNRESOLVED_RATE
     latent_mixture: Sequence[tuple[float, float, float]] = DEFAULT_LATENT_MIXTURE
@@ -284,7 +285,7 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
         observed_at = datetime.combine(
             config.day,
             time(rng.randrange(6, 18), rng.randrange(0, 60)),
-            tzinfo=config.resolve_at.tzinfo,
+            tzinfo=config.zone,
         )
         latent_p = _draw_latent_p(rng, config.latent_mixture)
         realized_label = 1 if rng.random() < latent_p else 0
@@ -377,31 +378,36 @@ def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]
 
 
 def _synthetic_config_from_spec(
-    spec: SourceSpec, day: date, resolve_at: datetime
+    spec: SourceSpec, day: date, resolve_at: datetime, zone: tzinfo
 ) -> SyntheticWorldConfig:
     params = spec.params
     mixture = params.get("latent_p_mixture")
     return SyntheticWorldConfig(
         day=day,
         resolve_at=resolve_at,
+        zone=zone,
         event_count=int(params.get("event_rate", 300)),
         unresolved_rate=float(params.get("unresolved_rate", DEFAULT_UNRESOLVED_RATE)),
         latent_mixture=tuple(tuple(c) for c in mixture) if mixture else DEFAULT_LATENT_MIXTURE,
     )
 
 
-def fetch_candidates(spec: SourceSpec, day: date, resolve_at: datetime) -> FetchResult:
+def fetch_candidates(
+    spec: SourceSpec, day: date, resolve_at: datetime, zone: tzinfo
+) -> FetchResult:
     """Fetch the candidates of one source whose outcomes land on day+1.
 
-    ``resolve_at`` is when the batch issued on ``day`` resolves, in the
-    cycle's timezone; synthetic events are scheduled to resolve then, and a
-    file feed keeps the events resolving on day+1 in that zone. Pure in
-    (spec, day, resolve_at) for both shipped adapter kinds: repeated calls
-    return identical results.
+    ``day`` is a local day of ``zone``, and ``resolve_at`` is when the batch
+    issued on it resolves. Synthetic events are scheduled to resolve then; a
+    file feed keeps the events resolving on day+1 in ``zone``. Pure in the
+    arguments for both shipped adapter kinds: repeated calls return
+    identical results.
     """
     if spec.kind == "synthetic":
         seed = int(spec.params.get("seed", 0))
-        world = generate_synthetic_world(_synthetic_config_from_spec(spec, day, resolve_at), seed)
+        world = generate_synthetic_world(
+            _synthetic_config_from_spec(spec, day, resolve_at, zone), seed
+        )
         return FetchResult(
             events=world.candidates(),
             truth_rows=world.truth_rows(),
@@ -410,17 +416,18 @@ def fetch_candidates(spec: SourceSpec, day: date, resolve_at: datetime) -> Fetch
     if spec.kind == "file_feed":
         events, errors = read_feed_file(Path(spec.params["path"]))
         next_day = day + timedelta(days=1)
-        zone = resolve_at.tzinfo or timezone.utc  # naive means UTC, as everywhere
         kept = [e for e in events if e.expected_resolution.astimezone(zone).date() == next_day]
         return FetchResult(events=kept, errors=errors)
     raise ValueError(f"unknown source kind {spec.kind!r}")
 
 
-def fetch_all(specs: Iterable[SourceSpec], day: date, resolve_at: datetime) -> FetchResult:
+def fetch_all(
+    specs: Iterable[SourceSpec], day: date, resolve_at: datetime, zone: tzinfo
+) -> FetchResult:
     """Fetch and concatenate candidates across registered sources."""
     merged = FetchResult(events=[])
     for spec in specs:
-        result = fetch_candidates(spec, day, resolve_at)
+        result = fetch_candidates(spec, day, resolve_at, zone)
         merged.events.extend(result.events)
         merged.errors.extend(result.errors)
         merged.truth_rows.extend(result.truth_rows)

@@ -522,7 +522,6 @@ def _day_answers(ledger, day):
     """Every query about one log day, as comparable values."""
     answers = {
         "questions": ledger.questions_for_day(day),
-        "on": ledger.trajectories_on(day),
         "export": [g.to_dict() for g in ledger.export_training_batch(day)],
     }
     for qid in answers["questions"]:
@@ -549,7 +548,6 @@ def test_release_drops_a_day_that_the_next_query_replays_unchanged(tmp_path, mon
     ledger.release(days[0])
     ledger.release(days[0] - timedelta(days=9))  # never read: nothing to drop
     assert ledger.all_trajectories() == everything
-    assert ledger.trajectories_on(days[0] - timedelta(days=9)) == []
 
 
 def test_append_after_release_continues_the_sequence(tmp_path):
@@ -571,7 +569,7 @@ def test_release_then_append_repairs_a_torn_tail(tmp_path):
     log = next(tmp_path.glob("ledger-*.jsonl"))
     data = log.read_bytes()
     log.write_bytes(data[: len(data) - 40])  # a crashed writer tore the last prefix
-    assert len(ledger.trajectories_on(DAY)) == 3
+    assert len(ledger.trajectories_for(DAY, "q-1")) == 3
     assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 3
     replayed = replay(tmp_path)
     assert _ledger_states_equal(ledger, replayed)

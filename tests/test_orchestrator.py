@@ -357,10 +357,21 @@ def test_simulation_reports_are_deterministic(tmp_path):
     assert summary_a == summary_b
 
 
-def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path):
-    config = _config()
+@pytest.mark.parametrize(
+    "zone, start",
+    [
+        ("UTC", START),
+        # 20:00 AST on March 7 and 20:00 ADT on March 8 are both on UTC March 8:
+        # two issue days share one log day
+        ("America/Halifax", date(2026, 3, 7)),
+    ],
+)
+def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path, zone, start):
+    config = _config(timezone=zone, start_day=start)
     orch = Orchestrator(config, tmp_path)
     orch.simulate(3)
+    if zone != "UTC":
+        assert orch.log_day(start) == orch.log_day(start + timedelta(days=1))
     # every simulated day was released once it was exported
     assert all(orch.ledger_for(agent)._days == {} for agent in config.agents)
     final = json.loads(orch.report_path("summary.json").read_text())["final"]
@@ -574,7 +585,7 @@ def test_file_feed_keeps_events_resolving_on_the_next_local_day_east_of_utc(tmp_
     )
 
     def issued_on(day: date) -> list[str]:
-        fetched = fetch_all(config.source_specs(), day, config.resolve_at(day))
+        fetched = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
         return [e.identifier for e in fetched.events]
 
     assert issued_on(date(2026, 3, 1)) == []

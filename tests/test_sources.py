@@ -25,7 +25,7 @@ def resolve_at(day: date) -> datetime:
 
 
 def fetch(spec: SourceSpec, day: date = DAY):
-    return fetch_candidates(spec, day, resolve_at(day))
+    return fetch_candidates(spec, day, resolve_at(day), timezone.utc)
 
 
 def world_config(**params) -> SyntheticWorldConfig:
