@@ -65,8 +65,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     orch = _orchestrator(args)
     day = date.fromisoformat(args.day)
+    batch = [row["id"] for row in read_jsonl(orch.questions_path(day))]
     for agent in orch.config.agents:
-        groups = orch.ledger_for(agent).export_training_batch(orch.log_day(day))
+        groups = orch.ledger_for(agent).export_training_batch(orch.log_day(day), batch)
         path = orch.export_path(agent, day)
         write_training_batch(path, groups)
         print(f"{agent}: {len(groups)} groups -> {path}")

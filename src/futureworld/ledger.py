@@ -14,7 +14,11 @@ trajectory names its log day, and a day's log is read the first time that
 day is read or written. ``release`` drops a day's replayed state again, so a
 caller that is done with a day holds only the days it is still working on.
 Only the whole-history readers (``all_trajectories`` and ``replay``) read
-every log.
+every log. A replayed day shares its texts: the K rollouts of a question
+take their question id, final answer, step actions and observations and
+transcript turns from one table seeded by the question's first replayed
+sibling, so equal texts are one string, and every role is a ``ROLE_*``
+constant.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
@@ -39,11 +43,13 @@ from .domain import (
 )
 from .jsonl import dumps_canonical, write_jsonl
 from .resolve import Unresolved
-from .rollout import ROLE_AGENT, Turn
+from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
 
 KIND_PREFIX = "PREFIX"
 KIND_BACKFILL = "BACKFILL"
 KIND_DISCARD = "DISCARD"
+
+_ROLES = {role: role for role in (ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL)}
 
 RewardFn = Callable[[Optional[float], int], float]
 _Item = TypeVar("_Item", Outcome, Unresolved)
@@ -184,9 +190,7 @@ class _DayLog:
         if kind == KIND_PREFIX:
             if tid in self.records:
                 raise ReplayError(f"duplicate PREFIX for {tid}", seq)
-            trajectory = Trajectory.from_dict(payload["trajectory"])
-            transcript = self._shared_turns(trajectory, payload.get("transcript", []))
-            self.add_prefix(trajectory, transcript)
+            self.add_prefix(*self._decode_prefix(payload))
         elif kind in (KIND_BACKFILL, KIND_DISCARD):
             if tid not in self.records:
                 raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
@@ -197,26 +201,37 @@ class _DayLog:
             raise ReplayError(f"unknown record kind {kind!r}", seq)
         self.seq = seq
 
-    def _shared_turns(
-        self, trajectory: Trajectory, turns: Sequence[Mapping[str, Any]]
-    ) -> list[Turn]:
-        """Decode a transcript, sharing each text that equals one already held.
+    def _decode_prefix(self, payload: dict[str, Any]) -> tuple[Trajectory, list[Turn]]:
+        """Decode a PREFIX payload, sharing each text that equals one already held.
 
-        A live rollout holds one string for a step's action and its agent
-        turn, for its observation and tool turn, for the final answer and the
-        last turn, and for the prompt of all K rollouts of a question;
-        replay shares the same strings, so a replayed day costs no more
-        memory than a live one.
+        The texts come from a table seeded with the question's first replayed
+        sibling: its question id and its transcript's texts, which are its
+        prompt, step actions and observations, and final answer. Equal texts
+        of the K rollouts, and of a step and its turn, then are one string,
+        and each role is the module's ``ROLE_*`` constant.
         """
-        texts = {trajectory.raw_final_answer: trajectory.raw_final_answer}
-        for step in trajectory.steps:
-            texts[step.action] = step.action
-            texts[step.observation] = step.observation
-        siblings = self.by_question.get(trajectory.question_id)
-        if siblings and self.records[siblings[0]].transcript:
-            prompt = self.records[siblings[0]].transcript[0].text
-            texts.setdefault(prompt, prompt)
-        return [Turn(t["role"], texts.get(t["text"], t["text"])) for t in turns]
+        data = payload["trajectory"]
+        share = self._sibling_texts(data["question_id"]).setdefault
+        data["question_id"] = share(data["question_id"], data["question_id"])
+        data["raw_final_answer"] = share(data["raw_final_answer"], data["raw_final_answer"])
+        for step in data["steps"]:
+            step["action"] = share(step["action"], step["action"])
+            step["observation"] = share(step["observation"], step["observation"])
+        transcript = [
+            Turn(_ROLES.get(t["role"], t["role"]), share(t["text"], t["text"]))
+            for t in payload.get("transcript", [])
+        ]
+        return Trajectory.from_dict(data), transcript
+
+    def _sibling_texts(self, question_id: str) -> dict[str, str]:
+        """The texts of the question's first replayed sibling, each keyed by itself."""
+        siblings = self.by_question.get(question_id)
+        if not siblings:
+            return {}
+        first = self.records[siblings[0]]
+        texts = {turn.text: turn.text for turn in first.transcript}
+        texts[first.trajectory.question_id] = first.trajectory.question_id
+        return texts
 
 
 class TrajectoryLedger:
@@ -268,24 +283,26 @@ class TrajectoryLedger:
         """Every day's state, in log-day order."""
         return [self._day(day) for day in self.log_days()]
 
-    def _append_batch(self, day: date, records: Sequence[dict[str, Any]]) -> list[int]:
-        """Write a batch of records durably: one flush+fsync per call."""
+    def _append_batch(self, day: date, records: Iterable[dict[str, Any]]) -> list[int]:
+        """Write a batch of records durably: one flush+fsync per call.
+
+        Records are numbered and written as they are drawn from ``records``,
+        so a batch is never held a second time as numbered dicts. Returns
+        their sequence numbers.
+        """
         log = self._day(day)
-        seq = log.seq
-        numbered = []
-        for record in records:
-            seq += 1
-            numbered.append({"sequence_no": seq, **record})
+        first = seq = log.seq
         with self._log_path(day).open("a", encoding="utf-8") as fh:
             if log.torn_bytes is not None:
                 fh.truncate(log.torn_bytes)
                 log.torn_bytes = None
-            for record in numbered:
-                fh.write(dumps_canonical(record) + "\n")
+            for record in records:
+                seq += 1
+                fh.write(dumps_canonical({"sequence_no": seq, **record}) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         log.seq = seq
-        return [r["sequence_no"] for r in numbered]
+        return list(range(first + 1, seq + 1))
 
     # -- queries -----------------------------------------------------------
 
@@ -336,7 +353,7 @@ class TrajectoryLedger:
             seen.add(trajectory.trajectory_id)
         seqs = self._append_batch(
             day,
-            [
+            (
                 {
                     "kind": KIND_PREFIX,
                     "trajectory_id": trajectory.trajectory_id,
@@ -346,7 +363,7 @@ class TrajectoryLedger:
                     },
                 }
                 for trajectory, transcript in prefixes
-            ],
+            ),
         )
         for trajectory, transcript in prefixes:
             log.add_prefix(trajectory, list(transcript))
@@ -437,15 +454,22 @@ class TrajectoryLedger:
 
     # -- export --------------------------------------------------------------
 
-    def export_training_batch(self, day: date) -> list[TrainingGroup]:
-        """Build training groups for the questions issued on ``day``.
+    def export_training_batch(
+        self, day: date, question_ids: Optional[Iterable[str]] = None
+    ) -> list[TrainingGroup]:
+        """Build training groups for the questions issued on log day ``day``.
 
-        Only RESOLVED trajectories are exported; a fully discarded or still
-        pending question is absent from the batch.
+        ``question_ids`` limits the export to one batch's questions; two
+        local issue days can share a log day. Only RESOLVED trajectories are
+        exported; a fully discarded or still pending question is absent from
+        the batch. Groups are in question-id order.
         """
         log = self._day(day)
+        batch = log.by_question.keys()
+        if question_ids is not None:
+            batch = batch & set(question_ids)
         groups: list[TrainingGroup] = []
-        for question_id in self.questions_for_day(day):
+        for question_id in sorted(batch):
             resolved = [
                 log.records[tid]
                 for tid in log.by_question[question_id]

@@ -502,9 +502,12 @@ class Orchestrator:
     # -- resolve phase --------------------------------------------------------
 
     def run_resolve_phase(self, day: date, questions: Optional[list[Question]] = None) -> CycleReport:
-        """Resolve and backfill the batch issued on ``day`` (runs on day+1).
+        """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
         ``questions`` is that batch, when the caller has already read it.
+        Each agent's export holds the batch's questions only, and once its
+        export and predictions are taken the agent's ledger releases the
+        batch's log day: nothing reads a resolved batch again.
         """
         questions = self._issued_questions(day) if questions is None else questions
         now = self.config.resolve_at(day)
@@ -521,7 +524,7 @@ class Orchestrator:
             ledger = self.ledger_for(agent_name)
             ledger.backfill(ledger_day, resolution.outcomes, trajectory_reward)
             ledger.discard(ledger_day, resolution.unresolved, now)
-            groups = ledger.export_training_batch(ledger_day)
+            groups = ledger.export_training_batch(ledger_day, batch_qids)
             write_training_batch(self.export_path(agent_name, day), groups)
             groups_exported[agent_name] = len(groups)
 
@@ -534,6 +537,7 @@ class Orchestrator:
             predictions[agent_name] = [
                 ProbPrediction(prob=t.final_probability, label=t.label) for t in batch
             ]
+            ledger.release(ledger_day)
 
         report = CycleReport(
             day=day,
@@ -667,10 +671,10 @@ class Orchestrator:
     def simulate(self, days: int) -> SimulationResult:
         """Run D virtual days end to end; deterministic given the config seed.
 
-        Memory does not grow with D: once a batch is resolved and exported,
-        its cycle report keeps its resolved (probability, label) pairs for
-        the final reports, and its log day is released from every agent's
-        ledger.
+        Memory does not grow with D: a simulation holds each agent's issue
+        day until the next day's resolve reads it, and the resolve phase
+        releases it. The final reports score the resolved (probability,
+        label) pairs that each cycle report keeps.
         """
         if days < 1:
             raise ValueError("simulation needs at least one day")
@@ -678,19 +682,14 @@ class Orchestrator:
         cycle_reports: list[CycleReport] = []
         benchmark_reports: list[dict[str, Any]] = []
 
-        def resolve(day: date) -> None:
-            cycle_reports.append(self.run_resolve_phase(day))
-            for agent_name in self.config.agents:
-                self.ledger_for(agent_name).release(self.log_day(day))
-
         for offset in range(days):
             day = self.config.start_day + timedelta(days=offset)
             self.run_issue_phase(day)
             if offset > 0:
-                resolve(day - timedelta(days=1))
+                cycle_reports.append(self.run_resolve_phase(day - timedelta(days=1)))
             if self.config.benchmark.enabled:
                 benchmark_reports.append(self.run_benchmark_phase(day))
-        resolve(self.config.start_day + timedelta(days=days - 1))
+        cycle_reports.append(self.run_resolve_phase(day))  # the last day's batch
 
         final_reports = self._final_reports(cycle_reports)
         elapsed = _walltime.monotonic() - started
@@ -742,7 +741,10 @@ class Orchestrator:
         """Cron-style live driver: run every phase whose wall-clock time has passed.
 
         Intended to be invoked periodically (or once per evening); each call
-        is idempotent thanks to the phases' restartability.
+        is idempotent thanks to the phases' restartability. Nothing in the
+        evening reads today's issued day again, so it is released as soon as
+        the issue phase returns; the resolve phase releases yesterday's. When
+        the call returns, no ledger holds a day.
         """
         now = now or datetime.now(timezone.utc)
         executed: list[str] = []
@@ -750,6 +752,8 @@ class Orchestrator:
         issue_due = now >= self.config.phase_datetime(today, self.config.issue_time)
         if issue_due:
             self.run_issue_phase(today)
+            for agent_name in self.config.agents:
+                self.ledger_for(agent_name).release(self.log_day(today))
             executed.append(f"issue:{today.isoformat()}")
         yesterday = today - timedelta(days=1)
         if self.questions_path(yesterday).exists() and now >= self.config.resolve_at(yesterday):

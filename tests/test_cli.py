@@ -41,6 +41,22 @@ def test_export_command_writes_the_resolve_phases_groups_west_of_utc(tmp_path, c
         assert written and export.read_bytes() == written
 
 
+def test_export_command_writes_only_its_batch_when_two_issue_days_share_a_log_day(tmp_path, capsys):
+    # 20:00 AST on March 7 and 20:00 ADT on March 8 are both on UTC March 8
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "seed: 3\nstart_day: 2026-03-07\nquestions_per_day: 20\nevent_rate: 40\n"
+        "agents: [oracle]\ntimezone: America/Halifax\nbenchmark: {enabled: false}\n"
+    )
+    Orchestrator(CycleConfig.from_yaml(config), run_dir).simulate(2)
+    for day in ("2026-03-07", "2026-03-08"):
+        export = run_dir / "exports" / "oracle" / f"train-{day}.jsonl"
+        written = export.read_bytes()
+        export.unlink()
+        assert main(["export", "--config", str(config), "--run-dir", str(run_dir), "--day", day]) == 0
+        assert written and export.read_bytes() == written
+
 def test_simulate_command_prints_reports(tmp_path, capsys):
     code = main(
         [

@@ -95,6 +95,51 @@ def test_batch_append_assigns_increasing_sequence(tmp_path):
     assert ledger.append_prefix_batch(batch) == [1, 2, 3, 4]
 
 
+
+@pytest.mark.parametrize("bad", ["logged id", "repeated id", "not pending"])
+def test_a_rejected_prefix_batch_leaves_the_log_bytes_unchanged(tmp_path, bad):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    before = log.read_bytes()
+    good = make_trajectory(tid="q-2#k0", qid="q-2")
+    wrong = {
+        "logged id": make_trajectory(tid="q-1#k0"),
+        "repeated id": good,
+        "not pending": make_trajectory(tid="q-2#k1", qid="q-2", k=1).resolved(1, -0.09),
+    }[bad]
+    with pytest.raises(LedgerError):
+        ledger.append_prefix_batch([(good, _transcript(good)), (wrong, _transcript(wrong))])
+    assert log.read_bytes() == before
+    assert ledger.questions_for_day(DAY) == ["q-1"]
+
+
+def test_a_prefix_batch_writes_numbered_canonical_lines_after_release(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    ledger.release(DAY)
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    before = log.read_bytes()
+    batch = [make_trajectory(tid=f"q-2#k{k}", qid="q-2", k=k) for k in range(3)]
+    seqs = ledger.append_prefix_batch([(t, _transcript(t)) for t in batch])
+    assert seqs == [5, 6, 7]
+    lines = [
+        dumps_canonical(
+            {
+                "sequence_no": n,
+                "kind": "PREFIX",
+                "trajectory_id": t.trajectory_id,
+                "payload": {
+                    "trajectory": t.to_dict(),
+                    "transcript": [turn.to_dict() for turn in _transcript(t)],
+                },
+            }
+        )
+        + "\n"
+        for n, t in zip(seqs, batch)
+    ]
+    assert log.read_bytes() == before + "".join(lines).encode("utf-8")
+
 # -- backfill ---------------------------------------------------------------------
 
 
@@ -286,6 +331,15 @@ def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
     assert rewards[1] == pytest.approx(-0.01, abs=1e-12)
 
 
+def test_export_limited_to_a_batch_holds_only_its_questions(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    _group(ledger, "q-2")
+    ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    assert [g.question_id for g in ledger.export_training_batch(DAY)] == ["q-1", "q-2"]
+    assert [g.question_id for g in ledger.export_training_batch(DAY, ["q-2", "q-9"])] == ["q-2"]
+    assert ledger.export_training_batch(DAY, []) == []
+
 def test_write_training_batch_jsonl(tmp_path):
     ledger = TrajectoryLedger(tmp_path / "led")
     _group(ledger)
@@ -392,6 +446,50 @@ def test_replay_shares_equal_texts_between_steps_and_turns(tmp_path):
         assert turns[0].text is first[0].text  # one prompt for the question's K rollouts
     assert _ledger_states_equal(replayed, replay(tmp_path))
 
+
+
+def _sibling_day(root):
+    """Two resolved groups of K=4 whose equal texts are distinct objects live."""
+    ledger = TrajectoryLedger(root)
+    for qid in ("q-1", "q-2"):
+        for k in range(4):
+            _append(ledger, make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, prob=0.7))
+    ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    return ledger
+
+
+def test_replay_shares_the_equal_texts_of_siblings(tmp_path):
+    ledger = _sibling_day(tmp_path)
+    live = [ledger.get(DAY, f"q-1#k{k}") for k in range(2)]
+    assert live[0].raw_final_answer is not live[1].raw_final_answer
+    ledger.release(DAY)
+    for qid in ("q-1", "q-2"):
+        first = ledger.trajectories_for(DAY, qid)[0]
+        first_turns = ledger.transcript(DAY, first.trajectory_id)
+        for t in ledger.trajectories_for(DAY, qid):
+            turns = ledger.transcript(DAY, t.trajectory_id)
+            assert t.question_id is first.question_id
+            assert t.raw_final_answer is first.raw_final_answer
+            assert t.steps[0].action is first.steps[0].action
+            assert t.steps[0].observation is first.steps[0].observation
+            assert all(a.text is b.text for a, b in zip(turns, first_turns))
+        roles = [
+            turn.role
+            for t in ledger.trajectories_for(DAY, qid)
+            for turn in ledger.transcript(DAY, t.trajectory_id)
+        ]
+        assert roles == [ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL, ROLE_AGENT] * 4
+        assert all(any(role is r for r in (ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL)) for role in roles)
+
+
+def test_a_day_replayed_after_release_equals_the_day_held_live(tmp_path):
+    ledger = _sibling_day(tmp_path / "ledger")
+    live = _day_answers(ledger, DAY)
+    write_training_batch(tmp_path / "live.jsonl", ledger.export_training_batch(DAY))
+    ledger.release(DAY)
+    assert _day_answers(ledger, DAY) == live
+    write_training_batch(tmp_path / "replayed.jsonl", ledger.export_training_batch(DAY))
+    assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "live.jsonl").read_bytes()
 
 def test_replay_rejects_backfill_before_prefix(tmp_path):
     log = tmp_path / f"ledger-{T0.date().isoformat()}.jsonl"

@@ -411,6 +411,48 @@ def test_simulation_memory_does_not_grow_with_the_number_of_days(tmp_path):
     assert long <= 1.15 * short, (short, long)
 
 
+def test_cron_evenings_do_not_accumulate_memory(tmp_path):
+    """An orchestrator kept over five evenings holds no ledger day between them.
+
+    Each evening releases today's issued day and yesterday's resolved day,
+    so evening 5 peaks within 15% of evening 2 (~2% above it here). Keeping
+    them, as evenings once did, holds one more agent-day per agent each
+    evening, and evening 5 then peaks ~60% above evening 2.
+    """
+    config = _config(questions_per_day=30, event_rate=40, benchmark=BenchmarkSettings(enabled=False))
+    orch = Orchestrator(config, tmp_path)
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for offset in range(5):
+            tracemalloc.reset_peak()
+            orch.run_due_phases(evening(offset))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert all(orch.ledger_for(agent)._days == {} for agent in config.agents)
+    finally:
+        tracemalloc.stop()
+    assert peaks[4] <= 1.15 * peaks[1], peaks
+
+
+def test_exports_hold_only_their_batch_when_two_issue_days_share_a_log_day(tmp_path):
+    # 20:00 AST on March 7 and 20:00 ADT on March 8 are both on UTC March 8
+    start = date(2026, 3, 7)
+    config = _config(
+        seed=3, event_rate=40, timezone="America/Halifax", start_day=start,
+        benchmark=BenchmarkSettings(enabled=False),
+    )
+    orch = Orchestrator(config, tmp_path)
+    result = orch.simulate(3)
+    assert orch.log_day(start) == orch.log_day(start + timedelta(days=1))
+    for agent in config.agents:
+        exported: set[str] = set()
+        for report in result.cycle_reports:
+            qids = [row["question_id"] for row in read_jsonl(orch.export_path(agent, report.day))]
+            assert report.groups_exported[agent] == len(qids) > 0
+            assert exported.isdisjoint(qids), report.day
+            exported.update(qids)
+
 def test_benchmark_phase_caps_and_two_day_lag(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     day0, day1, day2 = START, START + timedelta(days=1), START + timedelta(days=2)
