@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 QuestionId = str
 PairId = str
@@ -200,19 +200,21 @@ class Step:
         if not self.action:
             raise ValueError("step action must be non-empty")
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, format_time: Callable[[datetime], str] = format_rfc3339) -> dict[str, Any]:
         return {
             "action": self.action,
             "observation": self.observation,
-            "issued_at": format_rfc3339(self.issued_at),
+            "issued_at": format_time(self.issued_at),
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Step":
+    def from_dict(
+        cls, data: Mapping[str, Any], parse_time: Callable[[str], datetime] = parse_rfc3339
+    ) -> "Step":
         return cls(
             action=data["action"],
             observation=data["observation"],
-            issued_at=parse_rfc3339(data["issued_at"]),
+            issued_at=parse_time(data["issued_at"]),
         )
 
 
@@ -239,8 +241,13 @@ class Trajectory:
     reward: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prediction_time", ensure_utc(self.prediction_time))
-        object.__setattr__(self, "steps", tuple(self.steps))
+        # Replay and the terminal fold build one trajectory per ledger record
+        # from values already normalized; those need no write.
+        prediction_time = ensure_utc(self.prediction_time)
+        if prediction_time is not self.prediction_time:
+            object.__setattr__(self, "prediction_time", prediction_time)
+        if type(self.steps) is not tuple:
+            object.__setattr__(self, "steps", tuple(self.steps))
 
     def resolved(self, label: int, reward: float) -> "Trajectory":
         """Return the RESOLVED copy of this trajectory; requires both fields."""
@@ -248,18 +255,42 @@ class Trajectory:
             raise ValueError(f"label must be binary, got {label!r}")
         if not -1.0 <= reward <= 0.0:
             raise ValueError(f"reward must lie in [-1, 0], got {reward!r}")
-        return replace(self, status=TrajectoryStatus.RESOLVED, label=label, reward=reward)
+        return self._terminal(TrajectoryStatus.RESOLVED, label, reward)
 
     def discarded(self) -> "Trajectory":
-        return replace(self, status=TrajectoryStatus.DISCARDED, label=None, reward=None)
+        return self._terminal(TrajectoryStatus.DISCARDED, None, None)
+
+    def _terminal(
+        self, status: TrajectoryStatus, label: Optional[int], reward: Optional[float]
+    ) -> "Trajectory":
+        # Built directly: a ledger replay folds one terminal record per
+        # trajectory, and dataclasses.replace costs several times this.
+        return Trajectory(
+            self.trajectory_id,
+            self.question_id,
+            self.rollout_index,
+            self.prediction_time,
+            self.steps,
+            self.raw_final_answer,
+            self.final_probability,
+            status,
+            label,
+            reward,
+        )
 
     def to_dict(self) -> dict[str, Any]:
+        """The wire form; the prediction instant is formatted once, for the steps too."""
+        when = format_rfc3339(self.prediction_time)
+
+        def format_time(ts: datetime) -> str:
+            return when if ts == self.prediction_time else format_rfc3339(ts)
+
         return {
             "trajectory_id": self.trajectory_id,
             "question_id": self.question_id,
             "rollout_index": self.rollout_index,
-            "prediction_time": format_rfc3339(self.prediction_time),
-            "steps": [s.to_dict() for s in self.steps],
+            "prediction_time": when,
+            "steps": [s.to_dict(format_time) for s in self.steps],
             "raw_final_answer": self.raw_final_answer,
             "final_probability": self.final_probability,
             "status": self.status.value,
@@ -268,18 +299,39 @@ class Trajectory:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Trajectory":
+    def from_dict(
+        cls,
+        data: Mapping[str, Any],
+        parse_time: Callable[[str], datetime] = parse_rfc3339,
+        steps: Optional[tuple[Step, ...]] = None,
+    ) -> "Trajectory":
+        """Decode the wire form.
+
+        A caller that decodes many records can share what they have in
+        common. ``parse_time`` decodes the prediction instant; it may return
+        one held instant per distinct string. Steps stamped with that string
+        share the instant. ``steps``, when given, are values the caller
+        already holds that equal the decoded ``data["steps"]``.
+        """
+        when = data["prediction_time"]
+        prediction_time = parse_time(when)
+        if steps is None:
+
+            def parse_step_time(text: str) -> datetime:
+                return prediction_time if text == when else parse_rfc3339(text)
+
+            steps = tuple(Step.from_dict(s, parse_step_time) for s in data["steps"])
         return cls(
-            trajectory_id=data["trajectory_id"],
-            question_id=data["question_id"],
-            rollout_index=data["rollout_index"],
-            prediction_time=parse_rfc3339(data["prediction_time"]),
-            steps=tuple(Step.from_dict(s) for s in data["steps"]),
-            raw_final_answer=data["raw_final_answer"],
-            final_probability=data["final_probability"],
-            status=TrajectoryStatus(data["status"]),
-            label=data["label"],
-            reward=data["reward"],
+            data["trajectory_id"],
+            data["question_id"],
+            data["rollout_index"],
+            prediction_time,
+            steps,
+            data["raw_final_answer"],
+            data["final_probability"],
+            TrajectoryStatus(data["status"]),
+            data["label"],
+            data["reward"],
         )
 
 

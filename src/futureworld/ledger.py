@@ -14,11 +14,11 @@ trajectory names its log day, and a day's log is read the first time that
 day is read or written. ``release`` drops a day's replayed state again, so a
 caller that is done with a day holds only the days it is still working on.
 Only the whole-history readers (``all_trajectories`` and ``replay``) read
-every log. A replayed day shares its texts: the K rollouts of a question
-take their question id, final answer, step actions and observations and
-transcript turns from one table seeded by the question's first replayed
-sibling, so equal texts are one string, and every role is a ``ROLE_*``
-constant.
+every log. A replayed day shares equal values: the K rollouts of a question
+take their question id, texts, steps and transcript turns from one table
+kept while the question's records are replayed, so equal values are one
+object, and every role is a ``ROLE_*`` constant. A batch is stamped with one
+instant, and each distinct timestamp string of a day is parsed once.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
@@ -40,8 +40,9 @@ from .domain import (
     Trajectory,
     TrajectoryStatus,
     format_rfc3339,
+    parse_rfc3339,
 )
-from .jsonl import dumps_canonical, write_jsonl
+from .jsonl import canonical_encoder, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
 
@@ -153,6 +154,29 @@ class _StoredTrajectory:
 
 
 @dataclass
+class _SiblingTable:
+    """The values of one question's replayed rollouts, each keyed by its wire form.
+
+    A text is keyed by itself, a step by its (action, observation,
+    issued_at) strings and a turn by its (role, text).
+    """
+
+    question_id: str
+    values: dict[Any, Any] = field(default_factory=dict)
+
+    def seed(self, trajectory: Trajectory, transcript: Sequence[Turn]) -> None:
+        share = self.values.setdefault
+        share(trajectory.raw_final_answer, trajectory.raw_final_answer)
+        for step in trajectory.steps:
+            share(step.action, step.action)
+            share(step.observation, step.observation)
+            share((step.action, step.observation, format_rfc3339(step.issued_at)), step)
+        for turn in transcript:
+            share(turn.text, turn.text)
+            share((turn.role, turn.text), turn)
+
+
+@dataclass
 class _DayLog:
     """The replayed state of one day's log."""
 
@@ -164,6 +188,10 @@ class _DayLog:
     seq: int = 0
     #: byte length up to the last complete line, when replay skipped a torn final line
     torn_bytes: Optional[int] = None
+    #: replay memo: each distinct prediction-instant string, parsed once
+    instants: dict[str, datetime] = field(default_factory=dict)
+    #: replay memo: the sibling table of the question replayed last
+    siblings: Optional[_SiblingTable] = None
 
     # -- state transitions (shared by live mutation and replay) -------------
 
@@ -171,10 +199,10 @@ class _DayLog:
         self.records[trajectory.trajectory_id] = _StoredTrajectory(trajectory, transcript)
         self.by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
 
-    def add_terminal(self, record: Mapping[str, Any]) -> None:
-        stored = self.records[record["trajectory_id"]]
-        if record["kind"] == KIND_BACKFILL:
-            payload = record["payload"]
+    def add_terminal(
+        self, stored: _StoredTrajectory, kind: str, payload: Mapping[str, Any]
+    ) -> None:
+        if kind == KIND_BACKFILL:
             stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
         else:
             stored.trajectory = stored.trajectory.discarded()
@@ -192,46 +220,74 @@ class _DayLog:
                 raise ReplayError(f"duplicate PREFIX for {tid}", seq)
             self.add_prefix(*self._decode_prefix(payload))
         elif kind in (KIND_BACKFILL, KIND_DISCARD):
-            if tid not in self.records:
+            stored = self.records.get(tid)
+            if stored is None:
                 raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
-            if self.records[tid].trajectory.status is not TrajectoryStatus.PENDING:
+            if stored.trajectory.status is not TrajectoryStatus.PENDING:
                 raise ReplayError(f"second terminal record for {tid}", seq)
-            self.add_terminal(record)
+            self.add_terminal(stored, kind, payload)
         else:
             raise ReplayError(f"unknown record kind {kind!r}", seq)
         self.seq = seq
 
     def _decode_prefix(self, payload: dict[str, Any]) -> tuple[Trajectory, list[Turn]]:
-        """Decode a PREFIX payload, sharing each text that equals one already held.
+        """Decode a PREFIX payload, sharing each value that equals one already held.
 
-        The texts come from a table seeded with the question's first replayed
-        sibling: its question id and its transcript's texts, which are its
-        prompt, step actions and observations, and final answer. Equal texts
-        of the K rollouts, and of a step and its turn, then are one string,
-        and each role is the module's ``ROLE_*`` constant.
+        Texts, steps and turns come from the sibling table of the record's
+        question, so the equal values of its K rollouts, and the equal texts
+        of a step and its turn, are one object; each role is the module's
+        ``ROLE_*`` constant. Prediction instants come from ``instants``.
         """
         data = payload["trajectory"]
-        share = self._sibling_texts(data["question_id"]).setdefault
-        data["question_id"] = share(data["question_id"], data["question_id"])
+        table = self._sibling_table(data["question_id"])
+        values = table.values
+        share = values.setdefault
+        data["question_id"] = table.question_id
         data["raw_final_answer"] = share(data["raw_final_answer"], data["raw_final_answer"])
-        for step in data["steps"]:
-            step["action"] = share(step["action"], step["action"])
-            step["observation"] = share(step["observation"], step["observation"])
-        transcript = [
-            Turn(_ROLES.get(t["role"], t["role"]), share(t["text"], t["text"]))
-            for t in payload.get("transcript", [])
-        ]
-        return Trajectory.from_dict(data), transcript
+        keys = [(s["action"], s["observation"], s["issued_at"]) for s in data["steps"]]
+        steps = [values.get(key) for key in keys]
+        if None in steps:
+            for step in data["steps"]:
+                step["action"] = share(step["action"], step["action"])
+                step["observation"] = share(step["observation"], step["observation"])
+            trajectory = Trajectory.from_dict(data, self._instant)
+            for key, step in zip(keys, trajectory.steps):
+                share(key, step)
+        else:
+            trajectory = Trajectory.from_dict(data, self._instant, tuple(steps))
+        transcript = []
+        for t in payload.get("transcript", ()):
+            key = (t["role"], t["text"])
+            turn = values.get(key)
+            if turn is None:
+                turn = Turn(_ROLES.get(t["role"], t["role"]), share(t["text"], t["text"]))
+                share(key, turn)
+            transcript.append(turn)
+        return trajectory, transcript
 
-    def _sibling_texts(self, question_id: str) -> dict[str, str]:
-        """The texts of the question's first replayed sibling, each keyed by itself."""
+    def _sibling_table(self, question_id: str) -> _SiblingTable:
+        """The question's sibling table, kept while its rollouts are replayed in a row.
+
+        A question's K rollouts are appended together, so one table is held
+        at a time. A question met again later (a group completed after a
+        crash) gets a table seeded from its first replayed sibling.
+        """
+        table = self.siblings
+        if table is not None and table.question_id == question_id:
+            return table
+        table = self.siblings = _SiblingTable(question_id)
         siblings = self.by_question.get(question_id)
-        if not siblings:
-            return {}
-        first = self.records[siblings[0]]
-        texts = {turn.text: turn.text for turn in first.transcript}
-        texts[first.trajectory.question_id] = first.trajectory.question_id
-        return texts
+        if siblings:
+            first = self.records[siblings[0]]
+            table.question_id = first.trajectory.question_id
+            table.seed(first.trajectory, first.transcript)
+        return table
+
+    def _instant(self, text: str) -> datetime:
+        instant = self.instants.get(text)
+        if instant is None:
+            instant = self.instants[text] = parse_rfc3339(text)
+        return instant
 
 
 class TrajectoryLedger:
@@ -283,22 +339,31 @@ class TrajectoryLedger:
         """Every day's state, in log-day order."""
         return [self._day(day) for day in self.log_days()]
 
-    def _append_batch(self, day: date, records: Iterable[dict[str, Any]]) -> list[int]:
+    def _append_batch(
+        self, day: date, records: Iterable[tuple[str, str, Mapping[str, Any]]]
+    ) -> list[int]:
         """Write a batch of records durably: one flush+fsync per call.
 
-        Records are numbered and written as they are drawn from ``records``,
-        so a batch is never held a second time as numbered dicts. Returns
-        their sequence numbers.
+        Each record is (kind, trajectory id, payload). Records are numbered
+        and written as they are drawn from ``records``, so a batch is never
+        held a second time as numbered dicts. Returns their sequence numbers.
         """
         log = self._day(day)
         first = seq = log.seq
+        encode = canonical_encoder()
         with self._log_path(day).open("a", encoding="utf-8") as fh:
             if log.torn_bytes is not None:
                 fh.truncate(log.torn_bytes)
                 log.torn_bytes = None
-            for record in records:
+            for kind, trajectory_id, payload in records:
                 seq += 1
-                fh.write(dumps_canonical({"sequence_no": seq, **record}) + "\n")
+                line = {
+                    "kind": kind,
+                    "payload": payload,
+                    "sequence_no": seq,
+                    "trajectory_id": trajectory_id,
+                }
+                fh.write(encode(line) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         log.seq = seq
@@ -354,14 +419,14 @@ class TrajectoryLedger:
         seqs = self._append_batch(
             day,
             (
-                {
-                    "kind": KIND_PREFIX,
-                    "trajectory_id": trajectory.trajectory_id,
-                    "payload": {
+                (
+                    KIND_PREFIX,
+                    trajectory.trajectory_id,
+                    {
                         "trajectory": trajectory.to_dict(),
                         "transcript": [t.to_dict() for t in transcript],
                     },
-                }
+                )
                 for trajectory, transcript in prefixes
             ),
         )
@@ -388,16 +453,16 @@ class TrajectoryLedger:
                 labels[qid] = resolved[0] if resolved else outcome.label
             if labels[qid] != outcome.label:
                 raise ConflictingOutcomeError(f"question {qid} resolved with label {labels[qid]}")
-        return self._append_terminals(
-            day,
-            outcomes,
-            KIND_BACKFILL,
-            lambda trajectory, outcome: {
+
+        def payloads_for(outcome: Outcome) -> Callable[[Trajectory], dict[str, Any]]:
+            resolved_at = format_rfc3339(outcome.resolved_at)
+            return lambda trajectory: {
                 "label": outcome.label,
                 "reward": reward_fn(trajectory.final_probability, outcome.label),
-                "resolved_at": format_rfc3339(outcome.resolved_at),
-            },
-        )
+                "resolved_at": resolved_at,
+            }
+
+        return self._append_terminals(day, outcomes, KIND_BACKFILL, payloads_for)
 
     def discard(self, day: date, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
         """Discard every PENDING trajectory of each unresolved question; RESOLVED are untouched.
@@ -405,30 +470,29 @@ class TrajectoryLedger:
         ``day`` is the log day the questions' prefixes were issued on. An
         unknown question rejects the whole batch before anything is written.
         """
-        return self._append_terminals(
-            day,
-            unresolved,
-            KIND_DISCARD,
-            lambda trajectory, item: {
-                "reason": item.reason,
-                "decided_at": format_rfc3339(decided_at),
-            },
-        )
+        decided = format_rfc3339(decided_at)
+
+        def payloads_for(item: Unresolved) -> Callable[[Trajectory], dict[str, Any]]:
+            payload = {"reason": item.reason, "decided_at": decided}
+            return lambda trajectory: payload
+
+        return self._append_terminals(day, unresolved, KIND_DISCARD, payloads_for)
 
     def _append_terminals(
         self,
         day: date,
         items: Sequence[_Item],
         kind: str,
-        payload_for: Callable[[Trajectory, _Item], dict[str, Any]],
+        payloads_for: Callable[[_Item], Callable[[Trajectory], Mapping[str, Any]]],
     ) -> int:
         """Give every PENDING trajectory of the items' questions a terminal record.
 
-        Records keep item order, then log order within a question, and go
-        out in one append. Returns the number written.
+        ``payloads_for(item)`` gives the payload of each of the item's
+        trajectories. Records keep item order, then log order within a
+        question, and go out in one append. Returns the number written.
         """
         log = self._day(day)
-        records: list[dict[str, Any]] = []
+        pending: list[tuple[_StoredTrajectory, Mapping[str, Any]]] = []
         seen: set[str] = set()
         for item in items:
             if item.question_id not in log.by_question:
@@ -436,21 +500,19 @@ class TrajectoryLedger:
             if item.question_id in seen:
                 continue
             seen.add(item.question_id)
+            payload_for = payloads_for(item)
             for tid in log.by_question[item.question_id]:
-                trajectory = log.records[tid].trajectory
-                if trajectory.status is TrajectoryStatus.PENDING:
-                    records.append(
-                        {
-                            "kind": kind,
-                            "trajectory_id": tid,
-                            "payload": payload_for(trajectory, item),
-                        }
-                    )
-        if records:
-            self._append_batch(day, records)
-            for record in records:
-                log.add_terminal(record)
-        return len(records)
+                stored = log.records[tid]
+                if stored.trajectory.status is TrajectoryStatus.PENDING:
+                    pending.append((stored, payload_for(stored.trajectory)))
+        if pending:
+            self._append_batch(
+                day,
+                ((kind, stored.trajectory.trajectory_id, payload) for stored, payload in pending),
+            )
+            for stored, payload in pending:
+                log.add_terminal(stored, kind, payload)
+        return len(pending)
 
     # -- export --------------------------------------------------------------
 
@@ -469,6 +531,8 @@ class TrajectoryLedger:
         if question_ids is not None:
             batch = batch & set(question_ids)
         groups: list[TrainingGroup] = []
+        #: role sequence -> its mask spans; a batch's transcripts have a few shapes
+        spans: dict[tuple[str, ...], list[MaskSpan]] = {}
         for question_id in sorted(batch):
             resolved = [
                 log.records[tid]
@@ -480,17 +544,21 @@ class TrajectoryLedger:
             resolved.sort(key=lambda s: s.trajectory.rollout_index)
             rewards = [s.trajectory.reward for s in resolved]
             advantages = compute_group_advantages(rewards)
-            entries = [
-                TrainingEntry(
-                    trajectory_id=s.trajectory.trajectory_id,
-                    rollout_index=s.trajectory.rollout_index,
-                    transcript=list(s.transcript),
-                    mask_spans=mask_spans_for(s.transcript),
-                    reward=reward,
-                    advantage=advantage,
+            entries = []
+            for s, reward, advantage in zip(resolved, rewards, advantages):
+                roles = tuple(turn.role for turn in s.transcript)
+                if roles not in spans:
+                    spans[roles] = mask_spans_for(s.transcript)
+                entries.append(
+                    TrainingEntry(
+                        trajectory_id=s.trajectory.trajectory_id,
+                        rollout_index=s.trajectory.rollout_index,
+                        transcript=list(s.transcript),
+                        mask_spans=list(spans[roles]),
+                        reward=reward,
+                        advantage=advantage,
+                    )
                 )
-                for s, reward, advantage in zip(resolved, rewards, advantages)
-            ]
             groups.append(
                 TrainingGroup(
                     question_id=question_id,
@@ -517,13 +585,14 @@ def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Opti
     follows it, in which case it is the torn line.
     """
     complete_bytes = 0
+    decode = json.JSONDecoder().decode
     with path.open("rb") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
                 return complete_bytes  # an unterminated tail is torn, even if it parses
-            if line.strip():
+            if not line.isspace():
                 try:
-                    record = json.loads(line)
+                    record = decode(line.decode())
                 except ValueError:
                     rest = fh.readline()
                     if rest.endswith(b"\n") or rest.strip():

@@ -19,14 +19,11 @@ without changing the final ledger.
 from __future__ import annotations
 
 import time as _walltime
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 from zoneinfo import ZoneInfo
-
-import yaml
 
 from .agents import SCRIPTED_AGENTS, SimulatedSearchTool, make_scripted_agent
 from .benchmark import (
@@ -156,7 +153,20 @@ class CycleConfig:
 
     @classmethod
     def from_yaml(cls, path: Path) -> "CycleConfig":
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        """Load a config file; an empty file means the defaults.
+
+        YAML is imported here, not with the module: only ``--config`` needs it.
+        """
+        import yaml
+
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        if raw is None:
+            raw = {}
+        elif not isinstance(raw, dict):
+            raise ValueError(
+                f"config {path}: the top level must be a mapping of settings, "
+                f"got {type(raw).__name__}"
+            )
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(map(str, unknown))}")
@@ -403,6 +413,8 @@ class Orchestrator:
             if self.config.max_workers > 1:
                 # Rollouts fan out to a bounded pool; groups are appended in
                 # question order afterwards so the ledger stays deterministic.
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(max_workers=self.config.max_workers) as pool:
                     group_results = list(pool.map(roll, pending))
             else:

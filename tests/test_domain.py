@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -133,6 +134,21 @@ def test_discarded_constructor_strips_label_and_reward():
     d = t.discarded()
     assert d.status is TrajectoryStatus.DISCARDED
     assert d.label is None and d.reward is None
+
+
+def test_terminal_constructors_equal_dataclasses_replace():
+    rng = random.Random(5)
+    for _ in range(50):
+        t = replace(_random_trajectory(rng), status=TrajectoryStatus.PENDING, label=None, reward=None)
+        label, reward = rng.randrange(2), -round(rng.random(), 6)
+        assert t.resolved(label, reward) == replace(
+            t, status=TrajectoryStatus.RESOLVED, label=label, reward=reward
+        )
+        assert t.discarded() == replace(t, status=TrajectoryStatus.DISCARDED, label=None, reward=None)
+        with pytest.raises(ValueError, match="label must be binary"):
+            t.resolved(2, reward)
+        with pytest.raises(ValueError, match="reward must lie in"):
+            t.resolved(label, 0.5)
 
 
 # -- serialization round trips ---------------------------------------------------

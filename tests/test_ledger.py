@@ -10,7 +10,8 @@ from datetime import timedelta
 import pytest
 
 from futureworld import ledger as ledger_module
-from futureworld.domain import Outcome, TrajectoryStatus
+from futureworld.agents import SimulatedSearchTool, make_scripted_agent
+from futureworld.domain import Outcome, Trajectory, TrajectoryStatus
 from futureworld.jsonl import dumps_canonical
 from futureworld.ledger import (
     ConflictingOutcomeError,
@@ -23,10 +24,10 @@ from futureworld.ledger import (
     write_training_batch,
 )
 from futureworld.resolve import Unresolved
-from futureworld.rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
+from futureworld.rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, RolloutLimits, Turn, run_group
 from futureworld.scoring import trajectory_reward
 
-from conftest import T0, T1, make_step, make_trajectory
+from conftest import T0, T1, make_question, make_step, make_trajectory
 
 
 def _transcript(t):
@@ -480,6 +481,107 @@ def test_replay_shares_the_equal_texts_of_siblings(tmp_path):
         ]
         assert roles == [ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL, ROLE_AGENT] * 4
         assert all(any(role is r for r in (ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL)) for role in roles)
+
+
+def _agent_day(root, agent_name, clock):
+    """One agent's day log: three groups of K=4 rolled out by a scripted agent.
+
+    q-0 is backfilled, q-1 discarded and q-2 left pending.
+    """
+    questions = [make_question(qid=f"q-{i}", text=f"Will event {i} happen?") for i in range(3)]
+    tool = SimulatedSearchTool(latent_by_text={q.text: 0.2 + 0.3 * i for i, q in enumerate(questions)})
+    agent = make_scripted_agent(agent_name, seed=5)
+    prefixes = [
+        (r.trajectory, r.transcript)
+        for q in questions
+        for r in run_group(q, "prompt: " + q.text, agent, tool, RolloutLimits(), 4, clock=clock)
+    ]
+    ledger = TrajectoryLedger(root)
+    ledger.append_prefix_batch(prefixes)
+    ledger.backfill(DAY, [Outcome(question_id="q-0", label=1, resolved_at=T1)], trajectory_reward)
+    ledger.discard(DAY, [Unresolved("q-1", "postponed")], T1)
+    return ledger
+
+
+def _reference_day(log):
+    """Decode a day log record by record, sharing nothing: {trajectory id: (trajectory, turns)}."""
+    state = {}
+    with log.open("rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break  # a torn tail
+            record = json.loads(line)
+            tid, payload = record["trajectory_id"], record["payload"]
+            if record["kind"] == "PREFIX":
+                turns = [Turn(t["role"], t["text"]) for t in payload["transcript"]]
+                state[tid] = (Trajectory.from_dict(payload["trajectory"]), turns)
+            elif record["kind"] == "BACKFILL":
+                t, turns = state[tid]
+                resolved = replace(
+                    t, status=TrajectoryStatus.RESOLVED, label=payload["label"], reward=payload["reward"]
+                )
+                state[tid] = (resolved, turns)
+            else:
+                t, turns = state[tid]
+                state[tid] = (replace(t, status=TrajectoryStatus.DISCARDED), turns)
+    return state
+
+
+@pytest.mark.parametrize(
+    "agent_name, clock",
+    [("oracle", lambda: T0), ("noisy", lambda: T0 + timedelta(seconds=7))],
+    ids=["equal siblings", "distinct siblings"],
+)
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn tail"])
+def test_a_replayed_day_equals_a_reference_decode(tmp_path, agent_name, clock, torn):
+    _agent_day(tmp_path, agent_name, clock)
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    if torn:
+        with log.open("a") as fh:
+            fh.write('{"kind":"PREFIX","payload":{"traj')
+    reference = _reference_day(log)
+    replayed = TrajectoryLedger(tmp_path)
+    ids = [t.trajectory_id for t in replayed.all_trajectories()]
+    assert ids == list(reference)
+    for tid, (trajectory, turns) in reference.items():
+        assert replayed.get(DAY, tid) == trajectory
+        assert replayed.transcript(DAY, tid) == turns
+    statuses = {t.status for t, _ in reference.values()}
+    assert statuses == {TrajectoryStatus.RESOLVED, TrajectoryStatus.DISCARDED, TrajectoryStatus.PENDING}
+    siblings = replayed.trajectories_for(DAY, "q-0")
+    finals = {t.raw_final_answer for t in siblings}
+    assert len(finals) == (1 if agent_name == "oracle" else 4)
+    for t in siblings:
+        assert t.steps[0] is siblings[0].steps[0]
+        assert t.prediction_time is siblings[0].prediction_time
+
+
+def test_release_drops_the_replay_memos_and_a_new_access_rebuilds_them(tmp_path):
+    ledger = _agent_day(tmp_path / "ledger", "oracle", lambda: T0)
+    ledger.release(DAY)
+    ledger.trajectories_for(DAY, "q-0")
+    held = ledger._days[DAY]
+    assert held.siblings is not None and held.siblings.question_id == "q-2"
+    assert list(held.instants) == [T0.isoformat()]
+    ledger.release(DAY)
+    assert DAY not in ledger._days
+    ledger.trajectories_for(DAY, "q-0")
+    rebuilt = ledger._days[DAY]
+    assert rebuilt is not held and rebuilt.siblings is not held.siblings
+    assert rebuilt.siblings.question_id == "q-2" and list(rebuilt.instants) == [T0.isoformat()]
+
+
+def test_a_group_completed_later_in_the_log_shares_its_first_siblings_values(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    for qid, ks in (("q-1", (0, 1)), ("q-2", (0, 1, 2, 3)), ("q-1", (2, 3))):
+        for k in ks:
+            _append(ledger, make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k))
+    ledger.release(DAY)
+    first, *rest = ledger.trajectories_for(DAY, "q-1")
+    first_turns = ledger.transcript(DAY, first.trajectory_id)
+    for t in rest:
+        assert t.steps[0] is first.steps[0]
+        assert all(a is b for a, b in zip(ledger.transcript(DAY, t.trajectory_id), first_turns))
 
 
 def test_a_day_replayed_after_release_equals_the_day_held_live(tmp_path):

@@ -581,6 +581,22 @@ def test_config_yaml_names_unknown_keys(tmp_path):
         CycleConfig.from_yaml(config_file)
 
 
+@pytest.mark.parametrize(
+    "text, kind", [("5\n", "int"), ("- oracle\n", "list")], ids=["scalar", "list"]
+)
+def test_config_yaml_top_level_must_be_a_mapping(tmp_path, text, kind):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text(text)
+    with pytest.raises(ValueError, match=f"top level must be a mapping of settings, got {kind}"):
+        CycleConfig.from_yaml(config_file)
+
+
+def test_an_empty_config_yaml_means_the_defaults(tmp_path):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text("")
+    assert CycleConfig.from_yaml(config_file) == CycleConfig()
+
+
 @pytest.mark.parametrize("declared", [False, True], ids=["built-in", "declared"])
 @pytest.mark.parametrize("tz", ["Asia/Tokyo", "Europe/Berlin"])
 def test_synthetic_events_resolve_at_the_cycle_resolve_time(tmp_path, tz, declared):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +77,19 @@ def test_every_module_is_loaded_and_every_exported_name_resolves():
     package = importlib.import_module("futureworld")
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert missing == []
+
+
+def test_importing_the_package_leaves_out_what_no_default_path_runs():
+    """YAML (``--config``) and the thread pool (``max_workers > 1``) load on first use."""
+    probe = (
+        "import sys, futureworld; "
+        "print(sorted({'yaml', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
