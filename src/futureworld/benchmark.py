@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime
 from typing import Any, Mapping, Optional, Protocol, Sequence
 
 from .prompts import (
@@ -90,11 +90,14 @@ class BenchmarkPoolConfig:
 
 
 def generate_benchmark_pool(
-    day: date, config: BenchmarkPoolConfig, seed: int
+    day: date, config: BenchmarkPoolConfig, seed: int, resolve_at: datetime
 ) -> tuple[list[BenchmarkQuestion], list[GoldRecord]]:
-    """Generate one day's typed benchmark pool and its gold sidecar."""
+    """Generate one day's typed benchmark pool and its gold sidecar.
+
+    Every question resolves at ``resolve_at``, the cycle's resolve instant
+    for ``day`` (``CycleConfig.resolve_at``).
+    """
     rng = random.Random(derive_seed(seed, "benchmark-pool", day.isoformat()))
-    resolve_at = datetime.combine(day + timedelta(days=1), time(20, 30), tzinfo=timezone.utc)
     questions: list[BenchmarkQuestion] = []
     gold: list[GoldRecord] = []
 

@@ -2,15 +2,18 @@
 
 This stands in for a pretrained semantic encoder so that similarity
 resampling is deterministic and dependency-free. ``HashingEmbedder`` holds
-the parameters; ``embed_text`` does the work.
+the parameters; ``embed_text`` does the work, and is the only place here
+that loads numpy: only resampling over quota embeds.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,8 @@ def embed_text(text: str, embedder: HashingEmbedder) -> np.ndarray:
     All-zero accumulations (empty text) map to the first canonical basis
     vector so the output is always unit-norm.
     """
+    import numpy as np
+
     vec = np.zeros(embedder.dim, dtype=float)
     prefix = f"{embedder.seed}:".encode("utf-8")
     for gram in _grams(text):

@@ -182,30 +182,33 @@ class CycleConfig:
         if "start_day" in raw:
             kwargs["start_day"] = date.fromisoformat(str(raw["start_day"]))
         if "agents" in raw:
-            kwargs["agents"] = tuple(raw["agents"])
+            kwargs["agents"] = tuple(_list(raw["agents"], "agents"))
         if "limits" in raw:
-            kwargs["limits"] = RolloutLimits(**raw["limits"])
+            kwargs["limits"] = _section(RolloutLimits, raw["limits"], "limits")
         if "benchmark" in raw:
-            b = dict(raw["benchmark"])
+            b = dict(_mapping(raw["benchmark"], "benchmark"))
             if "caps" in b:
-                b["caps"] = BenchmarkCaps(**b["caps"])
+                b["caps"] = _section(BenchmarkCaps, b["caps"], "benchmark.caps")
             if "pool" in b:
-                b["pool"] = BenchmarkPoolConfig(**b["pool"])
-            kwargs["benchmark"] = BenchmarkSettings(**b)
+                b["pool"] = _section(BenchmarkPoolConfig, b["pool"], "benchmark.pool")
+            kwargs["benchmark"] = _section(BenchmarkSettings, b, "benchmark")
         if "sources" in raw:
             kwargs["sources"] = tuple(
                 SourceSpec(
                     source_id=s["source_id"],
                     kind=s["kind"],
                     domain_hint=s.get("domain_hint", "other"),
-                    params=s.get("params", {}),
+                    params=_mapping(s.get("params", {}), f"sources[{i}].params"),
                 )
-                for s in raw["sources"]
+                for i, s in enumerate(_entries(raw["sources"], "sources"))
             )
         if "domain_rules" in raw:
             kwargs["domain_rules"] = tuple(
-                DomainRule(label=r["label"], keywords=tuple(r["keywords"]))
-                for r in raw["domain_rules"]
+                DomainRule(
+                    label=r["label"],
+                    keywords=tuple(_list(r["keywords"], f"domain_rules[{i}].keywords")),
+                )
+                for i, r in enumerate(_entries(raw["domain_rules"], "domain_rules"))
             )
         if "question_templates" in raw:
             kwargs["question_templates"] = tuple(
@@ -214,13 +217,40 @@ class CycleConfig:
                     pattern=t["pattern"],
                     description_pattern=t.get("description_pattern"),
                 )
-                for t in raw["question_templates"]
+                for t in _entries(raw["question_templates"], "question_templates")
             )
         if "blocklist" in raw:
-            kwargs["blocklist"] = tuple(raw["blocklist"])
+            kwargs["blocklist"] = tuple(_list(raw["blocklist"], "blocklist"))
         if "answer_files" in raw:
-            kwargs["answer_files"] = dict(raw["answer_files"])
+            kwargs["answer_files"] = dict(_mapping(raw["answer_files"], "answer_files"))
         return cls(**kwargs)
+
+
+def _mapping(value: Any, name: str) -> dict:
+    """A config section that must be a mapping, or a ``ValueError`` naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config {name} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _list(value: Any, name: str) -> list:
+    """A config value that must be a list; a string is not split into letters."""
+    if not isinstance(value, list):
+        raise ValueError(f"config {name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _entries(value: Any, name: str) -> list[dict]:
+    """A config list whose entries must each be a mapping."""
+    return [_mapping(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name))]
+
+
+def _section(cls: type, value: Any, name: str) -> Any:
+    """``cls`` built from a mapping section whose keys must be ``cls``'s fields."""
+    unknown = sorted(set(_mapping(value, name)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown keys in config {name}: {', '.join(map(str, unknown))}")
+    return cls(**value)
 
 
 def _parse_clock(text: str) -> time:
@@ -613,7 +643,9 @@ class Orchestrator:
         if issued_path.exists():
             selection = [BenchmarkQuestion.from_dict(r) for r in read_jsonl(issued_path)]
         else:
-            pool, gold = generate_benchmark_pool(day, settings.pool, self.config.seed)
+            pool, gold = generate_benchmark_pool(
+                day, settings.pool, self.config.seed, self.config.resolve_at(day)
+            )
             selection = select_daily_benchmark(
                 pool, settings.caps, derive_seed(self.config.seed, "bench-day", day.isoformat())
             )

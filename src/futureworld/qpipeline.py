@@ -10,7 +10,8 @@ Stages, in order:
      cluster (the pair closest to its centroid).
 
 The judges are rule-based in both modes; ``default_judges`` is the one place
-that builds them.
+that builds them. numpy is imported by the K-means functions, not with the
+module: a day that issues no more pairs than its target never embeds.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Mapping, Optional, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Protocol, Sequence
 
 from .domain import (
     CandidateEvent,
@@ -32,6 +31,9 @@ from .domain import (
 )
 from .embedding import HashingEmbedder, embed_text
 from .seeding import derive_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FILTER_NAMES = ("resolvable", "meaningful", "safe")
 
@@ -364,6 +366,8 @@ def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     minimum has its exact distances to those centres recomputed as the
     reference does, since hashed embeddings tie exactly and often.
     """
+    import numpy as np
+
     sq = (
         np.einsum("ij,ij->i", points, points)[:, None]
         + np.einsum("ij,ij->i", centroids, centroids)[None, :]
@@ -387,6 +391,8 @@ def _kmeans(
     ties go to the lowest center index; empty clusters are refilled with the
     point farthest from the centroid of the largest cluster.
     """
+    import numpy as np
+
     n = points.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -444,6 +450,8 @@ def resample_domain(
         return list(pairs)
     if budget == 0:
         return []
+
+    import numpy as np
 
     points = np.stack([embed_pair(p, embedder) for p in pairs])
     assignments = _kmeans(points, budget, seed)

@@ -12,7 +12,8 @@ Benchmark scores (all in [0, 1], reported on a 0-100 scale)
     overall  = equal-weight mean over the question types that have at least
                one resolved question
 
-Uncertainty is reported as seeded percentile bootstrap intervals.
+Uncertainty is reported as seeded percentile bootstrap intervals. Only they
+use numpy, and they import it when called: point metrics need no numpy.
 
 Treatment of invalid probabilistic outputs, declared here once: reward -1,
 accuracy counts them wrong, Brier assigns the worst-case term 1.0, and ECE
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,8 @@ def _resample_blocks(n: int, n_resamples: int, seed: int) -> Iterator[np.ndarray
     """
     if n == 0:
         raise ValueError("cannot bootstrap an empty sample")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, n_resamples, rows):
@@ -213,6 +217,8 @@ def _resample_blocks(n: int, n_resamples: int, seed: int) -> Iterator[np.ndarray
 
 
 def _percentile_interval(stats: list[np.ndarray], level: float) -> tuple[float, float]:
+    import numpy as np
+
     alpha = (1.0 - level) / 2.0
     low, high = np.quantile(np.concatenate(stats), [alpha, 1.0 - alpha])
     return float(low), float(high)
@@ -225,6 +231,8 @@ def bootstrap_ci(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Seeded percentile bootstrap interval for the mean of per-question scores."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     means = [arr[idx].mean(axis=1) for idx in _resample_blocks(len(arr), n_resamples, seed)]
     return _percentile_interval(means, level)
@@ -244,6 +252,8 @@ def bootstrap_metric_ci(
     bit for bit: bin sums accumulate in resample order and the bins' terms
     are added in bin order, as ``ece`` adds them.
     """
+    import numpy as np
+
     bins = ECE_BINS
     p = np.asarray(probs, dtype=float)
     z = np.asarray(labels, dtype=float)

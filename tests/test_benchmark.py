@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, datetime, timezone
 
 import pytest
 
@@ -15,11 +15,12 @@ from futureworld.benchmark import (
 from futureworld.prompts import BenchmarkCaps, select_daily_benchmark
 
 DAY = date(2026, 3, 2)
+RESOLVE_AT = datetime(2026, 3, 3, 20, 30, tzinfo=timezone.utc)
 
 
 def test_pool_generation_counts_and_determinism():
     config = BenchmarkPoolConfig()
-    questions, gold = generate_benchmark_pool(DAY, config, seed=3)
+    questions, gold = generate_benchmark_pool(DAY, config, seed=3, resolve_at=RESOLVE_AT)
     by_type = {}
     for q in questions:
         by_type[q.qtype] = by_type.get(q.qtype, 0) + 1
@@ -29,13 +30,15 @@ def test_pool_generation_counts_and_determinism():
         "difficult_mc": config.difficult_mc,
         "numeric": config.numeric,
     }
-    again, _ = generate_benchmark_pool(DAY, config, seed=3)
+    again, _ = generate_benchmark_pool(DAY, config, seed=3, resolve_at=RESOLVE_AT)
     assert [q.to_dict() for q in questions] == [q.to_dict() for q in again]
     assert len(gold) == len(questions)
 
 
 def test_numeric_questions_carry_seven_known_values():
-    questions, gold = generate_benchmark_pool(DAY, BenchmarkPoolConfig(), seed=1)
+    questions, gold = generate_benchmark_pool(
+        DAY, BenchmarkPoolConfig(), seed=1, resolve_at=RESOLVE_AT
+    )
     gold_by_id = {g.question_id: g for g in gold}
     for q in questions:
         if q.qtype == "numeric":
@@ -44,7 +47,9 @@ def test_numeric_questions_carry_seven_known_values():
 
 
 def test_gold_options_are_valid_indices():
-    questions, gold = generate_benchmark_pool(DAY, BenchmarkPoolConfig(), seed=2)
+    questions, gold = generate_benchmark_pool(
+        DAY, BenchmarkPoolConfig(), seed=2, resolve_at=RESOLVE_AT
+    )
     by_id = {q.id: q for q in questions}
     for record in gold:
         q = by_id[record.question_id]
@@ -58,7 +63,10 @@ def test_gold_options_are_valid_indices():
 
 def test_selection_from_generated_pool_respects_caps():
     questions, _ = generate_benchmark_pool(
-        DAY, BenchmarkPoolConfig(binary_choice=9, simple_mc=20, difficult_mc=30, numeric=40), seed=4
+        DAY,
+        BenchmarkPoolConfig(binary_choice=9, simple_mc=20, difficult_mc=30, numeric=40),
+        seed=4,
+        resolve_at=RESOLVE_AT,
     )
     selected = select_daily_benchmark(questions, BenchmarkCaps(), seed=1)
     counts = {}
@@ -72,7 +80,7 @@ def _score_setup(unresolved_type=None):
         binary_choice=4, simple_mc=4, difficult_mc=4, numeric=4, unresolved_rate=0.0,
         unresolved_rate_by_type={unresolved_type: 1.0} if unresolved_type else {},
     )
-    questions, gold = generate_benchmark_pool(DAY, config, seed=5)
+    questions, gold = generate_benchmark_pool(DAY, config, seed=5, resolve_at=RESOLVE_AT)
     gold_map = {g.question_id: g for g in gold}
     answerer = SeededAnswerer(name="tester", skill=0.8, seed=6, gold=gold_map)
     answers = {q.id: answerer.answer(q) for q in questions}

@@ -11,12 +11,13 @@ from zoneinfo import ZoneInfo
 
 import pytest
 
-from futureworld import jsonl, orchestrator
+from futureworld import cli, jsonl, orchestrator
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
 from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig
 from futureworld.domain import CandidateEvent, Question, TrajectoryStatus
+from futureworld.prompts import BenchmarkQuestion
 from futureworld.jsonl import read_jsonl
 from futureworld.scoring import ProbPrediction, summarize_probabilistic
 from futureworld.seeding import derive_seed
@@ -486,6 +487,16 @@ def test_benchmark_missing_type_uses_dash_convention(tmp_path):
     assert "--" in text
 
 
+def test_benchmark_questions_resolve_at_the_cycle_resolve_time(tmp_path):
+    config = _config(timezone="America/New_York", resolve_time="18:15")
+    Orchestrator(config, tmp_path).run_benchmark_phase(START)
+    expected = config.resolve_at(START)
+    assert expected == datetime(2026, 3, 3, 23, 15, tzinfo=timezone.utc)  # 18:15 EST
+    rows = read_jsonl(tmp_path / "benchmark" / f"issued-{START.isoformat()}.jsonl")
+    assert rows
+    assert {BenchmarkQuestion.from_dict(r).resolution_time for r in rows} == {expected}
+
+
 def test_simulate_runs_multiple_days_with_conservation(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     result = orch.simulate(3)
@@ -595,6 +606,57 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
     config_file = tmp_path / "cycle.yaml"
     config_file.write_text("")
     assert CycleConfig.from_yaml(config_file) == CycleConfig()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("limits: 5\n", "config limits must be a mapping, got int"),
+        ("benchmark: [caps]\n", "config benchmark must be a mapping, got list"),
+        ("benchmark: {caps: 5}\n", "config benchmark.caps must be a mapping, got int"),
+        ("benchmark: {pool: x}\n", "config benchmark.pool must be a mapping, got str"),
+        ("sources: [feed]\n", r"config sources\[0\] must be a mapping, got str"),
+        (
+            "sources: [{source_id: a, kind: synthetic, params: 5}]\n",
+            r"config sources\[0\].params must be a mapping, got int",
+        ),
+        (
+            "domain_rules:\n  - {label: weather, keywords: [storm]}\n  - 3\n",
+            r"config domain_rules\[1\] must be a mapping, got int",
+        ),
+        ("question_templates: [[a, b]]\n", r"config question_templates\[0\] must be a mapping"),
+        ("limits: {max_step: 3}\n", "unknown keys in config limits: max_step"),
+        ("benchmark: {caps: {binary: 1}}\n", "unknown keys in config benchmark.caps: binary"),
+        ("agents: oracle\n", "config agents must be a list, got str"),
+        ("blocklist: spam\n", "config blocklist must be a list, got str"),
+        (
+            "domain_rules: [{label: weather, keywords: storm}]\n",
+            r"config domain_rules\[0\].keywords must be a list, got str",
+        ),
+    ],
+    ids=[
+        "limits", "benchmark", "caps", "pool", "sources", "params", "domain_rules",
+        "question_templates",
+        "limits-key", "caps-key", "agents-string", "blocklist-string", "keywords-string",
+    ],
+)
+def test_config_yaml_names_a_malformed_section(tmp_path, text, message):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        CycleConfig.from_yaml(config_file)
+
+
+def test_fw_reports_a_malformed_config_section_without_a_traceback(tmp_path, capsys):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text("limits: 5\n")
+    run_dir = tmp_path / "run"
+    code = cli.main(
+        ["issue", "--config", str(config_file), "--run-dir", str(run_dir), "--day", "2026-03-02"]
+    )
+    assert code == 1
+    assert "config limits must be a mapping, got int" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("declared", [False, True], ids=["built-in", "declared"])

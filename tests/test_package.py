@@ -79,17 +79,90 @@ def test_every_module_is_loaded_and_every_exported_name_resolves():
     assert missing == []
 
 
-def test_importing_the_package_leaves_out_what_no_default_path_runs():
-    """YAML (``--config``) and the thread pool (``max_workers > 1``) load on first use."""
-    probe = (
-        "import sys, futureworld; "
-        "print(sorted({'yaml', 'concurrent.futures'} & set(sys.modules)))"
-    )
+def _probe(code: str, *args: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports the package from src."""
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_out_what_no_default_path_runs():
+    """YAML (``--config``), the thread pool (``max_workers > 1``) and numpy
+    (resampling over quota, bootstrap intervals) load on first use."""
+    probe = (
+        "import sys, futureworld, futureworld.cli; "
+        "print(sorted({'yaml', 'concurrent.futures', 'numpy'} & set(sys.modules)))"
+    )
+    assert _probe(probe) == "[]"
+
+
+#: Two evenings of history and a third, each a ``run_due_phases`` call as a
+#: cron job makes it, on the default shape: fewer pairs than the daily quota.
+_UNDER_QUOTA_EVENINGS = """
+import sys
+from datetime import datetime, time, timedelta, timezone
+from pathlib import Path
+from futureworld.orchestrator import CycleConfig, Orchestrator
+
+config = CycleConfig(seed=4, questions_per_day=500, event_rate=60)
+done = []
+for offset in range(3):
+    evening = datetime.combine(config.start_day + timedelta(days=offset), time(21), timezone.utc)
+    done += Orchestrator(config, Path(sys.argv[1])).run_due_phases(evening)
+print(len(done), sum(1 for phase in done if phase.startswith("resolve")), "numpy" in sys.modules)
+"""
+
+
+def test_a_default_cron_evening_runs_without_numpy(tmp_path):
+    # 3 issue + 2 resolve + 3 benchmark phases, the last scoring the first day's batch
+    assert _probe(_UNDER_QUOTA_EVENINGS, str(tmp_path)) == "8 2 False"
+
+
+#: A day with more pairs than its quota, so each domain is resampled by K-means.
+_RESAMPLING_DAY = """
+import hashlib, sys
+from pathlib import Path
+from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
+
+config = CycleConfig(
+    seed=4, questions_per_day=12, event_rate=60, benchmark=BenchmarkSettings(enabled=False)
+)
+orch = Orchestrator(config, Path(sys.argv[1]))
+before = "numpy" in sys.modules
+report = orch.run_issue_phase(config.start_day)
+digest = hashlib.sha256(orch.questions_path(config.start_day).read_bytes()).hexdigest()[:16]
+print(before, "numpy" in sys.modules, report.filtered_kept, report.questions_issued, digest)
+"""
+
+_INTERVALS = """
+import sys
+from futureworld.scoring import ProbPrediction, summarize_probabilistic
+
+preds = [ProbPrediction(None if i % 7 == 0 else (i * 37 % 101) / 100, i % 3 % 2) for i in range(60)]
+before = "numpy" in sys.modules
+point = summarize_probabilistic(preds, seed=3, with_intervals=False)
+between = "numpy" in sys.modules
+report = summarize_probabilistic(preds, seed=3)
+same_points = point.to_dict() == {**report.to_dict(), "intervals": {}}
+print(before, between, "numpy" in sys.modules, same_points)
+print(sorted(report.intervals.items()))
+"""
+
+
+def test_resampling_and_intervals_load_numpy_and_keep_their_values(tmp_path):
+    before, after, kept, issued, digest = _probe(_RESAMPLING_DAY, str(tmp_path)).split()
+    assert (before, after) == ("False", "True")
+    assert int(kept) > int(issued) == 12
+    assert digest == "e5c44d748149cf02"
+    flags, intervals = _probe(_INTERVALS).splitlines()
+    assert flags == "False False True True"
+    assert intervals == (
+        "[('accuracy', (0.2995833333333337, 0.55)), "
+        "('brier', (0.34148454166666675, 0.5287410416666667)), "
+        "('ece', (0.21369607843137256, 0.45085294117647057))]"
+    )
