@@ -19,10 +19,14 @@ without changing the final ledger.
 from __future__ import annotations
 
 import time as _walltime
-from dataclasses import dataclass, field, fields
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from types import UnionType
+from typing import (
+    Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints,
+)
 from zoneinfo import ZoneInfo
 
 from .agents import SCRIPTED_AGENTS, SimulatedSearchTool, make_scripted_agent
@@ -118,8 +122,8 @@ class CycleConfig:
             raise ValueError(f"unknown agents {unknown}; available: {list(SCRIPTED_AGENTS)}")
         if len(set(self.agents)) != len(self.agents):
             raise ValueError(f"agent names repeat: {list(self.agents)}")
-        _parse_clock(self.issue_time)
-        _parse_clock(self.resolve_time)
+        _parse_clock(self.issue_time, "issue_time")
+        _parse_clock(self.resolve_time, "resolve_time")
         ZoneInfo(self.timezone)
 
     @property
@@ -153,109 +157,94 @@ class CycleConfig:
 
     @classmethod
     def from_yaml(cls, path: Path) -> "CycleConfig":
-        """Load a config file; an empty file means the defaults.
+        """Load a config file, each value checked against its setting's type.
 
-        YAML is imported here, not with the module: only ``--config`` needs it.
+        An empty file means the defaults. YAML is imported here, not with the
+        module: only ``--config`` needs it.
         """
         import yaml
 
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         if raw is None:
             raw = {}
-        elif not isinstance(raw, dict):
-            raise ValueError(
-                f"config {path}: the top level must be a mapping of settings, "
-                f"got {type(raw).__name__}"
-            )
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(map(str, unknown))}")
-        kwargs: dict[str, Any] = {}
-        simple = (
-            "seed", "issue_time", "resolve_time", "timezone", "questions_per_day",
-            "rollouts_per_question", "unresolved_policy", "event_rate",
-            "unresolved_rate", "information_level", "max_workers",
-        )
-        for key in simple:
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "start_day" in raw:
-            kwargs["start_day"] = date.fromisoformat(str(raw["start_day"]))
-        if "agents" in raw:
-            kwargs["agents"] = tuple(_list(raw["agents"], "agents"))
-        if "limits" in raw:
-            kwargs["limits"] = _section(RolloutLimits, raw["limits"], "limits")
-        if "benchmark" in raw:
-            b = dict(_mapping(raw["benchmark"], "benchmark"))
-            if "caps" in b:
-                b["caps"] = _section(BenchmarkCaps, b["caps"], "benchmark.caps")
-            if "pool" in b:
-                b["pool"] = _section(BenchmarkPoolConfig, b["pool"], "benchmark.pool")
-            kwargs["benchmark"] = _section(BenchmarkSettings, b, "benchmark")
-        if "sources" in raw:
-            kwargs["sources"] = tuple(
-                SourceSpec(
-                    source_id=s["source_id"],
-                    kind=s["kind"],
-                    domain_hint=s.get("domain_hint", "other"),
-                    params=_mapping(s.get("params", {}), f"sources[{i}].params"),
-                )
-                for i, s in enumerate(_entries(raw["sources"], "sources"))
-            )
-        if "domain_rules" in raw:
-            kwargs["domain_rules"] = tuple(
-                DomainRule(
-                    label=r["label"],
-                    keywords=tuple(_list(r["keywords"], f"domain_rules[{i}].keywords")),
-                )
-                for i, r in enumerate(_entries(raw["domain_rules"], "domain_rules"))
-            )
-        if "question_templates" in raw:
-            kwargs["question_templates"] = tuple(
-                QuestionTemplate(
-                    name=t["name"],
-                    pattern=t["pattern"],
-                    description_pattern=t.get("description_pattern"),
-                )
-                for t in _entries(raw["question_templates"], "question_templates")
-            )
-        if "blocklist" in raw:
-            kwargs["blocklist"] = tuple(_list(raw["blocklist"], "blocklist"))
-        if "answer_files" in raw:
-            kwargs["answer_files"] = dict(_mapping(raw["answer_files"], "answer_files"))
-        return cls(**kwargs)
+        settings = _expect(dict, "a mapping of settings", raw, f"{path}: the top level")
+        return _build(cls, settings, "")
 
 
-def _mapping(value: Any, name: str) -> dict:
-    """A config section that must be a mapping, or a ``ValueError`` naming it."""
-    if not isinstance(value, dict):
-        raise ValueError(f"config {name} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _list(value: Any, name: str) -> list:
-    """A config value that must be a list; a string is not split into letters."""
-    if not isinstance(value, list):
-        raise ValueError(f"config {name} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _entries(value: Any, name: str) -> list[dict]:
-    """A config list whose entries must each be a mapping."""
-    return [_mapping(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name))]
-
-
-def _section(cls: type, value: Any, name: str) -> Any:
-    """``cls`` built from a mapping section whose keys must be ``cls``'s fields."""
-    unknown = sorted(set(_mapping(value, name)) - {f.name for f in fields(cls)})
+def _build(cls: type, raw: dict, path: str) -> Any:
+    """``cls`` from a mapping of its fields, each converted to the field's type."""
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(map(str, set(raw) - set(known)))
     if unknown:
-        raise ValueError(f"unknown keys in config {name}: {', '.join(map(str, unknown))}")
-    return cls(**value)
+        where = f"keys in config {path}" if path else "config keys"
+        raise ValueError(f"unknown {where}: {', '.join(unknown)}")
+    required = [n for n, f in known.items() if f.default is f.default_factory is MISSING]
+    missing = [n for n in required if n not in raw]
+    if missing:
+        raise ValueError(f"config {path} lacks required keys: {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    kwargs = {k: _convert(hints[k], v, f"{path}.{k}" if path else k) for k, v in raw.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a check in ``__post_init__``: name the section
+        if not path:
+            raise
+        raise ValueError(f"config {path}: {exc}") from None
 
 
-def _parse_clock(text: str) -> time:
-    hour, minute = text.split(":")
-    return time(int(hour), int(minute))
+def _convert(kind: Any, value: Any, path: str) -> Any:
+    """``value`` read from YAML as a ``kind``, or a ``ValueError`` naming ``path``."""
+    origin, args = get_origin(kind), get_args(kind)
+    if kind is Any:
+        return value
+    if origin is Union or origin is UnionType:  # Optional[X] or X | None
+        return None if value is None else _convert(args[0], value, path)
+    if is_dataclass(kind):
+        return _build(kind, _expect(dict, "a mapping", value, path), path)
+    if origin is tuple:  # tuple[X, ...]
+        items = _expect(list, "a list", value, path)
+        return tuple(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(items))
+    if origin is abc.Mapping:
+        items = _expect(dict, "a mapping", value, path).items()
+        key, val = args
+        return {_convert(key, k, f"{path} keys"): _convert(val, v, f"{path}.{k}") for k, v in items}
+    if kind is date:
+        try:
+            return value if type(value) is date else date.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"config {path} must be a date YYYY-MM-DD, got {value!r}") from None
+    if kind is float and type(value) is int:
+        return float(value)
+    return _expect(kind, kind.__name__, value, path)
+
+
+def _expect(kind: type, name: str, value: Any, path: str) -> Any:
+    """``value`` if it is a ``kind`` (a ``bool`` is no number), else a ``ValueError``."""
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ValueError(f"config {path} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _parse_clock(text: str, name: str = "clock time") -> time:
+    try:
+        hour, minute = text.split(":")
+        return time(int(hour), int(minute))
+    except (AttributeError, ValueError):
+        raise ValueError(f"{name} must be a 24-hour HH:MM time, got {text!r}") from None
+
+
+def _batch_metrics(preds: Sequence[ProbPrediction], rewards: Sequence[float]) -> dict[str, Any]:
+    """A resolved batch's cycle-report metrics, from its pairs and rewards in log order."""
+    if not preds:
+        return {"n": 0, "accuracy": None, "brier": None, "ece": None, "mean_reward": None}
+    summary = summarize_probabilistic(preds, with_intervals=False)
+    return {
+        "n": len(preds),
+        "accuracy": summary.accuracy,
+        "brier": summary.brier,
+        "ece": summary.ece,
+        "mean_reward": sum(rewards) / len(rewards),
+    }
 
 
 @dataclass
@@ -575,10 +564,9 @@ class Orchestrator:
             batch = [t for qid in batch_qids for t in ledger.trajectories_for(ledger_day, qid)]
             rollouts[agent_name] = len(batch)
             batch = [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
-            metrics[agent_name] = self._batch_metrics(batch)
-            predictions[agent_name] = [
-                ProbPrediction(prob=t.final_probability, label=t.label) for t in batch
-            ]
+            preds = [ProbPrediction(prob=t.final_probability, label=t.label) for t in batch]
+            metrics[agent_name] = _batch_metrics(preds, [t.reward for t in batch])
+            predictions[agent_name] = preds
             ledger.release(ledger_day)
 
         report = CycleReport(
@@ -614,22 +602,6 @@ class Orchestrator:
         for key, answer_file in self.config.answer_files.items():
             registry[key] = FileLookupResolver(path=Path(answer_file))
         return registry
-
-    def _batch_metrics(self, trajectories: Sequence[Any]) -> dict[str, Any]:
-        preds = [
-            ProbPrediction(prob=t.final_probability, label=t.label) for t in trajectories
-        ]
-        if not preds:
-            return {"n": 0, "accuracy": None, "brier": None, "ece": None, "mean_reward": None}
-        summary = summarize_probabilistic(preds, with_intervals=False)
-        mean_reward = sum(t.reward for t in trajectories) / len(trajectories)
-        return {
-            "n": len(preds),
-            "accuracy": summary.accuracy,
-            "brier": summary.brier,
-            "ece": summary.ece,
-            "mean_reward": mean_reward,
-        }
 
     # -- benchmark phase -------------------------------------------------------
 

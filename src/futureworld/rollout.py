@@ -76,6 +76,10 @@ class RolloutLimits:
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        if self.per_move_timeout <= 0:
+            raise ValueError("per_move_timeout must be positive")
+        if self.min_searches < 0:
+            raise ValueError("min_searches must be non-negative")
         if self.min_searches > self.max_steps:
             raise ValueError("min_searches cannot exceed max_steps")
 

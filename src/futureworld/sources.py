@@ -49,6 +49,13 @@ def _human_date(d: date) -> str:
     return f"{_MONTHS[d.month - 1]} {d.day}"
 
 
+#: The params each adapter kind reads; any other param would be ignored.
+_KIND_PARAMS: dict[str, frozenset[str]] = {
+    "synthetic": frozenset({"seed", "event_rate", "unresolved_rate", "latent_p_mixture"}),
+    "file_feed": frozenset({"path"}),
+}
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Declares one candidate-event source and its adapter parameters."""
@@ -60,8 +67,14 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
-        if self.kind not in ("file_feed", "synthetic"):
+        if self.kind not in _KIND_PARAMS:
             raise ValueError(f"unknown source kind {self.kind!r}")
+        unknown = sorted(map(str, set(self.params) - _KIND_PARAMS[self.kind]))
+        if unknown:
+            raise ValueError(
+                f"unknown {self.kind} source params: {', '.join(unknown)}; "
+                f"it reads {', '.join(sorted(_KIND_PARAMS[self.kind]))}"
+            )
         if self.kind == "file_feed" and "path" not in self.params:
             raise ValueError("file_feed source requires a 'path' param")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -7,9 +8,11 @@ import shutil
 import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import pytest
+import yaml
 
 from futureworld import cli, jsonl, orchestrator
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
@@ -17,7 +20,9 @@ from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig
 from futureworld.domain import CandidateEvent, Question, TrajectoryStatus
-from futureworld.prompts import BenchmarkQuestion
+from futureworld.prompts import BenchmarkCaps, BenchmarkQuestion
+from futureworld.qpipeline import DomainRule, QuestionTemplate
+from futureworld.rollout import RolloutLimits
 from futureworld.jsonl import read_jsonl
 from futureworld.scoring import ProbPrediction, summarize_probabilistic
 from futureworld.seeding import derive_seed
@@ -633,11 +638,34 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
             "domain_rules: [{label: weather, keywords: storm}]\n",
             r"config domain_rules\[0\].keywords must be a list, got str",
         ),
+        ("questions_per_day: many\n", "config questions_per_day must be int, got str"),
+        ("limits: {max_steps: x}\n", "config limits.max_steps must be int, got str"),
+        ("timezone: 5\n", "config timezone must be str, got int"),
+        # YAML 1.1 reads an unquoted 20:00 as the base-60 integer 1200
+        ("issue_time: 20:00\n", "config issue_time must be str, got int"),
+        ("benchmark: {skills: 5}\n", "config benchmark.skills must be a mapping, got int"),
+        (
+            "benchmark: {pool: {unresolved_rate_by_type: 5}}\n",
+            "config benchmark.pool.unresolved_rate_by_type must be a mapping, got int",
+        ),
+        ("seed: true\n", "config seed must be int, got bool"),
+        ("answer_files: {filedb: 5}\n", "config answer_files.filedb must be str, got int"),
+        ("sources: [{kind: synthetic}]\n", r"config sources\[0\] lacks required keys: source_id"),
+        ("start_day: soon\n", "config start_day must be a date YYYY-MM-DD, got 'soon'"),
+        ('resolve_time: "8pm"\n', "resolve_time must be a 24-hour HH:MM time, got '8pm'"),
+        ('issue_time: "25:00"\n', "issue_time must be a 24-hour HH:MM time, got '25:00'"),
+        (
+            "limits: {per_move_timeout: -1}\n",
+            "config limits: per_move_timeout must be positive",
+        ),
     ],
     ids=[
         "limits", "benchmark", "caps", "pool", "sources", "params", "domain_rules",
         "question_templates",
         "limits-key", "caps-key", "agents-string", "blocklist-string", "keywords-string",
+        "int-string", "nested-int-string", "timezone-int", "unquoted-clock", "skills-int",
+        "nested-mapping-int", "seed-bool", "answer-file-int", "source-missing-key",
+        "start-day", "clock-8pm", "clock-25h", "timeout-negative",
     ],
 )
 def test_config_yaml_names_a_malformed_section(tmp_path, text, message):
@@ -645,6 +673,83 @@ def test_config_yaml_names_a_malformed_section(tmp_path, text, message):
     config_file.write_text(text)
     with pytest.raises(ValueError, match=message):
         CycleConfig.from_yaml(config_file)
+
+
+def _fields_left_at_default(value, path="config"):
+    """Dotted paths of the fields in ``value``'s tree still equal to their defaults."""
+    left = []
+    for f in dataclasses.fields(value):
+        got = getattr(value, f.name)
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if got == default:
+            left.append(f"{path}.{f.name}")
+        for i, item in enumerate(got if isinstance(got, tuple) else (got,)):
+            if dataclasses.is_dataclass(item):
+                left += _fields_left_at_default(item, f"{path}.{f.name}[{i}]")
+    return left
+
+
+def test_every_config_field_round_trips_through_yaml(tmp_path):
+    """The settings dataclasses are the schema: a value in any field loads back."""
+    config = CycleConfig(
+        seed=42,
+        start_day=date(2026, 4, 1),
+        issue_time="19:00",
+        resolve_time="19:45",
+        timezone="Asia/Tokyo",
+        questions_per_day=50,
+        rollouts_per_question=2,
+        agents=("noisy", "malformed"),
+        event_rate=40,
+        unresolved_rate=0.2,
+        information_level=0.5,
+        limits=RolloutLimits(max_steps=6, per_move_timeout=30.5, min_searches=2),
+        benchmark=BenchmarkSettings(
+            enabled=False,
+            lag_days=3,
+            caps=BenchmarkCaps(binary_choice=1, simple_mc=2, difficult_mc=3, numeric=4, total=9),
+            pool=BenchmarkPoolConfig(
+                binary_choice=2, simple_mc=3, difficult_mc=4, numeric=5,
+                unresolved_rate=0.1, unresolved_rate_by_type={"numeric": 1.0},
+            ),
+            skills={"noisy": 0.6},
+        ),
+        sources=(
+            SourceSpec(
+                "world", "synthetic", domain_hint="weather",
+                params={"seed": 3, "event_rate": 40, "latent_p_mixture": [[0.1, 0.9, 1.0]]},
+            ),
+        ),
+        domain_rules=(DomainRule("weather", ("storm",)),),
+        question_templates=(QuestionTemplate("t", "Will {x} happen?", "About {x}."),),
+        blocklist=("spam",),
+        answer_files={"filedb": "answers/filedb.jsonl"},
+        max_workers=2,
+    )
+    # 'discard' is the only unresolved policy the config accepts
+    assert _fields_left_at_default(config) == ["config.unresolved_policy"]
+    config_file = tmp_path / "cycle.yaml"
+    # through JSON, tuples become lists and the start day an ISO string
+    plain = json.loads(json.dumps(dataclasses.asdict(config), default=str))
+    config_file.write_text(yaml.safe_dump(plain))
+    assert CycleConfig.from_yaml(config_file) == config
+
+
+def test_config_yaml_float_settings_take_integers(tmp_path):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text("information_level: 1\nlimits: {per_move_timeout: 30}\n")
+    config = CycleConfig.from_yaml(config_file)
+    assert type(config.information_level) is float and config.information_level == 1.0
+    assert type(config.limits.per_move_timeout) is float
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text(example)
+    config = CycleConfig.from_yaml(config_file)
+    assert config.seed == 6 and config.sources[0].params == {"path": "feeds/a.jsonl"}
 
 
 def test_fw_reports_a_malformed_config_section_without_a_traceback(tmp_path, capsys):

@@ -180,6 +180,11 @@ def test_rollout_limits_validation():
         RolloutLimits(max_steps=0)
     with pytest.raises(ValueError):
         RolloutLimits(max_steps=2, min_searches=3)
+    for timeout in (0, -1.0):
+        with pytest.raises(ValueError, match="per_move_timeout must be positive"):
+            RolloutLimits(per_move_timeout=timeout)
+    with pytest.raises(ValueError, match="min_searches must be non-negative"):
+        RolloutLimits(min_searches=-1)
 
 
 def test_agent_move_shape_validation():

@@ -43,6 +43,13 @@ def test_source_spec_validates_kind_and_params():
         SourceSpec(source_id="x", kind="rss")
     with pytest.raises(ValueError):
         SourceSpec(source_id="x", kind="file_feed")
+    # A param the kind does not read is a misspelling, not something to ignore.
+    with pytest.raises(ValueError, match="unknown synthetic source params: event_count"):
+        SourceSpec("w", "synthetic", params={"event_count": 5})
+    with pytest.raises(ValueError, match="unknown file_feed source params: event_rate, seed"):
+        SourceSpec("f", "file_feed", params={"path": "a.jsonl", "seed": 1, "event_rate": 5})
+    read = {"seed": 1, "event_rate": 5, "unresolved_rate": 0.1, "latent_p_mixture": [(0.2, 0.8, 1)]}
+    assert SourceSpec("w", "synthetic", params=read).params == read
 
 
 def test_synthetic_fetch_is_deterministic_byte_for_byte():
