@@ -82,6 +82,18 @@ class BenchmarkPoolConfig:
     #: per-type override of the unresolved rate, e.g. {"numeric": 1.0}
     unresolved_rate_by_type: Mapping[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for qtype in BENCHMARK_TYPES:
+            if self.count(qtype) < 0:
+                raise ValueError(f"{qtype} must be non-negative, got {self.count(qtype)}")
+        unknown = sorted(set(self.unresolved_rate_by_type) - set(BENCHMARK_TYPES))
+        if unknown:
+            raise ValueError(f"unresolved_rate_by_type names unknown types: {', '.join(unknown)}")
+        rates = {f"unresolved_rate_by_type.{k}": v for k, v in self.unresolved_rate_by_type.items()}
+        for name, rate in {"unresolved_rate": self.unresolved_rate, **rates}.items():
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {rate}")
+
     def count(self, qtype: str) -> int:
         return getattr(self, qtype)
 
@@ -107,6 +119,8 @@ def generate_benchmark_pool(
             will_resolve = rng.random() >= config.rate(qtype)
             topic = rng.choice(_TOPICS)
             subject = rng.choice(_SUBJECTS)
+            history: tuple[float, ...] = ()
+            value: Optional[float] = None
             if qtype == BINARY_CHOICE:
                 text = f"Will {subject} confirm {topic} by tomorrow?"
                 options = ("Yes", "No")
@@ -129,29 +143,9 @@ def generate_benchmark_pool(
                 for _ in range(7):
                     series.append(series[-1] + rng.gauss(0.0, base * 0.03))
                 series = [round(v, 2) for v in series]
-                text = (
-                    f"What will the {subject} settlement value for {topic} be tomorrow?"
-                )
-                questions.append(
-                    BenchmarkQuestion(
-                        id=qid,
-                        qtype=qtype,
-                        text=text,
-                        options=(),
-                        resolution_time=resolve_at,
-                        resolver_key="benchmark",
-                        history=tuple(series[:7]),
-                    )
-                )
-                gold.append(
-                    GoldRecord(
-                        question_id=qid,
-                        qtype=qtype,
-                        value=series[7],
-                        will_resolve=will_resolve,
-                    )
-                )
-                continue
+                text = f"What will the {subject} settlement value for {topic} be tomorrow?"
+                options, gold_idx = (), ()
+                history, value = tuple(series[:7]), series[7]
             questions.append(
                 BenchmarkQuestion(
                     id=qid,
@@ -160,6 +154,7 @@ def generate_benchmark_pool(
                     options=options,
                     resolution_time=resolve_at,
                     resolver_key="benchmark",
+                    history=history,
                 )
             )
             gold.append(
@@ -167,6 +162,7 @@ def generate_benchmark_pool(
                     question_id=qid,
                     qtype=qtype,
                     gold_options=gold_idx,
+                    value=value,
                     will_resolve=will_resolve,
                 )
             )

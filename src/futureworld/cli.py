@@ -65,9 +65,10 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     orch = _orchestrator(args)
     day = date.fromisoformat(args.day)
-    batch = [row["id"] for row in read_jsonl(orch.questions_path(day))]
+    if not orch.questions_path(day).exists():
+        raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
     for agent in orch.config.agents:
-        groups = orch.ledger_for(agent).export_training_batch(orch.log_day(day), batch)
+        groups = orch.ledger_for(agent).export_training_batch(day)
         path = orch.export_path(agent, day)
         write_training_batch(path, groups)
         print(f"{agent}: {len(groups)} groups -> {path}")
@@ -187,10 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

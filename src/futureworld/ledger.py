@@ -3,11 +3,12 @@
 A trajectory is written in two stages: a PREFIX record at prediction time
 (the PENDING trajectory plus the exact conversation shown to the agent), and
 later exactly one terminal record, either BACKFILL (label + reward) or
-DISCARD. Storage is one append-only JSONL log per UTC issue day and nothing
-else; replaying the logs reconstructs the live state exactly, and any prefix
-of a log is a consistent state. Every write call appends its records to one
-log and fsyncs once before it returns. A torn final line left by a crashed
-writer is skipped by replay and cut off before the next append to that log.
+DISCARD. Storage is one append-only JSONL log per batch, named by the day
+its caller issued it on, and nothing else; replaying the logs reconstructs
+the live state exactly, and any prefix of a log is a consistent state. Every
+write call appends its records to one log and fsyncs once before it returns.
+A torn final line left by a crashed writer is skipped by replay and cut off
+before the next append to that log.
 
 Logs are replayed lazily, one day at a time: every lookup by question or
 trajectory names its log day, and a day's log is read the first time that
@@ -395,15 +396,11 @@ class TrajectoryLedger:
     # -- mutations ---------------------------------------------------------
 
     def append_prefix_batch(
-        self, prefixes: Sequence[tuple[Trajectory, Sequence[Turn]]]
+        self, day: date, prefixes: Sequence[tuple[Trajectory, Sequence[Turn]]]
     ) -> list[int]:
-        """Durably record prefixes of one issue day; returns their sequence numbers."""
+        """Durably record the prefixes issued on ``day``; returns their sequence numbers."""
         if not prefixes:
             return []
-        days = {t.prediction_time.date() for t, _ in prefixes}
-        if len(days) != 1:
-            raise LedgerError("a prefix batch must belong to a single issue day")
-        day = days.pop()
         log = self._day(day)
         seen: set[str] = set()
         for trajectory, _ in prefixes:
@@ -437,7 +434,7 @@ class TrajectoryLedger:
     def backfill(self, day: date, outcomes: Sequence[Outcome], reward_fn: RewardFn) -> int:
         """Write label and reward into every PENDING trajectory of each outcome's question.
 
-        ``day`` is the log day the questions' prefixes were issued on.
+        ``day`` is the day the questions' prefixes were issued on.
         Idempotent: re-applying the same outcomes changes nothing and returns
         0. An unknown question or a conflicting outcome (different label)
         rejects the whole batch before anything is written.
@@ -467,7 +464,7 @@ class TrajectoryLedger:
     def discard(self, day: date, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
         """Discard every PENDING trajectory of each unresolved question; RESOLVED are untouched.
 
-        ``day`` is the log day the questions' prefixes were issued on. An
+        ``day`` is the day the questions' prefixes were issued on. An
         unknown question rejects the whole batch before anything is written.
         """
         decided = format_rfc3339(decided_at)
@@ -516,24 +513,18 @@ class TrajectoryLedger:
 
     # -- export --------------------------------------------------------------
 
-    def export_training_batch(
-        self, day: date, question_ids: Optional[Iterable[str]] = None
-    ) -> list[TrainingGroup]:
-        """Build training groups for the questions issued on log day ``day``.
+    def export_training_batch(self, day: date) -> list[TrainingGroup]:
+        """Build training groups for the batch issued on ``day``.
 
-        ``question_ids`` limits the export to one batch's questions; two
-        local issue days can share a log day. Only RESOLVED trajectories are
-        exported; a fully discarded or still pending question is absent from
-        the batch. Groups are in question-id order.
+        Only RESOLVED trajectories are exported; a fully discarded or still
+        pending question is absent from the batch. Groups are in question-id
+        order.
         """
         log = self._day(day)
-        batch = log.by_question.keys()
-        if question_ids is not None:
-            batch = batch & set(question_ids)
         groups: list[TrainingGroup] = []
         #: role sequence -> its mask spans; a batch's transcripts have a few shapes
         spans: dict[tuple[str, ...], list[MaskSpan]] = {}
-        for question_id in sorted(batch):
+        for question_id in sorted(log.by_question):
             resolved = [
                 log.records[tid]
                 for tid in log.by_question[question_id]

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import time as _walltime
 from collections import abc
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from types import UnionType
 from typing import (
     Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints,
 )
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import SCRIPTED_AGENTS, SimulatedSearchTool, make_scripted_agent
 from .benchmark import (
@@ -81,6 +81,10 @@ class BenchmarkSettings:
         default_factory=lambda: {"oracle": 0.85, "noisy": 0.7, "constant": 0.35}
     )
 
+    def __post_init__(self) -> None:
+        if self.lag_days < 1:  # a batch resolves the day after it is issued
+            raise ValueError(f"lag_days must be at least 1, got {self.lag_days}")
+
 
 @dataclass(frozen=True)
 class CycleConfig:
@@ -124,7 +128,10 @@ class CycleConfig:
             raise ValueError(f"agent names repeat: {list(self.agents)}")
         _parse_clock(self.issue_time, "issue_time")
         _parse_clock(self.resolve_time, "resolve_time")
-        ZoneInfo(self.timezone)
+        try:
+            ZoneInfo(self.timezone)
+        except (ZoneInfoNotFoundError, ValueError):
+            raise ValueError(f"timezone must be an IANA time zone, got {self.timezone!r}") from None
 
     @property
     def zone(self) -> ZoneInfo:
@@ -259,16 +266,7 @@ class IssueReport:
     rollouts_recorded: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "day": self.day.isoformat(),
-            "candidates": self.candidates,
-            "feed_errors": self.feed_errors,
-            "constructed": self.constructed,
-            "construct_errors": self.construct_errors,
-            "filtered_kept": self.filtered_kept,
-            "questions_issued": self.questions_issued,
-            "rollouts_recorded": dict(self.rollouts_recorded),
-        }
+        return {**asdict(self), "day": self.day.isoformat()}
 
 
 @dataclass
@@ -341,7 +339,6 @@ class Orchestrator:
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.templates = load_default_templates()
-        self.question_templates = config.question_templates
         self.judges = default_judges(config.blocklist)
         self.embedder = HashingEmbedder(seed=config.seed)
         self._ledgers: dict[str, TrajectoryLedger] = {}
@@ -379,12 +376,6 @@ class Orchestrator:
         if agent not in self._ledgers:
             self._ledgers[agent] = TrajectoryLedger(self.run_dir / "ledgers" / agent)
         return self._ledgers[agent]
-
-    # -- clock -----------------------------------------------------------------
-
-    def log_day(self, day: date) -> date:
-        """The ledger day of the batch issued on local ``day``: the UTC date of its issue time."""
-        return self.config.phase_datetime(day, self.config.issue_time).date()
 
     # -- issue phase -------------------------------------------------------------
 
@@ -440,7 +431,7 @@ class Orchestrator:
                 group_results = [roll(q) for q in pending]
 
             prefixes = [(r.trajectory, r.transcript) for results in group_results for r in results]
-            ledger.append_prefix_batch(prefixes)  # one durable append per agent and day
+            ledger.append_prefix_batch(day, prefixes)  # one durable append per agent and day
             report.rollouts_recorded[agent_name] = len(prefixes) + sum(
                 len(recorded.get(q.id, ())) for q in questions
             )
@@ -457,10 +448,9 @@ class Orchestrator:
         questions whose group has fewer than K, sorted by id.
         """
         ledger = self.ledger_for(agent_name)
-        log_day = self.log_day(day)
         recorded = {
-            qid: {t.rollout_index for t in ledger.trajectories_for(log_day, qid)}
-            for qid in ledger.questions_for_day(log_day)
+            qid: {t.rollout_index for t in ledger.trajectories_for(day, qid)}
+            for qid in ledger.questions_for_day(day)
         }
         short = [
             q for q in sorted(questions, key=lambda q: q.id)
@@ -483,7 +473,7 @@ class Orchestrator:
         pairs = []
         for event in fetched.events:
             try:
-                pairs.append(construct_pair(event, self.question_templates, issue_at))
+                pairs.append(construct_pair(event, self.config.question_templates, issue_at))
             except Exception:
                 report.construct_errors += 1
         report.constructed = len(pairs)
@@ -536,16 +526,15 @@ class Orchestrator:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
         ``questions`` is that batch, when the caller has already read it.
-        Each agent's export holds the batch's questions only, and once its
-        export and predictions are taken the agent's ledger releases the
-        batch's log day: nothing reads a resolved batch again.
+        The batch is the agent's day log for ``day``; once its export and
+        predictions are taken the agent's ledger releases that day: nothing
+        reads a resolved batch again.
         """
         questions = self._issued_questions(day) if questions is None else questions
         now = self.config.resolve_at(day)
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
 
-        ledger_day = self.log_day(day)
         batch_qids = sorted(q.id for q in questions)
         rollouts: dict[str, int] = {}
         groups_exported: dict[str, int] = {}
@@ -553,21 +542,21 @@ class Orchestrator:
         predictions: dict[str, list[ProbPrediction]] = {}
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
-            ledger.backfill(ledger_day, resolution.outcomes, trajectory_reward)
-            ledger.discard(ledger_day, resolution.unresolved, now)
-            groups = ledger.export_training_batch(ledger_day, batch_qids)
+            ledger.backfill(day, resolution.outcomes, trajectory_reward)
+            ledger.discard(day, resolution.unresolved, now)
+            groups = ledger.export_training_batch(day)
             write_training_batch(self.export_path(agent_name, day), groups)
             groups_exported[agent_name] = len(groups)
 
             # Sorted question ids give the ledger's insertion order, which
             # the order-sensitive metrics depend on.
-            batch = [t for qid in batch_qids for t in ledger.trajectories_for(ledger_day, qid)]
+            batch = [t for qid in batch_qids for t in ledger.trajectories_for(day, qid)]
             rollouts[agent_name] = len(batch)
             batch = [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
             preds = [ProbPrediction(prob=t.final_probability, label=t.label) for t in batch]
             metrics[agent_name] = _batch_metrics(preds, [t.reward for t in batch])
             predictions[agent_name] = preds
-            ledger.release(ledger_day)
+            ledger.release(day)
 
         report = CycleReport(
             day=day,
@@ -764,12 +753,12 @@ class Orchestrator:
         """
         now = now or datetime.now(timezone.utc)
         executed: list[str] = []
-        today = now.astimezone(ZoneInfo(self.config.timezone)).date()
+        today = now.astimezone(self.config.zone).date()
         issue_due = now >= self.config.phase_datetime(today, self.config.issue_time)
         if issue_due:
             self.run_issue_phase(today)
             for agent_name in self.config.agents:
-                self.ledger_for(agent_name).release(self.log_day(today))
+                self.ledger_for(agent_name).release(today)
             executed.append(f"issue:{today.isoformat()}")
         yesterday = today - timedelta(days=1)
         if self.questions_path(yesterday).exists() and now >= self.config.resolve_at(yesterday):

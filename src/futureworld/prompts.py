@@ -171,6 +171,11 @@ class BenchmarkCaps:
     numeric: int = 20
     total: int = 50
 
+    def __post_init__(self) -> None:
+        for name in (*BENCHMARK_TYPES, "total"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
     def cap(self, qtype: str) -> int:
         return getattr(self, qtype)
 

@@ -43,10 +43,6 @@ class Turn:
     def to_dict(self) -> dict[str, str]:
         return {"role": self.role, "text": self.text}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Turn":
-        return cls(role=data["role"], text=data["text"])
-
 
 @dataclass(frozen=True)
 class AgentMove:

