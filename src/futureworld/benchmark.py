@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Any, Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .prompts import (
     BENCHMARK_TYPES,
@@ -51,25 +51,6 @@ class GoldRecord:
     gold_options: tuple[int, ...] = ()
     value: Optional[float] = None
     will_resolve: bool = True
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "qtype": self.qtype,
-            "gold_options": list(self.gold_options),
-            "value": self.value,
-            "will_resolve": self.will_resolve,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GoldRecord":
-        return cls(
-            question_id=data["question_id"],
-            qtype=data["qtype"],
-            gold_options=tuple(data.get("gold_options", ())),
-            value=data.get("value"),
-            will_resolve=data.get("will_resolve", True),
-        )
 
 
 @dataclass(frozen=True)
@@ -175,30 +156,6 @@ class BenchmarkAnswer:
     qtype: str
     selected: tuple[int, ...] = ()
     value: Optional[float] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "qtype": self.qtype,
-            "selected": list(self.selected),
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BenchmarkAnswer":
-        return cls(
-            question_id=data["question_id"],
-            qtype=data["qtype"],
-            selected=tuple(data.get("selected", ())),
-            value=data.get("value"),
-        )
-
-
-class BenchmarkAnswerer(Protocol):
-    """Answers one rendered benchmark prompt, given the typed question too."""
-
-    def answer(self, question: BenchmarkQuestion, prompt: str) -> BenchmarkAnswer:
-        ...
 
 
 @dataclass

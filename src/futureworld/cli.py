@@ -14,7 +14,7 @@ from datetime import date
 from pathlib import Path
 
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
-from .jsonl import read_jsonl, write_json, write_jsonl
+from .jsonl import from_row, read_jsonl, to_row, write_json, write_jsonl
 from .ledger import write_training_batch
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
@@ -37,7 +37,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     day = date.fromisoformat(args.day)
     result = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
     out = Path(args.out) if args.out else Path(f"candidates-{day.isoformat()}.jsonl")
-    write_jsonl(out, (event.to_dict() for event in result.events))
+    write_jsonl(out, map(to_row, result.events))
     print(f"wrote {len(result.events)} candidates to {out}")
     for error in result.errors:
         print(f"record error at line {error.line_number}: {error.message}", file=sys.stderr)
@@ -46,7 +46,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_issue(args: argparse.Namespace) -> int:
     report = _orchestrator(args).run_issue_phase(date.fromisoformat(args.day))
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    print(json.dumps(to_row(report), indent=1, sort_keys=True))
     return 0
 
 
@@ -89,13 +89,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         ]
         report = summarize_probabilistic(preds, seed=args.seed)
     else:
-        questions = [BenchmarkQuestion.from_dict(r) for r in read_jsonl(Path(args.questions))]
-        answers = {r["question_id"]: BenchmarkAnswer.from_dict(r) for r in preds_rows}
-        gold = {r["question_id"]: GoldRecord.from_dict(r) for r in truth_rows}
+        questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(Path(args.questions))]
+        answers = {r["question_id"]: from_row(BenchmarkAnswer, r) for r in preds_rows}
+        gold = {r["question_id"]: from_row(GoldRecord, r) for r in truth_rows}
         report = score_benchmark_batch(questions, answers, gold)
     print(report.render_text())
     if args.out:
-        write_json(Path(args.out), report.to_dict())
+        write_json(Path(args.out), to_row(report))
     return 0
 
 

@@ -4,9 +4,9 @@ All timestamps are stored and compared in UTC at second precision; wall-clock
 configuration (issue/resolve times in a local timezone) is converted on
 ingest. Types are immutable value records and safe to share across threads.
 
-The canonical wire encoding for each record is a flat JSON object whose field
-names match the dataclass fields, with timestamps as RFC 3339 strings. The
-``jsonl`` module writes them to the run directory's JSONL files.
+A record's wire form is a flat JSON object keyed by its dataclass fields, with
+timestamps as RFC 3339 strings, derived by ``jsonl.to_row``/``jsonl.from_row``;
+``Step`` and ``Trajectory``, the ledger's records, keep hand-written codecs.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class CandidateEvent:
     source_id: SourceId
     source_url: str
     observed_at: datetime
-    payload: Mapping[str, str]
+    #: JSON values from a feed line; a template formats them into the text
+    payload: Mapping[str, Any]
     expected_resolution: datetime
     resolver_key: str
 
@@ -79,28 +80,6 @@ class CandidateEvent:
         """The resolver identifier; the question and pair ids derive from it."""
         return self.payload.get("identifier", self.source_url)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source_id": self.source_id,
-            "source_url": self.source_url,
-            "observed_at": format_rfc3339(self.observed_at),
-            "payload": dict(self.payload),
-            "expected_resolution": format_rfc3339(self.expected_resolution),
-            "resolver_key": self.resolver_key,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CandidateEvent":
-        return cls(
-            source_id=data["source_id"],
-            source_url=data["source_url"],
-            observed_at=parse_rfc3339(data["observed_at"]),
-            payload=dict(data["payload"]),
-            expected_resolution=parse_rfc3339(data["expected_resolution"]),
-            resolver_key=data["resolver_key"],
-        )
-
-
 @dataclass(frozen=True)
 class Question:
     """A binary future-event question issued to agents at prediction time."""
@@ -112,7 +91,7 @@ class Question:
     source: SourceId
     source_url: str
     resolver_key: str
-    resolver_metadata: Mapping[str, str]
+    resolver_metadata: Mapping[str, Any]
     domain: DomainLabel = OTHER_DOMAIN
 
     def __post_init__(self) -> None:
@@ -126,34 +105,6 @@ class Question:
 
     def with_domain(self, domain: DomainLabel) -> "Question":
         return replace(self, domain=domain)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "prediction_time": format_rfc3339(self.prediction_time),
-            "resolution_time": format_rfc3339(self.resolution_time),
-            "source": self.source,
-            "source_url": self.source_url,
-            "resolver_key": self.resolver_key,
-            "resolver_metadata": dict(self.resolver_metadata),
-            "domain": self.domain,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Question":
-        return cls(
-            id=data["id"],
-            text=data["text"],
-            prediction_time=parse_rfc3339(data["prediction_time"]),
-            resolution_time=parse_rfc3339(data["resolution_time"]),
-            source=data["source"],
-            source_url=data["source_url"],
-            resolver_key=data["resolver_key"],
-            resolver_metadata=dict(data["resolver_metadata"]),
-            domain=data.get("domain", OTHER_DOMAIN),
-        )
-
 
 @dataclass(frozen=True)
 class QuestionDescriptionPair:
@@ -170,22 +121,6 @@ class QuestionDescriptionPair:
     def __post_init__(self) -> None:
         if self.description is not None and not self.description:
             raise ValueError("description, when present, must be non-empty")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pair_id": self.pair_id,
-            "question": self.question.to_dict(),
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QuestionDescriptionPair":
-        return cls(
-            pair_id=data["pair_id"],
-            question=Question.from_dict(data["question"]),
-            description=data.get("description"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Step:
@@ -348,24 +283,6 @@ class Outcome:
         object.__setattr__(self, "resolved_at", ensure_utc(self.resolved_at))
         if self.label not in (0, 1):
             raise ValueError(f"outcome label must be binary, got {self.label!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "label": self.label,
-            "resolved_at": format_rfc3339(self.resolved_at),
-            "evidence": self.evidence,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Outcome":
-        return cls(
-            question_id=data["question_id"],
-            label=data["label"],
-            resolved_at=parse_rfc3339(data["resolved_at"]),
-            evidence=data.get("evidence", ""),
-        )
-
 
 def validate_trajectory(t: Trajectory) -> list[str]:
     """Return every violated trajectory invariant; an empty list means ok.

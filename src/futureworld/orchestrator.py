@@ -19,14 +19,11 @@ without changing the final ledger.
 from __future__ import annotations
 
 import time as _walltime
-from collections import abc
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
-from types import UnionType
-from typing import (
-    Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints,
-)
+from typing import Any, Mapping, Optional, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import SCRIPTED_AGENTS, SimulatedSearchTool, make_scripted_agent
@@ -42,7 +39,7 @@ from .benchmark import (
 from .domain import Question, TrajectoryStatus
 from .embedding import HashingEmbedder
 from . import jsonl
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import from_row, read_json, read_jsonl, to_row, write_json, write_jsonl
 from .ledger import TrajectoryLedger, write_training_batch
 from .prompts import (
     BenchmarkCaps,
@@ -174,62 +171,12 @@ class CycleConfig:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         if raw is None:
             raw = {}
-        settings = _expect(dict, "a mapping of settings", raw, f"{path}: the top level")
-        return _build(cls, settings, "")
-
-
-def _build(cls: type, raw: dict, path: str) -> Any:
-    """``cls`` from a mapping of its fields, each converted to the field's type."""
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(map(str, set(raw) - set(known)))
-    if unknown:
-        where = f"keys in config {path}" if path else "config keys"
-        raise ValueError(f"unknown {where}: {', '.join(unknown)}")
-    required = [n for n, f in known.items() if f.default is f.default_factory is MISSING]
-    missing = [n for n in required if n not in raw]
-    if missing:
-        raise ValueError(f"config {path} lacks required keys: {', '.join(missing)}")
-    hints = get_type_hints(cls)
-    kwargs = {k: _convert(hints[k], v, f"{path}.{k}" if path else k) for k, v in raw.items()}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:  # a check in ``__post_init__``: name the section
-        if not path:
-            raise
-        raise ValueError(f"config {path}: {exc}") from None
-
-
-def _convert(kind: Any, value: Any, path: str) -> Any:
-    """``value`` read from YAML as a ``kind``, or a ``ValueError`` naming ``path``."""
-    origin, args = get_origin(kind), get_args(kind)
-    if kind is Any:
-        return value
-    if origin is Union or origin is UnionType:  # Optional[X] or X | None
-        return None if value is None else _convert(args[0], value, path)
-    if is_dataclass(kind):
-        return _build(kind, _expect(dict, "a mapping", value, path), path)
-    if origin is tuple:  # tuple[X, ...]
-        items = _expect(list, "a list", value, path)
-        return tuple(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(items))
-    if origin is abc.Mapping:
-        items = _expect(dict, "a mapping", value, path).items()
-        key, val = args
-        return {_convert(key, k, f"{path} keys"): _convert(val, v, f"{path}.{k}") for k, v in items}
-    if kind is date:
-        try:
-            return value if type(value) is date else date.fromisoformat(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"config {path} must be a date YYYY-MM-DD, got {value!r}") from None
-    if kind is float and type(value) is int:
-        return float(value)
-    return _expect(kind, kind.__name__, value, path)
-
-
-def _expect(kind: type, name: str, value: Any, path: str) -> Any:
-    """``value`` if it is a ``kind`` (a ``bool`` is no number), else a ``ValueError``."""
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ValueError(f"config {path} must be {name}, got {type(value).__name__}")
-    return value
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"config {path}: the top level must be a mapping of settings, "
+                f"got {type(raw).__name__}"
+            )
+        return from_row(cls, raw, "config", strict=True)
 
 
 def _parse_clock(text: str, name: str = "clock time") -> time:
@@ -264,9 +211,6 @@ class IssueReport:
     filtered_kept: int = 0
     questions_issued: int = 0
     rollouts_recorded: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "day": self.day.isoformat()}
 
 
 @dataclass
@@ -436,7 +380,7 @@ class Orchestrator:
                 len(recorded.get(q.id, ())) for q in questions
             )
 
-        write_json(self.issue_report_path(day), report.to_dict())
+        write_json(self.issue_report_path(day), to_row(report))
         return report
 
     def _short_groups(
@@ -463,7 +407,7 @@ class Orchestrator:
         fetched = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
-        write_jsonl(self.candidates_path(day), (e.to_dict() for e in fetched.events))
+        write_jsonl(self.candidates_path(day), map(to_row, fetched.events))
         if fetched.truth_rows:
             write_truth_file(self.truth_path(day), fetched.truth_rows)
         if fetched.hint_rows:
@@ -482,7 +426,7 @@ class Orchestrator:
         verdict_rows = []
         for pair in pairs:
             decision = apply_filters(pair, self.judges)
-            verdict_rows.extend(v.to_dict() for v in decision.verdicts)
+            verdict_rows.extend(map(to_row, decision.verdicts))
             if decision.keep:
                 kept.append(pair)
         write_jsonl(self.verdicts_path(day), verdict_rows)
@@ -495,12 +439,12 @@ class Orchestrator:
             self.embedder,
             derive_seed(self.config.seed, "resample", day.isoformat()),
         )
-        write_jsonl(self.pairs_path(day), (p.to_dict() for p in selected))
+        write_jsonl(self.pairs_path(day), map(to_row, selected))
         questions = [p.question for p in selected]
         report.questions_issued = len(questions)
         # The questions file marks the day as issued, so it is written last.
-        write_json(self.issue_report_path(day), report.to_dict())
-        write_jsonl(self.questions_path(day), (q.to_dict() for q in questions))
+        write_json(self.issue_report_path(day), to_row(report))
+        write_jsonl(self.questions_path(day), map(to_row, questions))
         return questions
 
     def _search_tool_for(self, day: date, questions: Sequence[Question]) -> SimulatedSearchTool:
@@ -580,7 +524,7 @@ class Orchestrator:
         path = self.questions_path(day)
         if not path.exists():
             raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
-        return [Question.from_dict(row) for row in read_jsonl(path)]
+        return [from_row(Question, row) for row in read_jsonl(path)]
 
     def _resolver_registry(self, day: date) -> dict[str, Any]:
         """Resolvers for the batch issued on ``day``, whose issue wrote its truth file."""
@@ -602,7 +546,7 @@ class Orchestrator:
         gold_path = bench_dir / f"gold-{day.isoformat()}.jsonl"
 
         if issued_path.exists():
-            selection = [BenchmarkQuestion.from_dict(r) for r in read_jsonl(issued_path)]
+            selection = [from_row(BenchmarkQuestion, r) for r in read_jsonl(issued_path)]
         else:
             pool, gold = generate_benchmark_pool(
                 day, settings.pool, self.config.seed, self.config.resolve_at(day)
@@ -612,12 +556,10 @@ class Orchestrator:
             )
             selected_ids = {q.id for q in selection}
             # The issued file marks the day as issued, so it is written last.
-            write_jsonl(gold_path, (g.to_dict() for g in gold if g.question_id in selected_ids))
-            write_jsonl(issued_path, (q.to_dict() for q in selection))
+            write_jsonl(gold_path, (to_row(g) for g in gold if g.question_id in selected_ids))
+            write_jsonl(issued_path, map(to_row, selection))
 
-        gold_records = {
-            g.question_id: g for g in map(GoldRecord.from_dict, read_jsonl(gold_path))
-        }
+        gold_records = {r["question_id"]: from_row(GoldRecord, r) for r in read_jsonl(gold_path)}
         for agent_name in self.config.agents:
             preds_path = bench_dir / f"preds-{agent_name}-{day.isoformat()}.jsonl"
             if preds_path.exists():
@@ -626,13 +568,13 @@ class Orchestrator:
             answers = []
             for question in selection:
                 prompt = render_benchmark_prompt(question, self.templates[question.qtype])
-                answers.append(answerer.answer(question, prompt).to_dict())
+                answers.append(to_row(answerer.answer(question, prompt)))
             write_jsonl(preds_path, answers)
 
         report: dict[str, Any] = {
             "day": day.isoformat(),
             "issued": len(selection),
-            "issued_by_type": _count_by_type(selection),
+            "issued_by_type": dict(Counter(q.qtype for q in selection)),
             "scored_day": None,
             "scores": {},
         }
@@ -641,24 +583,21 @@ class Orchestrator:
         target_issued = bench_dir / f"issued-{target_day.isoformat()}.jsonl"
         if target_issued.exists():
             report["scored_day"] = target_day.isoformat()
-            questions = [BenchmarkQuestion.from_dict(r) for r in read_jsonl(target_issued)]
+            questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(target_issued)]
             target_gold = {
-                g.question_id: g
-                for g in map(
-                    GoldRecord.from_dict,
-                    read_jsonl(bench_dir / f"gold-{target_day.isoformat()}.jsonl"),
-                )
+                r["question_id"]: from_row(GoldRecord, r)
+                for r in read_jsonl(bench_dir / f"gold-{target_day.isoformat()}.jsonl")
             }
             for agent_name in self.config.agents:
                 preds_path = bench_dir / f"preds-{agent_name}-{target_day.isoformat()}.jsonl"
                 if not preds_path.exists():
                     continue
                 answers = {
-                    a.question_id: a
-                    for a in map(BenchmarkAnswer.from_dict, read_jsonl(preds_path))
+                    r["question_id"]: from_row(BenchmarkAnswer, r)
+                    for r in read_jsonl(preds_path)
                 }
                 score = score_benchmark_batch(questions, answers, target_gold)
-                report["scores"][agent_name] = score.to_dict()
+                report["scores"][agent_name] = to_row(score)
                 score_txt = bench_dir / f"scores-{agent_name}-{day.isoformat()}.txt"
                 jsonl.write_atomically(score_txt, [score.render_text() + "\n"])
 
@@ -703,7 +642,7 @@ class Orchestrator:
             "elapsed_seconds": elapsed,
             "cycles": [r.to_dict() for r in cycle_reports],
             "benchmarks": benchmark_reports,
-            "final": {agent: report.to_dict() for agent, report in final_reports.items()},
+            "final": {agent: to_row(report) for agent, report in final_reports.items()},
         }
         write_json(self.report_path("summary.json"), summary)
         text = ["simulation summary", "=" * 60]
@@ -774,11 +713,4 @@ class Orchestrator:
             self.run_benchmark_phase(today)
             executed.append(f"benchmark:{today.isoformat()}")
         return executed
-
-
-def _count_by_type(questions: Sequence[BenchmarkQuestion]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for q in questions:
-        counts[q.qtype] = counts.get(q.qtype, 0) + 1
-    return counts
 

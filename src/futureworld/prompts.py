@@ -17,15 +17,9 @@ import string
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
-from .domain import (
-    QuestionId,
-    Question,
-    ensure_utc,
-    format_rfc3339,
-    parse_rfc3339,
-)
+from .domain import QuestionId, Question, ensure_utc
 from .seeding import derive_seed
 
 PROBABILISTIC = "probabilistic"
@@ -114,29 +108,6 @@ class BenchmarkQuestion:
             raise PromptError(
                 f"{self.qtype} requires {low}-{high} options, got {len(self.options)}"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "qtype": self.qtype,
-            "text": self.text,
-            "options": list(self.options),
-            "resolution_time": format_rfc3339(self.resolution_time),
-            "resolver_key": self.resolver_key,
-            "history": list(self.history),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BenchmarkQuestion":
-        return cls(
-            id=data["id"],
-            qtype=data["qtype"],
-            text=data["text"],
-            options=tuple(data["options"]),
-            resolution_time=parse_rfc3339(data["resolution_time"]),
-            resolver_key=data["resolver_key"],
-            history=tuple(data.get("history", ())),
-        )
 
 
 def render_prediction_prompt(question: Question, template: PromptTemplate) -> str:

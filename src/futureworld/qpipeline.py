@@ -157,14 +157,6 @@ class FilterVerdict:
     eligible: bool
     reason: str
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "pair_id": self.pair_id,
-            "filter_name": self.filter_name,
-            "eligible": self.eligible,
-            "reason": self.reason,
-        }
-
 
 class Judge(Protocol):
     """One eligibility criterion over a question-description pair."""

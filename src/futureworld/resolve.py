@@ -18,6 +18,7 @@ the orchestrator's job.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -55,7 +56,6 @@ class ResolutionRecord:
 
     identifier: str
     label: Optional[int] = None
-    value: Optional[float] = None
     published_at: Optional[datetime] = None
     status: str = "resolved"  # or "postponed"
     evidence: str = ""
@@ -99,7 +99,7 @@ class SyntheticTruthResolver:
 
 @dataclass
 class FileLookupResolver:
-    """Keyed JSONL answer file: {resolver_key, identifier, label|value, published_at}."""
+    """Keyed JSONL answer file: {identifier, label, published_at, status, evidence}."""
 
     path: Path
     _rows: Optional[dict[str, dict[str, Any]]] = field(default=None, repr=False)
@@ -115,7 +115,6 @@ class FileLookupResolver:
         return ResolutionRecord(
             identifier=row["identifier"],
             label=int(row["label"]) if row.get("label") is not None else None,
-            value=float(row["value"]) if row.get("value") is not None else None,
             published_at=published_at,
             status=row.get("status", "resolved"),
             evidence=row.get("evidence", f"answer file row {identifier}"),
@@ -172,10 +171,7 @@ class BatchResolution:
         return len(self.unresolved) / total if total else 0.0
 
     def unresolved_reasons(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for u in self.unresolved:
-            counts[u.reason] = counts.get(u.reason, 0) + 1
-        return counts
+        return dict(Counter(u.reason for u in self.unresolved))
 
 
 def resolve_batch(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -297,21 +297,6 @@ class ScoreReport:
     n_predictions: int = 0
     n_by_type: dict[str, int] = field(default_factory=dict)
     intervals: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "s_bin": self.s_bin,
-            "s_smc": self.s_smc,
-            "s_dmc": self.s_dmc,
-            "s_num": self.s_num,
-            "s_overall": self.s_overall,
-            "accuracy": self.accuracy,
-            "brier": self.brier,
-            "ece": self.ece,
-            "n_predictions": self.n_predictions,
-            "n_by_type": dict(self.n_by_type),
-            "intervals": {k: list(v) for k, v in self.intervals.items()},
-        }
 
     def render_text(self) -> str:
         def cell(value: Optional[float], scale: float = 100.0) -> str:

@@ -23,8 +23,8 @@ from datetime import date, datetime, time, timedelta, timezone, tzinfo
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .domain import CandidateEvent, DomainLabel, SourceId
-from .jsonl import read_lines, write_jsonl
+from .domain import CandidateEvent, SourceId
+from .jsonl import from_row, read_lines, write_jsonl
 from .seeding import derive_seed
 
 #: Observed unresolved share of daily questions; used as the default rate at
@@ -62,7 +62,6 @@ class SourceSpec:
 
     source_id: SourceId
     kind: str  # "file_feed" | "synthetic"
-    domain_hint: DomainLabel = "other"
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -373,9 +372,9 @@ def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]
         if not line.strip():
             continue
         try:
-            event = CandidateEvent.from_dict(json.loads(line))
+            event = from_row(CandidateEvent, json.loads(line))
             seen_on = first_line.setdefault(event.identifier, lineno)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # a JSON error is a ValueError
             errors.append(RecordError(line_number=lineno, message=str(exc)))
             continue
         if seen_on != lineno:

@@ -18,7 +18,7 @@ import pytest
 
 from futureworld.benchmark import BenchmarkPoolConfig
 from futureworld.domain import TrajectoryStatus
-from futureworld.jsonl import dumps_canonical, read_jsonl
+from futureworld.jsonl import dumps_canonical, read_jsonl, to_row
 from futureworld.embedding import HashingEmbedder
 from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
@@ -238,7 +238,7 @@ def test_criterion_4_budget_allocation_and_determinism():
     embedder = HashingEmbedder(seed=2)
     outputs = {
         "\n".join(
-            dumps_canonical(p.to_dict())
+            dumps_canonical(to_row(p))
             for p in resample(pairs, 12, DEFAULT_DOMAIN_RULES, embedder, seed=77)
         )
         for _ in range(3)

@@ -12,6 +12,7 @@ from futureworld.benchmark import (
     generate_benchmark_pool,
     score_benchmark_batch,
 )
+from futureworld.jsonl import to_row
 from futureworld.prompts import BenchmarkCaps, select_daily_benchmark
 
 DAY = date(2026, 3, 2)
@@ -31,7 +32,7 @@ def test_pool_generation_counts_and_determinism():
         "numeric": config.numeric,
     }
     again, _ = generate_benchmark_pool(DAY, config, seed=3, resolve_at=RESOLVE_AT)
-    assert [q.to_dict() for q in questions] == [q.to_dict() for q in again]
+    assert [to_row(q) for q in questions] == [to_row(q) for q in again]
     assert len(gold) == len(questions)
 
 

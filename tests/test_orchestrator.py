@@ -81,7 +81,7 @@ def test_issue_phase_is_idempotent(tmp_path):
     first = orch.run_issue_phase(START)
     written = orch.issue_report_path(START).read_bytes()
     again = Orchestrator(_config(), tmp_path).run_issue_phase(START)
-    assert again.to_dict() == first.to_dict()  # counts the rollouts the day log holds
+    assert jsonl.to_row(again) == jsonl.to_row(first)  # counts the rollouts the day log holds
     assert orch.issue_report_path(START).read_bytes() == written
 
 
@@ -301,7 +301,7 @@ def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
         for i in range(4)
     ]
     feed = tmp_path / "feed.jsonl"
-    feed.write_text("".join(json.dumps(e.to_dict()) + "\n" for e in events))
+    feed.write_text("".join(json.dumps(jsonl.to_row(e)) + "\n" for e in events))
     answers = tmp_path / "answers.jsonl"
     answers.write_text(
         "".join(json.dumps({"identifier": e.identifier, "label": i % 2}) + "\n" for i, e in enumerate(events))
@@ -397,7 +397,7 @@ def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path, zone, st
             if t.status is TrajectoryStatus.RESOLVED
         ]
         expected = summarize_probabilistic(preds, seed=derive_seed(config.seed, "final-ci", agent))
-        assert final[agent] == json.loads(json.dumps(expected.to_dict()))
+        assert final[agent] == json.loads(json.dumps(jsonl.to_row(expected)))
         assert final[agent]["n_predictions"] == len(preds) > 0
 
 
@@ -435,11 +435,14 @@ def test_cron_evenings_do_not_accumulate_memory(tmp_path):
     evening, and evening 5 then peaks ~60% above evening 2. A full collection
     before each evening empties the interpreter's free lists, whose blocks
     tracemalloc counts: how full earlier tests left them would otherwise move
-    the peaks by ~20 KB an evening.
+    the peaks by ~20 KB an evening. A warm-up evening first fills the
+    first-use caches (imports, compiled patterns, record plans), which would
+    otherwise stay traced: run alone, the test then peaks as in the suite.
     """
     config = _config(questions_per_day=30, event_rate=40, benchmark=BenchmarkSettings(enabled=False))
-    orch = Orchestrator(config, tmp_path)
     evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    Orchestrator(config, tmp_path / "warm-up").run_due_phases(evening(0))
+    orch = Orchestrator(config, tmp_path / "run")
     peaks = []
     tracemalloc.start()
     try:
@@ -514,7 +517,7 @@ def test_benchmark_questions_resolve_at_the_cycle_resolve_time(tmp_path):
     assert expected == datetime(2026, 3, 3, 23, 15, tzinfo=timezone.utc)  # 18:15 EST
     rows = read_jsonl(tmp_path / "benchmark" / f"issued-{START.isoformat()}.jsonl")
     assert rows
-    assert {BenchmarkQuestion.from_dict(r).resolution_time for r in rows} == {expected}
+    assert {jsonl.from_row(BenchmarkQuestion, r).resolution_time for r in rows} == {expected}
 
 
 def test_simulate_runs_multiple_days_with_conservation(tmp_path):
@@ -557,7 +560,7 @@ def test_file_feed_source_flows_through_issue(tmp_path):
 
     feed = tmp_path / "feed.jsonl"
     events = [make_event(identifier=f"evt-f{i:02d}", city="Oslo", band=f"{50+i}-{51+i}°F") for i in range(6)]
-    feed.write_text("\n".join(dumps_canonical(e.to_dict()) for e in events) + "\n")
+    feed.write_text("\n".join(dumps_canonical(jsonl.to_row(e)) for e in events) + "\n")
     config = _config(
         sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
         questions_per_day=4,
@@ -756,7 +759,7 @@ def test_every_config_field_round_trips_through_yaml(tmp_path):
         ),
         sources=(
             SourceSpec(
-                "world", "synthetic", domain_hint="weather",
+                "world", "synthetic",
                 params={"seed": 3, "event_rate": 40, "latent_p_mixture": [[0.1, 0.9, 1.0]]},
             ),
         ),
@@ -824,7 +827,7 @@ def test_synthetic_events_resolve_at_the_cycle_resolve_time(tmp_path, tz, declar
     assert all(r.outcomes_resolved > 0 for r in local)
     for report in local:
         for row in read_jsonl(orch.questions_path(report.day)):
-            assert Question.from_dict(row).resolution_time == orch.config.resolve_at(report.day)
+            assert jsonl.from_row(Question, row).resolution_time == orch.config.resolve_at(report.day)
 
 
 def test_file_feed_keeps_events_resolving_on_the_next_local_day_east_of_utc(tmp_path):
@@ -843,7 +846,7 @@ def test_file_feed_keeps_events_resolving_on_the_next_local_day_east_of_utc(tmp_
         )
         for i in range(2)
     ]
-    feed.write_text("".join(jsonl.dumps_canonical(e.to_dict()) + "\n" for e in events))
+    feed.write_text("".join(jsonl.dumps_canonical(jsonl.to_row(e)) + "\n" for e in events))
     config = _config(
         timezone="Asia/Tokyo",
         sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
@@ -872,7 +875,7 @@ def test_synthetic_events_are_observed_before_the_issue_time_far_east_of_utc(tmp
     for report in reports:
         issue_at = config.phase_datetime(report.day, config.issue_time)
         for row in read_jsonl(orch.candidates_path(report.day)):
-            event = CandidateEvent.from_dict(row)
+            event = jsonl.from_row(CandidateEvent, row)
             local = event.observed_at.astimezone(zone)
             assert local.date() == report.day and 6 <= local.hour < 18
             assert event.observed_at < issue_at < event.expected_resolution

@@ -79,6 +79,28 @@ def test_every_module_is_loaded_and_every_exported_name_resolves():
     assert missing == []
 
 
+#: The records that keep hand-written codecs; see the ``jsonl`` docstring.
+HAND_WRITTEN_CODECS = {
+    ("Trajectory", "to_dict"), ("Trajectory", "from_dict"), ("Step", "to_dict"),
+    ("Step", "from_dict"), ("Turn", "to_dict"), ("MaskSpan", "to_dict"),
+    ("TrainingEntry", "to_dict"), ("TrainingGroup", "to_dict"), ("CycleReport", "to_dict"),
+}
+
+
+def test_records_take_their_wire_form_from_jsonl():
+    """A record is written with ``jsonl.to_row`` and read with ``jsonl.from_row``."""
+    codecs = {
+        (node.name, item.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("to_dict", "from_dict")
+    }
+    stray = codecs - HAND_WRITTEN_CODECS
+    assert stray == set(), "derive the wire form from the fields: jsonl.to_row, jsonl.from_row"
+
+
 def _probe(code: str, *args: str) -> str:
     """Stdout of ``code`` run by a fresh interpreter that imports the package from src."""
     out = subprocess.run(
@@ -141,6 +163,7 @@ print(before, "numpy" in sys.modules, report.filtered_kept, report.questions_iss
 
 _INTERVALS = """
 import sys
+from futureworld.jsonl import to_row
 from futureworld.scoring import ProbPrediction, summarize_probabilistic
 
 preds = [ProbPrediction(None if i % 7 == 0 else (i * 37 % 101) / 100, i % 3 % 2) for i in range(60)]
@@ -148,7 +171,7 @@ before = "numpy" in sys.modules
 point = summarize_probabilistic(preds, seed=3, with_intervals=False)
 between = "numpy" in sys.modules
 report = summarize_probabilistic(preds, seed=3)
-same_points = point.to_dict() == {**report.to_dict(), "intervals": {}}
+same_points = to_row(point) == {**to_row(report), "intervals": {}}
 print(before, between, "numpy" in sys.modules, same_points)
 print(sorted(report.intervals.items()))
 """

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from futureworld.domain import OTHER_DOMAIN
-from futureworld.jsonl import dumps_canonical
+from futureworld.jsonl import dumps_canonical, to_row
 from futureworld.embedding import HashingEmbedder
 from futureworld.qpipeline import (
     DEFAULT_DOMAIN_RULES,
@@ -328,7 +328,7 @@ def test_resample_zero_target_and_capacity_cap():
 
 def test_resample_is_deterministic_across_runs():
     pairs = _skewed_pairs()
-    serialize = lambda out: "\n".join(dumps_canonical(p.to_dict()) for p in out)
+    serialize = lambda out: "\n".join(dumps_canonical(to_row(p)) for p in out)
     runs = {serialize(resample(pairs, 11, DEFAULT_DOMAIN_RULES, EMBEDDER, seed=8)) for _ in range(3)}
     assert len(runs) == 1
 

@@ -195,6 +195,15 @@ def test_file_lookup_resolver_round_trip(tmp_path):
     assert resolve_question(missing, registry, NOW).reason == REASON_NOT_PUBLISHED
 
 
+def test_a_labelled_answer_row_resolves_to_its_label_whatever_its_value(tmp_path):
+    path = tmp_path / "answers.jsonl"
+    path.write_text(dumps_canonical({"identifier": "evt-001", "label": 1, "value": "n/a"}) + "\n")
+    registry = {"filedb": FileLookupResolver(path=path)}
+    question = make_question(qid="q-evt-001", identifier="evt-001", resolver_key="filedb")
+    outcome = resolve_question(question, registry, NOW)
+    assert isinstance(outcome, Outcome) and outcome.label == 1
+
+
 def test_unresolved_reason_vocabulary_enforced():
     with pytest.raises(ValueError):
         Unresolved("q-1", "mysterious")

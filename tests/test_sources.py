@@ -5,7 +5,8 @@ from datetime import date, datetime, time, timedelta, timezone
 
 import pytest
 
-from futureworld.jsonl import dumps_canonical, read_jsonl
+from futureworld.jsonl import dumps_canonical, read_jsonl, to_row
+from futureworld.qpipeline import DEFAULT_TEMPLATES, construct_pair
 from futureworld.sources import (
     SourceSpec,
     SyntheticWorldConfig,
@@ -57,7 +58,7 @@ def test_synthetic_fetch_is_deterministic_byte_for_byte():
     first = fetch(spec)
     second = fetch(spec)
     assert len(first.events) == 100
-    encode = lambda r: "\n".join(dumps_canonical(e.to_dict()) for e in r.events)
+    encode = lambda r: "\n".join(dumps_canonical(to_row(e)) for e in r.events)
     assert encode(first) == encode(second)
 
 
@@ -105,7 +106,7 @@ def test_invalid_config_ranges_rejected():
 def test_truth_never_leaks_into_candidate_payload():
     world = generate_synthetic_world(world_config(event_count=120), seed=2)
     for event in world.candidates():
-        serialized = dumps_canonical(event.to_dict())
+        serialized = dumps_canonical(to_row(event))
         assert "realized_label" not in serialized
         assert "will_resolve" not in serialized
         assert "latent_p" not in serialized
@@ -136,7 +137,7 @@ def test_truth_file_round_trip(tmp_path):
 def test_file_feed_passthrough(tmp_path):
     feed = tmp_path / "feed.jsonl"
     events = [make_event(identifier=f"evt-{i:03d}") for i in range(3)]
-    feed.write_text("\n".join(dumps_canonical(e.to_dict()) for e in events) + "\n")
+    feed.write_text("\n".join(dumps_canonical(to_row(e)) for e in events) + "\n")
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
     result = fetch(spec)
     assert len(result.events) == 3
@@ -146,7 +147,7 @@ def test_file_feed_passthrough(tmp_path):
 def test_file_feed_reports_malformed_records_and_continues(tmp_path):
     feed = tmp_path / "feed.jsonl"
     events = [make_event(identifier=f"evt-{i:03d}") for i in range(3)]
-    lines = [dumps_canonical(e.to_dict()) for e in events]
+    lines = [dumps_canonical(to_row(e)) for e in events]
     lines[1] = '{"source_id": "broken"'
     feed.write_text("\n".join(lines) + "\n")
     result = fetch(
@@ -159,7 +160,7 @@ def test_file_feed_reports_malformed_records_and_continues(tmp_path):
 
 def test_file_feed_filters_to_cycle_alignment(tmp_path):
     feed = tmp_path / "feed.jsonl"
-    feed.write_text(dumps_canonical(make_event().to_dict()) + "\n")
+    feed.write_text(dumps_canonical(to_row(make_event())) + "\n")
     spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
     assert len(fetch(spec).events) == 1
     assert fetch(spec, DAY + timedelta(days=3)).events == []
@@ -169,7 +170,7 @@ def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
     feed = tmp_path / "feed.jsonl"
     first = make_event(identifier="evt-007")
     again = replace(first, expected_resolution=first.expected_resolution + timedelta(days=1))
-    feed.write_text("\n".join(dumps_canonical(e.to_dict()) for e in (first, again)) + "\n")
+    feed.write_text("\n".join(dumps_canonical(to_row(e)) for e in (first, again)) + "\n")
     events, errors = read_feed_file(feed)
     assert events == [first]
     assert [e.line_number for e in errors] == [2]
@@ -183,8 +184,21 @@ def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
 def test_file_feed_keeps_raw_line_separators_inside_a_string(tmp_path):
     feed = tmp_path / "feed.jsonl"
     event = make_event(city="Oslo\u2028Nord\x85Vest")
-    feed.write_text(dumps_canonical(event.to_dict()) + "\n", encoding="utf-8")
+    feed.write_text(dumps_canonical(to_row(event)) + "\n", encoding="utf-8")
     assert read_feed_file(feed) == ([event], [])
+
+
+def test_file_feed_loads_numeric_payload_values_and_reports_wrong_typed_fields(tmp_path):
+    feed = tmp_path / "feed.jsonl"
+    numeric = make_event(template="index_threshold", index="Meridian 300", threshold=4000)
+    wrong_typed = {**to_row(make_event(identifier="evt-002")), "observed_at": 5}
+    feed.write_text("".join(dumps_canonical(r) + "\n" for r in (to_row(numeric), wrong_typed)))
+    events, errors = read_feed_file(feed)
+    assert events == [numeric] and events[0].payload["threshold"] == 4000
+    pair = construct_pair(events[0], DEFAULT_TEMPLATES, resolve_at(DAY) - timedelta(days=1))
+    assert pair.question.text == "Will the Meridian 300 close above 4000 points on April 18?"
+    assert [e.line_number for e in errors] == [2]
+    assert errors[0].message == "CandidateEvent observed_at must be an RFC 3339 time, got 5"
 
 
 def test_missing_feed_file_raises(tmp_path):
