@@ -35,12 +35,12 @@ def _orchestrator(args: argparse.Namespace) -> Orchestrator:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     day = date.fromisoformat(args.day)
-    result = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
+    result = fetch_all(config, day)
     out = Path(args.out) if args.out else Path(f"candidates-{day.isoformat()}.jsonl")
     write_jsonl(out, map(to_row, result.events))
     print(f"wrote {len(result.events)} candidates to {out}")
     for error in result.errors:
-        print(f"record error at line {error.line_number}: {error.message}", file=sys.stderr)
+        print(f"record error at {error.path}:{error.line_number}: {error.message}", file=sys.stderr)
     return 0
 
 

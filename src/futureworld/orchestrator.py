@@ -64,7 +64,7 @@ from .resolve import SyntheticTruthResolver, FileLookupResolver, resolve_batch
 from .rollout import RolloutLimits, run_group
 from .scoring import ProbPrediction, ScoreReport, summarize_probabilistic, trajectory_reward
 from .seeding import derive_seed
-from .sources import SourceSpec, fetch_all, write_truth_file
+from .sources import fetch_all, write_truth_file
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,16 @@ class CycleConfig:
     rollouts_per_question: int = 4
     unresolved_policy: str = "discard"
     agents: tuple[str, ...] = ("oracle", "constant")
+    #: the built-in world's candidate events per day
     event_rate: int = 300
+    #: observed unresolved share of daily questions: the built-in world marks
+    #: this share of its events unretrievable at resolve time
     unresolved_rate: float = 0.3565
     information_level: float = 1.0
     limits: RolloutLimits = field(default_factory=RolloutLimits)
     benchmark: BenchmarkSettings = field(default_factory=BenchmarkSettings)
-    sources: tuple[SourceSpec, ...] = ()
+    #: JSONL feed files of candidate events; none means the built-in world
+    sources: tuple[str, ...] = ()
     domain_rules: tuple[DomainRule, ...] = DEFAULT_DOMAIN_RULES
     question_templates: tuple[QuestionTemplate, ...] = DEFAULT_TEMPLATES
     blocklist: tuple[str, ...] = DEFAULT_BLOCKLIST
@@ -113,8 +117,14 @@ class CycleConfig:
             raise ValueError("rollouts_per_question must be at least 1")
         if self.unresolved_policy != "discard":
             raise ValueError("the only supported unresolved policy is 'discard'")
+        if self.event_rate < 0:
+            raise ValueError(f"event_rate must be non-negative, got {self.event_rate}")
         if not 0.0 <= self.unresolved_rate <= 1.0:
-            raise ValueError("unresolved_rate must lie in [0, 1]")
+            raise ValueError(f"unresolved_rate must lie in [0, 1], got {self.unresolved_rate}")
+        if not 0.0 <= self.information_level <= 1.0:
+            raise ValueError(
+                f"information_level must lie in [0, 1], got {self.information_level}"
+            )
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         # Checked here, before a phase writes anything under an agent's name.
@@ -143,21 +153,6 @@ class CycleConfig:
     def resolve_at(self, day: date) -> datetime:
         """When the batch issued on local ``day`` resolves: resolve time on day+1."""
         return self.phase_datetime(day + timedelta(days=1), self.resolve_time)
-
-    def source_specs(self) -> tuple[SourceSpec, ...]:
-        if self.sources:
-            return self.sources
-        return (
-            SourceSpec(
-                source_id="synthetic",
-                kind="synthetic",
-                params={
-                    "seed": self.seed,
-                    "event_rate": self.event_rate,
-                    "unresolved_rate": self.unresolved_rate,
-                },
-            ),
-        )
 
     @classmethod
     def from_yaml(cls, path: Path) -> "CycleConfig":
@@ -403,8 +398,7 @@ class Orchestrator:
         return recorded, short
 
     def _build_questions(self, day: date, report: IssueReport) -> list[Question]:
-        config = self.config
-        fetched = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
+        fetched = fetch_all(self.config, day)
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
         write_jsonl(self.candidates_path(day), map(to_row, fetched.events))

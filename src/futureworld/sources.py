@@ -1,12 +1,14 @@
-"""Candidate-event supply: source registry, file feeds, and a synthetic world.
+"""Candidate-event supply: feed files, or a built-in synthetic world.
 
-Two adapter kinds ship in-repo. ``file_feed`` replays a JSONL fixture of
-candidate events. ``synthetic`` generates a deterministic world for a given
-day and also owns the ground truth for it, which makes fully closed-loop
-simulation possible without touching the network. Synthetic events resolve
-at the instant the caller passes in: the cycle's resolve time on day+1. The
-caller also names the timezone whose local day ``day`` is; synthetic
-observation times and the file feed's day+1 are local to it.
+``CycleConfig.sources`` lists JSONL feed files of candidate events. When it
+lists none, the cycle draws its candidates from a deterministic world that
+``generate_synthetic_world`` builds for each day from the config's ``seed``,
+``event_rate`` and ``unresolved_rate``. The world also owns the ground truth
+for its events, which makes fully closed-loop simulation possible without
+touching the network. Synthetic events resolve at the cycle's resolve time
+on day+1 and are observed on the issue day, local to the cycle's timezone. A
+feed event is issued on the one day whose window holds its
+``expected_resolution`` (see ``fetch_all``).
 
 Ground-truth isolation: the latent probability, realized label, and
 resolvability of a synthetic event never appear in the candidate payload
@@ -19,21 +21,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone, tzinfo
+from datetime import date, datetime, time, timedelta, tzinfo
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
-from .domain import CandidateEvent, SourceId
+from .domain import CandidateEvent
 from .jsonl import from_row, read_lines, write_jsonl
 from .seeding import derive_seed
 
-#: Observed unresolved share of daily questions; used as the default rate at
-#: which synthetic events are marked unretrievable at resolution time.
-DEFAULT_UNRESOLVED_RATE = 0.3565
+if TYPE_CHECKING:
+    from .orchestrator import CycleConfig
 
-#: Default latent-probability law: most templated daily questions are close
-#: to decided one way or the other, a minority are genuinely contested.
-DEFAULT_LATENT_MIXTURE: tuple[tuple[float, float, float], ...] = (
+#: Latent-probability law: most templated daily questions are close to
+#: decided one way or the other, a minority are genuinely contested.
+LATENT_MIXTURE: tuple[tuple[float, float, float], ...] = (
     (0.02, 0.12, 0.45),
     (0.88, 0.98, 0.45),
     (0.25, 0.75, 0.10),
@@ -47,35 +48,6 @@ _MONTHS = (
 
 def _human_date(d: date) -> str:
     return f"{_MONTHS[d.month - 1]} {d.day}"
-
-
-#: The params each adapter kind reads; any other param would be ignored.
-_KIND_PARAMS: dict[str, frozenset[str]] = {
-    "synthetic": frozenset({"seed", "event_rate", "unresolved_rate", "latent_p_mixture"}),
-    "file_feed": frozenset({"path"}),
-}
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Declares one candidate-event source and its adapter parameters."""
-
-    source_id: SourceId
-    kind: str  # "file_feed" | "synthetic"
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
-        if self.kind not in _KIND_PARAMS:
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        unknown = sorted(map(str, set(self.params) - _KIND_PARAMS[self.kind]))
-        if unknown:
-            raise ValueError(
-                f"unknown {self.kind} source params: {', '.join(unknown)}; "
-                f"it reads {', '.join(sorted(_KIND_PARAMS[self.kind]))}"
-            )
-        if self.kind == "file_feed" and "path" not in self.params:
-            raise ValueError("file_feed source requires a 'path' param")
 
 
 @dataclass(frozen=True)
@@ -128,27 +100,6 @@ class SyntheticWorld:
         return [
             {"identifier": e.identifier, "latent_p": e.latent_p} for e in self.events
         ]
-
-
-@dataclass(frozen=True)
-class SyntheticWorldConfig:
-    day: date
-    #: when every event of the day resolves (the cycle's resolve time on day+1)
-    resolve_at: datetime
-    #: the timezone whose local day ``day`` is
-    zone: tzinfo = timezone.utc
-    event_count: int = 300
-    unresolved_rate: float = DEFAULT_UNRESOLVED_RATE
-    latent_mixture: Sequence[tuple[float, float, float]] = DEFAULT_LATENT_MIXTURE
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.unresolved_rate <= 1.0:
-            raise ValueError("unresolved_rate must lie in [0, 1]")
-        for lo, hi, weight in self.latent_mixture:
-            if not (0.0 <= lo <= hi <= 1.0) or weight < 0:
-                raise ValueError(f"invalid latent mixture component ({lo}, {hi}, {weight})")
-        if self.event_count < 0:
-            raise ValueError("event_count must be non-negative")
 
 
 # Template archetypes the generator draws from. The payload keys of each
@@ -258,33 +209,41 @@ def _make_payload(kind: dict[str, Any], rng: random.Random, target_day: date, id
     return payload
 
 
-def _draw_latent_p(rng: random.Random, mixture: Sequence[tuple[float, float, float]]) -> float:
-    total = sum(w for _, _, w in mixture)
+def _draw_latent_p(rng: random.Random) -> float:
+    total = sum(w for _, _, w in LATENT_MIXTURE)
     pick = rng.random() * total
     acc = 0.0
-    for lo, hi, weight in mixture:
+    for lo, hi, weight in LATENT_MIXTURE:
         acc += weight
         if pick <= acc:
             return rng.uniform(lo, hi)
-    lo, hi, _ = mixture[-1]
+    lo, hi, _ = LATENT_MIXTURE[-1]
     return rng.uniform(lo, hi)
 
 
-def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> SyntheticWorld:
-    """Generate one day's synthetic world; same (config, seed) -> same world.
+def generate_synthetic_world(
+    day: date,
+    resolve_at: datetime,
+    zone: tzinfo,
+    seed: int,
+    event_count: int,
+    unresolved_rate: float,
+) -> SyntheticWorld:
+    """Generate the world of local ``day`` in ``zone``; same arguments, same world.
 
-    Labels and resolvability are fixed here, at generation time, so resolvers
-    can later consult them. The unresolved share is stratified: exactly
-    round(rate * n) events are marked unretrievable.
+    Every event resolves at ``resolve_at``. Labels and resolvability are
+    fixed here, at generation time, so resolvers can later consult them. The
+    unresolved share is stratified: exactly round(rate * n) events are
+    marked unretrievable.
     """
-    rng = random.Random(derive_seed(seed, config.day.isoformat(), "world"))
-    target_day = config.day + timedelta(days=1)
+    rng = random.Random(derive_seed(seed, day.isoformat(), "world"))
+    target_day = day + timedelta(days=1)
     weights = [k["weight"] for k in _ARCHETYPES]
 
     events: list[SyntheticEvent] = []
     seen_signatures: set[tuple] = set()
-    for i in range(config.event_count):
-        identifier = f"evt-{config.day.isoformat()}-{i:05d}"
+    for i in range(event_count):
+        identifier = f"evt-{day.isoformat()}-{i:05d}"
         # Two events that would read as the same question are the same event;
         # redraw colliding payloads (bounded, in case the vocabulary runs out).
         for _ in range(20):
@@ -295,18 +254,16 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
                 break
         seen_signatures.add(signature)
         observed_at = datetime.combine(
-            config.day,
-            time(rng.randrange(6, 18), rng.randrange(0, 60)),
-            tzinfo=config.zone,
+            day, time(rng.randrange(6, 18), rng.randrange(0, 60)), tzinfo=zone
         )
-        latent_p = _draw_latent_p(rng, config.latent_mixture)
+        latent_p = _draw_latent_p(rng)
         realized_label = 1 if rng.random() < latent_p else 0
         event = CandidateEvent(
             source_id="synthetic",
             source_url=f"synthetic://{kind['name']}/{identifier}",
             observed_at=observed_at,
             payload=payload,
-            expected_resolution=config.resolve_at,
+            expected_resolution=resolve_at,
             resolver_key="synthetic",
         )
         events.append(
@@ -318,7 +275,7 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
             )
         )
 
-    n_unresolved = round(config.unresolved_rate * len(events))
+    n_unresolved = round(unresolved_rate * len(events))
     unresolved_idx = rng.sample(range(len(events)), n_unresolved) if n_unresolved else []
     for idx in unresolved_idx:
         reason = "postponed" if rng.random() < 0.2 else "not_published"
@@ -331,20 +288,21 @@ def generate_synthetic_world(config: SyntheticWorldConfig, seed: int) -> Synthet
             unresolved_reason=reason,
         )
 
-    return SyntheticWorld(seed=seed, day=config.day, events=tuple(events))
+    return SyntheticWorld(seed=seed, day=day, events=tuple(events))
 
 
 @dataclass
 class RecordError:
+    path: Path
     line_number: int
     message: str
 
 
 @dataclass
 class FetchResult:
-    """Candidates for one (source, day) plus per-record errors.
+    """A day's candidates plus per-record feed errors.
 
-    ``truth_rows`` and ``hint_rows`` are populated for synthetic sources
+    ``truth_rows`` and ``hint_rows`` are populated for the synthetic world
     only; the orchestrator persists them as sidecars (truth for the
     resolution stage, hints for the simulated search tool).
     """
@@ -355,96 +313,71 @@ class FetchResult:
     hint_rows: list[dict[str, Any]] = field(default_factory=list)
 
 
-def read_feed_file(path: Path) -> tuple[list[CandidateEvent], list[RecordError]]:
-    """Read a JSONL candidate feed; malformed records are reported, not fatal.
+def read_feeds(paths: Iterable[Path | str]) -> tuple[list[CandidateEvent], list[RecordError]]:
+    """Read JSONL candidate feeds in turn; malformed records are reported, not fatal.
 
     Question ids derive from event identifiers, so an identifier already seen
-    on an earlier line is reported instead of being issued a second time.
+    on an earlier line, of this feed or an earlier one, is reported instead
+    of being issued a second time.
     """
     events: list[CandidateEvent] = []
     errors: list[RecordError] = []
-    first_line: dict[str, int] = {}
-    try:
-        lines = read_lines(path)
-    except OSError as exc:
-        raise FileNotFoundError(f"unreadable feed file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    first_seen: dict[str, tuple[Path, int]] = {}
+    for path in map(Path, paths):
         try:
-            event = from_row(CandidateEvent, json.loads(line))
-            seen_on = first_line.setdefault(event.identifier, lineno)
-        except (TypeError, ValueError) as exc:  # a JSON error is a ValueError
-            errors.append(RecordError(line_number=lineno, message=str(exc)))
-            continue
-        if seen_on != lineno:
-            errors.append(
-                RecordError(
-                    line_number=lineno,
-                    message=f"duplicate identifier {event.identifier!r} (first on line {seen_on})",
+            lines = read_lines(path)
+        except OSError as exc:
+            raise FileNotFoundError(f"unreadable feed file {path}: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                event = from_row(CandidateEvent, json.loads(line))
+                seen_at = first_seen.setdefault(event.identifier, (path, lineno))
+            except (TypeError, ValueError) as exc:  # a JSON error is a ValueError
+                errors.append(RecordError(path, lineno, str(exc)))
+                continue
+            if seen_at != (path, lineno):
+                first_path, first_line = seen_at
+                errors.append(
+                    RecordError(
+                        path,
+                        lineno,
+                        f"duplicate identifier {event.identifier!r} "
+                        f"(first on line {first_line} of {first_path})",
+                    )
                 )
-            )
-            continue
-        events.append(event)
+                continue
+            events.append(event)
     return events, errors
 
 
-def _synthetic_config_from_spec(
-    spec: SourceSpec, day: date, resolve_at: datetime, zone: tzinfo
-) -> SyntheticWorldConfig:
-    params = spec.params
-    mixture = params.get("latent_p_mixture")
-    return SyntheticWorldConfig(
-        day=day,
-        resolve_at=resolve_at,
-        zone=zone,
-        event_count=int(params.get("event_rate", 300)),
-        unresolved_rate=float(params.get("unresolved_rate", DEFAULT_UNRESOLVED_RATE)),
-        latent_mixture=tuple(tuple(c) for c in mixture) if mixture else DEFAULT_LATENT_MIXTURE,
-    )
+def fetch_all(config: CycleConfig, day: date) -> FetchResult:
+    """The candidates of the batch issued on local ``day``; pure in its arguments.
 
-
-def fetch_candidates(
-    spec: SourceSpec, day: date, resolve_at: datetime, zone: tzinfo
-) -> FetchResult:
-    """Fetch the candidates of one source whose outcomes land on day+1.
-
-    ``day`` is a local day of ``zone``, and ``resolve_at`` is when the batch
-    issued on it resolves. Synthetic events are scheduled to resolve then; a
-    file feed keeps the events resolving on day+1 in ``zone``. Pure in the
-    arguments for both shipped adapter kinds: repeated calls return
-    identical results.
+    With no feed files configured they are the built-in world's events, with
+    its truth and hint rows. Otherwise they are the feed events that resolve
+    after both the day's issue time and the previous batch's resolve time,
+    and no later than this batch's resolve time. These windows tile time, so
+    each event is issued on one day, and it resolves before its batch does.
     """
-    if spec.kind == "synthetic":
-        seed = int(spec.params.get("seed", 0))
+    resolve_at = config.resolve_at(day)
+    if not config.sources:
         world = generate_synthetic_world(
-            _synthetic_config_from_spec(spec, day, resolve_at, zone), seed
+            day, resolve_at, config.zone, config.seed, config.event_rate, config.unresolved_rate
         )
         return FetchResult(
             events=world.candidates(),
             truth_rows=world.truth_rows(),
             hint_rows=world.hint_rows(),
         )
-    if spec.kind == "file_feed":
-        events, errors = read_feed_file(Path(spec.params["path"]))
-        next_day = day + timedelta(days=1)
-        kept = [e for e in events if e.expected_resolution.astimezone(zone).date() == next_day]
-        return FetchResult(events=kept, errors=errors)
-    raise ValueError(f"unknown source kind {spec.kind!r}")
-
-
-def fetch_all(
-    specs: Iterable[SourceSpec], day: date, resolve_at: datetime, zone: tzinfo
-) -> FetchResult:
-    """Fetch and concatenate candidates across registered sources."""
-    merged = FetchResult(events=[])
-    for spec in specs:
-        result = fetch_candidates(spec, day, resolve_at, zone)
-        merged.events.extend(result.events)
-        merged.errors.extend(result.errors)
-        merged.truth_rows.extend(result.truth_rows)
-        merged.hint_rows.extend(result.hint_rows)
-    return merged
+    events, errors = read_feeds(config.sources)
+    opens = max(
+        config.phase_datetime(day, config.issue_time),
+        config.resolve_at(day - timedelta(days=1)),
+    )
+    kept = [e for e in events if opens < e.expected_resolution <= resolve_at]
+    return FetchResult(events=kept, errors=errors)
 
 
 def write_truth_file(path: Path, rows: Iterable[Mapping[str, Any]]) -> None:

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from futureworld.cli import main
-from futureworld.jsonl import dumps_canonical
+from futureworld.jsonl import dumps_canonical, to_row
 from futureworld.orchestrator import CycleConfig, Orchestrator
+
+from conftest import make_event
 
 
 def test_simulate_issue_resolve_export_cycle(tmp_path, capsys):
@@ -85,6 +87,25 @@ def test_ingest_writes_candidates(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "candidates-2026-03-02.jsonl"
     assert out_file.exists()
     assert len(out_file.read_text().splitlines()) == 300  # default event rate
+
+
+@pytest.mark.parametrize("feeds", [0, 2], ids=["built-in", "two-feeds"])
+def test_ingest_writes_the_candidates_the_issue_phase_fetches(tmp_path, feeds):
+    text = "seed: 5\nevent_rate: 40\nquestions_per_day: 8\nagents: [constant]\n"
+    if feeds:
+        paths = [tmp_path / f"feed-{n}.jsonl" for n in range(feeds)]
+        for n, path in enumerate(paths):
+            events = [make_event(identifier=f"evt-{n}-{i}", band=f"{50 + i}-{51 + i}°F") for i in range(3)]
+            path.write_text("".join(dumps_canonical(to_row(e)) + "\n" for e in events))
+        text += f"sources: {json.dumps([str(p) for p in paths])}\n"
+    config = tmp_path / "cycle.yaml"
+    config.write_text(text)
+    out, run_dir = tmp_path / "ingested.jsonl", tmp_path / "run"
+    assert main(["ingest", "--config", str(config), "--day", "2026-03-02", "--out", str(out)]) == 0
+    assert main(["issue", "--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
+    issued = run_dir / "candidates" / "candidates-2026-03-02.jsonl"
+    assert len(out.read_text().splitlines()) == (3 * feeds or 40)
+    assert out.read_bytes() == issued.read_bytes()
 
 
 def test_resolve_without_issued_batch_fails_cleanly(tmp_path, capsys):

@@ -26,7 +26,7 @@ from futureworld.qpipeline import (
     embed_pair,
 )
 from futureworld.seeding import derive_seed
-from futureworld.sources import SyntheticWorldConfig, generate_synthetic_world
+from futureworld.sources import generate_synthetic_world
 
 DAY = date(2026, 3, 2)
 ISSUE_AT = datetime(2026, 3, 2, 20, 0, tzinfo=timezone.utc)
@@ -133,12 +133,8 @@ def test_assignment_matches_on_hashed_near_identical_texts():
 
 def _domains(seed: int, events: int, target: int):
     """Each domain's embeddings and K-means budget on one synthetic issue day."""
-    world = generate_synthetic_world(
-        SyntheticWorldConfig(
-            day=DAY, resolve_at=ISSUE_AT + timedelta(days=1, minutes=30), event_count=events
-        ),
-        seed,
-    )
+    resolve_at = ISSUE_AT + timedelta(days=1, minutes=30)
+    world = generate_synthetic_world(DAY, resolve_at, timezone.utc, seed, events, 0.3565)
     judges = default_judges()
     pairs = [construct_pair(e, DEFAULT_TEMPLATES, ISSUE_AT) for e in world.candidates()]
     by_domain: dict[str, list] = {}

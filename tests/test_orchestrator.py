@@ -27,7 +27,7 @@ from futureworld.rollout import RolloutLimits
 from futureworld.jsonl import read_jsonl
 from futureworld.scoring import ProbPrediction, summarize_probabilistic
 from futureworld.seeding import derive_seed
-from futureworld.sources import SourceSpec, fetch_all
+from futureworld.sources import fetch_all
 
 from test_ledger import _reads
 
@@ -307,7 +307,7 @@ def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
         "".join(json.dumps({"identifier": e.identifier, "label": i % 2}) + "\n" for i, e in enumerate(events))
     )
     config = _config(
-        sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
+        sources=(str(feed),),
         answer_files={"answers": str(answers)},
         agents=("constant",),
         benchmark=BenchmarkSettings(enabled=False),
@@ -562,7 +562,7 @@ def test_file_feed_source_flows_through_issue(tmp_path):
     events = [make_event(identifier=f"evt-f{i:02d}", city="Oslo", band=f"{50+i}-{51+i}°F") for i in range(6)]
     feed.write_text("\n".join(dumps_canonical(jsonl.to_row(e)) for e in events) + "\n")
     config = _config(
-        sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
+        sources=(str(feed),),
         questions_per_day=4,
         agents=("constant",),
     )
@@ -638,11 +638,7 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
         ("benchmark: [caps]\n", "config benchmark must be a mapping, got list"),
         ("benchmark: {caps: 5}\n", "config benchmark.caps must be a mapping, got int"),
         ("benchmark: {pool: x}\n", "config benchmark.pool must be a mapping, got str"),
-        ("sources: [feed]\n", r"config sources\[0\] must be a mapping, got str"),
-        (
-            "sources: [{source_id: a, kind: synthetic, params: 5}]\n",
-            r"config sources\[0\].params must be a mapping, got int",
-        ),
+        ("sources: [{path: a}]\n", r"config sources\[0\] must be str, got dict"),
         (
             "domain_rules:\n  - {label: weather, keywords: [storm]}\n  - 3\n",
             r"config domain_rules\[1\] must be a mapping, got int",
@@ -668,7 +664,6 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
         ),
         ("seed: true\n", "config seed must be int, got bool"),
         ("answer_files: {filedb: 5}\n", "config answer_files.filedb must be str, got int"),
-        ("sources: [{kind: synthetic}]\n", r"config sources\[0\] lacks required keys: source_id"),
         ("start_day: soon\n", "config start_day must be a date YYYY-MM-DD, got 'soon'"),
         ('resolve_time: "8pm"\n', "resolve_time must be a 24-hour HH:MM time, got '8pm'"),
         ('issue_time: "25:00"\n', "issue_time must be a 24-hour HH:MM time, got '25:00'"),
@@ -699,16 +694,20 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
             "benchmark: {pool: {unresolved_rate_by_type: {binary: 0.5}}}\n",
             "config benchmark.pool: unresolved_rate_by_type names unknown types: binary",
         ),
+        ("event_rate: -1\n", "event_rate must be non-negative, got -1"),
+        ("information_level: 2\n", r"information_level must lie in \[0, 1\], got 2.0"),
+        ("information_level: -5\n", r"information_level must lie in \[0, 1\], got -5.0"),
     ],
     ids=[
-        "limits", "benchmark", "caps", "pool", "sources", "params", "domain_rules",
+        "limits", "benchmark", "caps", "pool", "sources", "domain_rules",
         "question_templates",
         "limits-key", "caps-key", "agents-string", "blocklist-string", "keywords-string",
         "int-string", "nested-int-string", "timezone-int", "unquoted-clock", "skills-int",
-        "nested-mapping-int", "seed-bool", "answer-file-int", "source-missing-key",
+        "nested-mapping-int", "seed-bool", "answer-file-int",
         "start-day", "clock-8pm", "clock-25h", "timeout-negative", "timezone-unknown",
         "lag-negative", "cap-negative", "cap-total-negative", "pool-count-negative",
         "pool-rate-above-1", "pool-type-rate-above-1", "pool-type-unknown",
+        "event-rate-negative", "information-level-above-1", "information-level-negative",
     ],
 )
 def test_config_yaml_names_a_malformed_section(tmp_path, text, message):
@@ -757,12 +756,7 @@ def test_every_config_field_round_trips_through_yaml(tmp_path):
             ),
             skills={"noisy": 0.6},
         ),
-        sources=(
-            SourceSpec(
-                "world", "synthetic",
-                params={"seed": 3, "event_rate": 40, "latent_p_mixture": [[0.1, 0.9, 1.0]]},
-            ),
-        ),
+        sources=("feeds/a.jsonl", "feeds/b.jsonl"),
         domain_rules=(DomainRule("weather", ("storm",)),),
         question_templates=(QuestionTemplate("t", "Will {x} happen?", "About {x}."),),
         blocklist=("spam",),
@@ -792,7 +786,7 @@ def test_the_readme_config_example_loads(tmp_path):
     config_file = tmp_path / "cycle.yaml"
     config_file.write_text(example)
     config = CycleConfig.from_yaml(config_file)
-    assert config.seed == 6 and config.sources[0].params == {"path": "feeds/a.jsonl"}
+    assert config.seed == 6 and config.sources == ("feeds/a.jsonl",)
 
 
 def test_fw_reports_a_malformed_config_section_without_a_traceback(tmp_path, capsys):
@@ -807,15 +801,12 @@ def test_fw_reports_a_malformed_config_section_without_a_traceback(tmp_path, cap
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("declared", [False, True], ids=["built-in", "declared"])
 @pytest.mark.parametrize("tz", ["Asia/Tokyo", "Europe/Berlin"])
-def test_synthetic_events_resolve_at_the_cycle_resolve_time(tmp_path, tz, declared):
-    sources = (SourceSpec("world", "synthetic", params={"seed": 3, "event_rate": 40}),)
-
+def test_synthetic_events_resolve_at_the_cycle_resolve_time(tmp_path, tz):
     def run(zone: str):
         config = _config(
             seed=3, event_rate=40, agents=("oracle",), timezone=zone,
-            sources=sources if declared else (), benchmark=BenchmarkSettings(enabled=False),
+            benchmark=BenchmarkSettings(enabled=False),
         )
         orch = Orchestrator(config, tmp_path / zone.replace("/", "-"))
         return orch, orch.simulate(2).cycle_reports
@@ -847,13 +838,10 @@ def test_file_feed_keeps_events_resolving_on_the_next_local_day_east_of_utc(tmp_
         for i in range(2)
     ]
     feed.write_text("".join(jsonl.dumps_canonical(jsonl.to_row(e)) + "\n" for e in events))
-    config = _config(
-        timezone="Asia/Tokyo",
-        sources=(SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}),),
-    )
+    config = _config(timezone="Asia/Tokyo", sources=(str(feed),))
 
     def issued_on(day: date) -> list[str]:
-        fetched = fetch_all(config.source_specs(), day, config.resolve_at(day), config.zone)
+        fetched = fetch_all(config, day)
         return [e.identifier for e in fetched.events]
 
     assert issued_on(date(2026, 3, 1)) == []
@@ -861,6 +849,54 @@ def test_file_feed_keeps_events_resolving_on_the_next_local_day_east_of_utc(tmp_
     assert issued_on(date(2026, 3, 3)) == ["evt-1"]
     report = Orchestrator(config, tmp_path / "run").run_issue_phase(date(2026, 3, 2))
     assert report.candidates == 1 and report.questions_issued == 1
+
+
+def _feed_run(tmp_path, feeds: dict[str, list[CandidateEvent]]) -> Orchestrator:
+    """A constant-agent run over the named feed files, every event answered ``1``."""
+    paths = []
+    for name, events in feeds.items():
+        path = tmp_path / name
+        path.write_text("".join(jsonl.dumps_canonical(jsonl.to_row(e)) + "\n" for e in events))
+        paths.append(str(path))
+    answers = tmp_path / "answers.jsonl"
+    identifiers = sorted({e.identifier for events in feeds.values() for e in events})
+    answers.write_text("".join(json.dumps({"identifier": i, "label": 1}) + "\n" for i in identifiers))
+    config = _config(
+        sources=tuple(paths),
+        answer_files={"answers": str(answers)},
+        agents=("constant",),
+        benchmark=BenchmarkSettings(enabled=False),
+    )
+    return Orchestrator(config, tmp_path / "run")
+
+
+def _feed_event(identifier: str, i: int, **changes) -> CandidateEvent:
+    from conftest import make_event
+
+    event = make_event(identifier=identifier, city="Oslo", band=f"{50 + i}-{51 + i}°F")
+    return replace(event, resolver_key="answers", **changes)
+
+
+def test_a_feed_event_resolving_after_the_next_resolve_time_is_issued_a_day_later(tmp_path):
+    # 21:00 UTC on March 3 is after that evening's 20:30 resolve, which would
+    # find the outcome unpublished; the batch of March 3 resolves after it.
+    late = datetime(2026, 3, 3, 21, 0, tzinfo=timezone.utc)
+    events = [_feed_event(f"evt-late{i}", i, expected_resolution=late) for i in range(6)]
+    reports = _feed_run(tmp_path, {"feed.jsonl": events}).simulate(2).cycle_reports
+    assert [r.questions_issued for r in reports] == [0, 6]
+    assert reports[1].outcomes_resolved == 6 and reports[1].unresolved_count == 0
+    assert reports[1].groups_exported == {"constant": 6}
+
+
+def test_two_feeds_sharing_an_identifier_issue_it_once(tmp_path):
+    first = [_feed_event(f"evt-s{i}", i) for i in range(2)]
+    second = [_feed_event("evt-s1", 2), _feed_event("evt-s2", 3)]
+    orch = _feed_run(tmp_path, {"a.jsonl": first, "b.jsonl": second})
+    report = orch.run_issue_phase(START)
+    assert report.feed_errors == 1 and report.questions_issued == 3
+    issued = [row["resolver_metadata"]["identifier"] for row in read_jsonl(orch.questions_path(START))]
+    assert sorted(issued) == ["evt-s0", "evt-s1", "evt-s2"]
+    assert orch.run_resolve_phase(START).outcomes_resolved == 3
 
 
 def test_synthetic_events_are_observed_before_the_issue_time_far_east_of_utc(tmp_path):

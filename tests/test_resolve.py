@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import date, timedelta, timezone
 
 import pytest
 
 from futureworld.domain import Outcome
 from futureworld.jsonl import dumps_canonical
-from futureworld.sources import SyntheticWorldConfig, generate_synthetic_world
+from futureworld.sources import generate_synthetic_world
 from futureworld.resolve import (
     FileLookupResolver,
     REASON_MATCH_FAILED,
@@ -27,10 +27,7 @@ NOW = T1
 
 
 def _world(n=100, unresolved_rate=0.0, seed=1):
-    return generate_synthetic_world(
-        SyntheticWorldConfig(day=DAY, resolve_at=NOW, event_count=n, unresolved_rate=unresolved_rate),
-        seed=seed,
-    )
+    return generate_synthetic_world(DAY, NOW, timezone.utc, seed, n, unresolved_rate)
 
 
 def _truth_resolver(world):

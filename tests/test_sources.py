@@ -6,13 +6,13 @@ from datetime import date, datetime, time, timedelta, timezone
 import pytest
 
 from futureworld.jsonl import dumps_canonical, read_jsonl, to_row
+from futureworld.orchestrator import CycleConfig
 from futureworld.qpipeline import DEFAULT_TEMPLATES, construct_pair
 from futureworld.sources import (
-    SourceSpec,
-    SyntheticWorldConfig,
-    fetch_candidates,
+    LATENT_MIXTURE,
+    fetch_all,
     generate_synthetic_world,
-    read_feed_file,
+    read_feeds,
     write_truth_file,
 )
 
@@ -25,87 +25,77 @@ def resolve_at(day: date) -> datetime:
     return datetime.combine(day + timedelta(days=1), time(20, 30), tzinfo=timezone.utc)
 
 
-def fetch(spec: SourceSpec, day: date = DAY):
-    return fetch_candidates(spec, day, resolve_at(day), timezone.utc)
+def fetch(config: CycleConfig, day: date = DAY):
+    return fetch_all(config, day)
 
 
-def world_config(**params) -> SyntheticWorldConfig:
-    return SyntheticWorldConfig(day=DAY, resolve_at=resolve_at(DAY), **params)
+def world(event_count: int, seed: int, unresolved_rate: float = 0.3565):
+    return generate_synthetic_world(
+        DAY, resolve_at(DAY), timezone.utc, seed, event_count, unresolved_rate
+    )
 
 
-def synthetic_spec(seed: int = 7, event_rate: int = 100, **params) -> SourceSpec:
-    merged = {"seed": seed, "event_rate": event_rate}
-    merged.update(params)
-    return SourceSpec(source_id="synthetic", kind="synthetic", params=merged)
+def synthetic_config(seed: int = 7, event_rate: int = 100) -> CycleConfig:
+    return CycleConfig(seed=seed, event_rate=event_rate)
 
 
-def test_source_spec_validates_kind_and_params():
-    with pytest.raises(ValueError):
-        SourceSpec(source_id="x", kind="rss")
-    with pytest.raises(ValueError):
-        SourceSpec(source_id="x", kind="file_feed")
-    # A param the kind does not read is a misspelling, not something to ignore.
-    with pytest.raises(ValueError, match="unknown synthetic source params: event_count"):
-        SourceSpec("w", "synthetic", params={"event_count": 5})
-    with pytest.raises(ValueError, match="unknown file_feed source params: event_rate, seed"):
-        SourceSpec("f", "file_feed", params={"path": "a.jsonl", "seed": 1, "event_rate": 5})
-    read = {"seed": 1, "event_rate": 5, "unresolved_rate": 0.1, "latent_p_mixture": [(0.2, 0.8, 1)]}
-    assert SourceSpec("w", "synthetic", params=read).params == read
+def feed_config(*paths) -> CycleConfig:
+    return CycleConfig(sources=tuple(map(str, paths)))
 
 
 def test_synthetic_fetch_is_deterministic_byte_for_byte():
-    spec = synthetic_spec(seed=7, event_rate=100)
-    first = fetch(spec)
-    second = fetch(spec)
+    config = synthetic_config(seed=7, event_rate=100)
+    first = fetch(config)
+    second = fetch(config)
     assert len(first.events) == 100
     encode = lambda r: "\n".join(dumps_canonical(to_row(e)) for e in r.events)
     assert encode(first) == encode(second)
 
 
 def test_synthetic_worlds_differ_across_days_and_seeds():
-    spec = synthetic_spec(seed=7, event_rate=50)
-    a = fetch(spec).events
-    b = fetch(spec, DAY + timedelta(days=1)).events
-    c = fetch(synthetic_spec(seed=8, event_rate=50)).events
+    config = synthetic_config(seed=7, event_rate=50)
+    a = fetch(config).events
+    b = fetch(config, DAY + timedelta(days=1)).events
+    c = fetch(synthetic_config(seed=8, event_rate=50)).events
     assert [e.payload for e in a] != [e.payload for e in b]
     assert [e.payload for e in a] != [e.payload for e in c]
 
 
 def test_expected_resolution_falls_on_next_day():
-    for event in fetch(synthetic_spec(event_rate=40)).events:
+    for event in fetch(synthetic_config(event_rate=40)).events:
         assert event.expected_resolution == resolve_at(DAY)
         assert event.expected_resolution > event.observed_at
 
 
 def test_unresolved_rate_zero_means_everything_resolves():
-    world = generate_synthetic_world(world_config(event_count=200, unresolved_rate=0.0), seed=1)
-    assert all(e.will_resolve for e in world.events)
+    events = world(200, seed=1, unresolved_rate=0.0).events
+    assert all(e.will_resolve for e in events)
 
 
-def test_latent_one_means_all_labels_positive():
-    config = world_config(event_count=150, latent_mixture=((1.0, 1.0, 1.0),))
-    world = generate_synthetic_world(config, seed=3)
-    assert all(e.realized_label == 1 for e in world.events)
-    assert all(e.latent_p == 1.0 for e in world.events)
+def test_labels_are_drawn_from_the_latent_mixture():
+    events = world(10_000, seed=3).events
+    mean_latent = sum(e.latent_p for e in events) / len(events)
+    mean_label = sum(e.realized_label for e in events) / len(events)
+    mixture_mean = sum(w * (lo + hi) / 2 for lo, hi, w in LATENT_MIXTURE)
+    assert abs(mean_latent - mixture_mean) <= 0.02
+    assert abs(mean_label - mean_latent) <= 0.02
 
 
 def test_unresolved_fraction_tracks_configured_rate():
-    config = world_config(event_count=10_000, unresolved_rate=0.3565)
-    world = generate_synthetic_world(config, seed=5)
-    frac = sum(1 for e in world.events if not e.will_resolve) / len(world.events)
+    events = world(10_000, seed=5, unresolved_rate=0.3565).events
+    frac = sum(1 for e in events if not e.will_resolve) / len(events)
     assert abs(frac - 0.3565) <= 0.02
 
 
 def test_invalid_config_ranges_rejected():
-    with pytest.raises(ValueError):
-        world_config(unresolved_rate=1.5)
-    with pytest.raises(ValueError):
-        world_config(latent_mixture=((0.9, 0.2, 1.0),))
+    with pytest.raises(ValueError, match="unresolved_rate must lie in"):
+        CycleConfig(unresolved_rate=1.5)
+    with pytest.raises(ValueError, match="event_rate must be non-negative"):
+        CycleConfig(event_rate=-1)
 
 
 def test_truth_never_leaks_into_candidate_payload():
-    world = generate_synthetic_world(world_config(event_count=120), seed=2)
-    for event in world.candidates():
+    for event in world(120, seed=2).candidates():
         serialized = dumps_canonical(to_row(event))
         assert "realized_label" not in serialized
         assert "will_resolve" not in serialized
@@ -113,21 +103,20 @@ def test_truth_never_leaks_into_candidate_payload():
 
 
 def test_question_texts_unique_within_a_day():
-    world = generate_synthetic_world(world_config(event_count=300), seed=4)
     signatures = [
         tuple(sorted((k, v) for k, v in e.event.payload.items() if k != "identifier"))
-        for e in world.events
+        for e in world(300, seed=4).events
     ]
     assert len(signatures) == len(set(signatures))
 
 
 def test_truth_file_round_trip(tmp_path):
-    world = generate_synthetic_world(world_config(event_count=30), seed=9)
+    day_world = world(30, seed=9)
     path = tmp_path / "truth.jsonl"
-    write_truth_file(path, world.truth_rows())
+    write_truth_file(path, day_world.truth_rows())
     table = {row["identifier"]: row for row in read_jsonl(path)}
     assert len(table) == 30
-    sample = world.events[0]
+    sample = day_world.events[0]
     assert table[sample.identifier]["label"] == sample.realized_label
 
 
@@ -138,8 +127,7 @@ def test_file_feed_passthrough(tmp_path):
     feed = tmp_path / "feed.jsonl"
     events = [make_event(identifier=f"evt-{i:03d}") for i in range(3)]
     feed.write_text("\n".join(dumps_canonical(to_row(e)) for e in events) + "\n")
-    spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
-    result = fetch(spec)
+    result = fetch(feed_config(feed))
     assert len(result.events) == 3
     assert result.errors == []
 
@@ -150,9 +138,7 @@ def test_file_feed_reports_malformed_records_and_continues(tmp_path):
     lines = [dumps_canonical(to_row(e)) for e in events]
     lines[1] = '{"source_id": "broken"'
     feed.write_text("\n".join(lines) + "\n")
-    result = fetch(
-        SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)}), DAY
-    )
+    result = fetch(feed_config(feed), DAY)
     assert len(result.events) == 2
     assert len(result.errors) == 1
     assert result.errors[0].line_number == 2
@@ -161,9 +147,9 @@ def test_file_feed_reports_malformed_records_and_continues(tmp_path):
 def test_file_feed_filters_to_cycle_alignment(tmp_path):
     feed = tmp_path / "feed.jsonl"
     feed.write_text(dumps_canonical(to_row(make_event())) + "\n")
-    spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
-    assert len(fetch(spec).events) == 1
-    assert fetch(spec, DAY + timedelta(days=3)).events == []
+    config = feed_config(feed)
+    assert len(fetch(config).events) == 1
+    assert fetch(config, DAY + timedelta(days=3)).events == []
 
 
 def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
@@ -171,21 +157,31 @@ def test_file_feed_reports_an_identifier_seen_on_another_line(tmp_path):
     first = make_event(identifier="evt-007")
     again = replace(first, expected_resolution=first.expected_resolution + timedelta(days=1))
     feed.write_text("\n".join(dumps_canonical(to_row(e)) for e in (first, again)) + "\n")
-    events, errors = read_feed_file(feed)
+    events, errors = read_feeds([feed])
     assert events == [first]
     assert [e.line_number for e in errors] == [2]
     assert "evt-007" in errors[0].message
     # the repeat would have been issued a day later under the same question id
-    spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(feed)})
-    later = fetch(spec, DAY + timedelta(days=1))
+    later = fetch(feed_config(feed), DAY + timedelta(days=1))
     assert later.events == [] and len(later.errors) == 1
+
+
+def test_an_identifier_repeated_in_a_later_feed_is_reported_with_its_file(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text(dumps_canonical(to_row(make_event(identifier="evt-1"))) + "\n")
+    repeated = (make_event(identifier="evt-2"), make_event(identifier="evt-1", city="Oslo"))
+    b.write_text("".join(dumps_canonical(to_row(e)) + "\n" for e in repeated))
+    events, errors = read_feeds([a, b])
+    assert [e.identifier for e in events] == ["evt-1", "evt-2"]
+    assert [(e.path, e.line_number) for e in errors] == [(b, 2)]
+    assert errors[0].message == f"duplicate identifier 'evt-1' (first on line 1 of {a})"
 
 
 def test_file_feed_keeps_raw_line_separators_inside_a_string(tmp_path):
     feed = tmp_path / "feed.jsonl"
     event = make_event(city="Oslo\u2028Nord\x85Vest")
     feed.write_text(dumps_canonical(to_row(event)) + "\n", encoding="utf-8")
-    assert read_feed_file(feed) == ([event], [])
+    assert read_feeds([feed]) == ([event], [])
 
 
 def test_file_feed_loads_numeric_payload_values_and_reports_wrong_typed_fields(tmp_path):
@@ -193,7 +189,7 @@ def test_file_feed_loads_numeric_payload_values_and_reports_wrong_typed_fields(t
     numeric = make_event(template="index_threshold", index="Meridian 300", threshold=4000)
     wrong_typed = {**to_row(make_event(identifier="evt-002")), "observed_at": 5}
     feed.write_text("".join(dumps_canonical(r) + "\n" for r in (to_row(numeric), wrong_typed)))
-    events, errors = read_feed_file(feed)
+    events, errors = read_feeds([feed])
     assert events == [numeric] and events[0].payload["threshold"] == 4000
     pair = construct_pair(events[0], DEFAULT_TEMPLATES, resolve_at(DAY) - timedelta(days=1))
     assert pair.question.text == "Will the Meridian 300 close above 4000 points on April 18?"
@@ -202,6 +198,5 @@ def test_file_feed_loads_numeric_payload_values_and_reports_wrong_typed_fields(t
 
 
 def test_missing_feed_file_raises(tmp_path):
-    spec = SourceSpec(source_id="feed", kind="file_feed", params={"path": str(tmp_path / "nope.jsonl")})
     with pytest.raises(FileNotFoundError):
-        fetch(spec)
+        fetch(feed_config(tmp_path / "nope.jsonl"))
