@@ -5,8 +5,9 @@ configuration (issue/resolve times in a local timezone) is converted on
 ingest. Types are immutable value records and safe to share across threads.
 
 A record's wire form is a flat JSON object keyed by its dataclass fields, with
-timestamps as RFC 3339 strings, derived by ``jsonl.to_row``/``jsonl.from_row``;
-``Step`` and ``Trajectory``, the ledger's records, keep hand-written codecs.
+timestamps as RFC 3339 strings and enums as their values, derived by
+``jsonl.to_row``/``jsonl.from_row``. The ledger writes ``Trajectory`` and
+``Step`` with ``to_row`` too, and its replay decodes them in ``ledger``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 QuestionId = str
 PairId = str
@@ -135,23 +136,6 @@ class Step:
         if not self.action:
             raise ValueError("step action must be non-empty")
 
-    def to_dict(self, format_time: Callable[[datetime], str] = format_rfc3339) -> dict[str, Any]:
-        return {
-            "action": self.action,
-            "observation": self.observation,
-            "issued_at": format_time(self.issued_at),
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], parse_time: Callable[[str], datetime] = parse_rfc3339
-    ) -> "Step":
-        return cls(
-            action=data["action"],
-            observation=data["observation"],
-            issued_at=parse_time(data["issued_at"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
@@ -211,62 +195,6 @@ class Trajectory:
             status,
             label,
             reward,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """The wire form; the prediction instant is formatted once, for the steps too."""
-        when = format_rfc3339(self.prediction_time)
-
-        def format_time(ts: datetime) -> str:
-            return when if ts == self.prediction_time else format_rfc3339(ts)
-
-        return {
-            "trajectory_id": self.trajectory_id,
-            "question_id": self.question_id,
-            "rollout_index": self.rollout_index,
-            "prediction_time": when,
-            "steps": [s.to_dict(format_time) for s in self.steps],
-            "raw_final_answer": self.raw_final_answer,
-            "final_probability": self.final_probability,
-            "status": self.status.value,
-            "label": self.label,
-            "reward": self.reward,
-        }
-
-    @classmethod
-    def from_dict(
-        cls,
-        data: Mapping[str, Any],
-        parse_time: Callable[[str], datetime] = parse_rfc3339,
-        steps: Optional[tuple[Step, ...]] = None,
-    ) -> "Trajectory":
-        """Decode the wire form.
-
-        A caller that decodes many records can share what they have in
-        common. ``parse_time`` decodes the prediction instant; it may return
-        one held instant per distinct string. Steps stamped with that string
-        share the instant. ``steps``, when given, are values the caller
-        already holds that equal the decoded ``data["steps"]``.
-        """
-        when = data["prediction_time"]
-        prediction_time = parse_time(when)
-        if steps is None:
-
-            def parse_step_time(text: str) -> datetime:
-                return prediction_time if text == when else parse_rfc3339(text)
-
-            steps = tuple(Step.from_dict(s, parse_step_time) for s in data["steps"])
-        return cls(
-            data["trajectory_id"],
-            data["question_id"],
-            data["rollout_index"],
-            prediction_time,
-            steps,
-            data["raw_final_answer"],
-            data["final_probability"],
-            TrajectoryStatus(data["status"]),
-            data["label"],
-            data["reward"],
         )
 
 

@@ -3,23 +3,25 @@
 A JSONL file holds one canonical JSON object per line, and only ``\\n`` ends
 a line: ``str.splitlines`` would also split at U+2028, U+0085 and other
 separators that ``ensure_ascii=False`` leaves raw inside strings. The ledger's
-day logs share the canonical line but keep their appender and replay, with
-the logs' crash rules (fsync, torn tail), in ``ledger``.
+day logs share the canonical line, but ``ledger`` alone knows their record
+format, appender and replay, with the logs' crash rules (fsync, torn tail).
 
 This module also owns the records' shapes. ``to_row`` and ``from_row`` walk a
 dataclass's fields and type hints, so the class is the schema: the key is the
-field name, a UTC instant is an RFC 3339 string, a date an ISO string and a
-tuple a list. ``from_row`` checks every value against its field's type; the
-YAML config loads through it too. A class's plan is built on its first use.
-Two kinds of records keep hand-written codecs: ``Trajectory``, ``Step``,
-``Turn``, ``TrainingGroup``, ``TrainingEntry`` and ``MaskSpan`` are the
-ledger's replay, append and export hot path, where a field walk costs about
-three times as much and replay shares the equal values of sibling rollouts;
-``CycleReport`` keeps its ``predictions`` off the wire.
+field name, a UTC instant is an RFC 3339 string, a date an ISO string, a
+string enum its value and a tuple a list. ``from_row`` checks every value
+against its field's type; the YAML config loads through it too. A class's
+plan is built on its first use. The ledger writes its trajectories with
+``to_row``; its replay decodes them itself, equal to ``from_row``, so that
+sibling rollouts share their equal values. Two kinds of records keep
+hand-written codecs: ``TrainingGroup``, ``TrainingEntry`` and ``MaskSpan``
+are the export hot path, where a field walk costs about three times as much,
+and ``CycleReport`` keeps its ``predictions`` off the wire.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import json
 import os
@@ -92,6 +94,17 @@ def _decoder(kind: Any, subject: str, strict: bool) -> Callable[[Any, str], Any]
         return lambda value, path: None if value is None else inner(value, path)
     if is_dataclass(kind):
         return _record_decoder(kind, subject, strict)
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+
+        def read_member(value: Any, path: str) -> Any:
+            try:
+                return kind(value)
+            except ValueError:
+                names = ", ".join(repr(member.value) for member in kind)
+                where = _where(subject, path)
+                raise ValueError(f"{where} must be one of {names}, got {value!r}") from None
+
+        return read_member
     if origin is tuple:  # tuple[X, ...]
         item = _decoder(args[0], subject, strict)
         return lambda value, path: tuple(

@@ -15,11 +15,19 @@ trajectory names its log day, and a day's log is read the first time that
 day is read or written. ``release`` drops a day's replayed state again, so a
 caller that is done with a day holds only the days it is still working on.
 Only the whole-history readers (``all_trajectories`` and ``replay``) read
-every log. A replayed day shares equal values: the K rollouts of a question
-take their question id, texts, steps and transcript turns from one table
-kept while the question's records are replayed, so equal values are one
-object, and every role is a ``ROLE_*`` constant. A batch is stamped with one
-instant, and each distinct timestamp string of a day is parsed once.
+every log.
+
+This module alone knows the log line: ``{"kind", "payload", "sequence_no",
+"trajectory_id"}`` in the canonical JSON of ``jsonl``. A PREFIX payload is
+``{"trajectory": jsonl.to_row(trajectory), "transcript": [{"role", "text"},
+...]}``; a BACKFILL payload holds ``label``, ``reward`` and ``resolved_at``,
+a DISCARD payload ``reason`` and ``decided_at``. Replay decodes a PREFIX
+itself, equal to ``jsonl.from_row(Trajectory, ...)``, and shares equal
+values: the K rollouts of a question, appended in a row, take their question
+id, texts, steps and transcript turns from one table that starts empty at
+each new question id, so equal values are one object, and every role is a
+``ROLE_*`` constant. A batch is stamped with one instant, and each distinct
+prediction-instant string of a day is parsed once.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
@@ -38,12 +46,13 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .domain import (
     Outcome,
+    Step,
     Trajectory,
     TrajectoryStatus,
     format_rfc3339,
     parse_rfc3339,
 )
-from .jsonl import canonical_encoder, write_jsonl
+from .jsonl import canonical_encoder, to_row, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
 
@@ -125,7 +134,7 @@ class TrainingEntry:
         return {
             "trajectory_id": self.trajectory_id,
             "rollout_index": self.rollout_index,
-            "transcript": [t.to_dict() for t in self.transcript],
+            "transcript": [{"role": t.role, "text": t.text} for t in self.transcript],
             "mask_spans": [m.to_dict() for m in self.mask_spans],
             "reward": self.reward,
             "advantage": self.advantage,
@@ -155,29 +164,6 @@ class _StoredTrajectory:
 
 
 @dataclass
-class _SiblingTable:
-    """The values of one question's replayed rollouts, each keyed by its wire form.
-
-    A text is keyed by itself, a step by its (action, observation,
-    issued_at) strings and a turn by its (role, text).
-    """
-
-    question_id: str
-    values: dict[Any, Any] = field(default_factory=dict)
-
-    def seed(self, trajectory: Trajectory, transcript: Sequence[Turn]) -> None:
-        share = self.values.setdefault
-        share(trajectory.raw_final_answer, trajectory.raw_final_answer)
-        for step in trajectory.steps:
-            share(step.action, step.action)
-            share(step.observation, step.observation)
-            share((step.action, step.observation, format_rfc3339(step.issued_at)), step)
-        for turn in transcript:
-            share(turn.text, turn.text)
-            share((turn.role, turn.text), turn)
-
-
-@dataclass
 class _DayLog:
     """The replayed state of one day's log."""
 
@@ -191,8 +177,11 @@ class _DayLog:
     torn_bytes: Optional[int] = None
     #: replay memo: each distinct prediction-instant string, parsed once
     instants: dict[str, datetime] = field(default_factory=dict)
-    #: replay memo: the sibling table of the question replayed last
-    siblings: Optional[_SiblingTable] = None
+    #: replay memo: the question replayed last, and its values keyed by their
+    #: wire form (a text by itself, a step by its action, observation and
+    #: issued_at strings, a turn by its role and text)
+    question_id: Optional[str] = None
+    siblings: dict[Any, Any] = field(default_factory=dict)
 
     # -- state transitions (shared by live mutation and replay) -------------
 
@@ -234,55 +223,53 @@ class _DayLog:
     def _decode_prefix(self, payload: dict[str, Any]) -> tuple[Trajectory, list[Turn]]:
         """Decode a PREFIX payload, sharing each value that equals one already held.
 
-        Texts, steps and turns come from the sibling table of the record's
-        question, so the equal values of its K rollouts, and the equal texts
-        of a step and its turn, are one object; each role is the module's
-        ``ROLE_*`` constant. Prediction instants come from ``instants``.
+        A question's K rollouts are appended together, so ``siblings`` holds
+        the values of one question at a time and starts empty when the
+        question id changes. Equal texts, steps and turns of the siblings,
+        and the equal texts of a step and its turn, are one object; each role
+        is the module's ``ROLE_*`` constant. Prediction instants come from
+        ``instants``, and a step stamped with its trajectory's instant
+        shares that ``datetime``.
         """
         data = payload["trajectory"]
-        table = self._sibling_table(data["question_id"])
-        values = table.values
+        if data["question_id"] != self.question_id:
+            self.question_id = data["question_id"]
+            self.siblings = {}
+        values = self.siblings
         share = values.setdefault
-        data["question_id"] = table.question_id
-        data["raw_final_answer"] = share(data["raw_final_answer"], data["raw_final_answer"])
-        keys = [(s["action"], s["observation"], s["issued_at"]) for s in data["steps"]]
-        steps = [values.get(key) for key in keys]
-        if None in steps:
-            for step in data["steps"]:
-                step["action"] = share(step["action"], step["action"])
-                step["observation"] = share(step["observation"], step["observation"])
-            trajectory = Trajectory.from_dict(data, self._instant)
-            for key, step in zip(keys, trajectory.steps):
-                share(key, step)
-        else:
-            trajectory = Trajectory.from_dict(data, self._instant, tuple(steps))
+        when = data["prediction_time"]
+        prediction_time = self._instant(when)
+        steps = []
+        for s in data["steps"]:
+            action, observation, issued_at = key = (s["action"], s["observation"], s["issued_at"])
+            step = values.get(key)
+            if step is None:
+                step = values[key] = Step(
+                    share(action, action),
+                    share(observation, observation),
+                    prediction_time if issued_at == when else parse_rfc3339(issued_at),
+                )
+            steps.append(step)
+        trajectory = Trajectory(
+            data["trajectory_id"],
+            self.question_id,
+            data["rollout_index"],
+            prediction_time,
+            tuple(steps),
+            share(data["raw_final_answer"], data["raw_final_answer"]),
+            data["final_probability"],
+            TrajectoryStatus(data["status"]),
+            data["label"],
+            data["reward"],
+        )
         transcript = []
         for t in payload.get("transcript", ()):
-            key = (t["role"], t["text"])
+            role, text = key = (t["role"], t["text"])
             turn = values.get(key)
             if turn is None:
-                turn = Turn(_ROLES.get(t["role"], t["role"]), share(t["text"], t["text"]))
-                share(key, turn)
+                turn = values[key] = Turn(_ROLES.get(role, role), share(text, text))
             transcript.append(turn)
         return trajectory, transcript
-
-    def _sibling_table(self, question_id: str) -> _SiblingTable:
-        """The question's sibling table, kept while its rollouts are replayed in a row.
-
-        A question's K rollouts are appended together, so one table is held
-        at a time. A question met again later (a group completed after a
-        crash) gets a table seeded from its first replayed sibling.
-        """
-        table = self.siblings
-        if table is not None and table.question_id == question_id:
-            return table
-        table = self.siblings = _SiblingTable(question_id)
-        siblings = self.by_question.get(question_id)
-        if siblings:
-            first = self.records[siblings[0]]
-            table.question_id = first.trajectory.question_id
-            table.seed(first.trajectory, first.transcript)
-        return table
 
     def _instant(self, text: str) -> datetime:
         instant = self.instants.get(text)
@@ -420,8 +407,8 @@ class TrajectoryLedger:
                     KIND_PREFIX,
                     trajectory.trajectory_id,
                     {
-                        "trajectory": trajectory.to_dict(),
-                        "transcript": [t.to_dict() for t in transcript],
+                        "trajectory": to_row(trajectory),
+                        "transcript": [{"role": t.role, "text": t.text} for t in transcript],
                     },
                 )
                 for trajectory, transcript in prefixes

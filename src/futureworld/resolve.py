@@ -165,11 +165,6 @@ class BatchResolution:
     outcomes: list[Outcome]
     unresolved: list[Unresolved]
 
-    @property
-    def unresolved_fraction(self) -> float:
-        total = len(self.outcomes) + len(self.unresolved)
-        return len(self.unresolved) / total if total else 0.0
-
     def unresolved_reasons(self) -> dict[str, int]:
         return dict(Counter(u.reason for u in self.unresolved))
 

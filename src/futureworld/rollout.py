@@ -40,9 +40,6 @@ class Turn:
     role: str
     text: str
 
-    def to_dict(self) -> dict[str, str]:
-        return {"role": self.role, "text": self.text}
-
 
 @dataclass(frozen=True)
 class AgentMove:
@@ -219,13 +216,3 @@ def run_group(
         if k not in recorded
     ]
 
-
-def reconstruct_transcript(prompt: str, trajectory: Trajectory) -> list[Turn]:
-    """Rebuild the conversation a violation-free rollout showed its agent."""
-    turns = [Turn(ROLE_ENVIRONMENT, prompt)]
-    for step in trajectory.steps:
-        turns.append(Turn(ROLE_AGENT, step.action))
-        turns.append(Turn(ROLE_TOOL, step.observation))
-    if trajectory.raw_final_answer:
-        turns.append(Turn(ROLE_AGENT, trajectory.raw_final_answer))
-    return turns

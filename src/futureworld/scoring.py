@@ -217,11 +217,27 @@ def _resample_blocks(n: int, n_resamples: int, seed: int) -> Iterator[np.ndarray
 
 
 def _percentile_interval(stats: list[np.ndarray], level: float) -> tuple[float, float]:
+    """The central ``level`` interval of the statistics, as ``np.quantile`` gives it.
+
+    Both quantiles come from one sort, with numpy's default ("linear") rule
+    to the bit; ``np.quantile`` itself would import ``numpy.ma`` on first use.
+    """
     import numpy as np
 
+    ordered = np.sort(np.concatenate(stats))
     alpha = (1.0 - level) / 2.0
-    low, high = np.quantile(np.concatenate(stats), [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    return _sorted_quantile(ordered, alpha), _sorted_quantile(ordered, 1.0 - alpha)
+
+
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """numpy's linear quantile of sorted values: lerp between the two nearest ranks."""
+    index = (len(ordered) - 1) * q
+    below = math.floor(index)
+    if below >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    t, d = index - below, b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
 
 
 def bootstrap_ci(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -18,7 +19,7 @@ from futureworld.domain import (
     parse_rfc3339,
     validate_trajectory,
 )
-from futureworld.jsonl import write_jsonl
+from futureworld.jsonl import dumps_canonical, from_row, to_row, write_jsonl
 from futureworld.ledger import TrainingGroup, write_training_batch
 from futureworld.sources import write_truth_file
 
@@ -183,13 +184,13 @@ def _random_trajectory(rng: random.Random) -> Trajectory:
 
 
 def test_round_trip_every_type():
-    # the ledger's hand-written codecs; test_jsonl round-trips the other records
+    # the ledger's records through their canonical line; test_jsonl round-trips the others
     rng = random.Random(11)
     step = make_step()
-    assert Step.from_dict(step.to_dict()) == step
+    assert from_row(Step, json.loads(dumps_canonical(to_row(step)))) == step
     for _ in range(200):
         t = _random_trajectory(rng)
-        assert Trajectory.from_dict(t.to_dict()) == t
+        assert from_row(Trajectory, json.loads(dumps_canonical(to_row(t)))) == t
 
 
 def test_outcome_label_must_be_binary():
@@ -199,8 +200,8 @@ def test_outcome_label_must_be_binary():
 
 def test_wire_schema_freeze():
     # the ledger's records; renaming a field is a breaking change
-    assert set(make_step().to_dict()) == {"action", "observation", "issued_at"}
-    assert set(make_trajectory().to_dict()) == {
+    assert set(to_row(make_step())) == {"action", "observation", "issued_at"}
+    assert set(to_row(make_trajectory())) == {
         "trajectory_id", "question_id", "rollout_index", "prediction_time",
         "steps", "raw_final_answer", "final_probability", "status", "label", "reward",
     }

@@ -10,14 +10,14 @@ import pytest
 
 import futureworld
 from futureworld.benchmark import BenchmarkAnswer, GoldRecord
-from futureworld.domain import Outcome, Question
+from futureworld.domain import Outcome, Question, Trajectory
 from futureworld.jsonl import dumps_canonical, from_row, read_jsonl, to_row, write_jsonl
 from futureworld.orchestrator import IssueReport
 from futureworld.prompts import BenchmarkQuestion
 from futureworld.qpipeline import FilterVerdict
 from futureworld.scoring import ScoreReport
 
-from conftest import T1, make_event, make_pair, make_question
+from conftest import T1, make_event, make_pair, make_question, make_trajectory
 
 PACKAGE = Path(futureworld.__file__).parent
 
@@ -107,6 +107,14 @@ RECORDS = [
         '"resolved_at":"2026-03-03T20:30:00+00:00"}',
     ),
     (
+        make_trajectory().resolved(1, -0.09),
+        '{"final_probability":0.7,"label":1,"prediction_time":"2026-03-02T20:00:00+00:00",'
+        '"question_id":"q-1","raw_final_answer":"FINAL: 0.7","reward":-0.09,"rollout_index":0,'
+        '"status":"RESOLVED","steps":[{"action":"dallas temperature forecast",'
+        '"issued_at":"2026-03-02T20:00:00+00:00","observation":"forecast digest"}],'
+        '"trajectory_id":"q-1#k0"}',
+    ),
+    (
         FilterVerdict(pair_id="p-1", filter_name="safe", eligible=False, reason="blocked term"),
         '{"eligible":false,"filter_name":"safe","pair_id":"p-1","reason":"blocked term"}',
     ),
@@ -168,3 +176,6 @@ def test_a_wrong_typed_value_names_its_field():
         from_row(Question, {k: v for k, v in row.items() if k != "text"})
     with pytest.raises(ValueError, match="GoldRecord gold_options\\[1\\] must be int, got str"):
         from_row(GoldRecord, {"question_id": "bq-2", "qtype": "simple_mc", "gold_options": [0, "2"]})
+    trajectory = to_row(make_trajectory())
+    with pytest.raises(ValueError, match="Trajectory status must be one of 'PENDING', .*, got 'OPEN'"):
+        from_row(Trajectory, {**trajectory, "status": "OPEN"})

@@ -11,8 +11,8 @@ import pytest
 
 from futureworld import ledger as ledger_module
 from futureworld.agents import SimulatedSearchTool, make_scripted_agent
-from futureworld.domain import Outcome, Trajectory, TrajectoryStatus
-from futureworld.jsonl import dumps_canonical
+from futureworld.domain import Outcome, Step, Trajectory, TrajectoryStatus
+from futureworld.jsonl import dumps_canonical, from_row, to_row
 from futureworld.ledger import (
     ConflictingOutcomeError,
     DuplicateTrajectoryError,
@@ -131,8 +131,8 @@ def test_a_prefix_batch_writes_numbered_canonical_lines_after_release(tmp_path):
                 "kind": "PREFIX",
                 "trajectory_id": t.trajectory_id,
                 "payload": {
-                    "trajectory": t.to_dict(),
-                    "transcript": [turn.to_dict() for turn in _transcript(t)],
+                    "trajectory": to_row(t),
+                    "transcript": [to_row(turn) for turn in _transcript(t)],
                 },
             }
         )
@@ -512,7 +512,7 @@ def _reference_day(log):
             tid, payload = record["trajectory_id"], record["payload"]
             if record["kind"] == "PREFIX":
                 turns = [Turn(t["role"], t["text"]) for t in payload["transcript"]]
-                state[tid] = (Trajectory.from_dict(payload["trajectory"]), turns)
+                state[tid] = (from_row(Trajectory, payload["trajectory"]), turns)
             elif record["kind"] == "BACKFILL":
                 t, turns = state[tid]
                 resolved = replace(
@@ -554,32 +554,155 @@ def test_a_replayed_day_equals_a_reference_decode(tmp_path, agent_name, clock, t
         assert t.prediction_time is siblings[0].prediction_time
 
 
+#: texts a random rollout draws from: non-ASCII, raw U+2028 and U+0085, and
+#: the prediction instant's own string
+_TEXTS = ("Dallas 84–85°F", "東京の天気", "line one\u2028line two", "one\x85two", T0.isoformat(), "plain")
+
+
+def _random_steps(rng):
+    """One to three steps, each stamped at the prediction instant or after it."""
+    return tuple(
+        Step(
+            action=rng.choice(_TEXTS),
+            observation=rng.choice(_TEXTS) + rng.choice(("", " ✓")),
+            issued_at=T0 + timedelta(seconds=rng.choice((0, 0, rng.randrange(1, 90)))),
+        )
+        for _ in range(rng.randrange(1, 4))
+    )
+
+
+def _random_group(rng, qid):
+    """One question's rollouts; a sibling repeats the first one's steps and answer at random."""
+    prompt = f"{rng.choice(_TEXTS)} ({qid})"
+    first_steps, first_raw = _random_steps(rng), rng.choice(_TEXTS)
+    group = []
+    for k in range(rng.randrange(1, 5)):
+        if rng.random() < 0.6:
+            steps, raw = first_steps, first_raw
+        else:
+            steps, raw = _random_steps(rng), rng.choice(_TEXTS)
+        prob = rng.choice((None, 0.0, 1.0, round(rng.random(), 4)))
+        t = make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, steps=steps, prob=prob, raw=raw)
+        turns = [Turn(ROLE_ENVIRONMENT, prompt)]
+        for step in steps:
+            turns += [Turn(ROLE_AGENT, step.action), Turn(ROLE_TOOL, step.observation)]
+        group.append((t, turns + [Turn(ROLE_AGENT, raw)]))
+    return group
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ledger_lines_are_canonical_rows_and_replay_equals_a_from_row_decode(tmp_path, seed):
+    rng = random.Random(seed)
+    qids = [f"q-{i}" for i in range(6)]
+    groups = {qid: _random_group(rng, qid) for qid in qids}
+    # one rollout that surely holds each edge case: no probability, an action
+    # equal to the instant's string, U+2028 in an observation, and steps
+    # stamped at and after the prediction instant
+    edge = (
+        Step(T0.isoformat(), "line one\u2028line two", T0),
+        Step("später", "日本", T0 + timedelta(seconds=1)),
+    )
+    t = make_trajectory(tid="q-0#k0", qid="q-0", steps=edge, prob=None, raw="")
+    groups["q-0"][0] = (t, [Turn(ROLE_ENVIRONMENT, "prompt")] + _transcript(t)[1:])
+    prefixes = [prefix for group in groups.values() for prefix in group]
+
+    ledger = TrajectoryLedger(tmp_path)
+    ledger.append_prefix_batch(DAY, prefixes)
+    outcomes = [Outcome(qid, rng.randrange(2), T1) for qid in qids[0::3]]
+    ledger.backfill(DAY, outcomes, trajectory_reward)
+    ledger.discard(DAY, [Unresolved(qid, "postponed") for qid in qids[1::3]], T1)
+
+    records = [
+        ("PREFIX", t, {"trajectory": to_row(t), "transcript": [to_row(turn) for turn in turns]})
+        for t, turns in prefixes
+    ]
+    records += [
+        ("BACKFILL", t, {
+            "label": o.label,
+            "reward": trajectory_reward(t.final_probability, o.label),
+            "resolved_at": T1.isoformat(),
+        })
+        for o in outcomes
+        for t, _ in groups[o.question_id]
+    ]
+    records += [
+        ("DISCARD", t, {"reason": "postponed", "decided_at": T1.isoformat()})
+        for qid in qids[1::3]
+        for t, _ in groups[qid]
+    ]
+    lines = [
+        dumps_canonical(
+            {"kind": kind, "payload": payload, "sequence_no": n, "trajectory_id": t.trajectory_id}
+        )
+        + "\n"
+        for n, (kind, t, payload) in enumerate(records, start=1)
+    ]
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    assert log.read_bytes() == "".join(lines).encode("utf-8")
+
+    reference = _reference_day(log)
+    replayed = TrajectoryLedger(tmp_path)
+    assert [t.trajectory_id for t in replayed.all_trajectories()] == list(reference)
+    for tid, (trajectory, turns) in reference.items():
+        assert replayed.get(DAY, tid) == trajectory == ledger.get(DAY, tid)
+        assert replayed.transcript(DAY, tid) == turns
+    statuses = {t.status for t, _ in reference.values()}
+    assert statuses == set(TrajectoryStatus)
+    for qid in qids:
+        held = {}  # the first object replay gave each value of the question
+        for t in replayed.trajectories_for(DAY, qid):
+            for value in (*t.steps, *replayed.transcript(DAY, t.trajectory_id)):
+                assert held.setdefault(value, value) is value
+            for step in t.steps:
+                assert (step.issued_at is t.prediction_time) == (step.issued_at == T0)
+
+
 def test_release_drops_the_replay_memos_and_a_new_access_rebuilds_them(tmp_path):
     ledger = _agent_day(tmp_path / "ledger", "oracle", lambda: T0)
     ledger.release(DAY)
     ledger.trajectories_for(DAY, "q-0")
     held = ledger._days[DAY]
-    assert held.siblings is not None and held.siblings.question_id == "q-2"
+    # the values of the question replayed last, and nothing else
+    q2 = {}
+    for t in ledger.trajectories_for(DAY, "q-2"):
+        q2[t.raw_final_answer] = t.raw_final_answer
+        for step in t.steps:
+            q2[(step.action, step.observation, step.issued_at.isoformat())] = step
+        for turn in ledger.transcript(DAY, t.trajectory_id):
+            q2[turn.text] = turn.text
+            q2[(turn.role, turn.text)] = turn
+    assert held.question_id == "q-2" and held.siblings.keys() == q2.keys()
+    assert all(held.siblings[key] is value for key, value in q2.items())
     assert list(held.instants) == [T0.isoformat()]
     ledger.release(DAY)
     assert DAY not in ledger._days
     ledger.trajectories_for(DAY, "q-0")
     rebuilt = ledger._days[DAY]
     assert rebuilt is not held and rebuilt.siblings is not held.siblings
-    assert rebuilt.siblings.question_id == "q-2" and list(rebuilt.instants) == [T0.isoformat()]
+    assert rebuilt.question_id == "q-2" and list(rebuilt.instants) == [T0.isoformat()]
+    assert rebuilt.siblings.keys() == held.siblings.keys()
 
 
 def test_a_group_completed_later_in_the_log_shares_its_first_siblings_values(tmp_path):
+    """A group split by another question's records replays equal to the reference.
+
+    Each run of the group's records shares its own values; the runs share
+    equal values, not objects.
+    """
     ledger = TrajectoryLedger(tmp_path)
     for qid, ks in (("q-1", (0, 1)), ("q-2", (0, 1, 2, 3)), ("q-1", (2, 3))):
         for k in ks:
             _append(ledger, make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k))
     ledger.release(DAY)
-    first, *rest = ledger.trajectories_for(DAY, "q-1")
-    first_turns = ledger.transcript(DAY, first.trajectory_id)
-    for t in rest:
-        assert t.steps[0] is first.steps[0]
-        assert all(a is b for a, b in zip(ledger.transcript(DAY, t.trajectory_id), first_turns))
+    reference = _reference_day(next(tmp_path.glob("ledger-*.jsonl")))
+    group = ledger.trajectories_for(DAY, "q-1")
+    assert [t.trajectory_id for t in group] == [f"q-1#k{k}" for k in range(4)]
+    for t in group:
+        assert (t, ledger.transcript(DAY, t.trajectory_id)) == reference[t.trajectory_id]
+    for a, b in (group[:2], group[2:]):
+        assert b.steps[0] is a.steps[0]
+        turns = ledger.transcript(DAY, b.trajectory_id)
+        assert all(x is y for x, y in zip(turns, ledger.transcript(DAY, a.trajectory_id)))
 
 
 def test_a_day_replayed_after_release_equals_the_day_held_live(tmp_path):

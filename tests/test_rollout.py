@@ -15,10 +15,13 @@ from futureworld.domain import TrajectoryStatus
 from futureworld.prompts import load_default_templates, render_prediction_prompt
 from futureworld.rollout import (
     CORRECTIVE_MESSAGE,
+    ROLE_AGENT,
+    ROLE_ENVIRONMENT,
+    ROLE_TOOL,
     AgentMove,
     RolloutLimits,
+    Turn,
     parse_final_probability,
-    reconstruct_transcript,
     run_group,
     run_rollout,
 )
@@ -172,7 +175,14 @@ def test_observation_stored_verbatim_and_transcript_reconstructs(question):
     prompt = _prompt(question)
     result = run_rollout(prompt, question, agent, EchoSearch(), LIMITS, 0)
     assert result.trajectory.steps[1].observation == "snippet about second query"
-    assert reconstruct_transcript(prompt, result.trajectory) == result.transcript
+    assert result.transcript == [
+        Turn(ROLE_ENVIRONMENT, prompt),
+        Turn(ROLE_AGENT, "first query"),
+        Turn(ROLE_TOOL, "snippet about first query"),
+        Turn(ROLE_AGENT, "second query"),
+        Turn(ROLE_TOOL, "snippet about second query"),
+        Turn(ROLE_AGENT, "FINAL: 0.42"),
+    ]
 
 
 def test_rollout_limits_validation():

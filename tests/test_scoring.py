@@ -23,6 +23,7 @@ from futureworld.scoring import (
     summarize_probabilistic,
     trajectory_reward,
 )
+from futureworld.scoring import _percentile_interval
 
 # -- independent oracles (deliberately different code paths) -------------------
 
@@ -290,6 +291,18 @@ def test_block_bootstrap_equals_the_reference_loops_bit_for_bit(n, n_resamples):
     assert bootstrap_metric_ci(
         probs, labels, n_resamples=n_resamples, seed=seed
     ) == reference_bootstrap_ece_ci(preds, n_resamples=n_resamples, seed=seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 999, 1000, 4001])
+def test_percentile_interval_equals_np_quantile_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        values = rng.choice([rng.random(n), rng.integers(0, 5, n) / 4.0, -rng.random(n) * 1e6])
+        level = float(rng.choice([0.95, 0.9, 0.5, 0.99, rng.random()]))
+        blocks = np.array_split(values, rng.integers(1, 4))  # an interval reads a list of blocks
+        alpha = (1.0 - level) / 2.0
+        expected = tuple(float(q) for q in np.quantile(values, [alpha, 1.0 - alpha]))
+        assert _percentile_interval(blocks, level) == expected, (trial, level)
 
 
 # -- oracle agreement over random instances ---------------------------------------
