@@ -1,9 +1,11 @@
 """Scripted in-process agents and the simulated search tool.
 
-These make the full training loop runnable and measurable without any model:
-the oracle reads the world's likelihood hint from search results and reports
-it back, the constant agent anchors the Brier baseline at 0.25, the noisy
-oracle sits between them, and the malformed agent never produces a parseable
+These make the full training loop runnable and measurable without any model.
+Every scripted agent is one ``ScriptedAgent``: it searches the question text
+once, then answers by a rule of the hint it found and its trajectory id. The
+oracle reports the hint back (0.5 without one), the constant agent anchors
+the Brier baseline at 0.25, the noisy oracle adds Gaussian noise seeded by the
+trajectory id, and the malformed agent never produces a parseable
 probability, exercising the floor reward path.
 
 The simulated search tool derives snippets deterministically from the query
@@ -23,7 +25,8 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 from .rollout import ROLE_ENVIRONMENT, ROLE_TOOL, AgentMove, Turn
 from .seeding import derive_seed
@@ -85,86 +88,49 @@ class SimulatedSearchTool:
         return min(0.999, max(0.001, latent + rng.gauss(0.0, sigma)))
 
 
-def _latest_observation(turns: Sequence[Turn]) -> Optional[str]:
-    for turn in reversed(turns):
-        if turn.role == ROLE_TOOL:
-            return turn.text
-    return None
+def _oracle(seed: int, hint: Optional[float], trajectory_id: str) -> str:
+    return f"FINAL: {0.5 if hint is None else hint:.4f}"
 
 
-def _initial_prompt(turns: Sequence[Turn]) -> str:
-    for turn in turns:
-        if turn.role == ROLE_ENVIRONMENT:
-            return turn.text
-    return ""
+def _constant(seed: int, hint: Optional[float], trajectory_id: str) -> str:
+    return "FINAL: 0.5"
 
 
-@dataclass
-class OracleAgent:
-    """Searches once, then reports the likelihood hint it found verbatim."""
-
-    fallback: float = 0.5
-
-    def act(self, trajectory_id: str, rollout_index: int, turns: Sequence[Turn]) -> AgentMove:
-        observation = _latest_observation(turns)
-        if observation is None:
-            return AgentMove(kind="search", query=question_text_from_prompt(_initial_prompt(turns)))
-        hint = hint_from_observation(observation)
-        value = self.fallback if hint is None else hint
-        return AgentMove(kind="final", answer=f"FINAL: {value:.4f}")
+def _noisy(seed: int, hint: Optional[float], trajectory_id: str) -> str:
+    rng = random.Random(derive_seed(seed, "noisy", trajectory_id))
+    value = min(1.0, max(0.0, (0.5 if hint is None else hint) + rng.gauss(0.0, 0.08)))
+    return f"FINAL: {value:.4f}"
 
 
-@dataclass
-class ConstantAgent:
-    """Searches once to satisfy the protocol, then always answers the same."""
-
-    probability: float = 0.5
-
-    def act(self, trajectory_id: str, rollout_index: int, turns: Sequence[Turn]) -> AgentMove:
-        if _latest_observation(turns) is None:
-            return AgentMove(kind="search", query=question_text_from_prompt(_initial_prompt(turns)))
-        return AgentMove(kind="final", answer=f"FINAL: {self.probability}")
+def _malformed(seed: int, hint: Optional[float], trajectory_id: str) -> str:
+    return "The outlook is genuinely uncertain either way."
 
 
-@dataclass
-class NoisyOracleAgent:
-    """Oracle plus clipped Gaussian noise, distinct per rollout."""
-
-    sigma: float = 0.08
-    fallback: float = 0.5
-    seed: int = 0
-
-    def act(self, trajectory_id: str, rollout_index: int, turns: Sequence[Turn]) -> AgentMove:
-        observation = _latest_observation(turns)
-        if observation is None:
-            return AgentMove(kind="search", query=question_text_from_prompt(_initial_prompt(turns)))
-        hint = hint_from_observation(observation)
-        value = self.fallback if hint is None else hint
-        rng = random.Random(derive_seed(self.seed, "noisy", trajectory_id))
-        value = min(1.0, max(0.0, value + rng.gauss(0.0, self.sigma)))
-        return AgentMove(kind="final", answer=f"FINAL: {value:.4f}")
+#: Each scripted agent's answer rule, by name: the only list of agent names.
+_RULES = {"oracle": _oracle, "constant": _constant, "noisy": _noisy, "malformed": _malformed}
+SCRIPTED_AGENTS = tuple(_RULES)
 
 
-@dataclass
-class MalformedAgent:
-    """Searches, then answers free text with no parseable probability."""
+@dataclass(frozen=True)
+class ScriptedAgent:
+    """Searches the question text once, then answers by its rule.
 
-    def act(self, trajectory_id: str, rollout_index: int, turns: Sequence[Turn]) -> AgentMove:
-        if _latest_observation(turns) is None:
-            return AgentMove(kind="search", query=question_text_from_prompt(_initial_prompt(turns)))
-        return AgentMove(kind="final", answer="The outlook is genuinely uncertain either way.")
+    ``rule`` maps the likelihood hint the search found (None when there was
+    none) and the trajectory id to the final answer text.
+    """
+
+    rule: Callable[[Optional[float], str], str]
+
+    def act(self, trajectory_id: str, turns: Sequence[Turn]) -> AgentMove:
+        observations = [turn.text for turn in turns if turn.role == ROLE_TOOL]
+        if not observations:
+            prompt = next((turn.text for turn in turns if turn.role == ROLE_ENVIRONMENT), "")
+            return AgentMove(kind="search", query=question_text_from_prompt(prompt))
+        hint = hint_from_observation(observations[-1])
+        return AgentMove(kind="final", answer=self.rule(hint, trajectory_id))
 
 
-SCRIPTED_AGENTS = ("oracle", "constant", "noisy", "malformed")
-
-
-def make_scripted_agent(name: str, seed: int = 0):
-    if name == "oracle":
-        return OracleAgent()
-    if name == "constant":
-        return ConstantAgent()
-    if name == "noisy":
-        return NoisyOracleAgent(seed=seed)
-    if name == "malformed":
-        return MalformedAgent()
-    raise ValueError(f"unknown scripted agent {name!r}; available: {SCRIPTED_AGENTS}")
+def make_scripted_agent(name: str, seed: int = 0) -> ScriptedAgent:
+    if name not in _RULES:
+        raise ValueError(f"unknown scripted agent {name!r}; available: {SCRIPTED_AGENTS}")
+    return ScriptedAgent(partial(_RULES[name], seed))

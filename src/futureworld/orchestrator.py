@@ -125,8 +125,8 @@ class CycleConfig:
             raise ValueError(
                 f"information_level must lie in [0, 1], got {self.information_level}"
             )
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
+        if self.max_workers != 1:  # rollouts run serially
+            raise ValueError("the only supported max_workers is 1")
         # Checked here, before a phase writes anything under an agent's name.
         unknown = [a for a in self.agents if a not in SCRIPTED_AGENTS]
         if unknown:
@@ -311,6 +311,9 @@ class Orchestrator:
     def issue_report_path(self, day: date) -> Path:
         return self.report_path(f"issue-{day.isoformat()}.json")
 
+    def cycle_report_path(self, day: date) -> Path:
+        return self.report_path(f"cycle-{day.isoformat()}.json")
+
     def ledger_for(self, agent: str) -> TrajectoryLedger:
         if agent not in self._ledgers:
             self._ledgers[agent] = TrajectoryLedger(self.run_dir / "ledgers" / agent)
@@ -325,10 +328,8 @@ class Orchestrator:
         and writes the same report as an uninterrupted run.
         """
         if self.questions_path(day).exists():
-            # The pipeline counts were saved before the questions marker (a run
-            # dir issued by an older version may lack them: count zero).
-            path = self.issue_report_path(day)
-            saved = read_json(path) if path.exists() else {}
+            # The pipeline counts were saved before the questions marker.
+            saved = read_json(self.issue_report_path(day))
             report = IssueReport(**{**saved, "day": day, "rollouts_recorded": {}})
             questions = self._issued_questions(day)
         else:
@@ -340,17 +341,16 @@ class Orchestrator:
         prob_template = self.templates["probabilistic"]
         for agent_name in self.config.agents:
             agent = make_scripted_agent(agent_name, seed=self.config.seed)
-            ledger = self.ledger_for(agent_name)
             # Restart: run only the rollouts a crashed run left unrecorded.
             # Rollouts are seeded by trajectory id, so a repaired day log is
             # byte-identical to an uninterrupted one.
             recorded, pending = self._short_groups(agent_name, day, questions)
-
-            def roll(question: Question):
-                prompt = render_prediction_prompt(question, prob_template)
-                return run_group(
+            prefixes = [
+                (r.trajectory, r.transcript)
+                for question in pending
+                for r in run_group(
                     question,
-                    prompt,
+                    render_prediction_prompt(question, prob_template),
                     agent,
                     search_tool,
                     self.config.limits,
@@ -358,19 +358,9 @@ class Orchestrator:
                     clock=lambda: issue_at,
                     recorded=recorded.get(question.id, ()),
                 )
-
-            if self.config.max_workers > 1:
-                # Rollouts fan out to a bounded pool; groups are appended in
-                # question order afterwards so the ledger stays deterministic.
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=self.config.max_workers) as pool:
-                    group_results = list(pool.map(roll, pending))
-            else:
-                group_results = [roll(q) for q in pending]
-
-            prefixes = [(r.trajectory, r.transcript) for results in group_results for r in results]
-            ledger.append_prefix_batch(day, prefixes)  # one durable append per agent and day
+            ]
+            # One durable append per agent and day.
+            self.ledger_for(agent_name).append_prefix_batch(day, prefixes)
             report.rollouts_recorded[agent_name] = len(prefixes) + sum(
                 len(recorded.get(q.id, ())) for q in questions
             )
@@ -460,15 +450,19 @@ class Orchestrator:
 
     # -- resolve phase --------------------------------------------------------
 
-    def run_resolve_phase(self, day: date, questions: Optional[list[Question]] = None) -> CycleReport:
+    def run_resolve_phase(self, day: date) -> CycleReport:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
-        ``questions`` is that batch, when the caller has already read it.
-        The batch is the agent's day log for ``day``; once its export and
-        predictions are taken the agent's ledger releases that day: nothing
-        reads a resolved batch again.
+        The batch is the agent's day log for ``day``. A crash inside its
+        prefix append left groups short; they are completed first, so every
+        exported group has K rollouts. Once its export and predictions are
+        taken the agent's ledger releases that day: nothing reads a resolved
+        batch again. The cycle report's JSON is written last: it marks the
+        batch as resolved.
         """
-        questions = self._issued_questions(day) if questions is None else questions
+        questions = self._issued_questions(day)
+        if any(self._short_groups(a, day, questions)[1] for a in self.config.agents):
+            self.run_issue_phase(day)
         now = self.config.resolve_at(day)
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
@@ -509,9 +503,9 @@ class Orchestrator:
         )
         if report.outcomes_resolved + report.unresolved_count != report.questions_issued:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
-        base = self.report_path(f"cycle-{day.isoformat()}")
-        write_json(base.with_suffix(".json"), report.to_dict())
-        jsonl.write_atomically(base.with_suffix(".txt"), [report.render_text() + "\n"])
+        path = self.cycle_report_path(day)
+        jsonl.write_atomically(path.with_suffix(".txt"), [report.render_text() + "\n"])
+        write_json(path, report.to_dict())
         return report
 
     def _issued_questions(self, day: date) -> list[Question]:
@@ -633,7 +627,6 @@ class Orchestrator:
         elapsed = _walltime.monotonic() - started
         summary = {
             "days": days,
-            "elapsed_seconds": elapsed,
             "cycles": [r.to_dict() for r in cycle_reports],
             "benchmarks": benchmark_reports,
             "final": {agent: to_row(report) for agent, report in final_reports.items()},
@@ -679,10 +672,13 @@ class Orchestrator:
         """Cron-style live driver: run every phase whose wall-clock time has passed.
 
         Intended to be invoked periodically (or once per evening); each call
-        is idempotent thanks to the phases' restartability. Nothing in the
-        evening reads today's issued day again, so it is released as soon as
-        the issue phase returns; the resolve phase releases yesterday's. When
-        the call returns, no ledger holds a day.
+        is idempotent thanks to the phases' restartability. Every issued batch
+        without a cycle report whose resolve time has passed is resolved,
+        oldest first, so a missed evening or a call between the issue and
+        resolve times is caught up late. Nothing in the evening reads today's
+        issued day again, so it is released as soon as the issue phase
+        returns; the resolve phase releases the days it resolves. When the
+        call returns, no ledger holds a day.
         """
         now = now or datetime.now(timezone.utc)
         executed: list[str] = []
@@ -693,16 +689,13 @@ class Orchestrator:
             for agent_name in self.config.agents:
                 self.ledger_for(agent_name).release(today)
             executed.append(f"issue:{today.isoformat()}")
-        yesterday = today - timedelta(days=1)
-        if self.questions_path(yesterday).exists() and now >= self.config.resolve_at(yesterday):
-            # A crash inside yesterday's prefix append left groups short;
-            # complete them before their outcomes are backfilled.
-            questions = self._issued_questions(yesterday)
-            if any(self._short_groups(a, yesterday, questions)[1] for a in self.config.agents):
-                self.run_issue_phase(yesterday)
-                executed.append(f"issue:{yesterday.isoformat()}")
-            self.run_resolve_phase(yesterday, questions)
-            executed.append(f"resolve:{yesterday.isoformat()}")
+        for path in sorted((self.run_dir / "questions").glob("questions-*.jsonl")):
+            day = date.fromisoformat(path.stem.removeprefix("questions-"))
+            if now < self.config.resolve_at(day):
+                break  # later days resolve later still
+            if not self.cycle_report_path(day).exists():
+                self.run_resolve_phase(day)
+                executed.append(f"resolve:{day.isoformat()}")
         if self.config.benchmark.enabled and issue_due:
             self.run_benchmark_phase(today)
             executed.append(f"benchmark:{today.isoformat()}")

@@ -160,7 +160,8 @@ def select_daily_benchmark(
 
     Per-type counts never exceed their caps and the combined batch never
     exceeds the day total; if custom per-type caps oversubscribe the total,
-    the surplus is trimmed from the largest types first.
+    the surplus is trimmed in reverse type order (numeric first, binary
+    choice last), each type losing its highest question ids first.
     """
     selected: list[BenchmarkQuestion] = []
     for qtype in BENCHMARK_TYPES:

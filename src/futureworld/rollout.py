@@ -80,7 +80,7 @@ class RolloutLimits:
 class Agent(Protocol):
     """A policy: given the conversation so far, reply with one move."""
 
-    def act(self, trajectory_id: str, rollout_index: int, turns: Sequence[Turn]) -> AgentMove:
+    def act(self, trajectory_id: str, turns: Sequence[Turn]) -> AgentMove:
         ...
 
 
@@ -140,7 +140,7 @@ def run_rollout(
     for _ in range(2 * limits.max_steps + 4):
         started = _time.monotonic()
         try:
-            move = agent.act(trajectory_id, rollout_index, tuple(turns))
+            move = agent.act(trajectory_id, tuple(turns))
         except Exception as exc:
             failure = f"agent transport failure: {exc}"
             break
@@ -203,7 +203,8 @@ def run_group(
 ) -> list[RolloutResult]:
     """Run the independent rollouts of one question, indexes 0..group_size-1.
 
-    Rollout indexes give stochastic agents distinct per-rollout identities.
+    Each rollout's trajectory id, ``<question id>#k<index>``, gives
+    stochastic agents a distinct per-rollout identity.
     Indexes in ``recorded`` already ran and are skipped. A failure in one
     rollout never aborts the group; the failed rollout is still recorded
     (with an invalid final).

@@ -113,8 +113,9 @@ def _probe(code: str, *args: str) -> str:
 
 
 def test_importing_the_package_leaves_out_what_no_default_path_runs():
-    """YAML (``--config``), the thread pool (``max_workers > 1``) and numpy
-    (resampling over quota, bootstrap intervals) load on first use."""
+    """YAML (``--config``) and numpy (resampling over quota, bootstrap
+    intervals) load on first use; rollouts run serially, so no path loads
+    ``concurrent.futures``."""
     probe = (
         "import sys, futureworld, futureworld.cli; "
         "print(sorted({'yaml', 'concurrent.futures', 'numpy'} & set(sys.modules)))"
@@ -159,6 +160,22 @@ report = orch.run_issue_phase(config.start_day)
 digest = hashlib.sha256(orch.questions_path(config.start_day).read_bytes()).hexdigest()[:16]
 print(before, "numpy" in sys.modules, report.filtered_kept, report.questions_issued, digest)
 """
+
+#: A whole simulation over quota: resampling, intervals and the benchmark phase.
+_SIMULATION_OVER_QUOTA = """
+import sys
+from pathlib import Path
+from futureworld.orchestrator import CycleConfig, Orchestrator
+
+config = CycleConfig(seed=4, questions_per_day=12, event_rate=60)
+result = Orchestrator(config, Path(sys.argv[1])).simulate(2)
+print(len(result.cycle_reports), "numpy" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_simulation_over_quota_never_loads_a_thread_pool(tmp_path):
+    assert _probe(_SIMULATION_OVER_QUOTA, str(tmp_path)) == "2 True False"
+
 
 _INTERVALS = """
 import sys

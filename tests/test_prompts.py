@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from futureworld.prompts import (
@@ -141,3 +144,17 @@ def test_selection_trims_to_day_total_when_caps_oversubscribe():
     caps = BenchmarkCaps(binary_choice=8, simple_mc=20, difficult_mc=20, numeric=20, total=50)
     selected = select_daily_benchmark(_pool(60), caps, seed=2)
     assert len(selected) <= 50
+
+
+def test_selection_trims_the_surplus_in_reverse_type_order():
+    # 67 selected for a total of 50: numeric goes first, then difficult_mc,
+    # so all 40 binary questions stay although theirs is the largest cap.
+    caps = BenchmarkCaps(binary_choice=40, simple_mc=10, difficult_mc=15, numeric=2, total=50)
+    selected = select_daily_benchmark(_pool(60), caps, seed=2)
+    assert Counter(q.qtype for q in selected) == {"binary_choice": 40, "simple_mc": 10}
+    # With room for 60, difficult_mc keeps its 10 lowest ids of the 15 it drew.
+    roomier = select_daily_benchmark(_pool(60), replace(caps, total=60), seed=2)
+    drawn = [q.id for q in select_daily_benchmark(_pool(60), replace(caps, total=67), seed=2)]
+    difficult = [qid for qid in drawn if qid.startswith("difficult_mc")]
+    kept = [qid for qid in drawn if not qid.startswith("numeric") and qid not in difficult[10:]]
+    assert [q.id for q in roomier] == kept

@@ -3,12 +3,11 @@ from __future__ import annotations
 import pytest
 
 from futureworld.agents import (
-    ConstantAgent,
-    MalformedAgent,
-    NoisyOracleAgent,
-    OracleAgent,
+    SCRIPTED_AGENTS,
+    ScriptedAgent,
     SimulatedSearchTool,
     hint_from_observation,
+    make_scripted_agent,
     question_text_from_prompt,
 )
 from futureworld.domain import TrajectoryStatus
@@ -30,14 +29,14 @@ LIMITS = RolloutLimits(max_steps=4, per_move_timeout=5.0, min_searches=1)
 TEMPLATES = load_default_templates()
 
 
-class ScriptedAgent:
+class PlaybackAgent:
     """Plays back a fixed move list."""
 
     def __init__(self, moves):
         self.moves = list(moves)
         self.calls = 0
 
-    def act(self, trajectory_id, rollout_index, turns):
+    def act(self, trajectory_id, turns):
         move = self.moves[min(self.calls, len(self.moves) - 1)]
         self.calls += 1
         if isinstance(move, Exception):
@@ -98,7 +97,7 @@ def test_parse_is_idempotent_and_pure():
 
 
 def test_happy_path_single_search(question):
-    agent = ScriptedAgent(
+    agent = PlaybackAgent(
         [AgentMove(kind="search", query="dallas weather"), AgentMove(kind="final", answer="FINAL: 0.7")]
     )
     result = run_rollout(_prompt(question), question, agent, EchoSearch(), LIMITS, 0)
@@ -113,7 +112,7 @@ def test_happy_path_single_search(question):
 
 
 def test_premature_final_gets_one_corrective_then_completes(question):
-    agent = ScriptedAgent(
+    agent = PlaybackAgent(
         [
             AgentMove(kind="final", answer="FINAL: 0.9"),
             AgentMove(kind="search", query="dallas weather"),
@@ -128,7 +127,7 @@ def test_premature_final_gets_one_corrective_then_completes(question):
 
 
 def test_second_premature_final_terminates_invalid(question):
-    agent = ScriptedAgent(
+    agent = PlaybackAgent(
         [AgentMove(kind="final", answer="FINAL: 0.9"), AgentMove(kind="final", answer="FINAL: 0.9")]
     )
     result = run_rollout(_prompt(question), question, agent, EchoSearch(), LIMITS, 0)
@@ -138,7 +137,7 @@ def test_second_premature_final_terminates_invalid(question):
 
 
 def test_step_overflow_terminates_invalid(question):
-    agent = ScriptedAgent([AgentMove(kind="search", query="again")])
+    agent = PlaybackAgent([AgentMove(kind="search", query="again")])
     result = run_rollout(_prompt(question), question, agent, EchoSearch(), LIMITS, 0)
     assert result.failure == "step limit exceeded"
     assert len(result.trajectory.steps) == LIMITS.max_steps
@@ -146,7 +145,7 @@ def test_step_overflow_terminates_invalid(question):
 
 
 def test_agent_transport_failure_recorded_not_dropped(question):
-    agent = ScriptedAgent([RuntimeError("connection reset")])
+    agent = PlaybackAgent([RuntimeError("connection reset")])
     result = run_rollout(_prompt(question), question, agent, EchoSearch(), LIMITS, 0)
     assert "transport failure" in result.failure
     assert result.trajectory.status is TrajectoryStatus.PENDING
@@ -159,13 +158,13 @@ class _FailingSearch:
 
 
 def test_search_tool_failure_recorded(question):
-    agent = ScriptedAgent([AgentMove(kind="search", query="x")])
+    agent = PlaybackAgent([AgentMove(kind="search", query="x")])
     result = run_rollout(_prompt(question), question, agent, _FailingSearch(), LIMITS, 0)
     assert "search tool failure" in result.failure
 
 
 def test_observation_stored_verbatim_and_transcript_reconstructs(question):
-    agent = ScriptedAgent(
+    agent = PlaybackAgent(
         [
             AgentMove(kind="search", query="first query"),
             AgentMove(kind="search", query="second query"),
@@ -210,7 +209,7 @@ def test_agent_move_shape_validation():
 
 
 def test_group_of_four_pending_trajectories(question):
-    agent = ConstantAgent()
+    agent = make_scripted_agent("constant")
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.8})
     results = run_group(question, _prompt(question), agent, tool, LIMITS, group_size=4)
     assert [r.trajectory.rollout_index for r in results] == [0, 1, 2, 3]
@@ -220,14 +219,15 @@ def test_group_of_four_pending_trajectories(question):
 
 
 def test_group_size_one_and_validation(question):
-    results = run_group(question, _prompt(question), ConstantAgent(), EchoSearch(), LIMITS, group_size=1)
+    agent = make_scripted_agent("constant")
+    results = run_group(question, _prompt(question), agent, EchoSearch(), LIMITS, group_size=1)
     assert len(results) == 1
     with pytest.raises(ValueError):
-        run_group(question, _prompt(question), ConstantAgent(), EchoSearch(), LIMITS, group_size=0)
+        run_group(question, _prompt(question), agent, EchoSearch(), LIMITS, group_size=0)
 
 
 def test_group_skips_recorded_indexes(question):
-    agent = NoisyOracleAgent(seed=3)
+    agent = make_scripted_agent("noisy", seed=3)
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.5})
     full = run_group(question, _prompt(question), agent, tool, LIMITS, group_size=4)
     rest = run_group(question, _prompt(question), agent, tool, LIMITS, group_size=4, recorded={0, 2})
@@ -238,7 +238,7 @@ def test_group_skips_recorded_indexes(question):
 
 def test_noisy_rollouts_vary_per_index(question):
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.5})
-    agent = NoisyOracleAgent(sigma=0.1, seed=1)
+    agent = make_scripted_agent("noisy", seed=1)
     results = run_group(question, _prompt(question), agent, tool, LIMITS, group_size=4)
     probs = {r.trajectory.final_probability for r in results}
     assert len(probs) > 1  # distinct rollout identities drive distinct noise
@@ -258,19 +258,21 @@ def test_question_text_extraction_and_hint_parsing(question):
 
 def test_oracle_reports_the_hint(question):
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.8125})
-    result = run_rollout(_prompt(question), question, OracleAgent(), tool, LIMITS, 0)
+    result = run_rollout(_prompt(question), question, make_scripted_agent("oracle"), tool, LIMITS, 0)
     assert result.trajectory.final_probability == pytest.approx(0.8125, abs=1e-4)
 
 
 def test_oracle_falls_back_without_a_hint(question):
     tool = SimulatedSearchTool(latent_by_text={})
-    result = run_rollout(_prompt(question), question, OracleAgent(), tool, LIMITS, 0)
+    result = run_rollout(_prompt(question), question, make_scripted_agent("oracle"), tool, LIMITS, 0)
     assert result.trajectory.final_probability == pytest.approx(0.5)
 
 
 def test_malformed_agent_always_invalid(question):
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.9})
-    results = run_group(question, _prompt(question), MalformedAgent(), tool, LIMITS, group_size=3)
+    results = run_group(
+        question, _prompt(question), make_scripted_agent("malformed"), tool, LIMITS, group_size=3
+    )
     assert all(r.trajectory.final_probability is None for r in results)
     assert all(len(r.trajectory.steps) >= 1 for r in results)
 
@@ -293,7 +295,36 @@ def test_information_level_blurs_hint(question):
 def test_min_search_rule_holds_for_parsed_finals(question):
     # every completed rollout with a parsed probability has >= min_searches steps
     tool = SimulatedSearchTool(latent_by_text={question.text: 0.6})
-    for agent in (OracleAgent(), ConstantAgent(), NoisyOracleAgent(seed=2), MalformedAgent()):
+    for agent in (make_scripted_agent(name, seed=2) for name in SCRIPTED_AGENTS):
         for r in run_group(question, _prompt(question), agent, tool, LIMITS, group_size=2):
             if r.trajectory.final_probability is not None:
                 assert len(r.trajectory.steps) >= LIMITS.min_searches
+
+
+@pytest.mark.parametrize(
+    "name,observation,trajectory_id,answer",
+    [
+        ("oracle", "likelihood index 0.8125", "q-1#k0", "FINAL: 0.8125"),
+        ("oracle", "no further updates", "q-1#k0", "FINAL: 0.5000"),
+        ("constant", "likelihood index 0.8125", "q-1#k0", "FINAL: 0.5"),
+        ("constant", "no further updates", "q-1#k3", "FINAL: 0.5"),
+        ("noisy", "likelihood index 0.8125", "q-1#k0", "FINAL: 0.6689"),
+        ("noisy", "likelihood index 0.8125", "q-1#k3", "FINAL: 0.8381"),
+        ("noisy", "no further updates", "q-1#k0", "FINAL: 0.3564"),
+        ("noisy", "likelihood index 0.9990", "q-1#k2", "FINAL: 1.0000"),
+        ("malformed", "likelihood index 0.8125", "q-1#k0", "The outlook is genuinely uncertain either way."),
+    ],
+)
+def test_scripted_agents_search_once_then_answer_their_pinned_text(name, observation, trajectory_id, answer):
+    agent = make_scripted_agent(name, seed=7)
+    assert isinstance(agent, ScriptedAgent)
+    prompt = Turn(ROLE_ENVIRONMENT, "Question: Will it rain?")
+    assert agent.act(trajectory_id, (prompt,)) == AgentMove(kind="search", query="Will it rain?")
+    move = agent.act(trajectory_id, (prompt, Turn(ROLE_AGENT, "Will it rain?"), Turn(ROLE_TOOL, observation)))
+    assert move == AgentMove(kind="final", answer=answer)
+
+
+def test_an_unknown_scripted_agent_is_refused():
+    assert SCRIPTED_AGENTS == ("oracle", "constant", "noisy", "malformed")
+    with pytest.raises(ValueError, match="unknown scripted agent 'gpt'"):
+        make_scripted_agent("gpt")
