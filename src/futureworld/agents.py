@@ -59,7 +59,7 @@ class SimulatedSearchTool:
     information_level: float = 1.0
     seed: int = 0
 
-    def search(self, query: str, top_k: int = 3) -> list[str]:
+    def search(self, query: str) -> list[str]:
         digest = hashlib.blake2b(query.encode("utf-8"), digest_size=6).hexdigest()
         snippets = [f"Archive digest {digest}: coverage of '{query[:80]}'."]
         matched = self._match(query)
@@ -70,7 +70,7 @@ class SimulatedSearchTool:
                 f"Outlook wire {digest}: consensus likelihood index {hint:.4f} for: {text}"
             )
         snippets.append(f"Clipping {digest[:4]}: no further updates found.")
-        return snippets[:top_k]
+        return snippets
 
     def _match(self, query: str) -> Optional[tuple[str, float]]:
         if query in self.latent_by_text:

@@ -336,7 +336,6 @@ class Orchestrator:
             report = IssueReport(day=day)
             questions = self._build_questions(day, report)
 
-        issue_at = self.config.phase_datetime(day, self.config.issue_time)
         search_tool = self._search_tool_for(day, questions)
         prob_template = self.templates["probabilistic"]
         for agent_name in self.config.agents:
@@ -355,7 +354,6 @@ class Orchestrator:
                     search_tool,
                     self.config.limits,
                     self.config.rollouts_per_question,
-                    clock=lambda: issue_at,
                     recorded=recorded.get(question.id, ()),
                 )
             ]
@@ -527,7 +525,12 @@ class Orchestrator:
     # -- benchmark phase -------------------------------------------------------
 
     def run_benchmark_phase(self, day: date) -> dict[str, Any]:
-        """Issue today's benchmark batch and score the lagged one."""
+        """Issue today's benchmark batch and score the lagged one.
+
+        A batch whose scoring evening has passed with no benchmark report is
+        scored first, oldest first: that evening's report is written late,
+        with nothing issued, as a missed cycle report is.
+        """
         settings = self.config.benchmark
         bench_dir = self.run_dir / "benchmark"
         issued_path = bench_dir / f"issued-{day.isoformat()}.jsonl"
@@ -559,6 +562,20 @@ class Orchestrator:
                 answers.append(to_row(answerer.answer(question, prompt)))
             write_jsonl(preds_path, answers)
 
+        lag = timedelta(days=settings.lag_days)
+        for path in sorted(bench_dir.glob("issued-*.jsonl")):
+            evening = date.fromisoformat(path.stem.removeprefix("issued-")) + lag
+            if evening >= day:
+                break
+            if not (bench_dir / f"benchmark-{evening.isoformat()}.json").exists():
+                self._write_benchmark_report(evening, [])
+        return self._write_benchmark_report(day, selection)
+
+    def _write_benchmark_report(
+        self, day: date, selection: Sequence[BenchmarkQuestion]
+    ) -> dict[str, Any]:
+        """Write evening ``day``'s report: its issued batch and the lagged batch's scores."""
+        bench_dir = self.run_dir / "benchmark"
         report: dict[str, Any] = {
             "day": day.isoformat(),
             "issued": len(selection),
@@ -567,7 +584,7 @@ class Orchestrator:
             "scores": {},
         }
 
-        target_day = day - timedelta(days=settings.lag_days)
+        target_day = day - timedelta(days=self.config.benchmark.lag_days)
         target_issued = bench_dir / f"issued-{target_day.isoformat()}.jsonl"
         if target_issued.exists():
             report["scored_day"] = target_day.isoformat()

@@ -18,8 +18,7 @@ from __future__ import annotations
 import re
 import time as _time
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Callable, Collection, Optional, Protocol, Sequence
+from typing import Collection, Optional, Protocol, Sequence
 
 from .domain import Question, Step, Trajectory, TrajectoryStatus
 
@@ -85,7 +84,7 @@ class Agent(Protocol):
 
 
 class SearchTool(Protocol):
-    def search(self, query: str, top_k: int = 3) -> list[str]:
+    def search(self, query: str) -> list[str]:
         ...
 
 
@@ -114,10 +113,6 @@ class RolloutResult:
     failure: Optional[str] = None  # why the rollout terminated invalid, if it did
 
 
-def _utcnow() -> datetime:
-    return datetime.now(timezone.utc)
-
-
 def run_rollout(
     prompt: str,
     question: Question,
@@ -125,9 +120,11 @@ def run_rollout(
     search_tool: SearchTool,
     limits: RolloutLimits,
     rollout_index: int,
-    clock: Callable[[], datetime] = _utcnow,
 ) -> RolloutResult:
-    """Run one rollout and return its PENDING prediction-time prefix."""
+    """Run one rollout and return its PENDING prediction-time prefix.
+
+    Every step is stamped with the question's prediction time.
+    """
     trajectory_id = f"{question.id}#k{rollout_index}"
     turns: list[Turn] = [Turn(ROLE_ENVIRONMENT, prompt)]
     steps: list[Step] = []
@@ -158,7 +155,9 @@ def run_rollout(
                 failure = f"search tool failure: {exc}"
                 break
             observation = "\n".join(snippets)
-            steps.append(Step(action=move.query, observation=observation, issued_at=clock()))
+            steps.append(
+                Step(action=move.query, observation=observation, issued_at=question.prediction_time)
+            )
             turns.append(Turn(ROLE_AGENT, move.query))
             turns.append(Turn(ROLE_TOOL, observation))
             continue
@@ -198,7 +197,6 @@ def run_group(
     search_tool: SearchTool,
     limits: RolloutLimits,
     group_size: int = 4,
-    clock: Callable[[], datetime] = _utcnow,
     recorded: Collection[int] = (),
 ) -> list[RolloutResult]:
     """Run the independent rollouts of one question, indexes 0..group_size-1.
@@ -212,7 +210,7 @@ def run_group(
     if group_size < 1:
         raise ValueError("group_size must be at least 1")
     return [
-        run_rollout(prompt, question, agent, search_tool, limits, k, clock)
+        run_rollout(prompt, question, agent, search_tool, limits, k)
         for k in range(group_size)
         if k not in recorded
     ]

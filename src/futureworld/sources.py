@@ -1,19 +1,19 @@
 """Candidate-event supply: feed files, or a built-in synthetic world.
 
 ``CycleConfig.sources`` lists JSONL feed files of candidate events. When it
-lists none, the cycle draws its candidates from a deterministic world that
-``generate_synthetic_world`` builds for each day from the config's ``seed``,
-``event_rate`` and ``unresolved_rate``. The world also owns the ground truth
-for its events, which makes fully closed-loop simulation possible without
-touching the network. Synthetic events resolve at the cycle's resolve time
-on day+1 and are observed on the issue day, local to the cycle's timezone. A
-feed event is issued on the one day whose window holds its
-``expected_resolution`` (see ``fetch_all``).
+lists none, ``generate_synthetic_world`` builds each day's ``FetchResult``
+from the config's ``seed``, ``event_rate`` and ``unresolved_rate``: the
+candidate events, a truth row per event and a hint row per event. Owning the
+ground truth of its events makes fully closed-loop simulation possible
+without touching the network. Synthetic events resolve at the cycle's
+resolve time on day+1 and are observed on the issue day, local to the
+cycle's timezone. A feed event is issued on the one day whose window holds
+its ``expected_resolution`` (see ``fetch_all``).
 
-Ground-truth isolation: the latent probability, realized label, and
-resolvability of a synthetic event never appear in the candidate payload
-handed to the question pipeline. They live in a sidecar truth table that only
-the resolution stage reads.
+Ground-truth isolation: the realized label and resolvability of a synthetic
+event appear only in its truth row, which only the resolution stage reads,
+and its latent probability only in its hint row. The candidate payload handed
+to the question pipeline carries neither.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, tzinfo
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .domain import CandidateEvent
 from .jsonl import from_row, read_lines, write_jsonl
@@ -50,58 +50,6 @@ def _human_date(d: date) -> str:
     return f"{_MONTHS[d.month - 1]} {d.day}"
 
 
-@dataclass(frozen=True)
-class SyntheticEvent:
-    event: CandidateEvent
-    latent_p: float
-    realized_label: int
-    will_resolve: bool
-    unresolved_reason: Optional[str] = None
-
-    @property
-    def identifier(self) -> str:
-        return self.event.payload["identifier"]
-
-
-@dataclass(frozen=True)
-class SyntheticWorld:
-    """A fully generated day of candidate events plus their hidden truth."""
-
-    seed: int
-    day: date
-    events: tuple[SyntheticEvent, ...]
-
-    def candidates(self) -> list[CandidateEvent]:
-        return [e.event for e in self.events]
-
-    def truth_rows(self) -> list[dict[str, Any]]:
-        """Sidecar truth records, keyed by resolver identifier.
-
-        This is the only surface that carries realized labels; only the
-        resolution stage may read it.
-        """
-        return [
-            {
-                "resolver_key": e.event.resolver_key,
-                "identifier": e.identifier,
-                "label": e.realized_label,
-                "will_resolve": e.will_resolve,
-                "unresolved_reason": e.unresolved_reason,
-            }
-            for e in self.events
-        ]
-
-    def hint_rows(self) -> list[dict[str, Any]]:
-        """Latent likelihoods per identifier, for the simulated search tool.
-
-        Deliberately label-free: a hint reveals how likely an event was, not
-        how it turned out.
-        """
-        return [
-            {"identifier": e.identifier, "latent_p": e.latent_p} for e in self.events
-        ]
-
-
 # Template archetypes the generator draws from. The payload keys of each
 # archetype line up with the default question templates in the pipeline, so
 # the templating stage is exercised end to end. The "storm" archetype
@@ -114,7 +62,6 @@ _ARCHETYPES: tuple[dict[str, Any], ...] = (
             "Dallas", "Oslo", "Nairobi", "Lima", "Osaka", "Porto", "Denver", "Perth",
             "Quito", "Tunis", "Busan", "Leeds", "Calgary", "Sapporo", "Cusco", "Tampere",
         ),
-        "describe": True,
     },
     {
         "name": "match",
@@ -124,7 +71,6 @@ _ARCHETYPES: tuple[dict[str, Any], ...] = (
             "Solway Athletic", "Braxton Town", "Eastmoor SC", "Pinewood Wanderers",
             "Calder Mills", "Westbrook Albion", "Ferngate FC", "Oakhaven Sporting",
         ),
-        "describe": False,
     },
     {
         "name": "index_threshold",
@@ -133,7 +79,6 @@ _ARCHETYPES: tuple[dict[str, Any], ...] = (
             "Meridian 300", "Atlas Composite", "Beacon 50", "Crescent Index",
             "Granite 120", "Pelican Average", "Summit 80", "Tidewater Index",
         ),
-        "describe": True,
     },
     {
         "name": "release",
@@ -146,7 +91,6 @@ _ARCHETYPES: tuple[dict[str, Any], ...] = (
             "firmware", "mapping", "runtime", "billing",
             "telemetry", "scheduler", "gateway", "console",
         ),
-        "describe": False,
     },
     {
         "name": "vote",
@@ -159,7 +103,6 @@ _ARCHETYPES: tuple[dict[str, Any], ...] = (
             "zoning amendment", "fare proposal", "budget rider", "charter revision",
             "bond measure", "easement swap", "procurement reform", "franchise renewal",
         ),
-        "describe": True,
     },
     {
         "name": "box_office",
@@ -168,13 +111,11 @@ _ARCHETYPES: tuple[dict[str, Any], ...] = (
             "Glass Harbor", "Second Orbit", "The Long Meadow", "Paper Lanterns",
             "North of Nowhere", "The Quiet Divide", "Copper Season", "Half Moon Road",
         ),
-        "describe": False,
     },
     {
         "name": "storm",
         "weight": 0.03,
         "cities": ("Tampa", "Manila", "Haikou", "Veracruz", "Brisbane", "Colombo"),
-        "describe": False,
     },
 )
 
@@ -221,6 +162,29 @@ def _draw_latent_p(rng: random.Random) -> float:
     return rng.uniform(lo, hi)
 
 
+@dataclass
+class RecordError:
+    path: Path
+    line_number: int
+    message: str
+
+
+@dataclass
+class FetchResult:
+    """A day's candidates, their hidden truth, and per-record feed errors.
+
+    ``truth_rows`` and ``hint_rows`` are filled by the built-in world only,
+    one of each per event, in event order. The orchestrator persists them as
+    sidecars: truth rows (label and resolvability) for the resolution stage,
+    hint rows (latent likelihood, no label) for the simulated search tool.
+    """
+
+    events: list[CandidateEvent]
+    errors: list[RecordError] = field(default_factory=list)
+    truth_rows: list[dict[str, Any]] = field(default_factory=list)
+    hint_rows: list[dict[str, Any]] = field(default_factory=list)
+
+
 def generate_synthetic_world(
     day: date,
     resolve_at: datetime,
@@ -228,19 +192,19 @@ def generate_synthetic_world(
     seed: int,
     event_count: int,
     unresolved_rate: float,
-) -> SyntheticWorld:
-    """Generate the world of local ``day`` in ``zone``; same arguments, same world.
+) -> FetchResult:
+    """The built-in world of local ``day`` in ``zone``; same arguments, same world.
 
     Every event resolves at ``resolve_at``. Labels and resolvability are
-    fixed here, at generation time, so resolvers can later consult them. The
-    unresolved share is stratified: exactly round(rate * n) events are
-    marked unretrievable.
+    fixed here, at generation time, in the truth rows the resolvers later
+    consult. The unresolved share is stratified: exactly round(rate * n)
+    events are marked unretrievable.
     """
     rng = random.Random(derive_seed(seed, day.isoformat(), "world"))
     target_day = day + timedelta(days=1)
     weights = [k["weight"] for k in _ARCHETYPES]
 
-    events: list[SyntheticEvent] = []
+    world = FetchResult(events=[])
     seen_signatures: set[tuple] = set()
     for i in range(event_count):
         identifier = f"evt-{day.isoformat()}-{i:05d}"
@@ -257,60 +221,31 @@ def generate_synthetic_world(
             day, time(rng.randrange(6, 18), rng.randrange(0, 60)), tzinfo=zone
         )
         latent_p = _draw_latent_p(rng)
-        realized_label = 1 if rng.random() < latent_p else 0
-        event = CandidateEvent(
-            source_id="synthetic",
-            source_url=f"synthetic://{kind['name']}/{identifier}",
-            observed_at=observed_at,
-            payload=payload,
-            expected_resolution=resolve_at,
-            resolver_key="synthetic",
-        )
-        events.append(
-            SyntheticEvent(
-                event=event,
-                latent_p=latent_p,
-                realized_label=realized_label,
-                will_resolve=True,
+        world.events.append(
+            CandidateEvent(
+                source_id="synthetic",
+                source_url=f"synthetic://{kind['name']}/{identifier}",
+                observed_at=observed_at,
+                payload=payload,
+                expected_resolution=resolve_at,
+                resolver_key="synthetic",
             )
         )
-
-    n_unresolved = round(unresolved_rate * len(events))
-    unresolved_idx = rng.sample(range(len(events)), n_unresolved) if n_unresolved else []
-    for idx in unresolved_idx:
-        reason = "postponed" if rng.random() < 0.2 else "not_published"
-        e = events[idx]
-        events[idx] = SyntheticEvent(
-            event=e.event,
-            latent_p=e.latent_p,
-            realized_label=e.realized_label,
-            will_resolve=False,
-            unresolved_reason=reason,
+        world.truth_rows.append(
+            {
+                "resolver_key": "synthetic",
+                "identifier": identifier,
+                "label": 1 if rng.random() < latent_p else 0,
+                "will_resolve": True,
+                "unresolved_reason": None,
+            }
         )
+        world.hint_rows.append({"identifier": identifier, "latent_p": latent_p})
 
-    return SyntheticWorld(seed=seed, day=day, events=tuple(events))
-
-
-@dataclass
-class RecordError:
-    path: Path
-    line_number: int
-    message: str
-
-
-@dataclass
-class FetchResult:
-    """A day's candidates plus per-record feed errors.
-
-    ``truth_rows`` and ``hint_rows`` are populated for the synthetic world
-    only; the orchestrator persists them as sidecars (truth for the
-    resolution stage, hints for the simulated search tool).
-    """
-
-    events: list[CandidateEvent]
-    errors: list[RecordError] = field(default_factory=list)
-    truth_rows: list[dict[str, Any]] = field(default_factory=list)
-    hint_rows: list[dict[str, Any]] = field(default_factory=list)
+    for idx in rng.sample(range(event_count), round(unresolved_rate * event_count)):
+        reason = "postponed" if rng.random() < 0.2 else "not_published"
+        world.truth_rows[idx].update(will_resolve=False, unresolved_reason=reason)
+    return world
 
 
 def read_feeds(paths: Iterable[Path | str]) -> tuple[list[CandidateEvent], list[RecordError]]:
@@ -363,13 +298,8 @@ def fetch_all(config: CycleConfig, day: date) -> FetchResult:
     """
     resolve_at = config.resolve_at(day)
     if not config.sources:
-        world = generate_synthetic_world(
+        return generate_synthetic_world(
             day, resolve_at, config.zone, config.seed, config.event_rate, config.unresolved_rate
-        )
-        return FetchResult(
-            events=world.candidates(),
-            truth_rows=world.truth_rows(),
-            hint_rows=world.hint_rows(),
         )
     events, errors = read_feeds(config.sources)
     opens = max(

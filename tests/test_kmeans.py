@@ -136,7 +136,7 @@ def _domains(seed: int, events: int, target: int):
     resolve_at = ISSUE_AT + timedelta(days=1, minutes=30)
     world = generate_synthetic_world(DAY, resolve_at, timezone.utc, seed, events, 0.3565)
     judges = default_judges()
-    pairs = [construct_pair(e, DEFAULT_TEMPLATES, ISSUE_AT) for e in world.candidates()]
+    pairs = [construct_pair(e, DEFAULT_TEMPLATES, ISSUE_AT) for e in world.events]
     by_domain: dict[str, list] = {}
     for pair in pairs:
         if apply_filters(pair, judges).keep:

@@ -481,19 +481,20 @@ def test_replay_shares_the_equal_texts_of_siblings(tmp_path):
         assert all(any(role is r for r in (ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL)) for role in roles)
 
 
-def _agent_day(root, agent_name, clock):
+def _agent_day(root, agent_name, step_delay=timedelta(0)):
     """One agent's day log: three groups of K=4 rolled out by a scripted agent.
 
-    q-0 is backfilled, q-1 discarded and q-2 left pending.
+    Each step is stamped ``step_delay`` after the prediction time. q-0 is
+    backfilled, q-1 discarded and q-2 left pending.
     """
     questions = [make_question(qid=f"q-{i}", text=f"Will event {i} happen?") for i in range(3)]
     tool = SimulatedSearchTool(latent_by_text={q.text: 0.2 + 0.3 * i for i, q in enumerate(questions)})
     agent = make_scripted_agent(agent_name, seed=5)
-    prefixes = [
-        (r.trajectory, r.transcript)
-        for q in questions
-        for r in run_group(q, "prompt: " + q.text, agent, tool, RolloutLimits(), 4, clock=clock)
-    ]
+    prefixes = []
+    for q in questions:
+        for r in run_group(q, "prompt: " + q.text, agent, tool, RolloutLimits(), 4):
+            steps = tuple(replace(s, issued_at=s.issued_at + step_delay) for s in r.trajectory.steps)
+            prefixes.append((replace(r.trajectory, steps=steps), r.transcript))
     ledger = TrajectoryLedger(root)
     ledger.append_prefix_batch(DAY, prefixes)
     ledger.backfill(DAY, [Outcome(question_id="q-0", label=1, resolved_at=T1)], trajectory_reward)
@@ -526,13 +527,13 @@ def _reference_day(log):
 
 
 @pytest.mark.parametrize(
-    "agent_name, clock",
-    [("oracle", lambda: T0), ("noisy", lambda: T0 + timedelta(seconds=7))],
+    "agent_name, step_delay",
+    [("oracle", timedelta(0)), ("noisy", timedelta(seconds=7))],
     ids=["equal siblings", "distinct siblings"],
 )
 @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn tail"])
-def test_a_replayed_day_equals_a_reference_decode(tmp_path, agent_name, clock, torn):
-    _agent_day(tmp_path, agent_name, clock)
+def test_a_replayed_day_equals_a_reference_decode(tmp_path, agent_name, step_delay, torn):
+    _agent_day(tmp_path, agent_name, step_delay)
     log = next(tmp_path.glob("ledger-*.jsonl"))
     if torn:
         with log.open("a") as fh:
@@ -658,7 +659,7 @@ def test_ledger_lines_are_canonical_rows_and_replay_equals_a_from_row_decode(tmp
 
 
 def test_release_drops_the_replay_memos_and_a_new_access_rebuilds_them(tmp_path):
-    ledger = _agent_day(tmp_path / "ledger", "oracle", lambda: T0)
+    ledger = _agent_day(tmp_path / "ledger", "oracle")
     ledger.release(DAY)
     ledger.trajectories_for(DAY, "q-0")
     held = ledger._days[DAY]

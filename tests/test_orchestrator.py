@@ -284,6 +284,32 @@ def test_a_skipped_cron_evening_resolves_its_batch_late(tmp_path):
     assert pending and {t.prediction_time.date() for t in pending} == {day(3)}
 
 
+def test_a_missed_scoring_evening_scores_its_benchmark_batch_late(tmp_path):
+    config = _config(seed=3, event_rate=40, agents=("oracle",))
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    day = lambda offset: START + timedelta(days=offset)
+    straight, skipped = tmp_path / "straight", tmp_path / "skipped"
+    for offset in range(6):
+        executed = Orchestrator(config, straight).run_due_phases(evening(offset))
+        resolved = [f"resolve:{day(offset - 1)}"] if offset else []
+        assert executed == [f"issue:{day(offset)}", *resolved, f"benchmark:{day(offset)}"]
+    for offset in (0, 1, 3, 4, 5):  # evening 2, when day 0's batch is due, never runs
+        Orchestrator(config, skipped).run_due_phases(evening(offset))
+
+    bench = lambda run, offset: json.loads((run / "benchmark" / f"benchmark-{day(offset)}.json").read_text())
+    late = bench(skipped, 2)
+    assert late["issued"] == 0 and late["issued_by_type"] == {}
+    assert late["scored_day"] == day(0).isoformat() == bench(straight, 2)["scored_day"]
+    assert late["scores"] == bench(straight, 2)["scores"] and late["scores"]["oracle"]
+    scores = f"scores-oracle-{day(2)}.txt"
+    assert (skipped / "benchmark" / scores).read_text() == (straight / "benchmark" / scores).read_text()
+    for offset in (3, 5):  # the evenings after it score as before
+        assert bench(skipped, offset) == bench(straight, offset)
+    assert {bench(skipped, offset)["scored_day"] for offset in range(6)} == {
+        None, *(day(offset).isoformat() for offset in (0, 1, 3))
+    }
+
+
 def test_a_cron_between_the_issue_and_resolve_times_resolves_every_batch(tmp_path):
     # 20:15 is after the 20:00 issue time and before the 20:30 resolve time:
     # each evening issues today and resolves the day before yesterday.

@@ -31,7 +31,7 @@ def _world(n=100, unresolved_rate=0.0, seed=1):
 
 
 def _truth_resolver(world):
-    return SyntheticTruthResolver(truth={row["identifier"]: row for row in world.truth_rows()})
+    return SyntheticTruthResolver(truth={row["identifier"]: row for row in world.truth_rows})
 
 
 def _question_for(event, qid=None):
@@ -44,16 +44,16 @@ def _question_for(event, qid=None):
 
 def test_synthetic_truth_passthrough():
     world = _world()
-    target = world.events[0]
     registry = {"synthetic": _truth_resolver(world)}
-    result = resolve_question(_question_for(target), registry, NOW)
+    result = resolve_question(_question_for(world.events[0]), registry, NOW)
     assert isinstance(result, Outcome)
-    assert result.label == target.realized_label
+    assert result.label == world.truth_rows[0]["label"]
 
 
 def test_unretrievable_event_is_not_published():
     world = _world(unresolved_rate=1.0)
-    event = next(e for e in world.events if e.unresolved_reason == "not_published")
+    row = next(r for r in world.truth_rows if r["unresolved_reason"] == "not_published")
+    event = world.events[world.truth_rows.index(row)]
     registry = {"synthetic": _truth_resolver(world)}
     result = resolve_question(_question_for(event), registry, NOW)
     assert result == Unresolved(f"q-{event.identifier}", REASON_NOT_PUBLISHED)
@@ -61,7 +61,8 @@ def test_unretrievable_event_is_not_published():
 
 def test_postponed_event_reports_postponed():
     world = _world(unresolved_rate=1.0)
-    event = next(e for e in world.events if e.unresolved_reason == REASON_POSTPONED)
+    row = next(r for r in world.truth_rows if r["unresolved_reason"] == REASON_POSTPONED)
+    event = world.events[world.truth_rows.index(row)]
     registry = {"synthetic": _truth_resolver(world)}
     result = resolve_question(_question_for(event), registry, NOW)
     assert result.reason == REASON_POSTPONED

@@ -45,7 +45,7 @@ class PlaybackAgent:
 
 
 class EchoSearch:
-    def search(self, query, top_k=3):
+    def search(self, query):
         return [f"snippet about {query}"]
 
 
@@ -153,7 +153,7 @@ def test_agent_transport_failure_recorded_not_dropped(question):
 
 
 class _FailingSearch:
-    def search(self, query, top_k=3):
+    def search(self, query):
         raise ConnectionError("search down")
 
 

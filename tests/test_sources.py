@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 
@@ -68,22 +69,22 @@ def test_expected_resolution_falls_on_next_day():
 
 
 def test_unresolved_rate_zero_means_everything_resolves():
-    events = world(200, seed=1, unresolved_rate=0.0).events
-    assert all(e.will_resolve for e in events)
+    rows = world(200, seed=1, unresolved_rate=0.0).truth_rows
+    assert all(r["will_resolve"] for r in rows)
 
 
 def test_labels_are_drawn_from_the_latent_mixture():
-    events = world(10_000, seed=3).events
-    mean_latent = sum(e.latent_p for e in events) / len(events)
-    mean_label = sum(e.realized_label for e in events) / len(events)
+    day_world = world(10_000, seed=3)
+    mean_latent = sum(h["latent_p"] for h in day_world.hint_rows) / len(day_world.hint_rows)
+    mean_label = sum(t["label"] for t in day_world.truth_rows) / len(day_world.truth_rows)
     mixture_mean = sum(w * (lo + hi) / 2 for lo, hi, w in LATENT_MIXTURE)
     assert abs(mean_latent - mixture_mean) <= 0.02
     assert abs(mean_label - mean_latent) <= 0.02
 
 
 def test_unresolved_fraction_tracks_configured_rate():
-    events = world(10_000, seed=5, unresolved_rate=0.3565).events
-    frac = sum(1 for e in events if not e.will_resolve) / len(events)
+    rows = world(10_000, seed=5, unresolved_rate=0.3565).truth_rows
+    frac = sum(1 for r in rows if not r["will_resolve"]) / len(rows)
     assert abs(frac - 0.3565) <= 0.02
 
 
@@ -95,16 +96,24 @@ def test_invalid_config_ranges_rejected():
 
 
 def test_truth_never_leaks_into_candidate_payload():
-    for event in world(120, seed=2).candidates():
+    for event in world(120, seed=2).events:
         serialized = dumps_canonical(to_row(event))
         assert "realized_label" not in serialized
         assert "will_resolve" not in serialized
         assert "latent_p" not in serialized
 
 
+def test_built_in_world_bytes_are_pinned():
+    # candidates, then truth rows, then hint rows, one canonical line each
+    result = fetch(synthetic_config(seed=7, event_rate=100))
+    rows = [*map(to_row, result.events), *result.truth_rows, *result.hint_rows]
+    digest = hashlib.sha256("".join(dumps_canonical(r) + "\n" for r in rows).encode())
+    assert digest.hexdigest() == "5b06a2783279a5ceb852df172d02819c1795c7fbf95136a7f3c6b5637c09a1e4"
+
+
 def test_question_texts_unique_within_a_day():
     signatures = [
-        tuple(sorted((k, v) for k, v in e.event.payload.items() if k != "identifier"))
+        tuple(sorted((k, v) for k, v in e.payload.items() if k != "identifier"))
         for e in world(300, seed=4).events
     ]
     assert len(signatures) == len(set(signatures))
@@ -113,11 +122,11 @@ def test_question_texts_unique_within_a_day():
 def test_truth_file_round_trip(tmp_path):
     day_world = world(30, seed=9)
     path = tmp_path / "truth.jsonl"
-    write_truth_file(path, day_world.truth_rows())
+    write_truth_file(path, day_world.truth_rows)
     table = {row["identifier"]: row for row in read_jsonl(path)}
     assert len(table) == 30
     sample = day_world.events[0]
-    assert table[sample.identifier]["label"] == sample.realized_label
+    assert table[sample.identifier]["label"] == day_world.truth_rows[0]["label"]
 
 
 # -- file feed ---------------------------------------------------------------
