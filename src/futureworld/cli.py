@@ -87,8 +87,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
             for r in prob_rows
             if r["question_id"] in labels
         ]
+        print(
+            f"scored {len(preds)} predictions; {len(prob_rows) - len(preds)} had no truth row",
+            file=sys.stderr,
+        )
         report = summarize_probabilistic(preds, seed=args.seed)
     else:
+        if args.questions is None:
+            raise ValueError("benchmark predictions need --questions, the benchmark questions JSONL")
         questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(Path(args.questions))]
         answers = {r["question_id"]: from_row(BenchmarkAnswer, r) for r in preds_rows}
         gold = {r["question_id"]: from_row(GoldRecord, r) for r in truth_rows}

@@ -6,8 +6,8 @@ ingest. Types are immutable value records and safe to share across threads.
 
 A record's wire form is a flat JSON object keyed by its dataclass fields, with
 timestamps as RFC 3339 strings and enums as their values, derived by
-``jsonl.to_row``/``jsonl.from_row``. The ledger writes ``Trajectory`` and
-``Step`` with ``to_row`` too, and its replay decodes them in ``ledger``.
+``jsonl.to_row``/``jsonl.from_row``. ``ledger`` writes and decodes
+``Trajectory`` and ``Step`` itself, in that same wire form.
 """
 
 from __future__ import annotations

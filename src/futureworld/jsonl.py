@@ -11,9 +11,10 @@ dataclass's fields and type hints, so the class is the schema: the key is the
 field name, a UTC instant is an RFC 3339 string, a date an ISO string, a
 string enum its value and a tuple a list. ``from_row`` checks every value
 against its field's type; the YAML config loads through it too. A class's
-plan is built on its first use. The ledger writes its trajectories with
-``to_row``; its replay decodes them itself, equal to ``from_row``, so that
-sibling rollouts share their equal values. Two kinds of records keep
+plan is built on its first use. The ledger writes its trajectories as
+text equal to the canonical line of ``to_row``, and its replay decodes them
+equal to ``from_row``; both work on the fields directly, so that sibling
+rollouts share their equal texts and values. Two kinds of records keep
 hand-written codecs: ``TrainingGroup``, ``TrainingEntry`` and ``MaskSpan``
 are the export hot path, where a field walk costs about three times as much,
 and ``CycleReport`` keeps its ``predictions`` off the wire.

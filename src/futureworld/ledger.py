@@ -21,13 +21,18 @@ This module alone knows the log line: ``{"kind", "payload", "sequence_no",
 "trajectory_id"}`` in the canonical JSON of ``jsonl``. A PREFIX payload is
 ``{"trajectory": jsonl.to_row(trajectory), "transcript": [{"role", "text"},
 ...]}``; a BACKFILL payload holds ``label``, ``reward`` and ``resolved_at``,
-a DISCARD payload ``reason`` and ``decided_at``. Replay decodes a PREFIX
-itself, equal to ``jsonl.from_row(Trajectory, ...)``, and shares equal
-values: the K rollouts of a question, appended in a row, take their question
-id, texts, steps and transcript turns from one table that starts empty at
-each new question id, so equal values are one object, and every role is a
-``ROLE_*`` constant. A batch is stamped with one instant, and each distinct
-prediction-instant string of a day is parsed once.
+a DISCARD payload ``reason`` and ``decided_at``. The appender takes each
+payload as canonical text and writes the line around it. The PREFIX writer
+mirrors replay: it writes the text straight from the ``Trajectory``,
+``Step`` and ``Turn`` fields, byte for byte the canonical encoding of the
+payload above, escaping each distinct text of a question once; a BACKFILL
+payload is encoded once and a DISCARD payload once per question. Replay
+decodes a PREFIX itself, equal to ``jsonl.from_row(Trajectory, ...)``, and
+shares equal values: the K rollouts of a question, appended in a row, take
+their question id, texts, steps and transcript turns from one table that
+starts empty at each new question id, so equal values are one object, and
+every role is a ``ROLE_*`` constant. A batch is stamped with one instant,
+and each distinct prediction-instant string of a day is parsed once.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
@@ -41,8 +46,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .domain import (
     Outcome,
@@ -52,7 +58,7 @@ from .domain import (
     format_rfc3339,
     parse_rfc3339,
 )
-from .jsonl import canonical_encoder, to_row, write_jsonl
+from .jsonl import canonical_encoder, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
 
@@ -157,6 +163,18 @@ class TrainingGroup:
         }
 
 
+class _Memo(dict):
+    """``make(key)`` for each key, made on the key's first lookup and kept."""
+
+    def __init__(self, make: Callable[[Any], Any]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass(slots=True)
 class _StoredTrajectory:
     trajectory: Trajectory
@@ -176,7 +194,7 @@ class _DayLog:
     #: byte length up to the last complete line, when replay skipped a torn final line
     torn_bytes: Optional[int] = None
     #: replay memo: each distinct prediction-instant string, parsed once
-    instants: dict[str, datetime] = field(default_factory=dict)
+    instants: dict[str, datetime] = field(default_factory=lambda: _Memo(parse_rfc3339))
     #: replay memo: the question replayed last, and its values keyed by their
     #: wire form (a text by itself, a step by its action, observation and
     #: issued_at strings, a turn by its role and text)
@@ -238,7 +256,7 @@ class _DayLog:
         values = self.siblings
         share = values.setdefault
         when = data["prediction_time"]
-        prediction_time = self._instant(when)
+        prediction_time = self.instants[when]
         steps = []
         for s in data["steps"]:
             action, observation, issued_at = key = (s["action"], s["observation"], s["issued_at"])
@@ -271,11 +289,55 @@ class _DayLog:
             transcript.append(turn)
         return trajectory, transcript
 
-    def _instant(self, text: str) -> datetime:
-        instant = self.instants.get(text)
-        if instant is None:
-            instant = self.instants[text] = parse_rfc3339(text)
-        return instant
+
+def _encode_prefixes(
+    prefixes: Iterable[tuple[Trajectory, Sequence[Turn]]],
+) -> Iterator[tuple[str, str, str]]:
+    """The PREFIX record of each prefix, its payload written as canonical text.
+
+    The mirror image of ``_DayLog._decode_prefix``: the payload is written
+    straight from the fields, and equals the canonical encoding of
+    ``{"trajectory": jsonl.to_row(trajectory), "transcript": [{"role",
+    "text"}, ...]}``. A question's K rollouts come in a row and share their
+    prompt and often every other text, so each distinct text is escaped once
+    by the canonical encoder's own ``encode_basestring``, in a table that
+    starts empty at each new question id; each distinct instant is formatted
+    once. Only PENDING trajectories are appended, so ``status`` is
+    ``"PENDING"`` and ``label`` and ``reward`` are null.
+    """
+    text = _Memo(encode_basestring)
+    instant = _Memo(lambda when: encode_basestring(format_rfc3339(when)))
+    question_id = None
+    for trajectory, transcript in prefixes:
+        if trajectory.question_id != question_id:
+            question_id = trajectory.question_id
+            text.clear()
+        steps = ",".join([
+            f'{{"action":{text[s.action]},"issued_at":{instant[s.issued_at]},'
+            f'"observation":{text[s.observation]}}}'
+            for s in trajectory.steps
+        ])
+        turns = ",".join([f'{{"role":{text[t.role]},"text":{text[t.text]}}}' for t in transcript])
+        yield KIND_PREFIX, trajectory.trajectory_id, (
+            f'{{"trajectory":{{"final_probability":{_number(trajectory.final_probability)},'
+            f'"label":null,"prediction_time":{instant[trajectory.prediction_time]},'
+            f'"question_id":{text[question_id]},'
+            f'"raw_final_answer":{text[trajectory.raw_final_answer]},'
+            f'"reward":null,"rollout_index":{_number(trajectory.rollout_index)},'
+            f'"status":"PENDING","steps":[{steps}],'
+            f'"trajectory_id":{encode_basestring(trajectory.trajectory_id)}}},'
+            f'"transcript":[{turns}]}}'
+        )
+
+
+def _number(value: Any) -> str:
+    """A number or None as the canonical encoder writes it: int and float by repr."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return canonical_encoder()(value)  # a bool, a NaN or a subclass, rare enough to pay for
 
 
 class TrajectoryLedger:
@@ -327,31 +389,27 @@ class TrajectoryLedger:
         """Every day's state, in log-day order."""
         return [self._day(day) for day in self.log_days()]
 
-    def _append_batch(
-        self, day: date, records: Iterable[tuple[str, str, Mapping[str, Any]]]
-    ) -> list[int]:
+    def _append_batch(self, day: date, records: Iterable[tuple[str, str, str]]) -> list[int]:
         """Write a batch of records durably: one flush+fsync per call.
 
-        Each record is (kind, trajectory id, payload). Records are numbered
-        and written as they are drawn from ``records``, so a batch is never
-        held a second time as numbered dicts. Returns their sequence numbers.
+        Each record is (kind, trajectory id, payload), the payload already
+        canonical JSON text. Records are numbered and written as they are
+        drawn from ``records``, each line the canonical encoding of
+        ``{"kind", "payload", "sequence_no", "trajectory_id"}``, so a batch
+        is never held a second time. Returns their sequence numbers.
         """
         log = self._day(day)
         first = seq = log.seq
-        encode = canonical_encoder()
         with self._log_path(day).open("a", encoding="utf-8") as fh:
             if log.torn_bytes is not None:
                 fh.truncate(log.torn_bytes)
                 log.torn_bytes = None
             for kind, trajectory_id, payload in records:
                 seq += 1
-                line = {
-                    "kind": kind,
-                    "payload": payload,
-                    "sequence_no": seq,
-                    "trajectory_id": trajectory_id,
-                }
-                fh.write(encode(line) + "\n")
+                fh.write(
+                    f'{{"kind":{encode_basestring(kind)},"payload":{payload},'
+                    f'"sequence_no":{seq},"trajectory_id":{encode_basestring(trajectory_id)}}}\n'
+                )
             fh.flush()
             os.fsync(fh.fileno())
         log.seq = seq
@@ -400,20 +458,7 @@ class TrajectoryLedger:
             if trajectory.trajectory_id in log.records or trajectory.trajectory_id in seen:
                 raise DuplicateTrajectoryError(trajectory.trajectory_id)
             seen.add(trajectory.trajectory_id)
-        seqs = self._append_batch(
-            day,
-            (
-                (
-                    KIND_PREFIX,
-                    trajectory.trajectory_id,
-                    {
-                        "trajectory": to_row(trajectory),
-                        "transcript": [{"role": t.role, "text": t.text} for t in transcript],
-                    },
-                )
-                for trajectory, transcript in prefixes
-            ),
-        )
+        seqs = self._append_batch(day, _encode_prefixes(prefixes))
         for trajectory, transcript in prefixes:
             log.add_prefix(trajectory, list(transcript))
         return seqs
@@ -472,12 +517,15 @@ class TrajectoryLedger:
         """Give every PENDING trajectory of the items' questions a terminal record.
 
         ``payloads_for(item)`` gives the payload of each of the item's
-        trajectories. Records keep item order, then log order within a
-        question, and go out in one append. Returns the number written.
+        trajectories; a payload object that the previous record holds too
+        (a DISCARD's, shared by its question) is not encoded again. Records keep item
+        order, then log order within a question, and go out in one append.
+        Returns the number written.
         """
         log = self._day(day)
-        pending: list[tuple[_StoredTrajectory, Mapping[str, Any]]] = []
+        pending: list[tuple[_StoredTrajectory, Mapping[str, Any], str]] = []
         seen: set[str] = set()
+        encode = canonical_encoder()
         for item in items:
             if item.question_id not in log.by_question:
                 raise LedgerError(f"unknown question {item.question_id} on {day.isoformat()}")
@@ -488,13 +536,16 @@ class TrajectoryLedger:
             for tid in log.by_question[item.question_id]:
                 stored = log.records[tid]
                 if stored.trajectory.status is TrajectoryStatus.PENDING:
-                    pending.append((stored, payload_for(stored.trajectory)))
+                    payload = payload_for(stored.trajectory)
+                    if not pending or payload is not pending[-1][1]:
+                        text = encode(payload)
+                    pending.append((stored, payload, text))
         if pending:
             self._append_batch(
                 day,
-                ((kind, stored.trajectory.trajectory_id, payload) for stored, payload in pending),
+                ((kind, stored.trajectory.trajectory_id, text) for stored, _, text in pending),
             )
-            for stored, payload in pending:
+            for stored, payload, _ in pending:
                 log.add_terminal(stored, kind, payload)
         return len(pending)
 

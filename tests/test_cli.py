@@ -117,10 +117,11 @@ def test_resolve_without_issued_batch_fails_cleanly(tmp_path, capsys):
 def test_score_command_probabilistic(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     truth = tmp_path / "truth.jsonl"
+    # q4 has no truth row: it is counted, not scored
     preds.write_text(
         "\n".join(
             dumps_canonical({"question_id": f"q{i}", "prob": p})
-            for i, p in enumerate((0.9, 0.2, 0.7, 0.4))
+            for i, p in enumerate((0.9, 0.2, 0.7, 0.4, 0.5))
         )
         + "\n"
     )
@@ -134,8 +135,20 @@ def test_score_command_probabilistic(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["score", "--in", str(preds), "--truth", str(truth), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
+    assert report["n_predictions"] == 4
     assert report["accuracy"] == 1.0
     assert report["brier"] < 0.25
+    assert "scored 4 predictions; 1 had no truth row" in capsys.readouterr().err
+
+
+def test_score_command_asks_for_the_questions_of_benchmark_predictions(tmp_path, capsys):
+    row = dumps_canonical({"question_id": "b0", "qtype": "numeric", "value": 3.0}) + "\n"
+    for name in ("preds.jsonl", "gold.jsonl"):
+        (tmp_path / name).write_text(row)
+    args = ["score", "--in", str(tmp_path / "preds.jsonl"), "--truth", str(tmp_path / "gold.jsonl")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--questions" in err
 
 
 @pytest.mark.parametrize(

@@ -555,9 +555,23 @@ def test_a_replayed_day_equals_a_reference_decode(tmp_path, agent_name, step_del
         assert t.prediction_time is siblings[0].prediction_time
 
 
-#: texts a random rollout draws from: non-ASCII, raw U+2028 and U+0085, and
-#: the prediction instant's own string
-_TEXTS = ("Dallas 84–85°F", "東京の天気", "line one\u2028line two", "one\x85two", T0.isoformat(), "plain")
+#: texts a rollout draws from: non-ASCII, a quote and backslashes, every C0
+#: control character and U+007F, raw U+0085, U+2028 and U+2029, a character
+#: beyond the BMP, and the prediction instant's own string
+_TEXTS = (
+    "Dallas 84–85°F",
+    "東京の天気",
+    "line one\u2028line two",
+    "one\x85two",
+    'say "yes" \\ or \\"no\\"',
+    "".join(map(chr, range(0x20))) + "\x7f",
+    "para\u2029graph 🌧",
+    T0.isoformat(),
+    "plain",
+)
+
+#: final probabilities in every form the canonical encoder writes a number
+_PROBS = (None, 0.0, 1.0, 1e-05, 5e-324, 0.1 + 0.2, 1)
 
 
 def _random_steps(rng):
@@ -573,16 +587,20 @@ def _random_steps(rng):
 
 
 def _random_group(rng, qid):
-    """One question's rollouts; a sibling repeats the first one's steps and answer at random."""
+    """One question's rollouts; a sibling repeats the first one's steps and answer at random.
+
+    Rollout indexes start at 0 or at 8, so some reach two digits.
+    """
     prompt = f"{rng.choice(_TEXTS)} ({qid})"
     first_steps, first_raw = _random_steps(rng), rng.choice(_TEXTS)
     group = []
-    for k in range(rng.randrange(1, 5)):
+    first_k = rng.choice((0, 8))
+    for k in range(first_k, first_k + rng.randrange(1, 5)):
         if rng.random() < 0.6:
             steps, raw = first_steps, first_raw
         else:
             steps, raw = _random_steps(rng), rng.choice(_TEXTS)
-        prob = rng.choice((None, 0.0, 1.0, round(rng.random(), 4)))
+        prob = rng.choice(_PROBS + (round(rng.random(), 4),))
         t = make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, steps=steps, prob=prob, raw=raw)
         turns = [Turn(ROLE_ENVIRONMENT, prompt)]
         for step in steps:
@@ -591,20 +609,43 @@ def _random_group(rng, qid):
     return group
 
 
+def _edge_groups():
+    """Groups that surely hold each edge case of the line writer.
+
+    q-6 has one rollout per form of probability, indexes 10 to 16, and a
+    step per text of ``_TEXTS``; q-7 has four equal siblings; q-8 has four
+    siblings that differ only in their final turn.
+    """
+    every_text = tuple(Step(text, text[::-1], T0) for text in _TEXTS)
+    groups = {
+        "q-6": [
+            make_trajectory(tid=f"q-6#k{k}", qid="q-6", k=k, steps=every_text, prob=prob)
+            for k, prob in enumerate(_PROBS, start=10)
+        ],
+        "q-7": [make_trajectory(tid=f"q-7#k{k}", qid="q-7", k=k, prob=0.25) for k in range(4)],
+        "q-8": [
+            make_trajectory(tid=f"q-8#k{k}", qid="q-8", k=k, prob=0.25, raw=f"FINAL: 0.25{' ' * k}")
+            for k in range(4)
+        ],
+    }
+    return {qid: [(t, _transcript(t)) for t in group] for qid, group in groups.items()}
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_ledger_lines_are_canonical_rows_and_replay_equals_a_from_row_decode(tmp_path, seed):
     rng = random.Random(seed)
-    qids = [f"q-{i}" for i in range(6)]
-    groups = {qid: _random_group(rng, qid) for qid in qids}
-    # one rollout that surely holds each edge case: no probability, an action
-    # equal to the instant's string, U+2028 in an observation, and steps
-    # stamped at and after the prediction instant
+    groups = {f"q-{i}": _random_group(rng, f"q-{i}") for i in range(6)}
+    # one rollout that surely holds each edge case: no probability, an empty
+    # final answer, an action equal to the instant's string, U+2028 in an
+    # observation, and steps stamped at and after the prediction instant
     edge = (
         Step(T0.isoformat(), "line one\u2028line two", T0),
         Step("später", "日本", T0 + timedelta(seconds=1)),
     )
     t = make_trajectory(tid="q-0#k0", qid="q-0", steps=edge, prob=None, raw="")
     groups["q-0"][0] = (t, [Turn(ROLE_ENVIRONMENT, "prompt")] + _transcript(t)[1:])
+    groups.update(_edge_groups())
+    qids = list(groups)
     prefixes = [prefix for group in groups.values() for prefix in group]
 
     ledger = TrajectoryLedger(tmp_path)
@@ -640,6 +681,10 @@ def test_ledger_lines_are_canonical_rows_and_replay_equals_a_from_row_decode(tmp
     ]
     log = next(tmp_path.glob("ledger-*.jsonl"))
     assert log.read_bytes() == "".join(lines).encode("utf-8")
+    for line in lines:
+        assert dumps_canonical(json.loads(line)) + "\n" == line
+    # q-6 is backfilled, and its 0.0 or its 1.0 rollout matches the label
+    assert any('"reward":-0.0}' in line for line in lines)
 
     reference = _reference_day(log)
     replayed = TrajectoryLedger(tmp_path)
