@@ -9,7 +9,7 @@ trajectory id, and the malformed agent never produces a parseable
 probability, exercising the floor reward path.
 
 The simulated search tool derives snippets deterministically from the query
-and, when it recognizes which question is being researched, includes a
+and, when the query is exactly the text of a question it knows, includes a
 likelihood index: the event's latent probability blurred according to the
 configured information level. At ``information_level`` 1.0 the index is the
 latent itself, and only there is the oracle calibrated. Below it,
@@ -50,7 +50,8 @@ def hint_from_observation(observation: str) -> Optional[float]:
 class SimulatedSearchTool:
     """Deterministic offline stand-in for a web search endpoint.
 
-    ``latent_by_text`` maps a question's exact text to its latent probability.
+    ``latent_by_text`` maps a question's exact text to its latent probability;
+    a query that is not exactly such a text gets no likelihood index.
     Snippets never mention realized outcomes; only the latent likelihood
     leaks, and only as blurred as ``information_level`` allows.
     """
@@ -62,23 +63,14 @@ class SimulatedSearchTool:
     def search(self, query: str) -> list[str]:
         digest = hashlib.blake2b(query.encode("utf-8"), digest_size=6).hexdigest()
         snippets = [f"Archive digest {digest}: coverage of '{query[:80]}'."]
-        matched = self._match(query)
-        if matched is not None:
-            text, latent = matched
-            hint = self._blur(latent, text)
+        latent = self.latent_by_text.get(query)
+        if latent is not None:
+            hint = self._blur(latent, query)
             snippets.append(
-                f"Outlook wire {digest}: consensus likelihood index {hint:.4f} for: {text}"
+                f"Outlook wire {digest}: consensus likelihood index {hint:.4f} for: {query}"
             )
         snippets.append(f"Clipping {digest[:4]}: no further updates found.")
         return snippets
-
-    def _match(self, query: str) -> Optional[tuple[str, float]]:
-        if query in self.latent_by_text:
-            return query, self.latent_by_text[query]
-        for text in sorted(self.latent_by_text, key=len, reverse=True):
-            if text in query or query in text:
-                return text, self.latent_by_text[text]
-        return None
 
     def _blur(self, latent: float, question_text: str) -> float:
         if self.information_level >= 1.0:

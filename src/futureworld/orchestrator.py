@@ -131,6 +131,9 @@ class CycleConfig:
         unknown = [a for a in self.agents if a not in SCRIPTED_AGENTS]
         if unknown:
             raise ValueError(f"unknown agents {unknown}; available: {list(SCRIPTED_AGENTS)}")
+        for name in ("agents", "domain_rules", "question_templates"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         if len(set(self.agents)) != len(self.agents):
             raise ValueError(f"agent names repeat: {list(self.agents)}")
         _parse_clock(self.issue_time, "issue_time")
@@ -204,6 +207,9 @@ class IssueReport:
     constructed: int = 0
     construct_errors: int = 0
     filtered_kept: int = 0
+    #: how many constructed pairs each judge's reason dropped; a pair that
+    #: several judges flag counts once under each reason
+    dropped_by_reason: dict[str, int] = field(default_factory=dict)
     questions_issued: int = 0
     rollouts_recorded: dict[str, int] = field(default_factory=dict)
 
@@ -286,15 +292,6 @@ class Orchestrator:
 
     def questions_path(self, day: date) -> Path:
         return self.run_dir / "questions" / f"questions-{day.isoformat()}.jsonl"
-
-    def pairs_path(self, day: date) -> Path:
-        return self.run_dir / "pairs" / f"pairs-{day.isoformat()}.jsonl"
-
-    def verdicts_path(self, day: date) -> Path:
-        return self.run_dir / "filters" / f"verdicts-{day.isoformat()}.jsonl"
-
-    def candidates_path(self, day: date) -> Path:
-        return self.run_dir / "candidates" / f"candidates-{day.isoformat()}.jsonl"
 
     def truth_path(self, day: date) -> Path:
         return self.run_dir / "truth" / f"truth-{day.isoformat()}.jsonl"
@@ -389,7 +386,6 @@ class Orchestrator:
         fetched = fetch_all(self.config, day)
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
-        write_jsonl(self.candidates_path(day), map(to_row, fetched.events))
         if fetched.truth_rows:
             write_truth_file(self.truth_path(day), fetched.truth_rows)
         if fetched.hint_rows:
@@ -405,14 +401,14 @@ class Orchestrator:
         report.constructed = len(pairs)
 
         kept = []
-        verdict_rows = []
+        dropped: Counter[str] = Counter()
         for pair in pairs:
             decision = apply_filters(pair, self.judges)
-            verdict_rows.extend(map(to_row, decision.verdicts))
+            dropped.update(decision.drop_reasons)
             if decision.keep:
                 kept.append(pair)
-        write_jsonl(self.verdicts_path(day), verdict_rows)
         report.filtered_kept = len(kept)
+        report.dropped_by_reason = dict(dropped)
 
         selected = resample(
             kept,
@@ -421,7 +417,6 @@ class Orchestrator:
             self.embedder,
             derive_seed(self.config.seed, "resample", day.isoformat()),
         )
-        write_jsonl(self.pairs_path(day), map(to_row, selected))
         questions = [p.question for p in selected]
         report.questions_issued = len(questions)
         # The questions file marks the day as issued, so it is written last.

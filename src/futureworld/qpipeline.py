@@ -25,7 +25,6 @@ from .domain import (
     CandidateEvent,
     DomainLabel,
     OTHER_DOMAIN,
-    PairId,
     Question,
     QuestionDescriptionPair,
 )
@@ -152,7 +151,6 @@ def construct_pair(
 
 @dataclass(frozen=True)
 class FilterVerdict:
-    pair_id: PairId
     filter_name: str
     eligible: bool
     reason: str
@@ -229,7 +227,6 @@ def default_judges(blocklist: Sequence[str] = DEFAULT_BLOCKLIST) -> list[Judge]:
 
 @dataclass
 class FilterDecision:
-    pair_id: PairId
     keep: bool
     verdicts: list[FilterVerdict]
 
@@ -253,16 +250,8 @@ def apply_filters(pair: QuestionDescriptionPair, judges: Sequence[Judge]) -> Fil
             eligible, reason = judge.judge(pair.question, pair.description)
         except Exception:
             eligible, reason = False, JUDGE_UNAVAILABLE
-        verdicts.append(
-            FilterVerdict(
-                pair_id=pair.pair_id,
-                filter_name=judge.name,
-                eligible=eligible,
-                reason=reason,
-            )
-        )
-    keep = all(v.eligible for v in verdicts)
-    return FilterDecision(pair_id=pair.pair_id, keep=keep, verdicts=verdicts)
+        verdicts.append(FilterVerdict(filter_name=judge.name, eligible=eligible, reason=reason))
+    return FilterDecision(keep=all(v.eligible for v in verdicts), verdicts=verdicts)
 
 
 @dataclass(frozen=True)

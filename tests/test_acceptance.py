@@ -18,12 +18,18 @@ import pytest
 
 from futureworld.benchmark import BenchmarkPoolConfig
 from futureworld.domain import TrajectoryStatus
-from futureworld.jsonl import dumps_canonical, read_jsonl, to_row
+from futureworld.jsonl import dumps_canonical, to_row
 from futureworld.embedding import HashingEmbedder
 from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
 from futureworld.prompts import BenchmarkCaps
-from futureworld.qpipeline import DEFAULT_DOMAIN_RULES, allocate_budget, resample
+from futureworld.qpipeline import (
+    DEFAULT_DOMAIN_RULES,
+    TemplateError,
+    allocate_budget,
+    construct_pair,
+    resample,
+)
 from futureworld.resolve import Unresolved
 from futureworld.scoring import (
     ChoiceAnswer,
@@ -37,6 +43,7 @@ from futureworld.scoring import (
     overall,
     trajectory_reward,
 )
+from futureworld.sources import fetch_all
 
 from conftest import T0, T1, make_pair, make_trajectory
 from test_ledger import _append, _ledger_states_equal
@@ -383,13 +390,19 @@ def test_criterion_6_runtime(sim):
 
 def test_criterion_8_non_leakage(sim):
     orch, result = sim
+    # every description the day's candidates yield, issued or not
+    config = orch.config
     descriptions: dict[str, str] = {}
-    start = orch.config.start_day
     for offset in range(SIM_DAYS):
-        day = start + timedelta(days=offset)
-        for row in read_jsonl(orch.pairs_path(day)):
-            if row.get("description"):
-                descriptions[row["question"]["id"]] = row["description"]
+        day = config.start_day + timedelta(days=offset)
+        issue_at = config.phase_datetime(day, config.issue_time)
+        for event in fetch_all(config, day).events:
+            try:
+                pair = construct_pair(event, config.question_templates, issue_at)
+            except TemplateError:
+                continue
+            if pair.description:
+                descriptions[pair.question.id] = pair.description
     assert descriptions, "expected some generated descriptions to test against"
 
     ok = True

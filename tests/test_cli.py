@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from datetime import date
 
 import pytest
 
 from futureworld.cli import main
-from futureworld.jsonl import dumps_canonical, to_row
+from futureworld.jsonl import dumps_canonical, read_jsonl, to_row
 from futureworld.orchestrator import CycleConfig, Orchestrator
+from futureworld.sources import fetch_all
 
 from conftest import make_event
 
@@ -103,9 +105,12 @@ def test_ingest_writes_the_candidates_the_issue_phase_fetches(tmp_path, feeds):
     out, run_dir = tmp_path / "ingested.jsonl", tmp_path / "run"
     assert main(["ingest", "--config", str(config), "--day", "2026-03-02", "--out", str(out)]) == 0
     assert main(["issue", "--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
-    issued = run_dir / "candidates" / "candidates-2026-03-02.jsonl"
+    fetched = fetch_all(CycleConfig.from_yaml(config), date(2026, 3, 2)).events
     assert len(out.read_text().splitlines()) == (3 * feeds or 40)
-    assert out.read_bytes() == issued.read_bytes()
+    assert out.read_text() == "".join(dumps_canonical(to_row(e)) + "\n" for e in fetched)
+    issued = read_jsonl(run_dir / "questions" / "questions-2026-03-02.jsonl")
+    identifiers = {q["resolver_metadata"]["identifier"] for q in issued}
+    assert identifiers and identifiers <= {e.identifier for e in fetched}
 
 
 def test_resolve_without_issued_batch_fails_cleanly(tmp_path, capsys):

@@ -115,8 +115,8 @@ RECORDS = [
         '"trajectory_id":"q-1#k0"}',
     ),
     (
-        FilterVerdict(pair_id="p-1", filter_name="safe", eligible=False, reason="blocked term"),
-        '{"eligible":false,"filter_name":"safe","pair_id":"p-1","reason":"blocked term"}',
+        FilterVerdict(filter_name="safe", eligible=False, reason="blocked term"),
+        '{"eligible":false,"filter_name":"safe","reason":"blocked term"}',
     ),
     (
         BenchmarkQuestion(
@@ -147,11 +147,12 @@ RECORDS = [
     ),
     (
         IssueReport(
-            day=date(2026, 3, 2), candidates=300, questions_issued=20,
-            rollouts_recorded={"oracle": 80},
+            day=date(2026, 3, 2), candidates=300, dropped_by_reason={"not phrased as a question": 3},
+            questions_issued=20, rollouts_recorded={"oracle": 80},
         ),
         '{"candidates":300,"construct_errors":0,"constructed":0,"day":"2026-03-02",'
-        '"feed_errors":0,"filtered_kept":0,"questions_issued":20,"rollouts_recorded":{"oracle":80}}',
+        '"dropped_by_reason":{"not phrased as a question":3},"feed_errors":0,"filtered_kept":0,'
+        '"questions_issued":20,"rollouts_recorded":{"oracle":80}}',
     ),
 ]
 

@@ -492,7 +492,7 @@ def _agent_day(root, agent_name, step_delay=timedelta(0)):
     agent = make_scripted_agent(agent_name, seed=5)
     prefixes = []
     for q in questions:
-        for r in run_group(q, "prompt: " + q.text, agent, tool, RolloutLimits(), 4):
+        for r in run_group(q, "Question: " + q.text, agent, tool, RolloutLimits(), 4):
             steps = tuple(replace(s, issued_at=s.issued_at + step_delay) for s in r.trajectory.steps)
             prefixes.append((replace(r.trajectory, steps=steps), r.transcript))
     ledger = TrajectoryLedger(root)

@@ -57,10 +57,21 @@ def test_issue_phase_fetches_filters_and_records(tmp_path):
     assert report.rollouts_recorded == {"oracle": 80, "constant": 80}
     assert orch.questions_path(START).exists()
     assert orch.truth_path(START).exists()
-    # one verdict per (pair, filter) is persisted for audit
-    verdicts = read_jsonl(orch.verdicts_path(START))
-    assert len(verdicts) == report.constructed * 3
-    assert {v["filter_name"] for v in verdicts} == {"resolvable", "meaningful", "safe"}
+    # every dropped pair counts once under each reason a judge gave
+    dropped = report.constructed - report.filtered_kept
+    assert dropped > 0 and all(n > 0 for n in report.dropped_by_reason.values())
+    assert sum(report.dropped_by_reason.values()) >= dropped
+    saved = jsonl.read_json(orch.issue_report_path(START))
+    assert saved["dropped_by_reason"] == report.dropped_by_reason
+    blocked = Orchestrator(_config(blocklist=("temperature",)), tmp_path / "blocked")
+    assert blocked.run_issue_phase(START).dropped_by_reason["blocklisted term: temperature"] > 0
+
+
+def test_a_simulated_run_writes_only_the_files_a_later_phase_reads(tmp_path):
+    Orchestrator(_config(), tmp_path).simulate(2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "benchmark", "exports", "hints", "ledgers", "questions", "reports", "truth",
+    ]
 
 
 def test_issue_phase_capacity_bound(tmp_path):
@@ -82,6 +93,7 @@ def test_issue_phase_is_idempotent(tmp_path):
     written = orch.issue_report_path(START).read_bytes()
     again = Orchestrator(_config(), tmp_path).run_issue_phase(START)
     assert jsonl.to_row(again) == jsonl.to_row(first)  # counts the rollouts the day log holds
+    assert first.dropped_by_reason and again.dropped_by_reason == first.dropped_by_reason
     assert orch.issue_report_path(START).read_bytes() == written
 
 
@@ -1002,8 +1014,7 @@ def test_synthetic_events_are_observed_before_the_issue_time_far_east_of_utc(tmp
     assert all(r.outcomes_resolved > 0 for r in reports)
     for report in reports:
         issue_at = config.phase_datetime(report.day, config.issue_time)
-        for row in read_jsonl(orch.candidates_path(report.day)):
-            event = jsonl.from_row(CandidateEvent, row)
+        for event in fetch_all(config, report.day).events:
             local = event.observed_at.astimezone(zone)
             assert local.date() == report.day and 6 <= local.hour < 18
             assert event.observed_at < issue_at < event.expected_resolution
@@ -1019,6 +1030,9 @@ def test_config_validation():
     for workers in (0, 2):
         with pytest.raises(ValueError, match="the only supported max_workers is 1"):
             CycleConfig(max_workers=workers)
+    for name in ("agents", "domain_rules", "question_templates"):
+        with pytest.raises(ValueError, match=f"{name} must be non-empty"):
+            CycleConfig(**{name: ()})
 
 
 def test_custom_blocklist_reaches_the_safety_judge(tmp_path):
