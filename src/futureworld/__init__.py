@@ -18,7 +18,7 @@ from .domain import (
     TrajectoryStatus,
     validate_trajectory,
 )
-from .ledger import TrajectoryLedger, TrainingGroup, compute_group_advantages
+from .ledger import TrajectoryLedger, compute_group_advantages
 from .orchestrator import CycleConfig, Orchestrator
 from .rollout import AgentMove, RolloutLimits, parse_final_probability, run_group, run_rollout
 from .scoring import (
@@ -52,7 +52,6 @@ __all__ = [
     "RolloutLimits",
     "ScoreReport",
     "Step",
-    "TrainingGroup",
     "Trajectory",
     "TrajectoryLedger",
     "TrajectoryStatus",

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
 from .jsonl import from_row, read_jsonl, to_row, write_json, write_jsonl
-from .ledger import write_training_batch
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
 from .scoring import ProbPrediction, summarize_probabilistic
@@ -68,18 +67,23 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not orch.questions_path(day).exists():
         raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
     for agent in orch.config.agents:
-        groups = orch.ledger_for(agent).export_training_batch(day)
-        path = orch.export_path(agent, day)
-        write_training_batch(path, groups)
-        print(f"{agent}: {len(groups)} groups -> {path}")
+        written = orch.write_export(agent, day)
+        print(f"{agent}: {written} groups -> {orch.export_path(agent, day)}")
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     preds_rows = read_jsonl(Path(args.preds))
+    if not preds_rows:
+        raise ValueError(f"{args.preds} holds no predictions")
+    prob_rows = [r for r in preds_rows if "prob" in r]
+    if 0 < len(prob_rows) < len(preds_rows):
+        raise ValueError(
+            f"{args.preds} mixes {len(prob_rows)} probabilistic (with 'prob') and "
+            f"{len(preds_rows) - len(prob_rows)} benchmark predictions; score them apart"
+        )
     truth_rows = read_jsonl(Path(args.truth))
 
-    prob_rows = [r for r in preds_rows if "prob" in r]
     if prob_rows:
         labels = {r["question_id"]: int(r["label"]) for r in truth_rows}
         preds = [

@@ -14,10 +14,9 @@ against its field's type; the YAML config loads through it too. A class's
 plan is built on its first use. The ledger writes its trajectories as
 text equal to the canonical line of ``to_row``, and its replay decodes them
 equal to ``from_row``; both work on the fields directly, so that sibling
-rollouts share their equal texts and values. Two kinds of records keep
-hand-written codecs: ``TrainingGroup``, ``TrainingEntry`` and ``MaskSpan``
-are the export hot path, where a field walk costs about three times as much,
-and ``CycleReport`` keeps its ``predictions`` off the wire.
+rollouts share their equal texts and values. The ledger's export builds its
+rows itself, and one record keeps a hand-written codec: ``CycleReport``, which
+keeps its ``predictions`` off the wire.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from datetime import date, datetime
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, Iterable, Mapping, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .domain import format_rfc3339, parse_rfc3339
@@ -216,9 +215,19 @@ def write_atomically(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def write_jsonl(path: Path, rows: Iterable[Mapping[str, Any]]) -> None:
+def write_jsonl(path: Path, rows: Iterable[Mapping[str, Any]]) -> int:
+    """Write one canonical line per row, all or nothing; returns how many rows."""
     encode = canonical_encoder()
-    write_atomically(path, (encode(dict(row)) + "\n" for row in rows))
+    written = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal written
+        for row in rows:
+            yield encode(dict(row)) + "\n"
+            written += 1
+
+    write_atomically(path, lines())
+    return written
 
 
 def write_json(path: Path, payload: Mapping[str, Any]) -> None:

@@ -36,7 +36,8 @@ and each distinct prediction-instant string of a day is parsed once.
 
 Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
-trajectories. Tool and environment turns are masked; agent turns are not.
+trajectories. Tool and environment turns are masked; agent turns are not. The
+export yields each group as the row its line holds, and ``jsonl`` writes it.
 """
 
 from __future__ import annotations
@@ -90,25 +91,6 @@ class ReplayError(LedgerError):
         self.sequence_no = sequence_no
 
 
-@dataclass(frozen=True)
-class MaskSpan:
-    """Loss-mask marker for one transcript turn; masked turns are not trained on."""
-
-    turn_index: int
-    masked: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"turn_index": self.turn_index, "masked": self.masked}
-
-
-def mask_spans_for(transcript: Sequence[Turn]) -> list[MaskSpan]:
-    """Mask tool observations and environment messages; keep agent turns live."""
-    return [
-        MaskSpan(turn_index=i, masked=turn.role != ROLE_AGENT)
-        for i, turn in enumerate(transcript)
-    ]
-
-
 def compute_group_advantages(rewards: Sequence[float], eps: float = 1e-6) -> list[float]:
     """Group-relative advantages: standardize rewards within one question.
 
@@ -125,42 +107,6 @@ def compute_group_advantages(rewards: Sequence[float], eps: float = 1e-6) -> lis
     variance = math.fsum((r - mean) ** 2 for r in rewards) / len(rewards)
     denom = max(math.sqrt(variance), eps)
     return [(r - mean) / denom for r in rewards]
-
-
-@dataclass
-class TrainingEntry:
-    trajectory_id: str
-    rollout_index: int
-    transcript: list[Turn]
-    mask_spans: list[MaskSpan]
-    reward: float
-    advantage: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trajectory_id": self.trajectory_id,
-            "rollout_index": self.rollout_index,
-            "transcript": [{"role": t.role, "text": t.text} for t in self.transcript],
-            "mask_spans": [m.to_dict() for m in self.mask_spans],
-            "reward": self.reward,
-            "advantage": self.advantage,
-        }
-
-
-@dataclass
-class TrainingGroup:
-    """All resolved rollouts of one question, ready for a group-relative update."""
-
-    question_id: str
-    label: int
-    entries: list[TrainingEntry]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "label": self.label,
-            "trajectories": [e.to_dict() for e in self.entries],
-        }
 
 
 class _Memo(dict):
@@ -551,17 +497,18 @@ class TrajectoryLedger:
 
     # -- export --------------------------------------------------------------
 
-    def export_training_batch(self, day: date) -> list[TrainingGroup]:
-        """Build training groups for the batch issued on ``day``.
+    def export_training_batch(self, day: date) -> Iterator[dict[str, Any]]:
+        """Yield the training group of each question of the batch issued on ``day``.
 
-        Only RESOLVED trajectories are exported; a fully discarded or still
-        pending question is absent from the batch. Groups are in question-id
-        order.
+        Each group is the row its export line holds: ``{"question_id",
+        "label", "trajectories": [{"trajectory_id", "rollout_index",
+        "transcript": [{"role", "text"}, ...], "mask_spans": [{"turn_index",
+        "masked"}, ...], "reward", "advantage"}, ...]}``. Only RESOLVED
+        trajectories are exported, in rollout order; a fully discarded or
+        still pending question is absent from the batch. Groups come one at a
+        time, in question-id order.
         """
         log = self._day(day)
-        groups: list[TrainingGroup] = []
-        #: role sequence -> its mask spans; a batch's transcripts have a few shapes
-        spans: dict[tuple[str, ...], list[MaskSpan]] = {}
         for question_id in sorted(log.by_question):
             resolved = [
                 log.records[tid]
@@ -573,33 +520,29 @@ class TrajectoryLedger:
             resolved.sort(key=lambda s: s.trajectory.rollout_index)
             rewards = [s.trajectory.reward for s in resolved]
             advantages = compute_group_advantages(rewards)
-            entries = []
-            for s, reward, advantage in zip(resolved, rewards, advantages):
-                roles = tuple(turn.role for turn in s.transcript)
-                if roles not in spans:
-                    spans[roles] = mask_spans_for(s.transcript)
-                entries.append(
-                    TrainingEntry(
-                        trajectory_id=s.trajectory.trajectory_id,
-                        rollout_index=s.trajectory.rollout_index,
-                        transcript=list(s.transcript),
-                        mask_spans=list(spans[roles]),
-                        reward=reward,
-                        advantage=advantage,
-                    )
-                )
-            groups.append(
-                TrainingGroup(
-                    question_id=question_id,
-                    label=resolved[0].trajectory.label,
-                    entries=entries,
-                )
-            )
-        return groups
+            yield {
+                "question_id": question_id,
+                "label": resolved[0].trajectory.label,
+                "trajectories": [
+                    {
+                        "trajectory_id": s.trajectory.trajectory_id,
+                        "rollout_index": s.trajectory.rollout_index,
+                        "transcript": [{"role": t.role, "text": t.text} for t in s.transcript],
+                        "mask_spans": [
+                            {"turn_index": i, "masked": t.role != ROLE_AGENT}
+                            for i, t in enumerate(s.transcript)
+                        ],
+                        "reward": reward,
+                        "advantage": advantage,
+                    }
+                    for s, reward, advantage in zip(resolved, rewards, advantages)
+                ],
+            }
 
 
-def write_training_batch(path: Path, groups: Iterable[TrainingGroup]) -> None:
-    write_jsonl(path, (group.to_dict() for group in groups))
+def write_training_batch(path: Path, groups: Iterable[Mapping[str, Any]]) -> int:
+    """Write the rows of ``export_training_batch`` to ``path``; returns how many."""
+    return write_jsonl(path, groups)
 
 
 def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Optional[int]:

@@ -316,6 +316,11 @@ class Orchestrator:
             self._ledgers[agent] = TrajectoryLedger(self.run_dir / "ledgers" / agent)
         return self._ledgers[agent]
 
+    def write_export(self, agent: str, day: date) -> int:
+        """Write ``agent``'s training groups for the batch issued on ``day``; returns how many."""
+        groups = self.ledger_for(agent).export_training_batch(day)
+        return write_training_batch(self.export_path(agent, day), groups)
+
     # -- issue phase -------------------------------------------------------------
 
     def run_issue_phase(self, day: date) -> IssueReport:
@@ -469,9 +474,7 @@ class Orchestrator:
             ledger = self.ledger_for(agent_name)
             ledger.backfill(day, resolution.outcomes, trajectory_reward)
             ledger.discard(day, resolution.unresolved, now)
-            groups = ledger.export_training_batch(day)
-            write_training_batch(self.export_path(agent_name, day), groups)
-            groups_exported[agent_name] = len(groups)
+            groups_exported[agent_name] = self.write_export(agent_name, day)
 
             # Sorted question ids give the ledger's insertion order, which
             # the order-sensitive metrics depend on.

@@ -294,10 +294,11 @@ def test_criterion_5_ledger_properties(tmp_path):
             else:
                 ok &= t.label is None and t.reward is None
         for group in ledger.export_training_batch(T0.date()):
-            statuses = {ledger.get(T0.date(), e.trajectory_id).status for e in group.entries}
+            entries = group["trajectories"]
+            statuses = {ledger.get(T0.date(), e["trajectory_id"]).status for e in entries}
             ok &= statuses == {TrajectoryStatus.RESOLVED}
-            rewards = [e.reward for e in group.entries]
-            advantages = [e.advantage for e in group.entries]
+            rewards = [e["reward"] for e in entries]
+            advantages = [e["advantage"] for e in entries]
             if max(rewards) > min(rewards):
                 mean = statistics.fmean(advantages)
                 pop_std = math.sqrt(

@@ -26,7 +26,8 @@ def test_simulate_issue_resolve_export_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "questions_issued" in out
     assert "constant" in out
-    assert (run_dir / "exports" / "constant" / "train-2026-03-02.jsonl").exists()
+    rows = read_jsonl(run_dir / "exports" / "constant" / "train-2026-03-02.jsonl")
+    assert rows and f"constant: {len(rows)} groups -> " in out
 
 
 def test_export_command_writes_the_resolve_phases_groups_west_of_utc(tmp_path, capsys):
@@ -154,6 +155,32 @@ def test_score_command_asks_for_the_questions_of_benchmark_predictions(tmp_path,
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--questions" in err
+
+
+def test_score_command_names_an_empty_predictions_file(tmp_path, capsys):
+    preds, truth = tmp_path / "preds.jsonl", tmp_path / "truth.jsonl"
+    preds.write_text("")
+    truth.write_text(dumps_canonical({"question_id": "q0", "label": 1}) + "\n")
+    assert main(["score", "--in", str(preds), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(preds) in err and "no predictions" in err
+    assert "--questions" not in err
+
+
+def test_score_command_refuses_probabilistic_and_benchmark_rows_in_one_file(tmp_path, capsys):
+    preds, truth = tmp_path / "preds.jsonl", tmp_path / "truth.jsonl"
+    rows = [{"question_id": "q0", "prob": 0.8}] + [
+        {"question_id": f"b{i}", "qtype": "numeric", "value": 3.0} for i in range(2)
+    ]
+    preds.write_text("".join(dumps_canonical(r) + "\n" for r in rows))
+    truth.write_text(dumps_canonical({"question_id": "q0", "label": 1}) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["score", "--in", str(preds), "--truth", str(truth), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(preds) in captured.err
+    assert "1 probabilistic" in captured.err and "2 benchmark predictions" in captured.err
+    assert "scored" not in captured.err + captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

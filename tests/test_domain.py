@@ -20,7 +20,7 @@ from futureworld.domain import (
     validate_trajectory,
 )
 from futureworld.jsonl import dumps_canonical, from_row, to_row, write_jsonl
-from futureworld.ledger import TrainingGroup, write_training_batch
+from futureworld.ledger import write_training_batch
 from futureworld.sources import write_truth_file
 
 from conftest import T0, T1, make_question, make_pair, make_step, make_trajectory
@@ -220,7 +220,7 @@ ROW = {"id": "q-1"}
     [
         (write_jsonl, ROW),
         (write_truth_file, ROW),
-        (write_training_batch, TrainingGroup(question_id="q-1", label=1, entries=[])),
+        (write_training_batch, {"question_id": "q-1", "label": 1, "trajectories": []}),
     ],
 )
 def test_a_writer_that_fails_part_way_leaves_the_old_file_or_none(tmp_path, writer, first):

@@ -281,17 +281,18 @@ def test_export_groups_only_resolved(tmp_path):
     ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     ledger.backfill(DAY, [Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
     ledger.discard(DAY, [Unresolved("q-3", "not_published")], T1)
-    groups = ledger.export_training_batch(T0.date())
-    assert sorted(g.question_id for g in groups) == ["q-1", "q-2"]
+    groups = list(ledger.export_training_batch(T0.date()))
+    assert sorted(g["question_id"] for g in groups) == ["q-1", "q-2"]
     for group in groups:
-        assert len(group.entries) == 4
-        assert all(-1.0 <= e.reward <= 0.0 for e in group.entries)
-        assert math.fsum(e.advantage for e in group.entries) == pytest.approx(0.0, abs=1e-9)
-        for entry in group.entries:
-            spans = entry.mask_spans
-            assert [s.turn_index for s in spans] == list(range(len(entry.transcript)))
-            for span, turn in zip(spans, entry.transcript):
-                assert span.masked == (turn.role != ROLE_AGENT)
+        entries = group["trajectories"]
+        assert len(entries) == 4
+        assert all(-1.0 <= e["reward"] <= 0.0 for e in entries)
+        assert math.fsum(e["advantage"] for e in entries) == pytest.approx(0.0, abs=1e-9)
+        for entry in entries:
+            spans = entry["mask_spans"]
+            assert [s["turn_index"] for s in spans] == list(range(len(entry["transcript"])))
+            for span, turn in zip(spans, entry["transcript"]):
+                assert span["masked"] == (turn["role"] != ROLE_AGENT)
 
 
 def test_export_mask_covers_two_search_turns(tmp_path):
@@ -300,11 +301,11 @@ def test_export_mask_covers_two_search_turns(tmp_path):
     t = make_trajectory(steps=steps, prob=0.7)
     _append(ledger, t)
     ledger.backfill(DAY, [OUTCOME], trajectory_reward)
-    group = ledger.export_training_batch(T0.date())[0]
-    entry = group.entries[0]
-    roles = [turn.role for turn in entry.transcript]
+    [group] = ledger.export_training_batch(T0.date())
+    entry = group["trajectories"][0]
+    roles = [turn["role"] for turn in entry["transcript"]]
     assert roles == [ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL, ROLE_AGENT, ROLE_TOOL, ROLE_AGENT]
-    masked = [span.masked for span in entry.mask_spans]
+    masked = [span["masked"] for span in entry["mask_spans"]]
     assert masked == [True, False, True, False, True, False]
 
 
@@ -313,21 +314,21 @@ def test_export_rewards_recompute_from_stored_fields(tmp_path):
     _group(ledger)
     ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     for group in ledger.export_training_batch(T0.date()):
-        for entry in group.entries:
-            t = ledger.get(DAY, entry.trajectory_id)
+        for entry in group["trajectories"]:
+            t = ledger.get(DAY, entry["trajectory_id"])
             if t.final_probability is None:
-                assert entry.reward == -1.0
+                assert entry["reward"] == -1.0
             else:
-                assert entry.reward == pytest.approx(-((t.final_probability - group.label) ** 2))
+                assert entry["reward"] == pytest.approx(-((t.final_probability - group["label"]) ** 2))
 
 
 def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, probs=(None, 0.9))
     ledger.backfill(DAY, [OUTCOME], trajectory_reward)
-    group = ledger.export_training_batch(T0.date())[0]
-    assert len(group.entries) == 2
-    rewards = sorted(e.reward for e in group.entries)
+    [group] = ledger.export_training_batch(T0.date())
+    assert len(group["trajectories"]) == 2
+    rewards = sorted(e["reward"] for e in group["trajectories"])
     assert rewards[0] == -1.0
     assert rewards[1] == pytest.approx(-0.01, abs=1e-12)
 
@@ -337,14 +338,14 @@ def test_export_limited_to_a_batch_holds_only_its_questions(tmp_path):
     _group(ledger, "q-1")
     _group(ledger, "q-2")
     ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
-    assert [g.question_id for g in ledger.export_training_batch(DAY)] == ["q-1", "q-2"]
+    assert [g["question_id"] for g in ledger.export_training_batch(DAY)] == ["q-1", "q-2"]
 
 def test_write_training_batch_jsonl(tmp_path):
     ledger = TrajectoryLedger(tmp_path / "led")
     _group(ledger)
     ledger.backfill(DAY, [OUTCOME], trajectory_reward)
     out = tmp_path / "train.jsonl"
-    write_training_batch(out, ledger.export_training_batch(T0.date()))
+    assert write_training_batch(out, ledger.export_training_batch(T0.date())) == 1
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == 1
     assert rows[0]["question_id"] == "q-1"
@@ -865,9 +866,7 @@ def test_fresh_ledger_answers_day_scoped_queries_like_replay(tmp_path, monkeypat
             for t in fresh.trajectories_for(day, qid):
                 assert fresh.get(day, t.trajectory_id) == whole.get(day, t.trajectory_id)
                 assert fresh.transcript(day, t.trajectory_id) == whole.transcript(day, t.trajectory_id)
-        assert [g.to_dict() for g in fresh.export_training_batch(day)] == [
-            g.to_dict() for g in whole.export_training_batch(day)
-        ]
+        assert list(fresh.export_training_batch(day)) == list(whole.export_training_batch(day))
         assert [path.name for path in read] == [f"ledger-{day.isoformat()}.jsonl"]
         read.clear()
 
@@ -890,7 +889,7 @@ def _day_answers(ledger, day):
     """Every query about one log day, as comparable values."""
     answers = {
         "questions": ledger.questions_for_day(day),
-        "export": [g.to_dict() for g in ledger.export_training_batch(day)],
+        "export": list(ledger.export_training_batch(day)),
     }
     for qid in answers["questions"]:
         answers[qid] = ledger.trajectories_for(day, qid)
@@ -985,11 +984,12 @@ def test_status_machine_over_random_interleavings(tmp_path):
         replayed = replay(root)
         assert _ledger_states_equal(ledger, replayed)
         for group in ledger.export_training_batch(T0.date()):
-            rewards = [e.reward for e in group.entries]
+            entries = group["trajectories"]
+            rewards = [e["reward"] for e in entries]
             assert all(-1.0 <= r <= 0.0 for r in rewards)
-            labels = {ledger.get(DAY, e.trajectory_id).label for e in group.entries}
-            assert labels == {group.label}
-            advantages = [e.advantage for e in group.entries]
+            labels = {ledger.get(DAY, e["trajectory_id"]).label for e in entries}
+            assert labels == {group["label"]}
+            advantages = [e["advantage"] for e in entries]
             if max(rewards) > min(rewards):
                 mean = statistics.fmean(advantages)
                 pop_std = math.sqrt(math.fsum((a - mean) ** 2 for a in advantages) / len(advantages))

@@ -108,6 +108,19 @@ def test_resolve_phase_accounting_and_idempotence(tmp_path):
     assert rerun.to_dict() == report.to_dict()
 
 
+def test_a_replayed_day_exports_the_rows_the_resolve_phase_wrote(tmp_path):
+    agents = ("oracle", "malformed")
+    orch = Orchestrator(_config(agents=agents), tmp_path)
+    orch.run_issue_phase(START)
+    report = orch.run_resolve_phase(START)
+    for agent in agents:
+        written = read_jsonl(orch.export_path(agent, START))
+        assert len(written) == report.groups_exported[agent] > 0
+        rows = TrajectoryLedger(tmp_path / "ledgers" / agent).export_training_batch(START)
+        assert next(rows) == written[0]  # the groups come one at a time
+        assert [written[0], *rows] == written
+
+
 def test_resolve_phase_requires_issued_batch(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     with pytest.raises(FileNotFoundError):
