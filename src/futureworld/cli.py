@@ -85,14 +85,17 @@ def _cmd_score(args: argparse.Namespace) -> int:
     truth_rows = read_jsonl(Path(args.truth))
 
     if prob_rows:
-        labels = {r["question_id"]: int(r["label"]) for r in truth_rows}
+        # a null label marks a question that did not resolve: it is not scored
+        labels = {r["question_id"]: r["label"] for r in truth_rows}
         preds = [
-            ProbPrediction(prob=r["prob"], label=labels[r["question_id"]])
+            ProbPrediction(prob=r["prob"], label=int(labels[r["question_id"]]))
             for r in prob_rows
-            if r["question_id"] in labels
+            if labels.get(r["question_id"]) is not None
         ]
+        missing = sum(r["question_id"] not in labels for r in prob_rows)
         print(
-            f"scored {len(preds)} predictions; {len(prob_rows) - len(preds)} had no truth row",
+            f"scored {len(preds)} predictions; {missing} had no truth row; "
+            f"{len(prob_rows) - len(preds) - missing} had a null label",
             file=sys.stderr,
         )
         report = summarize_probabilistic(preds, seed=args.seed)

@@ -10,10 +10,10 @@ its own two-day resolution lag.
 Two modes share all of this code. ``simulate`` drives D virtual days against
 a synthetic world with an injected clock (no waiting, fully deterministic
 given the seed); ``live`` schedules the same phases by wall clock. Both run
-the scripted agents, the simulated search tool and the rule-based judges, and
-each is built in one place below. Every phase is a pure function of (config,
-ledger state, day), so a run can be killed between phases and re-invoked
-without changing the final ledger.
+the scripted agents and the simulated search tool, each built in one place
+below, and the rule-based question filter. Every phase is a pure function of
+(config, ledger state, day), so a run can be killed between phases and
+re-invoked without changing the final ledger.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .qpipeline import (
     QuestionTemplate,
     apply_filters,
     construct_pair,
-    default_judges,
     resample,
 )
 from .resolve import SyntheticTruthResolver, FileLookupResolver, resolve_batch
@@ -136,6 +135,12 @@ class CycleConfig:
                 raise ValueError(f"{name} must be non-empty")
         if len(set(self.agents)) != len(self.agents):
             raise ValueError(f"agent names repeat: {list(self.agents)}")
+        # A blank word is in every text: it would drop, or classify, every pair.
+        if any(not term.strip() for term in self.blocklist):
+            raise ValueError(f"blocklist terms must not be blank, got {list(self.blocklist)}")
+        for rule in self.domain_rules:
+            if any(not keyword.strip() for keyword in rule.keywords):
+                raise ValueError(f"domain_rules keywords of {rule.label!r} must not be blank")
         _parse_clock(self.issue_time, "issue_time")
         _parse_clock(self.resolve_time, "resolve_time")
         try:
@@ -207,8 +212,8 @@ class IssueReport:
     constructed: int = 0
     construct_errors: int = 0
     filtered_kept: int = 0
-    #: how many constructed pairs each judge's reason dropped; a pair that
-    #: several judges flag counts once under each reason
+    #: how many constructed pairs each filter reason dropped; a pair that
+    #: several criteria flag counts once under each reason
     dropped_by_reason: dict[str, int] = field(default_factory=dict)
     questions_issued: int = 0
     rollouts_recorded: dict[str, int] = field(default_factory=dict)
@@ -284,7 +289,6 @@ class Orchestrator:
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.templates = load_default_templates()
-        self.judges = default_judges(config.blocklist)
         self.embedder = HashingEmbedder(seed=config.seed)
         self._ledgers: dict[str, TrajectoryLedger] = {}
 
@@ -408,7 +412,7 @@ class Orchestrator:
         kept = []
         dropped: Counter[str] = Counter()
         for pair in pairs:
-            decision = apply_filters(pair, self.judges)
+            decision = apply_filters(pair, self.config.blocklist)
             dropped.update(decision.drop_reasons)
             if decision.keep:
                 kept.append(pair)

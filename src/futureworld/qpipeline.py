@@ -2,16 +2,15 @@
 
 Stages, in order:
   1. construct_pair: instantiate a question template from an event payload.
-  2. apply_filters: three eligibility judges (resolvable, meaningful, safe);
-     a pair is dropped if any judge flags it, or if a judge is unavailable.
+  2. apply_filters: three rule-based eligibility checks (resolvable,
+     meaningful, safe); a pair is dropped if any check flags it.
   3. resample: classify into domains by keyword rules, water-fill the
      retention budget across domains, then reduce within-domain similarity by
      seeded K-means over text embeddings, keeping one representative per
      cluster (the pair closest to its centroid).
 
-The judges are rule-based in both modes; ``default_judges`` is the one place
-that builds them. numpy is imported by the K-means functions, not with the
-module: a day that issues no more pairs than its target never embeds.
+numpy is imported by the K-means functions, not with the module: a day that
+issues no more pairs than its target never embeds.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from datetime import datetime
-from typing import TYPE_CHECKING, Mapping, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .domain import (
     CandidateEvent,
@@ -33,10 +32,6 @@ from .seeding import derive_seed
 
 if TYPE_CHECKING:
     import numpy as np
-
-FILTER_NAMES = ("resolvable", "meaningful", "safe")
-
-JUDGE_UNAVAILABLE = "judge-unavailable"
 
 
 class TemplateError(ValueError):
@@ -149,54 +144,6 @@ def construct_pair(
     )
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    filter_name: str
-    eligible: bool
-    reason: str
-
-
-class Judge(Protocol):
-    """One eligibility criterion over a question-description pair."""
-
-    name: str
-
-    def judge(self, question: Question, description: Optional[str]) -> tuple[bool, str]:
-        ...
-
-
-@dataclass
-class ResolvableJudge:
-    """A question is resolvable if its outcome can be routed and retrieved."""
-
-    name: str = "resolvable"
-
-    def judge(self, question: Question, description: Optional[str]) -> tuple[bool, str]:
-        if not question.resolver_key:
-            return False, "no resolver registered for this question"
-        if "identifier" not in question.resolver_metadata:
-            return False, "no identifier to match an outcome record against"
-        if question.resolution_time <= question.prediction_time:
-            return False, "resolution scheduled before prediction time"
-        return True, "outcome is retrievable and matchable"
-
-
-@dataclass
-class MeaningfulJudge:
-    """Cheap structural proxy for 'asks about a concrete real-world outcome'."""
-
-    min_words: int = 5
-    name: str = "meaningful"
-
-    def judge(self, question: Question, description: Optional[str]) -> tuple[bool, str]:
-        text = question.text.strip()
-        if not text.endswith("?"):
-            return False, "not phrased as a question"
-        if len(text.split()) < self.min_words:
-            return False, "too short to describe a concrete outcome"
-        return True, "concrete binary question"
-
-
 DEFAULT_BLOCKLIST = (
     "casualties",
     "fatalities",
@@ -206,52 +153,43 @@ DEFAULT_BLOCKLIST = (
 )
 
 
-@dataclass
-class SafeJudge:
-    """Blocklist screen for content unsuitable for public release."""
-
-    blocklist: Sequence[str] = DEFAULT_BLOCKLIST
-    name: str = "safe"
-
-    def judge(self, question: Question, description: Optional[str]) -> tuple[bool, str]:
-        haystack = (question.text + " " + (description or "")).lower()
-        for term in self.blocklist:
-            if term.lower() in haystack:
-                return False, f"blocklisted term: {term}"
-        return True, "no blocklisted content"
-
-
-def default_judges(blocklist: Sequence[str] = DEFAULT_BLOCKLIST) -> list[Judge]:
-    return [ResolvableJudge(), MeaningfulJudge(), SafeJudge(blocklist=blocklist)]
-
-
-@dataclass
+@dataclass(frozen=True)
 class FilterDecision:
-    keep: bool
-    verdicts: list[FilterVerdict]
+    """Why a pair is dropped, at most one reason per criterion; none keeps it."""
+
+    drop_reasons: list[str]
 
     @property
-    def drop_reasons(self) -> list[str]:
-        return [v.reason for v in self.verdicts if not v.eligible]
+    def keep(self) -> bool:
+        return not self.drop_reasons
 
 
-def apply_filters(pair: QuestionDescriptionPair, judges: Sequence[Judge]) -> FilterDecision:
-    """Run all three eligibility judges; drop if any flags the pair.
+def apply_filters(
+    pair: QuestionDescriptionPair, blocklist: Sequence[str] = DEFAULT_BLOCKLIST
+) -> FilterDecision:
+    """Check the three eligibility criteria: resolvable, meaningful, safe.
 
-    A judge failure is conservative: the pair is dropped with reason
-    ``judge-unavailable`` and the verdict is still recorded.
+    Gives at most one drop reason per criterion, in that order; the pair is
+    kept when there is none. A resolution before the prediction time needs no
+    check here: ``Question`` refuses it.
     """
-    names = [j.name for j in judges]
-    if sorted(names) != sorted(FILTER_NAMES):
-        raise ValueError(f"expected one judge per criterion {FILTER_NAMES}, got {names}")
-    verdicts: list[FilterVerdict] = []
-    for judge in judges:
-        try:
-            eligible, reason = judge.judge(pair.question, pair.description)
-        except Exception:
-            eligible, reason = False, JUDGE_UNAVAILABLE
-        verdicts.append(FilterVerdict(filter_name=judge.name, eligible=eligible, reason=reason))
-    return FilterDecision(keep=all(v.eligible for v in verdicts), verdicts=verdicts)
+    question = pair.question
+    reasons: list[str] = []
+    if not question.resolver_key:
+        reasons.append("no resolver registered for this question")
+    elif "identifier" not in question.resolver_metadata:
+        reasons.append("no identifier to match an outcome record against")
+    text = question.text.strip()
+    if not text.endswith("?"):
+        reasons.append("not phrased as a question")
+    elif len(text.split()) < 5:
+        reasons.append("too short to describe a concrete outcome")
+    haystack = (question.text + " " + (pair.description or "")).lower()
+    for term in blocklist:
+        if term.lower() in haystack:
+            reasons.append(f"blocklisted term: {term}")
+            break
+    return FilterDecision(reasons)
 
 
 @dataclass(frozen=True)
@@ -283,26 +221,14 @@ def classify_domain(
     return OTHER_DOMAIN
 
 
-@dataclass(frozen=True)
-class BudgetAllocation:
-    """Per-domain retained budgets M_d under capacities N_d."""
-
-    per_domain: Mapping[str, tuple[int, int]]  # domain -> (N_d, M_d)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_domain", dict(self.per_domain))
-
-    def budget(self, domain: str) -> int:
-        return self.per_domain[domain][1]
-
-
-def allocate_budget(counts: Mapping[str, int], target: int) -> BudgetAllocation:
+def allocate_budget(counts: Mapping[str, int], target: int) -> dict[str, int]:
     """Water-fill the retention target across non-empty domains.
 
-    Raise the common level c as far as capacities allow, then hand out any
-    remainder one unit per unsaturated domain in ascending lexicographic
-    order. The result is as balanced as possible: no unit can move between
-    two domains and reduce the spread.
+    Returns each domain's retained budget M_d, in sorted domain order, under
+    its capacity N_d = ``counts[d]``. Raise the common level c as far as
+    capacities allow, then hand out any remainder one unit per unsaturated
+    domain in ascending lexicographic order. The result is as balanced as
+    possible: no unit can move between two domains and reduce the spread.
     """
     if target < 0:
         raise ValueError("target must be non-negative")
@@ -324,7 +250,7 @@ def allocate_budget(counts: Mapping[str, int], target: int) -> BudgetAllocation:
         if allocated[d] < counts[d]:
             allocated[d] += 1
             remainder -= 1
-    return BudgetAllocation({d: (counts[d], allocated[d]) for d in domains})
+    return allocated
 
 
 def embed_pair(pair: QuestionDescriptionPair, embedder: HashingEmbedder) -> np.ndarray:
@@ -480,12 +406,12 @@ def resample(
     for p in labeled:
         by_domain.setdefault(p.question.domain, []).append(p)
 
-    allocation = allocate_budget({d: len(v) for d, v in by_domain.items()}, target)
+    budgets = allocate_budget({d: len(v) for d, v in by_domain.items()}, target)
     selected_ids: set[str] = set()
-    for domain in sorted(by_domain):
+    for domain, budget in budgets.items():
         chosen = resample_domain(
             by_domain[domain],
-            allocation.budget(domain),
+            budget,
             embedder,
             derive_seed(seed, "resample", domain),
         )

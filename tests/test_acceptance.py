@@ -212,8 +212,7 @@ def test_criterion_4_budget_allocation_and_determinism():
     for _ in range(200):
         counts = {f"d{i}": rng.randrange(1, 9) for i in range(rng.randrange(1, 6))}
         target = rng.randrange(0, 21)
-        allocation = allocate_budget(counts, target)
-        budgets = {d: m for d, (_, m) in allocation.per_domain.items()}
+        budgets = allocate_budget(counts, target)
         ok &= sum(budgets.values()) == min(target, sum(counts.values()))
         ok &= all(0 <= budgets[d] <= counts[d] for d in counts)
         ok &= all(

@@ -123,18 +123,18 @@ def test_resolve_without_issued_batch_fails_cleanly(tmp_path, capsys):
 def test_score_command_probabilistic(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     truth = tmp_path / "truth.jsonl"
-    # q4 has no truth row: it is counted, not scored
+    # q4 has no truth row and q5 an unresolved (null) label: each is counted, not scored
     preds.write_text(
         "\n".join(
             dumps_canonical({"question_id": f"q{i}", "prob": p})
-            for i, p in enumerate((0.9, 0.2, 0.7, 0.4, 0.5))
+            for i, p in enumerate((0.9, 0.2, 0.7, 0.4, 0.5, 0.1))
         )
         + "\n"
     )
     truth.write_text(
         "\n".join(
             dumps_canonical({"question_id": f"q{i}", "label": z})
-            for i, z in enumerate((1, 0, 1, 0))
+            for i, z in zip((0, 1, 2, 3, 5), (1, 0, 1, 0, None))
         )
         + "\n"
     )
@@ -144,7 +144,7 @@ def test_score_command_probabilistic(tmp_path, capsys):
     assert report["n_predictions"] == 4
     assert report["accuracy"] == 1.0
     assert report["brier"] < 0.25
-    assert "scored 4 predictions; 1 had no truth row" in capsys.readouterr().err
+    assert "scored 4 predictions; 1 had no truth row; 1 had a null label" in capsys.readouterr().err
 
 
 def test_score_command_asks_for_the_questions_of_benchmark_predictions(tmp_path, capsys):
@@ -181,6 +181,24 @@ def test_score_command_refuses_probabilistic_and_benchmark_rows_in_one_file(tmp_
     assert "1 probabilistic" in captured.err and "2 benchmark predictions" in captured.err
     assert "scored" not in captured.err + captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ('blocklist: [hostage, ""]', "blocklist"),
+        ('domain_rules: [{label: science, keywords: [telescope, " "]}]', "domain_rules"),
+    ],
+    ids=["blocklist", "domain-rules"],
+)
+def test_issue_refuses_a_blank_filter_word(tmp_path, capsys, setting, named):
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"seed: 11\nquestions_per_day: 8\nevent_rate: 40\nagents: [constant]\n{setting}\n")
+    assert main(["issue", "--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "must not be blank" in err
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from futureworld.domain import Outcome, Question, Trajectory
 from futureworld.jsonl import dumps_canonical, from_row, read_jsonl, to_row, write_jsonl
 from futureworld.orchestrator import IssueReport
 from futureworld.prompts import BenchmarkQuestion
-from futureworld.qpipeline import FilterVerdict
 from futureworld.scoring import ScoreReport
 
 from conftest import T1, make_event, make_pair, make_question, make_trajectory
@@ -113,10 +112,6 @@ RECORDS = [
         '"status":"RESOLVED","steps":[{"action":"dallas temperature forecast",'
         '"issued_at":"2026-03-02T20:00:00+00:00","observation":"forecast digest"}],'
         '"trajectory_id":"q-1#k0"}',
-    ),
-    (
-        FilterVerdict(filter_name="safe", eligible=False, reason="blocked term"),
-        '{"eligible":false,"filter_name":"safe","reason":"blocked term"}',
     ),
     (
         BenchmarkQuestion(

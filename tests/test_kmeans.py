@@ -22,7 +22,6 @@ from futureworld.qpipeline import (
     apply_filters,
     classify_domain,
     construct_pair,
-    default_judges,
     embed_pair,
 )
 from futureworld.seeding import derive_seed
@@ -135,16 +134,14 @@ def _domains(seed: int, events: int, target: int):
     """Each domain's embeddings and K-means budget on one synthetic issue day."""
     resolve_at = ISSUE_AT + timedelta(days=1, minutes=30)
     world = generate_synthetic_world(DAY, resolve_at, timezone.utc, seed, events, 0.3565)
-    judges = default_judges()
     pairs = [construct_pair(e, DEFAULT_TEMPLATES, ISSUE_AT) for e in world.events]
     by_domain: dict[str, list] = {}
     for pair in pairs:
-        if apply_filters(pair, judges).keep:
+        if apply_filters(pair).keep:
             by_domain.setdefault(classify_domain(pair, DEFAULT_DOMAIN_RULES), []).append(pair)
-    allocation = allocate_budget({d: len(v) for d, v in by_domain.items()}, target)
+    budgets = allocate_budget({d: len(v) for d, v in by_domain.items()}, target)
     embedder = HashingEmbedder(seed=seed)
-    for domain in sorted(by_domain):
-        budget = allocation.budget(domain)
+    for domain, budget in budgets.items():
         if 0 < budget < len(by_domain[domain]):
             points = np.stack([embed_pair(p, embedder) for p in by_domain[domain]])
             yield points, budget, derive_seed(seed, "resample", domain)

@@ -22,7 +22,7 @@ from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig
 from futureworld.domain import CandidateEvent, Question, TrajectoryStatus
 from futureworld.prompts import BenchmarkCaps, BenchmarkQuestion
-from futureworld.qpipeline import DomainRule, QuestionTemplate
+from futureworld.qpipeline import DEFAULT_DOMAIN_RULES, DomainRule, QuestionTemplate
 from futureworld.rollout import RolloutLimits
 from futureworld.jsonl import read_jsonl
 from futureworld.scoring import ProbPrediction, summarize_probabilistic
@@ -57,7 +57,7 @@ def test_issue_phase_fetches_filters_and_records(tmp_path):
     assert report.rollouts_recorded == {"oracle": 80, "constant": 80}
     assert orch.questions_path(START).exists()
     assert orch.truth_path(START).exists()
-    # every dropped pair counts once under each reason a judge gave
+    # every dropped pair counts once under each reason the filter gave
     dropped = report.constructed - report.filtered_kept
     assert dropped > 0 and all(n > 0 for n in report.dropped_by_reason.values())
     assert sum(report.dropped_by_reason.values()) >= dropped
@@ -1046,6 +1046,13 @@ def test_config_validation():
     for name in ("agents", "domain_rules", "question_templates"):
         with pytest.raises(ValueError, match=f"{name} must be non-empty"):
             CycleConfig(**{name: ()})
+    # a blank word is in every text: it would drop, or classify, every pair
+    for word in ("", "  ", "\t"):
+        with pytest.raises(ValueError, match="blocklist terms must not be blank"):
+            CycleConfig(blocklist=("hostage", word))
+        rules = DEFAULT_DOMAIN_RULES + (DomainRule("science", ("telescope", word)),)
+        with pytest.raises(ValueError, match="domain_rules keywords of 'science' must not be blank"):
+            CycleConfig(domain_rules=rules)
 
 
 def test_custom_blocklist_reaches_the_safety_judge(tmp_path):

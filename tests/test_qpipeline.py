@@ -1,28 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from futureworld.domain import OTHER_DOMAIN
+from futureworld.domain import OTHER_DOMAIN, QuestionDescriptionPair
 from futureworld.jsonl import dumps_canonical, to_row
 from futureworld.embedding import HashingEmbedder
 from futureworld.qpipeline import (
+    DEFAULT_BLOCKLIST,
     DEFAULT_DOMAIN_RULES,
     DEFAULT_TEMPLATES,
     DomainRule,
-    JUDGE_UNAVAILABLE,
-    MeaningfulJudge,
-    ResolvableJudge,
-    SafeJudge,
     TemplateError,
     allocate_budget,
     apply_filters,
     classify_domain,
     construct_pair,
-    default_judges,
     embed_pair,
     resample,
     resample_domain,
@@ -75,45 +72,56 @@ def test_construct_matches_template_by_fields_when_unnamed():
 # -- filters ---------------------------------------------------------------------
 
 
-def test_all_judges_eligible_keeps_pair():
-    decision = apply_filters(make_pair(), default_judges())
-    assert decision.keep
-    assert len(decision.verdicts) == 3
-    assert {v.filter_name for v in decision.verdicts} == {"resolvable", "meaningful", "safe"}
+def _without_identifier() -> QuestionDescriptionPair:
+    pair = make_pair()
+    question = dataclasses.replace(pair.question, resolver_metadata={})
+    return dataclasses.replace(pair, question=question)
 
 
-def test_safety_flag_drops_pair_and_records_all_verdicts():
-    pair = make_pair(text="Will the storm near Tampa cause casualties on April 18?")
-    decision = apply_filters(pair, default_judges())
-    assert not decision.keep
-    assert len(decision.verdicts) == 3
-    safe = next(v for v in decision.verdicts if v.filter_name == "safe")
-    assert not safe.eligible and "casualties" in safe.reason
-
-
-class _BrokenJudge:
-    name = "meaningful"
-
-    def judge(self, question, description):
-        raise TimeoutError("judge endpoint unreachable")
-
-
-def test_judge_failure_is_a_conservative_drop():
-    judges = [ResolvableJudge(), _BrokenJudge(), SafeJudge()]
-    decision = apply_filters(make_pair(), judges)
-    assert not decision.keep
-    assert JUDGE_UNAVAILABLE in decision.drop_reasons
-
-
-def test_filters_require_one_judge_per_criterion():
-    with pytest.raises(ValueError):
-        apply_filters(make_pair(), [ResolvableJudge(), SafeJudge()])
-
-
-def test_meaningful_judge_rejects_fragments():
-    pair = make_pair(text="Rain soon?")
-    eligible, _ = MeaningfulJudge().judge(pair.question, None)
-    assert not eligible
+@pytest.mark.parametrize(
+    "pair, blocklist, reasons",
+    [
+        (make_pair(), DEFAULT_BLOCKLIST, []),
+        (make_pair(resolver_key=""), DEFAULT_BLOCKLIST, ["no resolver registered for this question"]),
+        (_without_identifier(), DEFAULT_BLOCKLIST, ["no identifier to match an outcome record against"]),
+        (make_pair(text="Will it rain in Dallas on April 18."), DEFAULT_BLOCKLIST, ["not phrased as a question"]),
+        (make_pair(text="Rain soon?"), DEFAULT_BLOCKLIST, ["too short to describe a concrete outcome"]),
+        (
+            make_pair(text="Will the storm near Tampa cause casualties on April 18?"),
+            DEFAULT_BLOCKLIST,
+            ["blocklisted term: casualties"],
+        ),
+        (
+            make_pair(description="Officials reported a hostage situation downtown."),
+            DEFAULT_BLOCKLIST,
+            ["blocklisted term: hostage"],
+        ),
+        # the reason names the term as configured; the match ignores case
+        (make_pair(), ("Tampa", "DALLAS", "dallas"), ["blocklisted term: DALLAS"]),
+        (make_pair(text="Will the storm near Tampa cause casualties on April 18?"), (), []),
+        # one reason per criterion, in the order resolvable, meaningful, safe
+        (
+            make_pair(resolver_key="", text="Hostage casualties soon?"),
+            DEFAULT_BLOCKLIST,
+            [
+                "no resolver registered for this question",
+                "too short to describe a concrete outcome",
+                "blocklisted term: casualties",
+            ],
+        ),
+    ],
+    ids=[
+        "eligible", "no-resolver", "no-identifier", "not-a-question", "too-short",
+        "blocklisted-text", "blocklisted-description-only", "custom-blocklist",
+        "empty-blocklist", "one-reason-per-criterion",
+    ],
+)
+def test_apply_filters_gives_each_criterions_reason(pair, blocklist, reasons):
+    decision = apply_filters(pair, blocklist)
+    assert decision.drop_reasons == reasons
+    assert decision.keep is (not reasons)
+    if blocklist == DEFAULT_BLOCKLIST:
+        assert apply_filters(pair).drop_reasons == reasons
 
 
 # -- classify_domain --------------------------------------------------------------
@@ -156,12 +164,11 @@ def brute_force_min_spread(counts: dict[str, int], target: int) -> int:
 
 
 def test_allocate_spec_cases():
-    a = allocate_budget({"a": 10, "b": 2, "c": 10}, 6)
-    assert {d: m for d, (_, m) in a.per_domain.items()} == {"a": 2, "b": 2, "c": 2}
-    b = allocate_budget({"a": 1, "b": 10, "c": 10}, 5)
-    assert {d: m for d, (_, m) in b.per_domain.items()} == {"a": 1, "b": 2, "c": 2}
-    c = allocate_budget({"a": 3}, 10)
-    assert {d: m for d, (_, m) in c.per_domain.items()} == {"a": 3}
+    assert allocate_budget({"a": 10, "b": 2, "c": 10}, 6) == {"a": 2, "b": 2, "c": 2}
+    assert allocate_budget({"a": 1, "b": 10, "c": 10}, 5) == {"a": 1, "b": 2, "c": 2}
+    assert allocate_budget({"a": 3}, 10) == {"a": 3}
+    # budgets come in sorted domain order whatever the order of the counts
+    assert list(allocate_budget({"c": 4, "a": 4, "b": 4}, 5)) == ["a", "b", "c"]
 
 
 def test_allocate_rejects_bad_inputs():
@@ -171,8 +178,8 @@ def test_allocate_rejects_bad_inputs():
         allocate_budget({"a": 3}, -1)
 
 
-def _check_allocation_invariants(counts, target, allocation):
-    budgets = {d: m for d, (_, m) in allocation.per_domain.items()}
+def _check_allocation_invariants(counts, target, budgets):
+    assert budgets.keys() == counts.keys()
     assert sum(budgets.values()) == min(target, sum(counts.values()))
     for d, m in budgets.items():
         assert 0 <= m <= counts[d]
@@ -187,10 +194,9 @@ def test_allocate_water_filling_matches_exhaustive_minimizer():
         n_domains = rng.randrange(1, 6)
         counts = {f"d{i}": rng.randrange(1, 9) for i in range(n_domains)}
         target = rng.randrange(0, 21)
-        allocation = allocate_budget(counts, target)
-        _check_allocation_invariants(counts, target, allocation)
-        budgets = [m for _, m in allocation.per_domain.values()]
-        assert max(budgets) - min(budgets) == brute_force_min_spread(counts, target)
+        budgets = allocate_budget(counts, target)
+        _check_allocation_invariants(counts, target, budgets)
+        assert max(budgets.values()) - min(budgets.values()) == brute_force_min_spread(counts, target)
 
 
 def test_allocate_invariants_hold_on_larger_random_instances():
@@ -342,8 +348,7 @@ def test_resample_is_a_projection():
 
 def test_resample_never_selects_filtered_pairs():
     pairs = _skewed_pairs()
-    judges = default_judges()
-    kept = [p for p in pairs if apply_filters(p, judges).keep]
+    kept = [p for p in pairs if apply_filters(p).keep]
     out = resample(kept, 10, DEFAULT_DOMAIN_RULES, EMBEDDER, seed=4)
     kept_ids = {p.pair_id for p in kept}
     assert all(p.pair_id in kept_ids for p in out)
