@@ -87,11 +87,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if prob_rows:
         # a null label marks a question that did not resolve: it is not scored
         labels = {r["question_id"]: r["label"] for r in truth_rows}
-        preds = [
-            ProbPrediction(prob=r["prob"], label=int(labels[r["question_id"]]))
-            for r in prob_rows
-            if labels.get(r["question_id"]) is not None
-        ]
+        preds: list[ProbPrediction] = []
+        for r in prob_rows:
+            pair = {"prob": r["prob"], "label": labels.get(r["question_id"])}
+            try:
+                if pair["label"] is not None:
+                    preds.append(from_row(ProbPrediction, pair, "scored pair"))
+            except ValueError as exc:
+                raise ValueError(f"question {r['question_id']}: {exc}") from None
         missing = sum(r["question_id"] not in labels for r in prob_rows)
         print(
             f"scored {len(preds)} predictions; {missing} had no truth row; "

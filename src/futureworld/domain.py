@@ -205,7 +205,6 @@ class Outcome:
     question_id: QuestionId
     label: int
     resolved_at: datetime
-    evidence: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "resolved_at", ensure_utc(self.resolved_at))

@@ -59,7 +59,7 @@ from .qpipeline import (
     construct_pair,
     resample,
 )
-from .resolve import SyntheticTruthResolver, FileLookupResolver, resolve_batch
+from .resolve import SyntheticTruthResolver, answer_file_resolvers, resolve_batch
 from .rollout import RolloutLimits, run_group
 from .scoring import ProbPrediction, ScoreReport, summarize_probabilistic, trajectory_reward
 from .seeding import derive_seed
@@ -516,13 +516,9 @@ class Orchestrator:
 
     def _resolver_registry(self, day: date) -> dict[str, Any]:
         """Resolvers for the batch issued on ``day``, whose issue wrote its truth file."""
-        truth_path = self.truth_path(day)
-        registry: dict[str, Any] = {}
-        if truth_path.exists():
-            registry["synthetic"] = SyntheticTruthResolver.from_files([truth_path])
-        for key, answer_file in self.config.answer_files.items():
-            registry[key] = FileLookupResolver(path=Path(answer_file))
-        return registry
+        path = self.truth_path(day)
+        registry = {"synthetic": SyntheticTruthResolver.from_files([path])} if path.exists() else {}
+        return {**registry, **answer_file_resolvers(self.config.answer_files)}
 
     # -- benchmark phase -------------------------------------------------------
 

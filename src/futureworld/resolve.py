@@ -10,8 +10,10 @@ Unresolved reasons: not_published (no valid outcome yet), match_failed
 (record cannot be reliably tied to the question), postponed (target event
 moved or canceled), resolver_error (routing or retrieval fault).
 
-Shipped resolvers: a synthetic-truth resolver backed by the generated world's
-sidecar table, and a file-lookup resolver over a keyed JSONL answer file.
+Shipped resolver: a lookup in JSONL answer files. An answer row is the wire
+form of ``ResolutionRecord``, with ``label`` the JSON integer 0 or 1; a bad
+row or an unreadable file is ``resolver_error``, and so, in the built-in
+world's truth files, is a missing row or a key that is no field.
 Resolution is read-only with respect to the trajectory ledger; backfilling is
 the orchestrator's job.
 """
@@ -19,13 +21,14 @@ the orchestrator's job.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Protocol, Sequence, Union
 
-from .domain import Outcome, Question, parse_rfc3339
-from .jsonl import read_jsonl
+from .domain import Outcome, Question
+from .jsonl import from_row, read_jsonl
 
 REASON_NOT_PUBLISHED = "not_published"
 REASON_MATCH_FAILED = "match_failed"
@@ -52,13 +55,16 @@ class Unresolved:
 
 @dataclass(frozen=True)
 class ResolutionRecord:
-    """What a resolver found at the source, before verification."""
+    """One answer row: what the source published about an event, before verification."""
 
     identifier: str
     label: Optional[int] = None
     published_at: Optional[datetime] = None
-    status: str = "resolved"  # or "postponed"
-    evidence: str = ""
+    status: str = "resolved"  # or "postponed" or "not_published", with no label
+
+    def __post_init__(self) -> None:
+        if self.status not in ("resolved", REASON_POSTPONED, REASON_NOT_PUBLISHED):
+            raise ValueError(f"unknown answer status {self.status!r}")
 
 
 class Resolver(Protocol):
@@ -67,61 +73,39 @@ class Resolver(Protocol):
 
 
 @dataclass
-class SyntheticTruthResolver:
-    """Reads the generated world's sidecar truth table.
-
-    The table is the only place realized labels exist; events marked
-    unretrievable return no record (or a postponement), mirroring sources
-    that have not published an outcome.
-    """
+class FileLookupResolver:
+    """Answer files read into one table of answer rows, keyed by identifier."""
 
     truth: Mapping[str, Mapping[str, Any]]
+    strict = False  # True: a missing row or a key that is no field is resolver_error
 
     @classmethod
-    def from_files(cls, paths: Iterable[Path]) -> "SyntheticTruthResolver":
+    def from_files(cls, paths: Iterable[Path]) -> "FileLookupResolver":
         return cls(truth={row["identifier"]: row for path in paths for row in read_jsonl(path)})
 
     def resolve(self, question: Question) -> Optional[ResolutionRecord]:
         identifier = question.resolver_metadata.get("identifier", "")
-        row = self.truth.get(identifier)
-        if row is None:
-            raise KeyError(f"no truth row for {identifier}")
-        if not row.get("will_resolve", True):
-            if row.get("unresolved_reason") == REASON_POSTPONED:
-                return ResolutionRecord(identifier=identifier, status="postponed")
-            return None
-        return ResolutionRecord(
-            identifier=identifier,
-            label=int(row["label"]),
-            evidence=f"synthetic truth row {identifier}",
-        )
+        row = self.truth[identifier] if self.strict else self.truth.get(identifier)
+        # One subject for every row: ``from_row`` caches a decoder per subject.
+        return None if row is None else from_row(ResolutionRecord, row, "answer row", self.strict)
 
 
-@dataclass
-class FileLookupResolver:
-    """Keyed JSONL answer file: {identifier, label, published_at, status, evidence}."""
+class SyntheticTruthResolver(FileLookupResolver):
+    """The built-in world's truth files: answer files with a row for every event."""
 
-    path: Path
-    _rows: Optional[dict[str, dict[str, Any]]] = field(default=None, repr=False)
-
-    def resolve(self, question: Question) -> Optional[ResolutionRecord]:
-        if self._rows is None:
-            self._rows = {row["identifier"]: row for row in read_jsonl(self.path)}
-        identifier = question.resolver_metadata.get("identifier", "")
-        row = self._rows.get(identifier)
-        if row is None:
-            return None
-        published_at = parse_rfc3339(row["published_at"]) if row.get("published_at") else None
-        return ResolutionRecord(
-            identifier=row["identifier"],
-            label=int(row["label"]) if row.get("label") is not None else None,
-            published_at=published_at,
-            status=row.get("status", "resolved"),
-            evidence=row.get("evidence", f"answer file row {identifier}"),
-        )
+    strict = True
 
 
-ResolverRegistry = Mapping[str, Resolver]
+ResolverRegistry = Mapping[str, Optional[Resolver]]  # None: the key's questions are resolver_error
+
+
+def answer_file_resolvers(answer_files: Mapping[str, str]) -> ResolverRegistry:
+    """A resolver per answer file; one that cannot be read or parsed is None."""
+    registry: dict[str, Optional[FileLookupResolver]] = dict.fromkeys(answer_files)
+    for key, path in answer_files.items():
+        with suppress(OSError, ValueError, KeyError, TypeError):
+            registry[key] = FileLookupResolver.from_files([Path(path)])
+    return registry
 
 
 def resolve_question(
@@ -144,20 +128,15 @@ def resolve_question(
         return Unresolved(question.id, REASON_RESOLVER_ERROR)
     if record is None:
         return Unresolved(question.id, REASON_NOT_PUBLISHED)
-    if record.status == "postponed":
-        return Unresolved(question.id, REASON_POSTPONED)
+    if record.status != "resolved":
+        return Unresolved(question.id, record.status)
     if record.identifier != question.resolver_metadata.get("identifier"):
         return Unresolved(question.id, REASON_MATCH_FAILED)
     if record.published_at is not None and record.published_at > now:
         return Unresolved(question.id, REASON_NOT_PUBLISHED)
     if record.label not in (0, 1):
         return Unresolved(question.id, REASON_RESOLVER_ERROR)
-    return Outcome(
-        question_id=question.id,
-        label=record.label,
-        resolved_at=now,
-        evidence=record.evidence,
-    )
+    return Outcome(question_id=question.id, label=record.label, resolved_at=now)
 
 
 @dataclass

@@ -175,8 +175,9 @@ class FetchResult:
 
     ``truth_rows`` and ``hint_rows`` are filled by the built-in world only,
     one of each per event, in event order. The orchestrator persists them as
-    sidecars: truth rows (label and resolvability) for the resolution stage,
-    hint rows (latent likelihood, no label) for the simulated search tool.
+    sidecars: truth rows, answer rows ``{"identifier", "label"}`` or
+    ``{"identifier", "status"}`` (see ``resolve``) for the resolution stage,
+    and hint rows (latent likelihood, no label) for the simulated search tool.
     """
 
     events: list[CandidateEvent]
@@ -231,20 +232,13 @@ def generate_synthetic_world(
                 resolver_key="synthetic",
             )
         )
-        world.truth_rows.append(
-            {
-                "resolver_key": "synthetic",
-                "identifier": identifier,
-                "label": 1 if rng.random() < latent_p else 0,
-                "will_resolve": True,
-                "unresolved_reason": None,
-            }
-        )
+        label = 1 if rng.random() < latent_p else 0
+        world.truth_rows.append({"identifier": identifier, "label": label})
         world.hint_rows.append({"identifier": identifier, "latent_p": latent_p})
 
     for idx in rng.sample(range(event_count), round(unresolved_rate * event_count)):
-        reason = "postponed" if rng.random() < 0.2 else "not_published"
-        world.truth_rows[idx].update(will_resolve=False, unresolved_reason=reason)
+        del world.truth_rows[idx]["label"]  # drawn anyway: no later draw depends on this sample
+        world.truth_rows[idx]["status"] = "postponed" if rng.random() < 0.2 else "not_published"
     return world
 
 

@@ -413,7 +413,7 @@ def test_criterion_8_non_leakage(sim):
             transcript = ledger.transcript(t.prediction_time.date(), t.trajectory_id)
             joined = "\n".join(turn.text for turn in transcript)
             ok &= "realized_label" not in joined
-            ok &= "will_resolve" not in joined
+            ok &= '"label"' not in joined and '"status"' not in joined
             description = descriptions.get(t.question_id)
             if description is not None:
                 prompt = transcript[0].text

@@ -147,6 +147,26 @@ def test_score_command_probabilistic(tmp_path, capsys):
     assert "scored 4 predictions; 1 had no truth row; 1 had a null label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pred, label, named",
+    [
+        (0.9, 0.6, "label must be int, got float"),
+        (0.9, True, "label must be int, got bool"),
+        ("0.7", 1, "prob must be float, got str"),
+    ],
+)
+def test_score_command_names_the_question_of_a_wrong_typed_value(tmp_path, capsys, pred, label, named):
+    preds, truth = tmp_path / "preds.jsonl", tmp_path / "truth.jsonl"
+    preds.write_text("".join(dumps_canonical({"question_id": q, "prob": pred}) + "\n" for q in ("q0", "q1")))
+    rows = [{"question_id": "q0", "label": 1}, {"question_id": "q1", "label": label}]
+    truth.write_text("".join(dumps_canonical(r) + "\n" for r in rows))
+    out = tmp_path / "report.json"
+    assert main(["score", "--in", str(preds), "--truth", str(truth), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: question q") and named in err
+    assert not out.exists()
+
+
 def test_score_command_asks_for_the_questions_of_benchmark_predictions(tmp_path, capsys):
     row = dumps_canonical({"question_id": "b0", "qtype": "numeric", "value": 3.0}) + "\n"
     for name in ("preds.jsonl", "gold.jsonl"):

@@ -14,6 +14,7 @@ from futureworld.domain import Outcome, Question, Trajectory
 from futureworld.jsonl import dumps_canonical, from_row, read_jsonl, to_row, write_jsonl
 from futureworld.orchestrator import IssueReport
 from futureworld.prompts import BenchmarkQuestion
+from futureworld.resolve import ResolutionRecord
 from futureworld.scoring import ScoreReport
 
 from conftest import T1, make_event, make_pair, make_question, make_trajectory
@@ -101,9 +102,13 @@ RECORDS = [
         '"text":"Will the highest temperature in Dallas be between 84-85°F on April 18?"}}',
     ),
     (
-        Outcome(question_id="q-1", label=1, resolved_at=T1, evidence="answer file row evt-001"),
-        '{"evidence":"answer file row evt-001","label":1,"question_id":"q-1",'
-        '"resolved_at":"2026-03-03T20:30:00+00:00"}',
+        Outcome(question_id="q-1", label=1, resolved_at=T1),
+        '{"label":1,"question_id":"q-1","resolved_at":"2026-03-03T20:30:00+00:00"}',
+    ),
+    (
+        ResolutionRecord(identifier="evt-001", label=1, published_at=T1),
+        '{"identifier":"evt-001","label":1,"published_at":"2026-03-03T20:30:00+00:00",'
+        '"status":"resolved"}',
     ),
     (
         make_trajectory().resolved(1, -0.09),

@@ -409,6 +409,72 @@ def test_an_evening_killed_before_any_write_reruns_to_the_uninterrupted_files(tm
         assert differ == [], f"killed before write {n} ({writes[n - 1]})"
 
 
+def _cut_append(monkeypatch, n, cut):
+    """Let the n-th ledger append finish, keep ``cut(its bytes)`` of them, and raise."""
+    append = TrajectoryLedger._append_batch
+    calls = []
+
+    def call(self, day, records):
+        calls.append(day)
+        path = self._log_path(day)
+        start = path.stat().st_size if path.exists() else 0
+        seqs = append(self, day, records)
+        if len(calls) == n:
+            with path.open("r+b") as fh:
+                fh.seek(start)
+                fh.truncate(start + cut(fh.read()))
+            raise _Killed(f"append {n} cut")
+        return seqs
+
+    monkeypatch.setattr(TrajectoryLedger, "_append_batch", call)
+    return calls
+
+
+def _mid_record(appended):
+    """An offset halfway into the middle record of an append."""
+    ends = [i + 1 for i, byte in enumerate(appended) if byte == ord("\n")]
+    k = len(ends) // 2
+    return ((ends[k - 1] if k else 0) + ends[k]) // 2
+
+
+CUTS = {
+    "after its first byte": lambda appended: 1,
+    "in mid-record": _mid_record,
+    "before its last newline": lambda appended: len(appended) - 1,
+}
+
+
+@pytest.mark.parametrize("zone", ["UTC", "America/New_York"])
+def test_an_evening_killed_inside_any_ledger_append_reruns_to_the_uninterrupted_files(
+    tmp_path, monkeypatch, zone
+):
+    config = _config(seed=3, event_rate=40, timezone=zone)
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), config.zone)
+    history = tmp_path / "history"
+    for offset in range(2):
+        Orchestrator(config, history).run_due_phases(evening(offset))
+    straight = tmp_path / "straight"
+    shutil.copytree(history, straight)
+    with monkeypatch.context() as m:
+        appends = _cut_append(m, 0, len)
+        Orchestrator(config, straight).run_due_phases(evening(2))
+    expected = _run_files(straight)
+    assert len(appends) == 2 * 3  # prefixes, backfills, discards
+
+    for n in range(1, len(appends) + 1):
+        for where, cut in CUTS.items():
+            killed = tmp_path / f"killed-{n}-{where.replace(' ', '-')}"
+            shutil.copytree(history, killed)
+            with monkeypatch.context() as m:
+                _cut_append(m, n, cut)
+                with pytest.raises(_Killed):
+                    Orchestrator(config, killed).run_due_phases(evening(2))
+            Orchestrator(config, killed).run_due_phases(evening(2))
+            files = _run_files(killed)
+            differ = sorted(k for k in expected.keys() | files.keys() if expected.get(k) != files.get(k))
+            assert differ == [], f"append {n} cut {where}"
+
+
 def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
     from conftest import make_event
 
@@ -437,6 +503,18 @@ def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
     assert "\u2028" in orch.questions_path(START).read_text(encoding="utf-8")
     report = orch.run_resolve_phase(START)
     assert report.outcomes_resolved == 4
+
+
+def test_an_unreadable_answer_file_overrides_the_built_in_truth_for_its_key(tmp_path):
+    config = _config(
+        answer_files={"synthetic": str(tmp_path / "missing.jsonl")},
+        benchmark=BenchmarkSettings(enabled=False),
+    )
+    orch = Orchestrator(config, tmp_path / "run")
+    issued = orch.run_issue_phase(START).questions_issued
+    report = orch.run_resolve_phase(START)
+    assert issued > 0 and report.outcomes_resolved == 0
+    assert report.unresolved_reasons == {"resolver_error": issued}
 
 
 def test_resolve_phase_reads_only_the_batch_days_truth_file(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from datetime import date, timedelta, timezone
 
 import pytest
 
+from futureworld import jsonl
 from futureworld.domain import Outcome
 from futureworld.jsonl import dumps_canonical
 from futureworld.sources import generate_synthetic_world
@@ -16,6 +17,7 @@ from futureworld.resolve import (
     ResolutionRecord,
     SyntheticTruthResolver,
     Unresolved,
+    answer_file_resolvers,
     resolve_batch,
     resolve_question,
 )
@@ -52,7 +54,7 @@ def test_synthetic_truth_passthrough():
 
 def test_unretrievable_event_is_not_published():
     world = _world(unresolved_rate=1.0)
-    row = next(r for r in world.truth_rows if r["unresolved_reason"] == "not_published")
+    row = next(r for r in world.truth_rows if r.get("status") == "not_published")
     event = world.events[world.truth_rows.index(row)]
     registry = {"synthetic": _truth_resolver(world)}
     result = resolve_question(_question_for(event), registry, NOW)
@@ -61,11 +63,37 @@ def test_unretrievable_event_is_not_published():
 
 def test_postponed_event_reports_postponed():
     world = _world(unresolved_rate=1.0)
-    row = next(r for r in world.truth_rows if r["unresolved_reason"] == REASON_POSTPONED)
+    row = next(r for r in world.truth_rows if r.get("status") == REASON_POSTPONED)
     event = world.events[world.truth_rows.index(row)]
     registry = {"synthetic": _truth_resolver(world)}
     result = resolve_question(_question_for(event), registry, NOW)
     assert result.reason == REASON_POSTPONED
+
+
+def test_a_question_with_no_truth_row_is_a_resolver_error():
+    # The built-in world writes a row for every event, so a missing one is a routing fault.
+    registry = {"synthetic": _truth_resolver(_world())}
+    question = make_question(qid="q-evt-404", identifier="evt-404", resolver_key="synthetic")
+    assert resolve_question(question, registry, NOW) == Unresolved("q-evt-404", REASON_RESOLVER_ERROR)
+
+
+#: Truth rows as an earlier build wrote them: each held a drawn label, and an
+#: unretrievable event was marked only by ``"will_resolve": false`` beside it.
+EARLIER_TRUTH_ROWS = {
+    "resolvable": {"identifier": "evt-001", "label": 1, "resolver_key": "synthetic",
+                   "unresolved_reason": None, "will_resolve": True},
+    "unretrievable": {"identifier": "evt-001", "label": 1, "resolver_key": "synthetic",
+                      "unresolved_reason": "not_published", "will_resolve": False},
+}
+
+
+@pytest.mark.parametrize("row", EARLIER_TRUTH_ROWS.values(), ids=EARLIER_TRUTH_ROWS)
+def test_a_truth_row_of_an_earlier_build_is_a_resolver_error_not_a_label(tmp_path, row):
+    path = tmp_path / "truth-2026-03-02.jsonl"
+    path.write_text(dumps_canonical(row) + "\n", encoding="utf-8")
+    registry = {"synthetic": SyntheticTruthResolver.from_files([path])}
+    question = make_question(qid="q-evt-001", identifier="evt-001", resolver_key="synthetic")
+    assert resolve_question(question, registry, NOW) == Unresolved("q-evt-001", REASON_RESOLVER_ERROR)
 
 
 class _MisroutedResolver:
@@ -179,7 +207,7 @@ def test_file_lookup_resolver_round_trip(tmp_path):
          "published_at": "2026-03-09T18:00:00+00:00"},
     ]
     path.write_text("\n".join(dumps_canonical(r) for r in rows) + "\n")
-    registry = {"filedb": FileLookupResolver(path=path)}
+    registry = {"filedb": FileLookupResolver.from_files([path])}
 
     published = make_question(qid="q-evt-001", identifier="evt-001", resolver_key="filedb")
     outcome = resolve_question(published, registry, NOW)
@@ -195,10 +223,78 @@ def test_file_lookup_resolver_round_trip(tmp_path):
 def test_a_labelled_answer_row_resolves_to_its_label_whatever_its_value(tmp_path):
     path = tmp_path / "answers.jsonl"
     path.write_text(dumps_canonical({"identifier": "evt-001", "label": 1, "value": "n/a"}) + "\n")
-    registry = {"filedb": FileLookupResolver(path=path)}
+    registry = {"filedb": FileLookupResolver.from_files([path])}
     question = make_question(qid="q-evt-001", identifier="evt-001", resolver_key="filedb")
     outcome = resolve_question(question, registry, NOW)
     assert isinstance(outcome, Outcome) and outcome.label == 1
+
+
+#: One answer file per case: its text (None: no file), and what question
+#: evt-001, resolving at NOW, comes to: a label, or an unresolved reason.
+ANSWER_FILES = {
+    "label 1": ('{"identifier":"evt-001","label":1}\n', 1),
+    "label 0": ('{"identifier":"evt-001","label":0}\n', 0),
+    "label 0.6": ('{"identifier":"evt-001","label":0.6}\n', REASON_RESOLVER_ERROR),
+    'label "1"': ('{"identifier":"evt-001","label":"1"}\n', REASON_RESOLVER_ERROR),
+    "label true": ('{"identifier":"evt-001","label":true}\n', REASON_RESOLVER_ERROR),
+    "label 1.0": ('{"identifier":"evt-001","label":1.0}\n', REASON_RESOLVER_ERROR),
+    "label null": ('{"identifier":"evt-001","label":null}\n', REASON_RESOLVER_ERROR),
+    "no label": ('{"identifier":"evt-001"}\n', REASON_RESOLVER_ERROR),
+    "status postponed": ('{"identifier":"evt-001","status":"postponed"}\n', REASON_POSTPONED),
+    "status not_published": (
+        '{"identifier":"evt-001","status":"not_published"}\n', REASON_NOT_PUBLISHED
+    ),
+    "unknown status": ('{"identifier":"evt-001","label":1,"status":"void"}\n', REASON_RESOLVER_ERROR),
+    "missing row": ('{"identifier":"evt-002","label":1}\n', REASON_NOT_PUBLISHED),
+    "published by now": (
+        '{"identifier":"evt-001","label":1,"published_at":"2026-03-03T20:30:00+00:00"}\n', 1
+    ),
+    "future published_at": (
+        '{"identifier":"evt-001","label":1,"published_at":"2026-03-03T20:30:01+00:00"}\n',
+        REASON_NOT_PUBLISHED,
+    ),
+    "bad published_at": (
+        '{"identifier":"evt-001","label":1,"published_at":"tomorrow"}\n', REASON_RESOLVER_ERROR
+    ),
+    "unreadable file": (None, REASON_RESOLVER_ERROR),
+    "malformed line": (
+        '{"identifier":"evt-001","label":1}\n{"identifier":"evt-002",\n', REASON_RESOLVER_ERROR
+    ),
+    "row without identifier": (
+        '{"identifier":"evt-001","label":1}\n{"label":0}\n', REASON_RESOLVER_ERROR
+    ),
+}
+
+
+@pytest.mark.parametrize("text, expected", ANSWER_FILES.values(), ids=ANSWER_FILES)
+def test_an_answer_file_row_resolves_to_its_label_or_reason(tmp_path, text, expected):
+    path = tmp_path / "answers.jsonl"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    registry = answer_file_resolvers({"filedb": str(path)})
+    question = make_question(qid="q-evt-001", identifier="evt-001", resolver_key="filedb")
+    result = resolve_question(question, registry, NOW)
+    if isinstance(expected, int):
+        assert result == Outcome("q-evt-001", expected, NOW)
+    else:
+        assert result == Unresolved("q-evt-001", expected)
+
+
+def test_a_batch_adds_at_most_one_decoder_to_the_cache(tmp_path):
+    path = tmp_path / "answers.jsonl"
+    path.write_text(
+        "".join(dumps_canonical({"identifier": f"evt-{i:03d}", "label": i % 2}) + "\n" for i in range(200))
+    )
+    registry = answer_file_resolvers({"filedb": str(path)})
+    questions = [
+        make_question(qid=f"q-{i:03d}", identifier=f"evt-{i:03d}", resolver_key="filedb")
+        for i in range(200)
+    ]
+    resolve_batch(questions[:1], registry, NOW)  # builds the field decoders once
+    before = jsonl._decoder.cache_info().currsize
+    result = resolve_batch(questions, registry, NOW)
+    assert len(result.outcomes) == 200
+    assert jsonl._decoder.cache_info().currsize - before <= 1
 
 
 def test_unresolved_reason_vocabulary_enforced():

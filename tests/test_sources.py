@@ -70,22 +70,31 @@ def test_expected_resolution_falls_on_next_day():
 
 def test_unresolved_rate_zero_means_everything_resolves():
     rows = world(200, seed=1, unresolved_rate=0.0).truth_rows
-    assert all(r["will_resolve"] for r in rows)
+    assert all(set(r) == {"identifier", "label"} for r in rows)
 
 
 def test_labels_are_drawn_from_the_latent_mixture():
     day_world = world(10_000, seed=3)
     mean_latent = sum(h["latent_p"] for h in day_world.hint_rows) / len(day_world.hint_rows)
-    mean_label = sum(t["label"] for t in day_world.truth_rows) / len(day_world.truth_rows)
     mixture_mean = sum(w * (lo + hi) / 2 for lo, hi, w in LATENT_MIXTURE)
     assert abs(mean_latent - mixture_mean) <= 0.02
-    assert abs(mean_label - mean_latent) <= 0.02
+    # an unretrievable event's row holds no label: compare the labelled events alone
+    labelled = [
+        (t["label"], h["latent_p"])
+        for t, h in zip(day_world.truth_rows, day_world.hint_rows)
+        if "label" in t
+    ]
+    mean_label = sum(label for label, _ in labelled) / len(labelled)
+    mean_labelled_latent = sum(p for _, p in labelled) / len(labelled)
+    assert abs(mean_label - mean_labelled_latent) <= 0.02
 
 
 def test_unresolved_fraction_tracks_configured_rate():
     rows = world(10_000, seed=5, unresolved_rate=0.3565).truth_rows
-    frac = sum(1 for r in rows if not r["will_resolve"]) / len(rows)
+    frac = sum(1 for r in rows if "status" in r) / len(rows)
     assert abs(frac - 0.3565) <= 0.02
+    assert all(set(r) == {"identifier", "label"} or set(r) == {"identifier", "status"} for r in rows)
+    assert {r["status"] for r in rows if "status" in r} == {"postponed", "not_published"}
 
 
 def test_invalid_config_ranges_rejected():
@@ -99,16 +108,20 @@ def test_truth_never_leaks_into_candidate_payload():
     for event in world(120, seed=2).events:
         serialized = dumps_canonical(to_row(event))
         assert "realized_label" not in serialized
-        assert "will_resolve" not in serialized
+        assert '"label"' not in serialized and '"status"' not in serialized
         assert "latent_p" not in serialized
 
 
 def test_built_in_world_bytes_are_pinned():
-    # candidates, then truth rows, then hint rows, one canonical line each
+    # candidates then hint rows, and apart from them the truth rows, one canonical line each
     result = fetch(synthetic_config(seed=7, event_rate=100))
-    rows = [*map(to_row, result.events), *result.truth_rows, *result.hint_rows]
-    digest = hashlib.sha256("".join(dumps_canonical(r) + "\n" for r in rows).encode())
-    assert digest.hexdigest() == "5b06a2783279a5ceb852df172d02819c1795c7fbf95136a7f3c6b5637c09a1e4"
+    digest = lambda rows: hashlib.sha256(
+        "".join(dumps_canonical(r) + "\n" for r in rows).encode()
+    ).hexdigest()
+    assert digest([*map(to_row, result.events), *result.hint_rows]) == (
+        "07401effd78d7930af27f63d477ca38382ccc27d395fdc78c21fee7ae0a361ad"
+    )
+    assert digest(result.truth_rows) == "dffa410ffd1e6e426841de2c2ea04fcb4197ed74d6b3eefaf0a9d7b141990eb6"
 
 
 def test_question_texts_unique_within_a_day():
@@ -125,8 +138,7 @@ def test_truth_file_round_trip(tmp_path):
     write_truth_file(path, day_world.truth_rows)
     table = {row["identifier"]: row for row in read_jsonl(path)}
     assert len(table) == 30
-    sample = day_world.events[0]
-    assert table[sample.identifier]["label"] == day_world.truth_rows[0]["label"]
+    assert [table[e.identifier] for e in day_world.events] == day_world.truth_rows
 
 
 # -- file feed ---------------------------------------------------------------
