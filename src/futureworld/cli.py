@@ -13,6 +13,7 @@ import sys
 from datetime import date
 from pathlib import Path
 
+from .agents import SCRIPTED_AGENTS
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
 from .jsonl import from_row, read_jsonl, to_row, write_json, write_jsonl
 from .orchestrator import CycleConfig, Orchestrator
@@ -72,8 +73,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scored_rows(path: str) -> list[dict]:
+    """The rows of a ``score`` input; each must be an object with a ``question_id``."""
+    rows = read_jsonl(Path(path))
+    for number, row in enumerate(rows, start=1):
+        if not isinstance(row, dict) or "question_id" not in row:
+            raise ValueError(f"{path} row {number} is not an object with a question_id: {row!r}")
+    return rows
+
+
 def _cmd_score(args: argparse.Namespace) -> int:
-    preds_rows = read_jsonl(Path(args.preds))
+    preds_rows = _scored_rows(args.preds)
     if not preds_rows:
         raise ValueError(f"{args.preds} holds no predictions")
     prob_rows = [r for r in preds_rows if "prob" in r]
@@ -82,7 +92,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             f"{args.preds} mixes {len(prob_rows)} probabilistic (with 'prob') and "
             f"{len(preds_rows) - len(prob_rows)} benchmark predictions; score them apart"
         )
-    truth_rows = read_jsonl(Path(args.truth))
+    truth_rows = _scored_rows(args.truth)
 
     if prob_rows:
         # a null label marks a question that did not resolve: it is not scored
@@ -187,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a closed-loop multi-day simulation")
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--agents", default=None, help="comma list: oracle,constant,noisy,malformed")
+    p.add_argument("--agents", default=None, help="comma list: " + ",".join(SCRIPTED_AGENTS))
     p.add_argument("--questions-per-day", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--run-dir", default="fw-run")

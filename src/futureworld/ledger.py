@@ -25,8 +25,9 @@ a DISCARD payload ``reason`` and ``decided_at``. The appender takes each
 payload as canonical text and writes the line around it. The PREFIX writer
 mirrors replay: it writes the text straight from the ``Trajectory``,
 ``Step`` and ``Turn`` fields, byte for byte the canonical encoding of the
-payload above, escaping each distinct text of a question once; a BACKFILL
-payload is encoded once and a DISCARD payload once per question. Replay
+payload above, escaping each distinct text of a question once. A BACKFILL
+payload, its reward from ``scoring.trajectory_reward``, is encoded once per
+trajectory and a DISCARD payload once per question. Replay
 decodes a PREFIX itself, equal to ``jsonl.from_row(Trajectory, ...)``, and
 shares equal values: the K rollouts of a question, appended in a row, take
 their question id, texts, steps and transcript turns from one table that
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .domain import (
     Outcome,
@@ -62,15 +63,13 @@ from .domain import (
 from .jsonl import canonical_encoder, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
+from .scoring import trajectory_reward
 
 KIND_PREFIX = "PREFIX"
 KIND_BACKFILL = "BACKFILL"
 KIND_DISCARD = "DISCARD"
 
 _ROLES = {role: role for role in (ROLE_ENVIRONMENT, ROLE_AGENT, ROLE_TOOL)}
-
-RewardFn = Callable[[Optional[float], int], float]
-_Item = TypeVar("_Item", Outcome, Unresolved)
 
 
 class LedgerError(Exception):
@@ -153,14 +152,6 @@ class _DayLog:
         self.records[trajectory.trajectory_id] = _StoredTrajectory(trajectory, transcript)
         self.by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
 
-    def add_terminal(
-        self, stored: _StoredTrajectory, kind: str, payload: Mapping[str, Any]
-    ) -> None:
-        if kind == KIND_BACKFILL:
-            stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
-        else:
-            stored.trajectory = stored.trajectory.discarded()
-
     def replay_record(self, record: Mapping[str, Any]) -> None:
         """Fold one record read from this day's log, enforcing order invariants."""
         seq = record.get("sequence_no")
@@ -179,7 +170,10 @@ class _DayLog:
                 raise ReplayError(f"{kind} before PREFIX for {tid}", seq)
             if stored.trajectory.status is not TrajectoryStatus.PENDING:
                 raise ReplayError(f"second terminal record for {tid}", seq)
-            self.add_terminal(stored, kind, payload)
+            if kind == KIND_BACKFILL:
+                stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
+            else:
+                stored.trajectory = stored.trajectory.discarded()
         else:
             raise ReplayError(f"unknown record kind {kind!r}", seq)
         self.seq = seq
@@ -409,13 +403,13 @@ class TrajectoryLedger:
             log.add_prefix(trajectory, list(transcript))
         return seqs
 
-    def backfill(self, day: date, outcomes: Sequence[Outcome], reward_fn: RewardFn) -> int:
+    def backfill(self, day: date, outcomes: Sequence[Outcome]) -> int:
         """Write label and reward into every PENDING trajectory of each outcome's question.
 
-        ``day`` is the day the questions' prefixes were issued on.
-        Idempotent: re-applying the same outcomes changes nothing and returns
-        0. An unknown question or a conflicting outcome (different label)
-        rejects the whole batch before anything is written.
+        ``day`` is the day the questions' prefixes were issued on; a reward is
+        ``trajectory_reward(final_probability, label)``. Idempotent: re-applying
+        the same outcomes changes nothing and returns 0. An unknown question or a
+        conflicting outcome (different label) rejects the batch before any write.
         """
         labels: dict[str, int] = {}
         for outcome in outcomes:
@@ -428,16 +422,15 @@ class TrajectoryLedger:
                 labels[qid] = resolved[0] if resolved else outcome.label
             if labels[qid] != outcome.label:
                 raise ConflictingOutcomeError(f"question {qid} resolved with label {labels[qid]}")
-
-        def payloads_for(outcome: Outcome) -> Callable[[Trajectory], dict[str, Any]]:
-            resolved_at = format_rfc3339(outcome.resolved_at)
-            return lambda trajectory: {
-                "label": outcome.label,
-                "reward": reward_fn(trajectory.final_probability, outcome.label),
-                "resolved_at": resolved_at,
-            }
-
-        return self._append_terminals(day, outcomes, KIND_BACKFILL, payloads_for)
+        encode = canonical_encoder()
+        records = []
+        for outcome, pending in self._pending(day, outcomes):
+            label, resolved_at = outcome.label, format_rfc3339(outcome.resolved_at)
+            for stored in pending:
+                reward = trajectory_reward(stored.trajectory.final_probability, label)
+                text = encode({"label": label, "reward": reward, "resolved_at": resolved_at})
+                records.append((stored, stored.trajectory.resolved(label, reward), text))
+        return self._append_terminals(day, KIND_BACKFILL, records)
 
     def discard(self, day: date, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
         """Discard every PENDING trajectory of each unresolved question; RESOLVED are untouched.
@@ -446,54 +439,32 @@ class TrajectoryLedger:
         unknown question rejects the whole batch before anything is written.
         """
         decided = format_rfc3339(decided_at)
-
-        def payloads_for(item: Unresolved) -> Callable[[Trajectory], dict[str, Any]]:
-            payload = {"reason": item.reason, "decided_at": decided}
-            return lambda trajectory: payload
-
-        return self._append_terminals(day, unresolved, KIND_DISCARD, payloads_for)
-
-    def _append_terminals(
-        self,
-        day: date,
-        items: Sequence[_Item],
-        kind: str,
-        payloads_for: Callable[[_Item], Callable[[Trajectory], Mapping[str, Any]]],
-    ) -> int:
-        """Give every PENDING trajectory of the items' questions a terminal record.
-
-        ``payloads_for(item)`` gives the payload of each of the item's
-        trajectories; a payload object that the previous record holds too
-        (a DISCARD's, shared by its question) is not encoded again. Records keep item
-        order, then log order within a question, and go out in one append.
-        Returns the number written.
-        """
-        log = self._day(day)
-        pending: list[tuple[_StoredTrajectory, Mapping[str, Any], str]] = []
-        seen: set[str] = set()
         encode = canonical_encoder()
+        records = []
+        for item, pending in self._pending(day, unresolved):
+            text = encode({"reason": item.reason, "decided_at": decided})
+            records.extend((stored, stored.trajectory.discarded(), text) for stored in pending)
+        return self._append_terminals(day, KIND_DISCARD, records)
+
+    def _pending(self, day: date, items: Sequence[Any]) -> Iterator[tuple[Any, list]]:
+        """Each distinct question's first item and its PENDING trajectories, in log order."""
+        log = self._day(day)
+        firsts: dict[str, Any] = {}
         for item in items:
             if item.question_id not in log.by_question:
                 raise LedgerError(f"unknown question {item.question_id} on {day.isoformat()}")
-            if item.question_id in seen:
-                continue
-            seen.add(item.question_id)
-            payload_for = payloads_for(item)
-            for tid in log.by_question[item.question_id]:
-                stored = log.records[tid]
-                if stored.trajectory.status is TrajectoryStatus.PENDING:
-                    payload = payload_for(stored.trajectory)
-                    if not pending or payload is not pending[-1][1]:
-                        text = encode(payload)
-                    pending.append((stored, payload, text))
-        if pending:
-            self._append_batch(
-                day,
-                ((kind, stored.trajectory.trajectory_id, text) for stored, _, text in pending),
-            )
-            for stored, payload, _ in pending:
-                log.add_terminal(stored, kind, payload)
-        return len(pending)
+            firsts.setdefault(item.question_id, item)
+        for qid, item in firsts.items():
+            stored = [log.records[tid] for tid in log.by_question[qid]]
+            yield item, [s for s in stored if s.trajectory.status is TrajectoryStatus.PENDING]
+
+    def _append_terminals(self, day: date, kind: str, records: Sequence[tuple]) -> int:
+        """Append (stored, terminal, text) records in one write, then store each terminal."""
+        if records:
+            self._append_batch(day, ((kind, s.trajectory.trajectory_id, t) for s, _, t in records))
+            for stored, terminal, _ in records:
+                stored.trajectory = terminal
+        return len(records)
 
     # -- export --------------------------------------------------------------
 

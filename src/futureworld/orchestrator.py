@@ -61,7 +61,7 @@ from .qpipeline import (
 )
 from .resolve import SyntheticTruthResolver, answer_file_resolvers, resolve_batch
 from .rollout import RolloutLimits, run_group
-from .scoring import ProbPrediction, ScoreReport, summarize_probabilistic, trajectory_reward
+from .scoring import ProbPrediction, ScoreReport, summarize_probabilistic
 from .seeding import derive_seed
 from .sources import fetch_all, write_truth_file
 
@@ -476,7 +476,7 @@ class Orchestrator:
         predictions: dict[str, list[ProbPrediction]] = {}
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
-            ledger.backfill(day, resolution.outcomes, trajectory_reward)
+            ledger.backfill(day, resolution.outcomes)
             ledger.discard(day, resolution.unresolved, now)
             groups_exported[agent_name] = self.write_export(agent_name, day)
 

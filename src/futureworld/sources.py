@@ -158,8 +158,6 @@ def _draw_latent_p(rng: random.Random) -> float:
         acc += weight
         if pick <= acc:
             return rng.uniform(lo, hi)
-    lo, hi, _ = LATENT_MIXTURE[-1]
-    return rng.uniform(lo, hi)
 
 
 @dataclass

@@ -279,8 +279,8 @@ def test_criterion_5_ledger_properties(tmp_path):
             elif action == "backfill" and qid in next_k:
                 label = labels.setdefault(qid, rng.randrange(2))
                 outcome = Outcome(question_id=qid, label=label, resolved_at=T1)
-                ledger.backfill(T0.date(), [outcome], trajectory_reward)
-                ok &= ledger.backfill(T0.date(), [outcome], trajectory_reward) == 0  # idempotent
+                ledger.backfill(T0.date(), [outcome])
+                ok &= ledger.backfill(T0.date(), [outcome]) == 0  # idempotent
             elif action == "discard" and qid in next_k:
                 ledger.discard(T0.date(), [Unresolved(qid, "not_published")], T1)
             else:

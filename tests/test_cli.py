@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from datetime import date
+import re
+from datetime import date, timedelta
 
 import pytest
 
@@ -92,6 +93,16 @@ def test_ingest_writes_candidates(tmp_path, capsys, monkeypatch):
     assert len(out_file.read_text().splitlines()) == 300  # default event rate
 
 
+def test_ingest_reports_each_record_error_and_writes_the_good_records(tmp_path, capsys):
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(dumps_canonical(to_row(make_event(identifier="evt-ok"))) + "\n" + "not json\n")
+    config, out = tmp_path / "cycle.yaml", tmp_path / "ingested.jsonl"
+    config.write_text(f"sources: {json.dumps([str(feed)])}\n")
+    assert main(["ingest", "--config", str(config), "--day", "2026-03-02", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith(f"record error at {feed}:2: ")
+    assert [row["payload"]["identifier"] for row in read_jsonl(out)] == ["evt-ok"]
+
+
 @pytest.mark.parametrize("feeds", [0, 2], ids=["built-in", "two-feeds"])
 def test_ingest_writes_the_candidates_the_issue_phase_fetches(tmp_path, feeds):
     text = "seed: 5\nevent_rate: 40\nquestions_per_day: 8\nagents: [constant]\n"
@@ -165,6 +176,63 @@ def test_score_command_names_the_question_of_a_wrong_typed_value(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: question q") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "preds, truth, bad",
+    [
+        ([{"question_id": "b0", "qtype": "numeric", "value": 3.0}, [1, 2]], [], "preds"),
+        ([{"question_id": "q0", "prob": 0.9}, "probably"], [{"question_id": "q0", "label": 1}], "preds"),
+        ([{"question_id": "q0", "prob": 0.9}, {"prob": 0.4}], [{"question_id": "q0", "label": 1}], "preds"),
+        ([{"question_id": "q0", "prob": 0.9}], [{"question_id": "q0", "label": 1}, {"label": 0}], "truth"),
+    ],
+    ids=["array-row", "string-row", "prediction-without-id", "truth-without-id"],
+)
+def test_score_command_names_a_row_that_is_no_object_with_a_question_id(tmp_path, capsys, preds, truth, bad):
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("preds", "truth", "questions")}
+    for name, rows in (("preds", preds), ("truth", truth), ("questions", [])):
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in rows))
+    args = ["score", "--in", str(paths["preds"]), "--truth", str(paths["truth"])]
+    assert main(args + ["--questions", str(paths["questions"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{paths[bad]} row 2 " in err and "question_id" in err
+
+
+def test_score_command_scores_a_benchmark_day_as_its_scoring_evening_did(tmp_path, capsys):
+    run_dir, config = tmp_path / "run", tmp_path / "config.yaml"
+    config.write_text("seed: 8\nagents: [oracle, malformed]\n")
+    days = [date(2026, 3, 2) + timedelta(days=n) for n in range(3)]
+    for day in days:
+        args = ["benchmark", "--config", str(config), "--run-dir", str(run_dir), "--day", day.isoformat()]
+        assert main(args) == 0
+    printed = capsys.readouterr().out
+    bench, d = run_dir / "benchmark", days[0].isoformat()
+    evening = json.loads((bench / f"benchmark-{days[2].isoformat()}.json").read_text())
+    assert evening["scored_day"] == d and f'"scored_day": "{d}"' in printed
+    for agent in ("oracle", "malformed"):
+        out = tmp_path / f"score-{agent}.json"
+        args = ["score", "--in", str(bench / f"preds-{agent}-{d}.jsonl"), "--truth", str(bench / f"gold-{d}.jsonl")]
+        assert main(args + ["--questions", str(bench / f"issued-{d}.jsonl"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == evening["scores"][agent]
+
+
+def test_cycle_command_refuses_to_run_without_live(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["cycle", "--run-dir", str(run_dir)]) == 2
+    assert "--live" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_cycle_command_runs_the_phases_due_by_the_wall_clock(tmp_path, capsys):
+    run_dir, config = tmp_path / "run", tmp_path / "config.yaml"
+    config.write_text(
+        'seed: 2\nquestions_per_day: 8\nevent_rate: 40\nagents: [constant]\nissue_time: "00:00"\n'
+        "benchmark: {enabled: false}\n"
+    )
+    assert main(["cycle", "--live", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    match = re.fullmatch(r"executed: issue:(\d{4}-\d{2}-\d{2})\n", capsys.readouterr().out)
+    assert match is not None
+    assert read_jsonl(run_dir / "questions" / f"questions-{match[1]}.jsonl")
 
 
 def test_score_command_asks_for_the_questions_of_benchmark_predictions(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_a_prefix_batch_writes_numbered_canonical_lines_after_release(tmp_path):
 def test_backfill_writes_negative_brier_rewards(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    count = ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    count = ledger.backfill(DAY, [OUTCOME])
     assert count == 4
     rewards = [ledger.get(DAY, f"q-1#k{k}").reward for k in range(4)]
     assert rewards == pytest.approx([-0.25, -0.01 + 1e-17, -1.0, 0.0], abs=1e-12)
@@ -157,42 +157,42 @@ def test_backfill_writes_negative_brier_rewards(tmp_path):
 def test_backfill_is_idempotent(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 4
+    assert ledger.backfill(DAY, [OUTCOME]) == 4
     before = [ledger.get(DAY, f"q-1#k{k}") for k in range(4)]
-    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 0
+    assert ledger.backfill(DAY, [OUTCOME]) == 0
     assert [ledger.get(DAY, f"q-1#k{k}") for k in range(4)] == before
 
 
 def test_conflicting_backfill_rejected(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     flipped = Outcome(question_id="q-1", label=0, resolved_at=T1)
     with pytest.raises(ConflictingOutcomeError):
-        ledger.backfill(DAY, [flipped], trajectory_reward)
+        ledger.backfill(DAY, [flipped])
 
 
 def test_backfill_unknown_question_is_an_error(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     with pytest.raises(LedgerError):
-        ledger.backfill(DAY, [Outcome(question_id="q-none", label=1, resolved_at=T1)], trajectory_reward)
+        ledger.backfill(DAY, [Outcome(question_id="q-none", label=1, resolved_at=T1)])
 
 
 def test_batch_with_one_conflicting_outcome_writes_nothing(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
     _group(ledger, "q-2")
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     log = next(tmp_path.glob("ledger-*.jsonl"))
     before = log.read_bytes()
     q2 = Outcome(question_id="q-2", label=0, resolved_at=T1)
     flipped = Outcome(question_id="q-1", label=0, resolved_at=T1)
     for batch in ([q2, flipped], [q2, Outcome(question_id="q-2", label=1, resolved_at=T1)]):
         with pytest.raises(ConflictingOutcomeError):
-            ledger.backfill(DAY, batch, trajectory_reward)
+            ledger.backfill(DAY, batch)
     unknown = Outcome(question_id="q-none", label=0, resolved_at=T1)
     with pytest.raises(LedgerError):
-        ledger.backfill(DAY, [q2, unknown], trajectory_reward)
+        ledger.backfill(DAY, [q2, unknown])
     assert log.read_bytes() == before
     assert {t.status for t in ledger.trajectories_for(DAY, "q-2")} == {TrajectoryStatus.PENDING}
 
@@ -202,8 +202,8 @@ def test_backfill_batch_writes_one_record_per_pending_trajectory(tmp_path):
     _group(ledger, "q-1")
     _group(ledger, "q-2")
     q2 = Outcome(question_id="q-2", label=0, resolved_at=T1)
-    assert ledger.backfill(DAY, [q2, OUTCOME, q2], trajectory_reward) == 8
-    assert ledger.backfill(DAY, [OUTCOME, q2], trajectory_reward) == 0
+    assert ledger.backfill(DAY, [q2, OUTCOME, q2]) == 8
+    assert ledger.backfill(DAY, [OUTCOME, q2]) == 0
     assert _ledger_states_equal(ledger, replay(tmp_path))
 
 
@@ -221,7 +221,7 @@ def test_discard_unresolved_question(tmp_path):
 def test_discard_leaves_resolved_untouched(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     assert ledger.discard(DAY, [Unresolved("q-1", "postponed")], T1) == 0
     assert all(ledger.get(DAY, f"q-1#k{k}").status is TrajectoryStatus.RESOLVED for k in range(4))
 
@@ -278,8 +278,8 @@ def test_export_groups_only_resolved(tmp_path):
     _group(ledger, "q-1")
     _group(ledger, "q-2")
     _group(ledger, "q-3")
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
-    ledger.backfill(DAY, [Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
+    ledger.backfill(DAY, [Outcome(question_id="q-2", label=0, resolved_at=T1)])
     ledger.discard(DAY, [Unresolved("q-3", "not_published")], T1)
     groups = list(ledger.export_training_batch(T0.date()))
     assert sorted(g["question_id"] for g in groups) == ["q-1", "q-2"]
@@ -300,7 +300,7 @@ def test_export_mask_covers_two_search_turns(tmp_path):
     steps = (make_step("first"), make_step("second"))
     t = make_trajectory(steps=steps, prob=0.7)
     _append(ledger, t)
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     [group] = ledger.export_training_batch(T0.date())
     entry = group["trajectories"][0]
     roles = [turn["role"] for turn in entry["transcript"]]
@@ -312,7 +312,7 @@ def test_export_mask_covers_two_search_turns(tmp_path):
 def test_export_rewards_recompute_from_stored_fields(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger)
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     for group in ledger.export_training_batch(T0.date()):
         for entry in group["trajectories"]:
             t = ledger.get(DAY, entry["trajectory_id"])
@@ -325,7 +325,7 @@ def test_export_rewards_recompute_from_stored_fields(tmp_path):
 def test_export_partial_groups_keep_invalid_rollouts(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, probs=(None, 0.9))
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     [group] = ledger.export_training_batch(T0.date())
     assert len(group["trajectories"]) == 2
     rewards = sorted(e["reward"] for e in group["trajectories"])
@@ -337,13 +337,13 @@ def test_export_limited_to_a_batch_holds_only_its_questions(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
     _group(ledger, "q-2")
-    ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)])
     assert [g["question_id"] for g in ledger.export_training_batch(DAY)] == ["q-1", "q-2"]
 
 def test_write_training_batch_jsonl(tmp_path):
     ledger = TrajectoryLedger(tmp_path / "led")
     _group(ledger)
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     out = tmp_path / "train.jsonl"
     assert write_training_batch(out, ledger.export_training_batch(T0.date())) == 1
     rows = [json.loads(line) for line in out.read_text().splitlines()]
@@ -370,7 +370,7 @@ def test_replay_reconstructs_live_state(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
     _group(ledger, "q-2")
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     ledger.discard(DAY, [Unresolved("q-2", "not_published")], T1)
     replayed = replay(tmp_path)
     assert _ledger_states_equal(ledger, replayed)
@@ -379,7 +379,7 @@ def test_replay_reconstructs_live_state(tmp_path):
 def test_replay_of_truncated_log_is_a_valid_prefix(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:5]) + "\n")
@@ -407,7 +407,7 @@ def test_append_after_torn_tail_keeps_the_ledger_replayable(tmp_path):
     log.write_bytes(data[: len(data) - 40])  # crashed mid-way through the last prefix
     reopened = TrajectoryLedger(tmp_path)
     assert len(reopened.all_trajectories()) == 3
-    assert reopened.backfill(DAY, [OUTCOME], trajectory_reward) == 3
+    assert reopened.backfill(DAY, [OUTCOME]) == 3
     replayed = replay(tmp_path)
     assert _ledger_states_equal(reopened, replayed)
     assert {t.status for t in replayed.all_trajectories()} == {TrajectoryStatus.RESOLVED}
@@ -454,7 +454,7 @@ def _sibling_day(root):
     for qid in ("q-1", "q-2"):
         for k in range(4):
             _append(ledger, make_trajectory(tid=f"{qid}#k{k}", qid=qid, k=k, prob=0.7))
-    ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME, Outcome(question_id="q-2", label=0, resolved_at=T1)])
     return ledger
 
 
@@ -498,7 +498,7 @@ def _agent_day(root, agent_name, step_delay=timedelta(0)):
             prefixes.append((replace(r.trajectory, steps=steps), r.transcript))
     ledger = TrajectoryLedger(root)
     ledger.append_prefix_batch(DAY, prefixes)
-    ledger.backfill(DAY, [Outcome(question_id="q-0", label=1, resolved_at=T1)], trajectory_reward)
+    ledger.backfill(DAY, [Outcome(question_id="q-0", label=1, resolved_at=T1)])
     ledger.discard(DAY, [Unresolved("q-1", "postponed")], T1)
     return ledger
 
@@ -652,7 +652,7 @@ def test_ledger_lines_are_canonical_rows_and_replay_equals_a_from_row_decode(tmp
     ledger = TrajectoryLedger(tmp_path)
     ledger.append_prefix_batch(DAY, prefixes)
     outcomes = [Outcome(qid, rng.randrange(2), T1) for qid in qids[0::3]]
-    ledger.backfill(DAY, outcomes, trajectory_reward)
+    ledger.backfill(DAY, outcomes)
     ledger.discard(DAY, [Unresolved(qid, "postponed") for qid in qids[1::3]], T1)
 
     records = [
@@ -778,7 +778,7 @@ def test_replay_rejects_backfill_before_prefix(tmp_path):
 def test_replay_rejects_double_terminal(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1", probs=(0.5,))
-    ledger.backfill(DAY, [OUTCOME], trajectory_reward)
+    ledger.backfill(DAY, [OUTCOME])
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     extra = json.loads(lines[-1])
@@ -788,6 +788,34 @@ def test_replay_rejects_double_terminal(tmp_path):
     log.write_text("\n".join(lines + [dumps_canonical(extra)]) + "\n")
     with pytest.raises(ReplayError):
         replay(tmp_path)
+
+
+def test_replay_rejects_a_duplicate_prefix(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1", probs=(0.5,))
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    again = json.loads(lines[-1])
+    again["sequence_no"] += 1
+    log.write_text("\n".join(lines + [dumps_canonical(again)]) + "\n")
+    with pytest.raises(ReplayError, match=r"duplicate PREFIX for q-1#k0") as err:
+        replay(tmp_path)
+    assert err.value.sequence_no == 2
+
+
+def test_replay_rejects_an_unknown_record_kind(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1", probs=(0.5,))
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    extra = json.loads(lines[-1])
+    extra["sequence_no"] += 1
+    extra["kind"] = "RETRACT"
+    extra["payload"] = {}
+    log.write_text("\n".join(lines + [dumps_canonical(extra)]) + "\n")
+    with pytest.raises(ReplayError, match=r"unknown record kind 'RETRACT'") as err:
+        replay(tmp_path)
+    assert err.value.sequence_no == 2
 
 
 def test_replay_rejects_non_increasing_sequence(tmp_path):
@@ -828,10 +856,9 @@ def _three_day_ledger(root):
     ledger.backfill(
         DAY,
         [Outcome(question_id=f"q-d0-{q}", label=q, resolved_at=T1) for q in range(2)],
-        trajectory_reward,
     )
     day1 = DAY + timedelta(days=1)
-    ledger.backfill(day1, [Outcome(question_id="q-d1-0", label=1, resolved_at=resolved_at)], trajectory_reward)
+    ledger.backfill(day1, [Outcome(question_id="q-d1-0", label=1, resolved_at=resolved_at)])
     ledger.discard(day1, [Unresolved("q-d1-1", "postponed")], resolved_at)
     return ledger
 
@@ -878,7 +905,6 @@ def test_all_trajectories_keep_day_order_after_a_later_day_was_read_first(tmp_pa
     fresh.backfill(
         DAY + timedelta(days=1),
         [Outcome(question_id="q-d1-0", label=1, resolved_at=T1)],
-        trajectory_reward,
     )
     order = [t.trajectory_id for t in fresh.all_trajectories()]
     assert order == [t.trajectory_id for t in replay(tmp_path).all_trajectories()]
@@ -923,7 +949,7 @@ def test_append_after_release_continues_the_sequence(tmp_path):
     ledger.release(DAY)
     assert _append(ledger, make_trajectory(tid="q-2#k0", qid="q-2")) == 5
     ledger.release(DAY)
-    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 4
+    assert ledger.backfill(DAY, [OUTCOME]) == 4
     assert _ledger_states_equal(ledger, replay(tmp_path))
     seqs = [json.loads(line)["sequence_no"] for line in next(tmp_path.glob("ledger-*.jsonl")).open()]
     assert seqs == list(range(1, 10))
@@ -937,7 +963,7 @@ def test_release_then_append_repairs_a_torn_tail(tmp_path):
     data = log.read_bytes()
     log.write_bytes(data[: len(data) - 40])  # a crashed writer tore the last prefix
     assert len(ledger.trajectories_for(DAY, "q-1")) == 3
-    assert ledger.backfill(DAY, [OUTCOME], trajectory_reward) == 3
+    assert ledger.backfill(DAY, [OUTCOME]) == 3
     replayed = replay(tmp_path)
     assert _ledger_states_equal(ledger, replayed)
     assert {t.status for t in replayed.all_trajectories()} == {TrajectoryStatus.RESOLVED}
@@ -973,8 +999,8 @@ def test_status_machine_over_random_interleavings(tmp_path):
             elif action == "backfill" and qid in next_k:
                 label = question_labels.setdefault(qid, rng.randrange(2))
                 outcome = Outcome(question_id=qid, label=label, resolved_at=T1)
-                first = ledger.backfill(DAY, [outcome], trajectory_reward)
-                assert ledger.backfill(DAY, [outcome], trajectory_reward) == 0 or first == 0
+                first = ledger.backfill(DAY, [outcome])
+                assert ledger.backfill(DAY, [outcome]) == 0 or first == 0
             elif action == "discard" and qid in next_k:
                 ledger.discard(DAY, [Unresolved(qid, "not_published")], T1)
             elif action == "replay":
