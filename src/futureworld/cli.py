@@ -63,11 +63,13 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    """Re-export the day for every agent ledger in the run directory, whatever the config lists."""
     orch = _orchestrator(args)
     day = date.fromisoformat(args.day)
     if not orch.questions_path(day).exists():
         raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
-    for agent in orch.config.agents:
+    # A day with no questions has no log, yet the resolve phase exported it (empty).
+    for agent in sorted(p.name for p in (orch.run_dir / "ledgers").glob("*") if p.is_dir()):
         written = orch.write_export(agent, day)
         print(f"{agent}: {written} groups -> {orch.export_path(agent, day)}")
     return 0
@@ -96,7 +98,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     if prob_rows:
         # a null label marks a question that did not resolve: it is not scored
-        labels = {r["question_id"]: r["label"] for r in truth_rows}
+        labels = {}
+        for number, r in enumerate(truth_rows, start=1):
+            if "label" not in r:
+                raise ValueError(f"{args.truth} row {number} has no label: {r!r}")
+            labels[r["question_id"]] = r["label"]
         preds: list[ProbPrediction] = []
         for r in prob_rows:
             pair = {"prob": r["prob"], "label": labels.get(r["question_id"])}
@@ -132,7 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = replace(
         config,
         seed=args.seed if args.seed is not None else config.seed,
-        agents=tuple(args.agents.split(",")) if args.agents else config.agents,
+        agents=tuple(args.agents.split(",")) if args.agents is not None else config.agents,
     )
     if args.questions_per_day is not None:
         config = replace(config, questions_per_day=args.questions_per_day)

@@ -7,9 +7,12 @@ into the stored prefixes; questions whose outcomes could not be retrieved are
 discarded and excluded from training and scoring. The daily benchmark runs on
 its own two-day resolution lag.
 
-Two modes share all of this code. ``simulate`` drives D virtual days against
-a synthetic world with an injected clock (no waiting, fully deterministic
-given the seed); ``live`` schedules the same phases by wall clock. Both run
+Two modes share every phase but have separate drivers. ``simulate`` drives
+D virtual days against a synthetic world with an injected clock (no waiting,
+fully deterministic given the seed); it holds each issue day until the next
+day's resolve reads it, and resolves every day's batch. ``run_due_phases``
+schedules the same phases by wall clock; a cron evening releases the day it
+issued at once and resolves only batches without a cycle report. Both run
 the scripted agents and the simulated search tool, each built in one place
 below, and the rule-based question filter. Every phase is a pure function of
 (config, ledger state, day), so a run can be killed between phases and
@@ -44,7 +47,6 @@ from .ledger import TrajectoryLedger, write_training_batch
 from .prompts import (
     BenchmarkCaps,
     BenchmarkQuestion,
-    load_default_templates,
     render_benchmark_prompt,
     render_prediction_prompt,
     select_daily_benchmark,
@@ -288,7 +290,6 @@ class Orchestrator:
         self.config = config
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.templates = load_default_templates()
         self.embedder = HashingEmbedder(seed=config.seed)
         self._ledgers: dict[str, TrajectoryLedger] = {}
 
@@ -343,7 +344,6 @@ class Orchestrator:
             questions = self._build_questions(day, report)
 
         search_tool = self._search_tool_for(day, questions)
-        prob_template = self.templates["probabilistic"]
         for agent_name in self.config.agents:
             agent = make_scripted_agent(agent_name, seed=self.config.seed)
             # Restart: run only the rollouts a crashed run left unrecorded.
@@ -355,7 +355,7 @@ class Orchestrator:
                 for question in pending
                 for r in run_group(
                     question,
-                    render_prediction_prompt(question, prob_template),
+                    render_prediction_prompt(question),
                     agent,
                     search_tool,
                     self.config.limits,
@@ -556,7 +556,7 @@ class Orchestrator:
             answerer = self._benchmark_answerer(agent_name, gold_records)
             answers = []
             for question in selection:
-                prompt = render_benchmark_prompt(question, self.templates[question.qtype])
+                prompt = render_benchmark_prompt(question)
                 answers.append(to_row(answerer.answer(question, prompt)))
             write_jsonl(preds_path, answers)
 

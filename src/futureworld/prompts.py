@@ -5,9 +5,10 @@ dropped before rendering so agents get no extra hints beyond their own
 searches. Benchmark prompts cover four formats (binary choice, simple and
 difficult multiple choice, numeric prediction) with options labeled A-Z.
 
-Template bodies are plain editable text files with ``<QUESTION>`` and, for
-choice formats, ``<OPTIONS>`` placeholders; the wording is configuration, not
-a contract.
+The prompt bodies are module constants with a ``<QUESTION>`` placeholder and,
+for the three choice formats, an ``<OPTIONS>`` placeholder. The prediction
+prompt is the first turn of every stored trajectory, so changing its wording
+changes every ledger and export.
 """
 
 from __future__ import annotations
@@ -16,19 +17,16 @@ import random
 import string
 from dataclasses import dataclass
 from datetime import datetime
-from importlib import resources
 from typing import Sequence
 
 from .domain import QuestionId, Question, ensure_utc
 from .seeding import derive_seed
 
-PROBABILISTIC = "probabilistic"
 BINARY_CHOICE = "binary_choice"
 SIMPLE_MC = "simple_mc"
 DIFFICULT_MC = "difficult_mc"
 NUMERIC = "numeric"
 
-TEMPLATE_NAMES = (PROBABILISTIC, BINARY_CHOICE, SIMPLE_MC, DIFFICULT_MC, NUMERIC)
 BENCHMARK_TYPES = (BINARY_CHOICE, SIMPLE_MC, DIFFICULT_MC, NUMERIC)
 
 #: Allowed option counts per benchmark question type.
@@ -44,40 +42,67 @@ OPTIONS_PLACEHOLDER = "<OPTIONS>"
 
 OPTION_LETTERS = string.ascii_uppercase  # caps difficult_mc at 26 options
 
+PREDICTION_PROMPT = """\
+You are forecasting whether a future event will occur.
+
+Question: <QUESTION>
+
+Use the search tool to gather current evidence before committing to an
+answer; you must issue at least one search query. When you are confident,
+reply with a single line of the form
+
+FINAL: <probability>
+
+where <probability> is a number between 0 and 1 (a percentage such as 65% is
+also accepted) giving the chance that the answer to the question is yes.
+"""
+
+BENCHMARK_PROMPTS: dict[str, str] = {
+    BINARY_CHOICE: """\
+Predict the outcome of the following event.
+
+Question: <QUESTION>
+
+Options:
+<OPTIONS>
+
+Select exactly one option. Reply with its letter.
+""",
+    SIMPLE_MC: """\
+Predict the outcome of the following event.
+
+Question: <QUESTION>
+
+Options:
+<OPTIONS>
+
+One or more options may turn out to be correct. Reply with the letters of
+every option you expect to hold, separated by commas.
+""",
+    DIFFICULT_MC: """\
+Predict the outcome of the following event. This question has many candidate
+answers and more than one may be correct.
+
+Question: <QUESTION>
+
+Options:
+<OPTIONS>
+
+Reply with the letters of every option you expect to hold, separated by
+commas.
+""",
+    NUMERIC: """\
+Predict the value asked for below.
+
+Question: <QUESTION>
+
+Reply with a single number and no other text.
+""",
+}
+
 
 class PromptError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    body: str
-
-    def __post_init__(self) -> None:
-        if self.name not in TEMPLATE_NAMES:
-            raise PromptError(f"unknown template name {self.name!r}")
-        if self.body.count(QUESTION_PLACEHOLDER) != 1:
-            raise PromptError(f"template {self.name} must contain {QUESTION_PLACEHOLDER} exactly once")
-        needs_options = self.name in (BINARY_CHOICE, SIMPLE_MC, DIFFICULT_MC)
-        count = self.body.count(OPTIONS_PLACEHOLDER)
-        if needs_options and count != 1:
-            raise PromptError(f"template {self.name} must contain {OPTIONS_PLACEHOLDER} exactly once")
-        if not needs_options and count != 0:
-            raise PromptError(f"template {self.name} must not contain {OPTIONS_PLACEHOLDER}")
-
-
-def load_default_templates() -> dict[str, PromptTemplate]:
-    """Load the template bodies shipped with the package."""
-    templates: dict[str, PromptTemplate] = {}
-    for name in TEMPLATE_NAMES:
-        body = (
-            resources.files("futureworld")
-            .joinpath(f"templates/{name}.txt")
-            .read_text(encoding="utf-8")
-        )
-        templates[name] = PromptTemplate(name=name, body=body)
-    return templates
 
 
 @dataclass(frozen=True)
@@ -110,25 +135,21 @@ class BenchmarkQuestion:
             )
 
 
-def render_prediction_prompt(question: Question, template: PromptTemplate) -> str:
+def render_prediction_prompt(question: Question) -> str:
     """Render the probabilistic training prompt for one question.
 
     The prompt contains the question text verbatim and never a description;
     the Question record carries none by construction.
     """
-    if template.name != PROBABILISTIC:
-        raise PromptError(f"expected a {PROBABILISTIC} template, got {template.name}")
-    return template.body.replace(QUESTION_PLACEHOLDER, question.text)
+    return PREDICTION_PROMPT.replace(QUESTION_PLACEHOLDER, question.text)
 
 
 def format_options(options: Sequence[str]) -> str:
     return "\n".join(f"{OPTION_LETTERS[i]}. {opt}" for i, opt in enumerate(options))
 
 
-def render_benchmark_prompt(bq: BenchmarkQuestion, template: PromptTemplate) -> str:
-    if template.name != bq.qtype:
-        raise PromptError(f"template {template.name} does not match question type {bq.qtype}")
-    rendered = template.body.replace(QUESTION_PLACEHOLDER, bq.text)
+def render_benchmark_prompt(bq: BenchmarkQuestion) -> str:
+    rendered = BENCHMARK_PROMPTS[bq.qtype].replace(QUESTION_PLACEHOLDER, bq.text)
     if bq.qtype != NUMERIC:
         rendered = rendered.replace(OPTIONS_PLACEHOLDER, format_options(bq.options))
     return rendered

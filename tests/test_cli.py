@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from datetime import date, timedelta
 
 import pytest
@@ -65,6 +66,20 @@ def test_export_command_writes_only_its_batch_when_two_issue_days_share_a_log_da
         assert written and export.read_bytes() == written
 
 
+@pytest.mark.parametrize("per_day", ["20", "0"])
+def test_export_command_writes_every_agent_the_run_holds_without_its_config(tmp_path, capsys, per_day):
+    run_dir = tmp_path / "run"
+    args = ["--agents", "oracle,constant,noisy,malformed", "--questions-per-day", per_day]
+    assert main(["simulate", "--days", "3", *args, "--run-dir", str(run_dir)]) == 0
+    exports = run_dir / "exports"
+    written = {p.relative_to(exports): p.read_bytes() for p in exports.glob("*/train-2026-03-02.jsonl")}
+    assert len(written) == 4
+    shutil.rmtree(exports)
+    assert main(["export", "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
+    rewritten = {p.relative_to(exports): p.read_bytes() for p in exports.glob("*/*.jsonl")}
+    assert rewritten == written
+
+
 def test_export_command_refuses_a_day_never_issued(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["export", "--run-dir", str(run_dir), "--day", "2030-01-01"]) == 1
@@ -83,6 +98,14 @@ def test_simulate_command_prints_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "simulated 1 days" in out
     assert "[constant]" in out
+
+
+def test_simulate_command_refuses_an_empty_agent_list(tmp_path, capsys):
+    run_dir = tmp_path / "sim"
+    assert main(["simulate", "--days", "1", "--agents", "", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown agents ['']")
+    assert not run_dir.exists()
 
 
 def test_ingest_writes_candidates(tmp_path, capsys, monkeypatch):
@@ -176,6 +199,16 @@ def test_score_command_names_the_question_of_a_wrong_typed_value(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: question q") and named in err
     assert not out.exists()
+
+
+def test_score_command_names_a_truth_row_without_a_label(tmp_path, capsys):
+    preds, truth = tmp_path / "preds.jsonl", tmp_path / "truth.jsonl"
+    preds.write_text("".join(dumps_canonical({"question_id": q, "prob": 0.9}) + "\n" for q in ("q0", "q1")))
+    rows = [{"question_id": "q0", "label": 1}, {"question_id": "q1"}]
+    truth.write_text("".join(dumps_canonical(r) + "\n" for r in rows))
+    assert main(["score", "--in", str(preds), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{truth} row 2 has no label" in err
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,12 @@ def test_question_invariants():
     assert q.resolution_time > q.prediction_time
 
 
+@pytest.mark.parametrize("resolution_time", [T0, T0 - timedelta(hours=1)])
+def test_question_must_resolve_after_its_prediction_time(resolution_time):
+    with pytest.raises(ValueError, match="resolution_time must be after prediction_time"):
+        replace(make_question(), resolution_time=resolution_time)
+
+
 def test_description_must_be_non_empty_when_present():
     with pytest.raises(ValueError):
         QuestionDescriptionPair(pair_id="p", question=make_question(), description="")

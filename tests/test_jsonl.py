@@ -30,7 +30,6 @@ ALLOWED = {
     ("ledger.py", "TrajectoryLedger._append_batch"): "the ledger's fsynced log appender",
     ("ledger.py", "read_log_records"): "the ledger's log replay, with its torn-tail rules",
     ("orchestrator.py", "CycleConfig.from_yaml"): "the YAML config load",
-    ("prompts.py", "load_default_templates"): "the prompt templates shipped in the package",
 }
 
 

@@ -1094,6 +1094,16 @@ def test_two_feeds_sharing_an_identifier_issue_it_once(tmp_path):
     assert orch.run_resolve_phase(START).outcomes_resolved == 3
 
 
+def test_feed_events_that_build_no_question_are_counted_as_construct_errors(tmp_path):
+    good, unknown, missing = (_feed_event(f"evt-c{i}", i) for i in range(3))
+    unknown = replace(unknown, payload={**unknown.payload, "template": "forecast"})
+    missing = replace(missing, payload={k: v for k, v in missing.payload.items() if k != "band"})
+    report = _feed_run(tmp_path, {"feed.jsonl": [good, unknown, missing]}).run_issue_phase(START)
+    assert report.candidates == 3 and report.feed_errors == 0
+    assert report.construct_errors == 2 and report.constructed == 1
+    assert report.questions_issued == 1
+
+
 def test_synthetic_events_are_observed_before_the_issue_time_far_east_of_utc(tmp_path):
     zone = ZoneInfo("Pacific/Kiritimati")  # UTC+14: 20:00 local is 06:00 UTC the same day
     config = _config(

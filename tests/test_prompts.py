@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from futureworld.prompts import (
+    BENCHMARK_PROMPTS,
+    PREDICTION_PROMPT,
     BenchmarkCaps,
     BenchmarkQuestion,
     PromptError,
-    PromptTemplate,
-    load_default_templates,
     render_benchmark_prompt,
     render_prediction_prompt,
     select_daily_benchmark,
@@ -18,7 +19,7 @@ from futureworld.prompts import (
 
 from conftest import T1, make_pair, make_question
 
-TEMPLATES = load_default_templates()
+PROMPTS = {"probabilistic": PREDICTION_PROMPT, **BENCHMARK_PROMPTS}
 
 
 def _bench(qid: str, qtype: str, n_options: int = 0, history=()) -> BenchmarkQuestion:
@@ -34,37 +35,38 @@ def _bench(qid: str, qtype: str, n_options: int = 0, history=()) -> BenchmarkQue
 
 
 def test_default_templates_carry_placeholders():
-    assert set(TEMPLATES) == {"probabilistic", "binary_choice", "simple_mc", "difficult_mc", "numeric"}
+    assert set(BENCHMARK_PROMPTS) == {"binary_choice", "simple_mc", "difficult_mc", "numeric"}
+    for name, body in PROMPTS.items():
+        assert body.count("<QUESTION>") == 1, name
+        choice = name in ("binary_choice", "simple_mc", "difficult_mc")
+        assert body.count("<OPTIONS>") == (1 if choice else 0), name
 
 
-def test_template_placeholder_validation():
-    with pytest.raises(PromptError):
-        PromptTemplate(name="probabilistic", body="no placeholder here")
-    with pytest.raises(PromptError):
-        PromptTemplate(name="probabilistic", body="<QUESTION> and again <QUESTION>")
-    with pytest.raises(PromptError):
-        PromptTemplate(name="binary_choice", body="<QUESTION> but options are missing")
-    with pytest.raises(PromptError):
-        PromptTemplate(name="numeric", body="<QUESTION>\n<OPTIONS>")
+def test_prompt_wording_is_pinned():
+    # The prediction prompt is the first turn of every stored trajectory;
+    # a change to any wording must be a deliberate edit of these digests.
+    digests = {name: hashlib.sha256(body.encode("utf-8")).hexdigest()[:16] for name, body in PROMPTS.items()}
+    assert digests == {
+        "probabilistic": "f2628a46d30d5da0",
+        "binary_choice": "cc1467a552cb133d",
+        "simple_mc": "b459914f1b976c7e",
+        "difficult_mc": "7dcdd6045bfd6438",
+        "numeric": "07fe8dcb55d2fe6c",
+    }
 
 
 def test_prediction_prompt_inserts_question_verbatim():
     q = make_question()
-    prompt = render_prediction_prompt(q, TEMPLATES["probabilistic"])
+    prompt = render_prediction_prompt(q)
     assert q.text in prompt
-    assert render_prediction_prompt(q, TEMPLATES["probabilistic"]) == prompt
+    assert render_prediction_prompt(q) == prompt
 
 
 def test_prediction_prompt_never_contains_description():
     pair = make_pair(description="A very distinctive background paragraph, station xyz-17.")
-    prompt = render_prediction_prompt(pair.question, TEMPLATES["probabilistic"])
+    prompt = render_prediction_prompt(pair.question)
     assert pair.description not in prompt
     assert "xyz-17" not in prompt
-
-
-def test_prediction_prompt_requires_probabilistic_template():
-    with pytest.raises(PromptError):
-        render_prediction_prompt(make_question(), TEMPLATES["binary_choice"])
 
 
 def test_benchmark_prompt_enumerates_options_in_order():
@@ -76,7 +78,7 @@ def test_benchmark_prompt_enumerates_options_in_order():
         resolution_time=T1,
         resolver_key="benchmark",
     )
-    prompt = render_benchmark_prompt(bq, TEMPLATES["binary_choice"])
+    prompt = render_benchmark_prompt(bq)
     assert "A. Yes\nB. No" in prompt
     assert bq.text in prompt
 
@@ -92,15 +94,9 @@ def test_option_count_bounds_enforced():
 
 def test_numeric_prompt_has_no_options_block():
     bq = _bench("b5", "numeric", history=(1.0,) * 7)
-    prompt = render_benchmark_prompt(bq, TEMPLATES["numeric"])
+    prompt = render_benchmark_prompt(bq)
     assert "<OPTIONS>" not in prompt
     assert "A." not in prompt
-
-
-def test_template_question_type_mismatch_is_an_error():
-    bq = _bench("b6", "numeric")
-    with pytest.raises(PromptError):
-        render_benchmark_prompt(bq, TEMPLATES["simple_mc"])
 
 
 # -- daily selection -------------------------------------------------------------

@@ -11,7 +11,7 @@ from futureworld.agents import (
     question_text_from_prompt,
 )
 from futureworld.domain import TrajectoryStatus
-from futureworld.prompts import load_default_templates, render_prediction_prompt
+from futureworld.prompts import render_prediction_prompt
 from futureworld.rollout import (
     CORRECTIVE_MESSAGE,
     ROLE_AGENT,
@@ -26,7 +26,6 @@ from futureworld.rollout import (
 )
 
 LIMITS = RolloutLimits(max_steps=4, per_move_timeout=5.0, min_searches=1)
-TEMPLATES = load_default_templates()
 
 
 class PlaybackAgent:
@@ -50,7 +49,7 @@ class EchoSearch:
 
 
 def _prompt(question):
-    return render_prediction_prompt(question, TEMPLATES["probabilistic"])
+    return render_prediction_prompt(question)
 
 
 # -- parse_final_probability -----------------------------------------------------
