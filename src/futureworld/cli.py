@@ -51,8 +51,8 @@ def _cmd_issue(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    report = _orchestrator(args).run_resolve_phase(date.fromisoformat(args.day))
-    print(report.render_text())
+    report, _ = _orchestrator(args).run_resolve_phase(date.fromisoformat(args.day))
+    print(json.dumps(to_row(report), indent=1, sort_keys=True))
     return 0
 
 

@@ -15,8 +15,8 @@ plan is built on its first use. The ledger writes its trajectories as
 text equal to the canonical line of ``to_row``, and its replay decodes them
 equal to ``from_row``; both work on the fields directly, so that sibling
 rollouts share their equal texts and values. The ledger's export builds its
-rows itself, and one record keeps a hand-written codec: ``CycleReport``, which
-keeps its ``predictions`` off the wire.
+rows itself; every other record, each report included, has no codec of its
+own.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from .benchmark import (
 )
 from .domain import Question, TrajectoryStatus
 from .embedding import HashingEmbedder
-from . import jsonl
 from .jsonl import from_row, read_json, read_jsonl, to_row, write_json, write_jsonl
 from .ledger import TrajectoryLedger, write_training_batch
 from .prompts import (
@@ -233,40 +232,6 @@ class CycleReport:
     unresolved_reasons: dict[str, int]
     groups_exported: dict[str, int]
     metrics: dict[str, dict[str, Any]]
-    #: each agent's (probability, label) pairs of the batch's RESOLVED
-    #: rollouts, in log order; what the final reports score, not serialized
-    predictions: dict[str, list[ProbPrediction]] = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "day": self.day.isoformat(),
-            "questions_issued": self.questions_issued,
-            "rollouts_recorded": dict(self.rollouts_recorded),
-            "outcomes_resolved": self.outcomes_resolved,
-            "unresolved_count": self.unresolved_count,
-            "unresolved_reasons": dict(self.unresolved_reasons),
-            "groups_exported": dict(self.groups_exported),
-            "metrics": {k: dict(v) for k, v in self.metrics.items()},
-        }
-
-    def render_text(self) -> str:
-        lines = [
-            f"batch day        {self.day.isoformat()}",
-            f"issued           {self.questions_issued}",
-            f"resolved         {self.outcomes_resolved}",
-            f"unresolved       {self.unresolved_count} {self.unresolved_reasons}",
-        ]
-        def cell(value: Any) -> str:
-            return "--" if value is None else f"{value:.4f}"
-
-        for agent in sorted(self.metrics):
-            m = self.metrics[agent]
-            lines.append(
-                f"{agent:<12} n={m['n']:<5} acc={cell(m['accuracy'])} "
-                f"brier={cell(m['brier'])} ece={cell(m.get('ece'))} "
-                f"groups={self.groups_exported.get(agent, 0)}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass
@@ -337,7 +302,7 @@ class Orchestrator:
         if self.questions_path(day).exists():
             # The pipeline counts were saved before the questions marker.
             saved = read_json(self.issue_report_path(day))
-            report = IssueReport(**{**saved, "day": day, "rollouts_recorded": {}})
+            report = from_row(IssueReport, {**saved, "rollouts_recorded": {}})
             questions = self._issued_questions(day)
         else:
             report = IssueReport(day=day)
@@ -452,15 +417,19 @@ class Orchestrator:
 
     # -- resolve phase --------------------------------------------------------
 
-    def run_resolve_phase(self, day: date) -> CycleReport:
+    def run_resolve_phase(
+        self, day: date
+    ) -> tuple[CycleReport, dict[str, list[ProbPrediction]]]:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
         The batch is the agent's day log for ``day``. A crash inside its
         prefix append left groups short; they are completed first, so every
         exported group has K rollouts. Once its export and predictions are
         taken the agent's ledger releases that day: nothing reads a resolved
-        batch again. The cycle report's JSON is written last: it marks the
-        batch as resolved.
+        batch again. The cycle report is written last: it marks the batch as
+        resolved. Returns the report and each agent's (probability, label)
+        pairs of the batch's RESOLVED rollouts, in log order, which the
+        final reports score.
         """
         questions = self._issued_questions(day)
         if any(self._short_groups(a, day, questions)[1] for a in self.config.agents):
@@ -499,14 +468,11 @@ class Orchestrator:
             unresolved_reasons=resolution.unresolved_reasons(),
             groups_exported=groups_exported,
             metrics=metrics,
-            predictions=predictions,
         )
         if report.outcomes_resolved + report.unresolved_count != report.questions_issued:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
-        path = self.cycle_report_path(day)
-        jsonl.write_atomically(path.with_suffix(".txt"), [report.render_text() + "\n"])
-        write_json(path, report.to_dict())
-        return report
+        write_json(self.cycle_report_path(day), to_row(report))
+        return report, predictions
 
     def _issued_questions(self, day: date) -> list[Question]:
         path = self.questions_path(day)
@@ -601,8 +567,6 @@ class Orchestrator:
                 }
                 score = score_benchmark_batch(questions, answers, target_gold)
                 report["scores"][agent_name] = to_row(score)
-                score_txt = bench_dir / f"scores-{agent_name}-{day.isoformat()}.txt"
-                jsonl.write_atomically(score_txt, [score.render_text() + "\n"])
 
         write_json(bench_dir / f"benchmark-{day.isoformat()}.json", report)
         return report
@@ -621,41 +585,33 @@ class Orchestrator:
         Memory does not grow with D: a simulation holds each agent's issue
         day until the next day's resolve reads it, and the resolve phase
         releases it. The final reports score the resolved (probability,
-        label) pairs that each cycle report keeps.
+        label) pairs that each resolve phase returns.
         """
         if days < 1:
             raise ValueError("simulation needs at least one day")
         started = _walltime.monotonic()
-        cycle_reports: list[CycleReport] = []
+        resolved: list[tuple[CycleReport, dict[str, list[ProbPrediction]]]] = []
         benchmark_reports: list[dict[str, Any]] = []
 
         for offset in range(days):
             day = self.config.start_day + timedelta(days=offset)
             self.run_issue_phase(day)
             if offset > 0:
-                cycle_reports.append(self.run_resolve_phase(day - timedelta(days=1)))
+                resolved.append(self.run_resolve_phase(day - timedelta(days=1)))
             if self.config.benchmark.enabled:
                 benchmark_reports.append(self.run_benchmark_phase(day))
-        cycle_reports.append(self.run_resolve_phase(day))  # the last day's batch
+        resolved.append(self.run_resolve_phase(day))  # the last day's batch
 
-        final_reports = self._final_reports(cycle_reports)
+        cycle_reports = [report for report, _ in resolved]
+        final_reports = self._final_reports([preds for _, preds in resolved])
         elapsed = _walltime.monotonic() - started
         summary = {
             "days": days,
-            "cycles": [r.to_dict() for r in cycle_reports],
+            "cycles": [to_row(r) for r in cycle_reports],
             "benchmarks": benchmark_reports,
             "final": {agent: to_row(report) for agent, report in final_reports.items()},
         }
         write_json(self.report_path("summary.json"), summary)
-        text = ["simulation summary", "=" * 60]
-        for r in cycle_reports:
-            text.append(r.render_text())
-            text.append("-" * 60)
-        for agent, report in final_reports.items():
-            text.append(f"[{agent}]")
-            text.append(report.render_text())
-            text.append("-" * 60)
-        jsonl.write_atomically(self.report_path("summary.txt"), ["\n".join(text) + "\n"])
         return SimulationResult(
             run_dir=self.run_dir,
             cycle_reports=cycle_reports,
@@ -664,7 +620,9 @@ class Orchestrator:
             elapsed_seconds=elapsed,
         )
 
-    def _final_reports(self, cycle_reports: Sequence[CycleReport]) -> dict[str, ScoreReport]:
+    def _final_reports(
+        self, batches: Sequence[Mapping[str, list[ProbPrediction]]]
+    ) -> dict[str, ScoreReport]:
         """Aggregate probabilistic metrics per agent over all resolved rollouts.
 
         The batches' predictions, taken in resolve order, are in the order of
@@ -672,7 +630,7 @@ class Orchestrator:
         """
         reports: dict[str, ScoreReport] = {}
         for agent_name in self.config.agents:
-            preds = [p for r in cycle_reports for p in r.predictions[agent_name]]
+            preds = [p for batch in batches for p in batch[agent_name]]
             if not preds:
                 reports[agent_name] = ScoreReport()
                 continue

@@ -32,6 +32,19 @@ def test_simulate_issue_resolve_export_cycle(tmp_path, capsys):
     assert rows and f"constant: {len(rows)} groups -> " in out
 
 
+def test_resolve_command_prints_the_cycle_report_it_writes(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 11\nquestions_per_day: 8\nevent_rate: 40\nagents: [oracle, constant]\n")
+    args = ["--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]
+    assert main(["issue", *args]) == 0
+    capsys.readouterr()
+    assert main(["resolve", *args]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (run_dir / "reports" / "cycle-2026-03-02.json").read_text()
+    assert json.loads(printed)["metrics"]["oracle"]["n"] > 0
+
+
 def test_export_command_writes_the_resolve_phases_groups_west_of_utc(tmp_path, capsys):
     run_dir = tmp_path / "run"
     config = tmp_path / "config.yaml"
@@ -98,6 +111,7 @@ def test_simulate_command_prints_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "simulated 1 days" in out
     assert "[constant]" in out
+    assert list((tmp_path / "sim").rglob("*.txt")) == []  # every report is its JSON record
 
 
 def test_simulate_command_refuses_an_empty_agent_list(tmp_path, capsys):

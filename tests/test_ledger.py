@@ -951,7 +951,8 @@ def test_append_after_release_continues_the_sequence(tmp_path):
     ledger.release(DAY)
     assert ledger.backfill(DAY, [OUTCOME]) == 4
     assert _ledger_states_equal(ledger, replay(tmp_path))
-    seqs = [json.loads(line)["sequence_no"] for line in next(tmp_path.glob("ledger-*.jsonl")).open()]
+    with next(tmp_path.glob("ledger-*.jsonl")).open() as log:
+        seqs = [json.loads(line)["sequence_no"] for line in log]
     assert seqs == list(range(1, 10))
 
 

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 from futureworld import cli, jsonl, orchestrator
-from futureworld.orchestrator import BenchmarkSettings, CycleConfig, Orchestrator
+from futureworld.orchestrator import BenchmarkSettings, CycleConfig, CycleReport, IssueReport, Orchestrator
 from futureworld.ledger import TrajectoryLedger, replay
 from futureworld.resolve import SyntheticTruthResolver
 from futureworld.benchmark import BenchmarkPoolConfig
@@ -100,19 +100,19 @@ def test_issue_phase_is_idempotent(tmp_path):
 def test_resolve_phase_accounting_and_idempotence(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     orch.run_issue_phase(START)
-    report = orch.run_resolve_phase(START)
+    report, _ = orch.run_resolve_phase(START)
     assert report.questions_issued == 20
     assert report.outcomes_resolved + report.unresolved_count == 20
     assert report.groups_exported["oracle"] == report.outcomes_resolved
-    rerun = orch.run_resolve_phase(START)
-    assert rerun.to_dict() == report.to_dict()
+    rerun, _ = orch.run_resolve_phase(START)
+    assert jsonl.to_row(rerun) == jsonl.to_row(report)
 
 
 def test_a_replayed_day_exports_the_rows_the_resolve_phase_wrote(tmp_path):
     agents = ("oracle", "malformed")
     orch = Orchestrator(_config(agents=agents), tmp_path)
     orch.run_issue_phase(START)
-    report = orch.run_resolve_phase(START)
+    report, _ = orch.run_resolve_phase(START)
     for agent in agents:
         written = read_jsonl(orch.export_path(agent, START))
         assert len(written) == report.groups_exported[agent] > 0
@@ -130,7 +130,7 @@ def test_resolve_phase_requires_issued_batch(tmp_path):
 def test_fully_resolvable_world_exports_every_question(tmp_path):
     orch = Orchestrator(_config(unresolved_rate=0.0), tmp_path)
     orch.run_issue_phase(START)
-    report = orch.run_resolve_phase(START)
+    report, _ = orch.run_resolve_phase(START)
     assert report.unresolved_count == 0
     assert report.groups_exported["oracle"] == report.questions_issued
 
@@ -326,10 +326,9 @@ def test_a_missed_scoring_evening_scores_its_benchmark_batch_late(tmp_path):
     assert late["issued"] == 0 and late["issued_by_type"] == {}
     assert late["scored_day"] == day(0).isoformat() == bench(straight, 2)["scored_day"]
     assert late["scores"] == bench(straight, 2)["scores"] and late["scores"]["oracle"]
-    scores = f"scores-oracle-{day(2)}.txt"
-    assert (skipped / "benchmark" / scores).read_text() == (straight / "benchmark" / scores).read_text()
     for offset in (3, 5):  # the evenings after it score as before
         assert bench(skipped, offset) == bench(straight, offset)
+    assert [*straight.rglob("*.txt"), *skipped.rglob("*.txt")] == []  # every report is its JSON record
     assert {bench(skipped, offset)["scored_day"] for offset in range(6)} == {
         None, *(day(offset).isoformat() for offset in (0, 1, 3))
     }
@@ -394,7 +393,8 @@ def test_an_evening_killed_before_any_write_reruns_to_the_uninterrupted_files(tm
         writes = _kill_before_write(m, 0)
         Orchestrator(config, straight).run_due_phases(evening(2))
     expected = _run_files(straight)
-    assert writes.count("_append_batch") == 2 * 3 and len(writes) > 20  # prefixes, backfills, discards
+    # prefixes, backfills and discards, and 13 files: the issue's 5, 3 of the resolve, 5 of the benchmark
+    assert writes.count("_append_batch") == 2 * 3 and len(writes) == 6 + 13
 
     for n in range(1, len(writes) + 1):
         killed = tmp_path / f"killed-{n}"
@@ -501,7 +501,7 @@ def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
     orch = Orchestrator(config, tmp_path / "run")
     assert orch.run_issue_phase(START).questions_issued == 4
     assert "\u2028" in orch.questions_path(START).read_text(encoding="utf-8")
-    report = orch.run_resolve_phase(START)
+    report, _ = orch.run_resolve_phase(START)
     assert report.outcomes_resolved == 4
 
 
@@ -512,7 +512,7 @@ def test_an_unreadable_answer_file_overrides_the_built_in_truth_for_its_key(tmp_
     )
     orch = Orchestrator(config, tmp_path / "run")
     issued = orch.run_issue_phase(START).questions_issued
-    report = orch.run_resolve_phase(START)
+    report, _ = orch.run_resolve_phase(START)
     assert issued > 0 and report.outcomes_resolved == 0
     assert report.unresolved_reasons == {"resolver_error": issued}
 
@@ -529,7 +529,7 @@ def test_resolve_phase_reads_only_the_batch_days_truth_file(tmp_path, monkeypatc
         "from_files",
         classmethod(lambda cls, paths: read.extend(p.name for p in paths) or real(cls, paths)),
     )
-    report = orch.run_resolve_phase(START + timedelta(days=1))
+    report, _ = orch.run_resolve_phase(START + timedelta(days=1))
     assert read == [f"truth-{(START + timedelta(days=1)).isoformat()}.jsonl"]
     assert report.outcomes_resolved > 0
 
@@ -564,10 +564,24 @@ def _file_days(run_dir, pattern):
 def test_simulation_reports_are_deterministic(tmp_path):
     a = Orchestrator(_config(), tmp_path / "a").simulate(2)
     b = Orchestrator(_config(), tmp_path / "b").simulate(2)
-    assert [r.to_dict() for r in a.cycle_reports] == [r.to_dict() for r in b.cycle_reports]
+    assert [jsonl.to_row(r) for r in a.cycle_reports] == [jsonl.to_row(r) for r in b.cycle_reports]
     assert a.benchmark_reports == b.benchmark_reports
     summary = "reports/summary.json"
     assert (tmp_path / "a" / summary).read_bytes() == (tmp_path / "b" / summary).read_bytes()
+
+
+def test_reports_read_back_as_the_records_the_phases_returned(tmp_path, monkeypatch):
+    orch = Orchestrator(_config(), tmp_path)
+    issued = []
+    issue = orch.run_issue_phase
+    monkeypatch.setattr(orch, "run_issue_phase", lambda day: issued.append(issue(day)) or issued[-1])
+    result = orch.simulate(2)
+    assert [r.day for r in issued] == [r.day for r in result.cycle_reports] == [START, START + timedelta(days=1)]
+    for report in issued:
+        assert jsonl.from_row(IssueReport, jsonl.read_json(orch.issue_report_path(report.day))) == report
+    cycles = [jsonl.read_json(orch.cycle_report_path(r.day)) for r in result.cycle_reports]
+    assert [jsonl.from_row(CycleReport, row) for row in cycles] == result.cycle_reports
+    assert jsonl.read_json(orch.report_path("summary.json"))["cycles"] == cycles
 
 
 @pytest.mark.parametrize(
@@ -701,8 +715,6 @@ def test_benchmark_missing_type_uses_dash_convention(tmp_path):
     assert score["s_num"] is None
     present = [score["s_bin"], score["s_smc"], score["s_dmc"]]
     assert score["s_overall"] == pytest.approx(sum(present) / 3)
-    text = (tmp_path / "benchmark" / f"scores-oracle-{(START + timedelta(days=2)).isoformat()}.txt").read_text()
-    assert "--" in text
 
 
 def test_benchmark_questions_resolve_at_the_cycle_resolve_time(tmp_path):
@@ -1091,7 +1103,7 @@ def test_two_feeds_sharing_an_identifier_issue_it_once(tmp_path):
     assert report.feed_errors == 1 and report.questions_issued == 3
     issued = [row["resolver_metadata"]["identifier"] for row in read_jsonl(orch.questions_path(START))]
     assert sorted(issued) == ["evt-s0", "evt-s1", "evt-s2"]
-    assert orch.run_resolve_phase(START).outcomes_resolved == 3
+    assert orch.run_resolve_phase(START)[0].outcomes_resolved == 3
 
 
 def test_feed_events_that_build_no_question_are_counted_as_construct_errors(tmp_path):
