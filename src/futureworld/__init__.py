@@ -16,7 +16,6 @@ from .domain import (
     Step,
     Trajectory,
     TrajectoryStatus,
-    validate_trajectory,
 )
 from .ledger import TrajectoryLedger, compute_group_advantages
 from .orchestrator import CycleConfig, Orchestrator
@@ -67,5 +66,4 @@ __all__ = [
     "reward",
     "run_group",
     "run_rollout",
-    "validate_trajectory",
 ]

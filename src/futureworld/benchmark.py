@@ -23,7 +23,9 @@ from .prompts import (
     SIMPLE_MC,
     BenchmarkQuestion,
 )
-from .scoring import ChoiceAnswer, NumericAnswer, ScoreReport, f1_choice, numeric_score, overall
+from .scoring import (
+    ChoiceAnswer, NumericAnswer, ScoreReport, f1_choice, numeric_score, overall, sum_in_order,
+)
 from .seeding import derive_seed
 
 _TOPICS = (
@@ -249,7 +251,7 @@ def score_benchmark_batch(
         per_type[question.qtype].append(score)
 
     def mean_or_none(scores: list[float]) -> Optional[float]:
-        return sum(scores) / len(scores) if scores else None
+        return sum_in_order(scores) / len(scores) if scores else None
 
     report = ScoreReport(
         s_bin=mean_or_none(per_type[BINARY_CHOICE]),

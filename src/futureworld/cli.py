@@ -84,6 +84,17 @@ def _scored_rows(path: str) -> list[dict]:
     return rows
 
 
+def _records(cls: type, path: str, rows: list) -> list:
+    """The ``cls`` record of each row of a ``score`` input; a bad row is named by file and number."""
+    records = []
+    for number, row in enumerate(rows, start=1):
+        try:
+            records.append(from_row(cls, row))
+        except ValueError as exc:
+            raise ValueError(f"{path} row {number}: {exc}") from None
+    return records
+
+
 def _cmd_score(args: argparse.Namespace) -> int:
     preds_rows = _scored_rows(args.preds)
     if not preds_rows:
@@ -121,9 +132,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
     else:
         if args.questions is None:
             raise ValueError("benchmark predictions need --questions, the benchmark questions JSONL")
-        questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(Path(args.questions))]
-        answers = {r["question_id"]: from_row(BenchmarkAnswer, r) for r in preds_rows}
-        gold = {r["question_id"]: from_row(GoldRecord, r) for r in truth_rows}
+        questions = _records(BenchmarkQuestion, args.questions, read_jsonl(Path(args.questions)))
+        answers = {a.question_id: a for a in _records(BenchmarkAnswer, args.preds, preds_rows)}
+        gold = {g.question_id: g for g in _records(GoldRecord, args.truth, truth_rows)}
         report = score_benchmark_batch(questions, answers, gold)
     print(report.render_text())
     if args.out:

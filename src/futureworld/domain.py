@@ -210,35 +210,3 @@ class Outcome:
         object.__setattr__(self, "resolved_at", ensure_utc(self.resolved_at))
         if self.label not in (0, 1):
             raise ValueError(f"outcome label must be binary, got {self.label!r}")
-
-def validate_trajectory(t: Trajectory) -> list[str]:
-    """Return every violated trajectory invariant; an empty list means ok.
-
-    Total function: it never raises, so it can audit records of any shape,
-    including ones a buggy writer produced.
-    """
-    violations: list[str] = []
-    if t.rollout_index < 0:
-        violations.append("negative rollout_index")
-    if t.status is TrajectoryStatus.PENDING:
-        if t.label is not None:
-            violations.append("label on PENDING")
-        if t.reward is not None:
-            violations.append("reward on PENDING")
-    elif t.status is TrajectoryStatus.RESOLVED:
-        if t.label not in (0, 1):
-            violations.append("RESOLVED without binary label")
-        if t.reward is None:
-            violations.append("RESOLVED without reward")
-        elif not -1.0 <= t.reward <= 0.0:
-            violations.append("reward outside [-1, 0]")
-    elif t.status is TrajectoryStatus.DISCARDED:
-        if t.label is not None:
-            violations.append("label on DISCARDED")
-        if t.reward is not None:
-            violations.append("reward on DISCARDED")
-    if len(t.steps) == 0:
-        violations.append("no search action")
-    if t.final_probability is not None and not 0.0 <= t.final_probability <= 1.0:
-        violations.append("final_probability outside [0, 1]")
-    return violations

@@ -8,7 +8,8 @@ its caller issued it on, and nothing else; replaying the logs reconstructs
 the live state exactly, and any prefix of a log is a consistent state. Every
 write call appends its records to one log and fsyncs once before it returns.
 A torn final line left by a crashed writer is skipped by replay and cut off
-before the next append to that log.
+before the next append to that log. Replay refuses every other record the
+appender could not have written, with ``ReplayError`` and its ``sequence_no``.
 
 Logs are replayed lazily, one day at a time: every lookup by question or
 trajectory names its log day, and a day's log is read the first time that
@@ -90,11 +91,11 @@ class ReplayError(LedgerError):
         self.sequence_no = sequence_no
 
 
-def compute_group_advantages(rewards: Sequence[float], eps: float = 1e-6) -> list[float]:
+def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
     """Group-relative advantages: standardize rewards within one question.
 
     All-equal rewards (including the single-rollout case) yield exact zeros.
-    The eps floor on the denominator only matters for degenerate spreads; any
+    The 1e-6 floor on the denominator only matters for degenerate spreads; any
     real spread is standardized exactly, so the advantages of an exported
     group have mean 0 and population standard deviation 1.
     """
@@ -104,8 +105,18 @@ def compute_group_advantages(rewards: Sequence[float], eps: float = 1e-6) -> lis
         return [0.0] * len(rewards)
     mean = math.fsum(rewards) / len(rewards)
     variance = math.fsum((r - mean) ** 2 for r in rewards) / len(rewards)
-    denom = max(math.sqrt(variance), eps)
+    denom = max(math.sqrt(variance), 1e-6)
     return [(r - mean) / denom for r in rewards]
+
+
+def _check_prefix(t: Trajectory, sequence_no: Optional[int] = None) -> None:
+    """Refuse a trajectory no PREFIX may hold: one not PENDING, or with a label or reward."""
+    if t.status is not TrajectoryStatus.PENDING or t.label is not None or t.reward is not None:
+        message = (
+            f"a PREFIX must be PENDING without label or reward; {t.trajectory_id} is "
+            f"{t.status.value} with label {t.label!r} and reward {t.reward!r}"
+        )
+        raise LedgerError(message) if sequence_no is None else ReplayError(message, sequence_no)
 
 
 class _Memo(dict):
@@ -153,7 +164,7 @@ class _DayLog:
         self.by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
 
     def replay_record(self, record: Mapping[str, Any]) -> None:
-        """Fold one record read from this day's log, enforcing order invariants."""
+        """Fold one record read from this day's log, refusing one the appender could not write."""
         seq = record.get("sequence_no")
         if not isinstance(seq, int) or seq <= self.seq:
             raise ReplayError("sequence_no must strictly increase", seq)
@@ -163,7 +174,11 @@ class _DayLog:
         if kind == KIND_PREFIX:
             if tid in self.records:
                 raise ReplayError(f"duplicate PREFIX for {tid}", seq)
-            self.add_prefix(*self._decode_prefix(payload))
+            trajectory, transcript = self._decode_prefix(payload)
+            if trajectory.trajectory_id != tid:
+                raise ReplayError(f"PREFIX for {tid} holds trajectory {trajectory.trajectory_id}", seq)
+            _check_prefix(trajectory, seq)
+            self.add_prefix(trajectory, transcript)
         elif kind in (KIND_BACKFILL, KIND_DISCARD):
             stored = self.records.get(tid)
             if stored is None:
@@ -171,7 +186,10 @@ class _DayLog:
             if stored.trajectory.status is not TrajectoryStatus.PENDING:
                 raise ReplayError(f"second terminal record for {tid}", seq)
             if kind == KIND_BACKFILL:
-                stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
+                try:
+                    stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ReplayError(f"BACKFILL for {tid} needs a label and reward: {exc!r}", seq) from None
             else:
                 stored.trajectory = stored.trajectory.discarded()
         else:
@@ -389,12 +407,7 @@ class TrajectoryLedger:
         log = self._day(day)
         seen: set[str] = set()
         for trajectory, _ in prefixes:
-            if trajectory.status is not TrajectoryStatus.PENDING:
-                raise LedgerError(
-                    f"only PENDING trajectories may be appended, got {trajectory.status}"
-                )
-            if trajectory.label is not None or trajectory.reward is not None:
-                raise LedgerError("PENDING trajectory must not carry label or reward")
+            _check_prefix(trajectory)
             if trajectory.trajectory_id in log.records or trajectory.trajectory_id in seen:
                 raise DuplicateTrajectoryError(trajectory.trajectory_id)
             seen.add(trajectory.trajectory_id)

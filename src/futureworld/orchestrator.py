@@ -62,7 +62,7 @@ from .qpipeline import (
 )
 from .resolve import SyntheticTruthResolver, answer_file_resolvers, resolve_batch
 from .rollout import RolloutLimits, run_group
-from .scoring import ProbPrediction, ScoreReport, summarize_probabilistic
+from .scoring import ProbPrediction, ScoreReport, sum_in_order, summarize_probabilistic
 from .seeding import derive_seed
 from .sources import fetch_all, write_truth_file
 
@@ -201,7 +201,7 @@ def _batch_metrics(preds: Sequence[ProbPrediction], rewards: Sequence[float]) ->
         "accuracy": summary.accuracy,
         "brier": summary.brier,
         "ece": summary.ece,
-        "mean_reward": sum(rewards) / len(rewards),
+        "mean_reward": sum_in_order(rewards) / len(rewards),
     }
 
 

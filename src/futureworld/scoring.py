@@ -8,7 +8,7 @@ Probabilistic metrics
 
 Benchmark scores (all in [0, 1], reported on a 0-100 scale)
     choice   = 2 * y.yhat / (||y||_1 + ||yhat||_1), option-level F1
-    numeric  = max(0, 1 - ((vhat - v) / (3 * sigma(V) + eps))^2)
+    numeric  = max(0, 1 - ((vhat - v) / (3 * sigma(V) + 1e-8))^2)
     overall  = equal-weight mean over the question types that have at least
                one resolved question
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,6 +84,14 @@ class NumericAnswer:
         return self.history[-1]
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add floats left to right, as the built-in ``sum`` did before CPython 3.12 compensated it."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def trajectory_reward(prob: Optional[float], label: int) -> float:
     """Delayed trajectory reward: negative squared error, -1 when invalid."""
     if label not in (0, 1):
@@ -107,16 +115,13 @@ def brier(preds: Sequence[ProbPrediction]) -> float:
     return total / len(preds)
 
 
-def accuracy(preds: Sequence[ProbPrediction], threshold: float = 0.5) -> float:
-    """Fraction of correct thresholded predictions; ties count as positive."""
+def accuracy(preds: Sequence[ProbPrediction]) -> float:
+    """Fraction of correct predictions at a 0.5 threshold; ties count as positive."""
     if not preds:
         raise ValueError("cannot compute accuracy on an empty list")
     correct = 0
-    for p in preds:
-        if not p.valid:
-            continue  # invalid predictions count as wrong
-        predicted_positive = p.prob >= threshold
-        if predicted_positive == (p.label == 1):
+    for p in preds:  # an invalid prediction counts as wrong
+        if p.valid and (p.prob >= 0.5) == (p.label == 1):
             correct += 1
     return correct / len(preds)
 
@@ -125,27 +130,27 @@ def accuracy(preds: Sequence[ProbPrediction], threshold: float = 0.5) -> float:
 ECE_BINS = 10
 
 
-def ece(preds: Sequence[ProbPrediction], bins: int = ECE_BINS) -> float:
+def ece(preds: Sequence[ProbPrediction]) -> float:
     """Expected calibration error over equal-width bins.
 
-    Bins are [0, 1/bins), ..., [1-1/bins, 1.0] with the last bin closed;
+    Bins are [0, 1/ECE_BINS), ..., [1-1/ECE_BINS, 1.0] with the last bin closed;
     empty bins contribute nothing. All predictions must be valid.
     """
     if not preds:
         raise ValueError("cannot compute ECE on an empty list")
     if any(not p.valid for p in preds):
         raise ValueError("ECE requires valid predictions; filter invalid ones first")
-    sums_p = [0.0] * bins
-    sums_z = [0.0] * bins
-    counts = [0] * bins
+    sums_p = [0.0] * ECE_BINS
+    sums_z = [0.0] * ECE_BINS
+    counts = [0] * ECE_BINS
     for p in preds:
-        idx = min(int(p.prob * bins), bins - 1)
+        idx = min(int(p.prob * ECE_BINS), ECE_BINS - 1)
         sums_p[idx] += p.prob
         sums_z[idx] += p.label
         counts[idx] += 1
     n = len(preds)
     total = 0.0
-    for b in range(bins):
+    for b in range(ECE_BINS):
         if counts[b] == 0:
             continue
         gap = abs(sums_z[b] / counts[b] - sums_p[b] / counts[b])
@@ -168,7 +173,7 @@ def f1_choice(answer: ChoiceAnswer, is_binary: bool = False) -> float:
     return 2.0 * overlap / (sum(answer.gold) + n_pred)
 
 
-def numeric_score(answer: NumericAnswer, eps: float = 1e-8) -> float:
+def numeric_score(answer: NumericAnswer) -> float:
     """Score a numeric prediction against the recent variability of its target.
 
     The error is normalized by three sample standard deviations of the
@@ -176,10 +181,10 @@ def numeric_score(answer: NumericAnswer, eps: float = 1e-8) -> float:
     leniently. Bounded in [0, 1].
     """
     values = answer.history
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    mean = sum_in_order(values) / len(values)
+    var = sum_in_order((v - mean) ** 2 for v in values) / (len(values) - 1)
     sigma = math.sqrt(var)
-    scaled = (answer.predicted - answer.true_value) / (3.0 * sigma + eps)
+    scaled = (answer.predicted - answer.true_value) / (3.0 * sigma + 1e-8)
     return max(0.0, 1.0 - scaled * scaled)
 
 
@@ -193,8 +198,10 @@ def overall(
     present = [s for s in (s_bin, s_smc, s_dmc, s_num) if s is not None]
     if not present:
         raise ValueError("overall score needs at least one per-type score")
-    return sum(present) / len(present)
+    return sum_in_order(present) / len(present)
 
+
+CI_LEVEL = 0.95  # the central coverage of every bootstrap interval
 
 #: Resample indexes drawn per block; bounds a bootstrap's working memory.
 _BLOCK_ELEMENTS = 1 << 16
@@ -242,26 +249,24 @@ def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
 
 def bootstrap_ci(
     values: Sequence[float],
-    level: float = 0.95,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for the mean of per-question scores."""
+    """Seeded 95% percentile bootstrap interval for the mean of per-question scores."""
     import numpy as np
 
     arr = np.asarray(values, dtype=float)
     means = [arr[idx].mean(axis=1) for idx in _resample_blocks(len(arr), n_resamples, seed)]
-    return _percentile_interval(means, level)
+    return _percentile_interval(means, CI_LEVEL)
 
 
 def bootstrap_metric_ci(
     probs: Sequence[float],
     labels: Sequence[int],
-    level: float = 0.95,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for ECE, which is not a per-question mean.
+    """Seeded 95% percentile bootstrap interval for ECE, which is not a per-question mean.
 
     Takes the valid predictions as parallel probability and label sequences.
     Each resample's statistic equals ``ece`` on the resampled predictions
@@ -290,7 +295,7 @@ def bootstrap_metric_ci(
                 gap = np.abs(sums_z[:, b] / c - sums_p[:, b] / c)
                 total += np.where(c > 0, c / n * gap, 0.0)  # an empty bin adds nothing
         stats.append(total)
-    return _percentile_interval(stats, level)
+    return _percentile_interval(stats, CI_LEVEL)
 
 
 @dataclass

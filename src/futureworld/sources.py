@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .domain import CandidateEvent
 from .jsonl import from_row, read_lines, write_jsonl
+from .scoring import sum_in_order
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
@@ -151,7 +152,7 @@ def _make_payload(kind: dict[str, Any], rng: random.Random, target_day: date, id
 
 
 def _draw_latent_p(rng: random.Random) -> float:
-    total = sum(w for _, _, w in LATENT_MIXTURE)
+    total = sum_in_order(w for _, _, w in LATENT_MIXTURE)
     pick = rng.random() * total
     acc = 0.0
     for lo, hi, weight in LATENT_MIXTURE:

@@ -263,6 +263,34 @@ def test_score_command_scores_a_benchmark_day_as_its_scoring_evening_did(tmp_pat
         assert json.loads(out.read_text()) == evening["scores"][agent]
 
 
+@pytest.mark.parametrize(
+    "bad, row, named",
+    [
+        ("preds", {"question_id": "bq-1", "qtype": "numeric", "value": "x"}, "value must be float, got str"),
+        ("truth", {"question_id": "bq-1", "qtype": "numeric", "value": [3.0]}, "value must be float, got list"),
+        ("questions", {"id": "bq-1", "qtype": "numeric"}, "lacks required keys"),
+    ],
+    ids=["in", "truth", "questions"],
+)
+def test_score_command_names_the_file_and_row_of_a_bad_benchmark_row(tmp_path, capsys, bad, row, named):
+    good = {
+        "preds": {"question_id": "bq-0", "qtype": "numeric", "value": 3.0},
+        "truth": {"question_id": "bq-0", "qtype": "numeric", "value": 3.0},
+        "questions": {
+            "id": "bq-0", "qtype": "numeric", "text": "What will the value be?", "options": [],
+            "resolution_time": "2026-03-03T20:30:00+00:00", "resolver_key": "benchmark",
+        },
+    }
+    paths = {name: tmp_path / f"{name}.jsonl" for name in good}
+    for name, path in paths.items():
+        rows = [good[name]] + ([row] if name == bad else [])
+        path.write_text("".join(dumps_canonical(r) + "\n" for r in rows))
+    args = ["score", "--in", str(paths["preds"]), "--truth", str(paths["truth"])]
+    assert main(args + ["--questions", str(paths["questions"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[bad]} row 2: ") and named in err
+
+
 def test_cycle_command_refuses_to_run_without_live(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["cycle", "--run-dir", str(run_dir)]) == 2

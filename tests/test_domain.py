@@ -17,7 +17,6 @@ from futureworld.domain import (
     ensure_utc,
     format_rfc3339,
     parse_rfc3339,
-    validate_trajectory,
 )
 from futureworld.jsonl import dumps_canonical, from_row, to_row, write_jsonl
 from futureworld.ledger import write_training_batch
@@ -85,40 +84,6 @@ def test_description_must_be_non_empty_when_present():
 def test_step_requires_action():
     with pytest.raises(ValueError):
         Step(action="", observation="x", issued_at=T0)
-
-
-# -- validate_trajectory ------------------------------------------------------
-
-
-def test_validate_flags_reward_on_pending():
-    t = make_trajectory(reward=-0.25)
-    assert "reward on PENDING" in validate_trajectory(t)
-
-
-def test_validate_accepts_resolved_with_label_and_reward():
-    t = make_trajectory(prob=0.5, status=TrajectoryStatus.RESOLVED, label=1, reward=-0.25)
-    assert validate_trajectory(t) == []
-
-
-def test_validate_flags_zero_steps():
-    t = make_trajectory(steps=())
-    assert "no search action" in validate_trajectory(t)
-
-
-def test_validate_is_total_and_collects_everything():
-    t = make_trajectory(
-        steps=(), prob=1.5, status=TrajectoryStatus.RESOLVED, label=None, reward=0.5
-    )
-    violations = validate_trajectory(t)
-    assert "no search action" in violations
-    assert "RESOLVED without binary label" in violations
-    assert "reward outside [-1, 0]" in violations
-    assert "final_probability outside [0, 1]" in violations
-
-
-def test_validate_flags_label_on_discarded():
-    t = make_trajectory(status=TrajectoryStatus.DISCARDED, label=1)
-    assert "label on DISCARDED" in validate_trajectory(t)
 
 
 # -- status constructors -------------------------------------------------------

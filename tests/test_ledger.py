@@ -803,6 +803,60 @@ def test_replay_rejects_a_duplicate_prefix(tmp_path):
     assert err.value.sequence_no == 2
 
 
+def _assert_each_access_refuses(tmp_path, sequence_no, match):
+    with pytest.raises(ReplayError, match=match) as err:
+        replay(tmp_path)
+    assert err.value.sequence_no == sequence_no
+    ledger = TrajectoryLedger(tmp_path)
+    for _ in range(2):
+        with pytest.raises(ReplayError, match=match) as err:
+            list(ledger.export_training_batch(DAY))
+        assert err.value.sequence_no == sequence_no
+
+
+def test_replay_rejects_a_prefix_that_is_not_pending(tmp_path):
+    _group(TrajectoryLedger(tmp_path), "q-1", probs=(0.5,))
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    extra = json.loads(lines[-1])
+    extra["sequence_no"] += 1
+    extra["trajectory_id"] = "q-2#k0"
+    extra["payload"]["trajectory"].update(
+        trajectory_id="q-2#k0", question_id="q-2", status="RESOLVED", label=1, reward=5.0
+    )
+    log.write_text("\n".join(lines + [dumps_canonical(extra)]) + "\n")
+    _assert_each_access_refuses(tmp_path, 2, r"q-2#k0 is RESOLVED with label 1 and reward 5\.0")
+
+
+def test_replay_rejects_a_prefix_whose_envelope_names_another_trajectory(tmp_path):
+    _group(TrajectoryLedger(tmp_path), "q-1", probs=(0.5, 0.6))
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    second = json.loads(log.read_text().splitlines()[1])
+    second["trajectory_id"] = "q-1#k0"  # the envelope of q-1#k1's payload, written twice
+    log.write_text("".join(dumps_canonical(dict(second, sequence_no=n)) + "\n" for n in (1, 2)))
+    _assert_each_access_refuses(tmp_path, 1, r"PREFIX for q-1#k0 holds trajectory q-1#k1")
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda payload: payload.pop("label"), "KeyError"),
+        (lambda payload: payload.update(reward=5.0), r"reward must lie in \[-1, 0\], got 5\.0"),
+    ],
+    ids=["no-label", "reward-out-of-range"],
+)
+def test_replay_rejects_a_backfill_the_appender_could_not_write(tmp_path, edit, named):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1", probs=(0.5, 0.6))
+    ledger.backfill(DAY, [OUTCOME])
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    backfill = json.loads(lines[-1])
+    edit(backfill["payload"])
+    log.write_text("\n".join(lines[:-1] + [dumps_canonical(backfill)]) + "\n")
+    _assert_each_access_refuses(tmp_path, backfill["sequence_no"], f"BACKFILL for q-1#k1 .*{named}")
+
+
 def test_replay_rejects_an_unknown_record_kind(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1", probs=(0.5,))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import gc
 import json
 import os
 import random
 import shutil
+import sys
 import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
@@ -65,6 +67,27 @@ def test_issue_phase_fetches_filters_and_records(tmp_path):
     assert saved["dropped_by_reason"] == report.dropped_by_reason
     blocked = Orchestrator(_config(blocklist=("temperature",)), tmp_path / "blocked")
     assert blocked.run_issue_phase(START).dropped_by_reason["blocklisted term: temperature"] > 0
+
+
+def test_no_written_float_goes_through_the_built_in_sum(tmp_path, monkeypatch):
+    """From CPython 3.12 ``sum`` compensates float rounding, so a mean it gives may differ in the
+    last bit from 3.11's; the loop must add floats with ``scoring.sum_in_order`` instead."""
+    built_in_sum, refused = builtins.sum, []
+
+    def guarded_sum(iterable, /, start=0):
+        items = list(iterable)
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("futureworld") and any(type(v) is float for v in items):
+            refused.append(caller)
+            raise TypeError(f"{caller} adds floats with the built-in sum")
+        return built_in_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", guarded_sum)
+    result = Orchestrator(_config(), tmp_path).simulate(3)
+    assert refused == []
+    scored = result.benchmark_reports[-1]["scores"]["oracle"]
+    assert scored["s_num"] is not None and scored["s_overall"] is not None
+    assert all(report.metrics["oracle"]["mean_reward"] is not None for report in result.cycle_reports)
 
 
 def test_a_simulated_run_writes_only_the_files_a_later_phase_reads(tmp_path):
