@@ -32,7 +32,7 @@ from .scoring import (
     f1_choice,
     numeric_score,
     overall,
-    reward,
+    trajectory_reward,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +63,7 @@ __all__ = [
     "numeric_score",
     "overall",
     "parse_final_probability",
-    "reward",
     "run_group",
     "run_rollout",
+    "trajectory_reward",
 ]

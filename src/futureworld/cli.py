@@ -16,6 +16,7 @@ from pathlib import Path
 from .agents import SCRIPTED_AGENTS
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
 from .jsonl import from_row, read_jsonl, to_row, write_json, write_jsonl
+from .ledger import LedgerError
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
 from .scoring import ProbPrediction, summarize_probabilistic
@@ -231,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError, LedgerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

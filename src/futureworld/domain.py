@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Any, Mapping, Optional
 
+from .scoring import binary_label, trajectory_reward
+
 QuestionId = str
-PairId = str
 TrajectoryId = str
 SourceId = str
 DomainLabel = str
@@ -78,7 +79,7 @@ class CandidateEvent:
 
     @property
     def identifier(self) -> str:
-        """The resolver identifier; the question and pair ids derive from it."""
+        """The resolver identifier; the question id derives from it."""
         return self.payload.get("identifier", self.source_url)
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ class QuestionDescriptionPair:
     never shown to agents.
     """
 
-    pair_id: PairId
     question: Question
     description: Optional[str] = None
 
@@ -143,9 +143,9 @@ class Trajectory:
 
     The record is completed in two stages: the prediction-time prefix (steps
     and the final probability estimate) is stored first with status PENDING,
-    and the label/reward are backfilled once the outcome is retrieved. The
-    raw final answer is kept verbatim so the invalid-output penalty stays
-    auditable next to the parsed probability.
+    and the label is backfilled once the outcome is retrieved; ``resolved``
+    derives the reward from it. The raw final answer is kept verbatim so the
+    invalid-output penalty stays auditable next to the parsed probability.
     """
 
     trajectory_id: TrajectoryId
@@ -168,12 +168,9 @@ class Trajectory:
         if type(self.steps) is not tuple:
             object.__setattr__(self, "steps", tuple(self.steps))
 
-    def resolved(self, label: int, reward: float) -> "Trajectory":
-        """Return the RESOLVED copy of this trajectory; requires both fields."""
-        if label not in (0, 1):
-            raise ValueError(f"label must be binary, got {label!r}")
-        if not -1.0 <= reward <= 0.0:
-            raise ValueError(f"reward must lie in [-1, 0], got {reward!r}")
+    def resolved(self, label: int) -> "Trajectory":
+        """Return the RESOLVED copy of this trajectory, its reward derived from ``label``."""
+        reward = trajectory_reward(self.final_probability, label)
         return self._terminal(TrajectoryStatus.RESOLVED, label, reward)
 
     def discarded(self) -> "Trajectory":
@@ -208,5 +205,4 @@ class Outcome:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "resolved_at", ensure_utc(self.resolved_at))
-        if self.label not in (0, 1):
-            raise ValueError(f"outcome label must be binary, got {self.label!r}")
+        binary_label(self.label)

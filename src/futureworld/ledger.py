@@ -9,7 +9,9 @@ the live state exactly, and any prefix of a log is a consistent state. Every
 write call appends its records to one log and fsyncs once before it returns.
 A torn final line left by a crashed writer is skipped by replay and cut off
 before the next append to that log. Replay refuses every other record the
-appender could not have written, with ``ReplayError`` and its ``sequence_no``.
+appender could not have written, with ``ReplayError`` and its ``sequence_no``,
+such as a BACKFILL whose label is not the integer 0 or 1 or whose reward is
+not the one ``Trajectory.resolved`` derives from that label.
 
 Logs are replayed lazily, one day at a time: every lookup by question or
 trajectory names its log day, and a day's log is read the first time that
@@ -27,8 +29,8 @@ payload as canonical text and writes the line around it. The PREFIX writer
 mirrors replay: it writes the text straight from the ``Trajectory``,
 ``Step`` and ``Turn`` fields, byte for byte the canonical encoding of the
 payload above, escaping each distinct text of a question once. A BACKFILL
-payload, its reward from ``scoring.trajectory_reward``, is encoded once per
-trajectory and a DISCARD payload once per question. Replay
+payload, its reward the one ``Trajectory.resolved`` derives, is encoded once
+per trajectory and a DISCARD payload once per question. Replay
 decodes a PREFIX itself, equal to ``jsonl.from_row(Trajectory, ...)``, and
 shares equal values: the K rollouts of a question, appended in a row, take
 their question id, texts, steps and transcript turns from one table that
@@ -64,7 +66,6 @@ from .domain import (
 from .jsonl import canonical_encoder, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
-from .scoring import trajectory_reward
 
 KIND_PREFIX = "PREFIX"
 KIND_BACKFILL = "BACKFILL"
@@ -110,13 +111,27 @@ def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
 
 
 def _check_prefix(t: Trajectory, sequence_no: Optional[int] = None) -> None:
-    """Refuse a trajectory no PREFIX may hold: one not PENDING, or with a label or reward."""
+    """Refuse a trajectory no PREFIX may hold.
+
+    A PREFIX holds a PENDING trajectory without label or reward, whose ids
+    are strings, ``rollout_index`` an int and ``final_probability`` a number
+    or None. The appender checks a whole batch before it writes any of it.
+    """
+    index, prob = t.rollout_index, t.final_probability
     if t.status is not TrajectoryStatus.PENDING or t.label is not None or t.reward is not None:
         message = (
             f"a PREFIX must be PENDING without label or reward; {t.trajectory_id} is "
             f"{t.status.value} with label {t.label!r} and reward {t.reward!r}"
         )
-        raise LedgerError(message) if sequence_no is None else ReplayError(message, sequence_no)
+    elif not (isinstance(t.trajectory_id, str) and isinstance(t.question_id, str)):
+        message = f"{t.trajectory_id} has question_id {t.question_id!r}; ids must be strings"
+    elif type(index) is not int:
+        message = f"{t.trajectory_id} has rollout_index {index!r}, not an int"
+    elif isinstance(prob, bool) or not isinstance(prob, (int, float, type(None))):
+        message = f"{t.trajectory_id} has final_probability {prob!r}, not a number or null"
+    else:
+        return
+    raise LedgerError(message) if sequence_no is None else ReplayError(message, sequence_no)
 
 
 class _Memo(dict):
@@ -163,18 +178,25 @@ class _DayLog:
         self.records[trajectory.trajectory_id] = _StoredTrajectory(trajectory, transcript)
         self.by_question.setdefault(trajectory.question_id, []).append(trajectory.trajectory_id)
 
-    def replay_record(self, record: Mapping[str, Any]) -> None:
+    def replay_record(self, record: Any) -> None:
         """Fold one record read from this day's log, refusing one the appender could not write."""
+        if not isinstance(record, dict):
+            raise ReplayError(f"a record must be a JSON object, not {type(record).__name__}")
         seq = record.get("sequence_no")
-        if not isinstance(seq, int) or seq <= self.seq:
+        if type(seq) is not int or seq <= self.seq:
             raise ReplayError("sequence_no must strictly increase", seq)
         kind = record.get("kind")
         tid = record.get("trajectory_id")
+        if not isinstance(tid, str):
+            raise ReplayError(f"trajectory_id {tid!r} is not a string", seq)
         payload = record.get("payload", {})
         if kind == KIND_PREFIX:
             if tid in self.records:
                 raise ReplayError(f"duplicate PREFIX for {tid}", seq)
-            trajectory, transcript = self._decode_prefix(payload)
+            try:
+                trajectory, transcript = self._decode_prefix(payload)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ReplayError(f"PREFIX for {tid} does not decode: {exc!r}", seq) from None
             if trajectory.trajectory_id != tid:
                 raise ReplayError(f"PREFIX for {tid} holds trajectory {trajectory.trajectory_id}", seq)
             _check_prefix(trajectory, seq)
@@ -187,9 +209,12 @@ class _DayLog:
                 raise ReplayError(f"second terminal record for {tid}", seq)
             if kind == KIND_BACKFILL:
                 try:
-                    stored.trajectory = stored.trajectory.resolved(payload["label"], payload["reward"])
+                    terminal, reward = stored.trajectory.resolved(payload["label"]), payload["reward"]
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ReplayError(f"BACKFILL for {tid} needs a label and reward: {exc!r}", seq) from None
+                if reward != terminal.reward:
+                    raise ReplayError(f"BACKFILL for {tid} holds reward {reward!r}, not {terminal.reward!r}", seq)
+                stored.trajectory = terminal
             else:
                 stored.trajectory = stored.trajectory.discarded()
         else:
@@ -419,8 +444,8 @@ class TrajectoryLedger:
     def backfill(self, day: date, outcomes: Sequence[Outcome]) -> int:
         """Write label and reward into every PENDING trajectory of each outcome's question.
 
-        ``day`` is the day the questions' prefixes were issued on; a reward is
-        ``trajectory_reward(final_probability, label)``. Idempotent: re-applying
+        ``day`` is the day the questions' prefixes were issued on; each reward
+        is the one ``Trajectory.resolved(label)`` derives. Idempotent: re-applying
         the same outcomes changes nothing and returns 0. An unknown question or a
         conflicting outcome (different label) rejects the batch before any write.
         """
@@ -440,9 +465,9 @@ class TrajectoryLedger:
         for outcome, pending in self._pending(day, outcomes):
             label, resolved_at = outcome.label, format_rfc3339(outcome.resolved_at)
             for stored in pending:
-                reward = trajectory_reward(stored.trajectory.final_probability, label)
-                text = encode({"label": label, "reward": reward, "resolved_at": resolved_at})
-                records.append((stored, stored.trajectory.resolved(label, reward), text))
+                terminal = stored.trajectory.resolved(label)
+                text = encode({"label": label, "reward": terminal.reward, "resolved_at": resolved_at})
+                records.append((stored, terminal, text))
         return self._append_terminals(day, KIND_BACKFILL, records)
 
     def discard(self, day: date, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:

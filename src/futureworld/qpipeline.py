@@ -117,7 +117,7 @@ def construct_pair(
 ) -> QuestionDescriptionPair:
     """Instantiate a question-description pair from one candidate event.
 
-    Deterministic: the same event always yields the same pair text and ids.
+    Deterministic: the same event always yields the same pair text and question id.
     """
     template = select_template(event, templates)
     missing = template.required_fields() - set(event.payload)
@@ -139,9 +139,7 @@ def construct_pair(
         resolver_metadata={"identifier": identifier},
         domain=OTHER_DOMAIN,
     )
-    return QuestionDescriptionPair(
-        pair_id=f"p-{identifier}", question=question, description=description
-    )
+    return QuestionDescriptionPair(question=question, description=description)
 
 
 DEFAULT_BLOCKLIST = (
@@ -349,7 +347,7 @@ def resample_domain(
 
     Clusters the pair embeddings into ``budget`` groups and keeps, per
     cluster, the pair closest to the centroid (ties broken by smallest
-    pair_id). Selection order follows the input order.
+    question id). Selection order follows the input order.
     """
     if budget > len(pairs):
         raise ValueError(f"budget {budget} exceeds available pairs {len(pairs)}")
@@ -369,11 +367,11 @@ def resample_domain(
         centroid = points[members].mean(axis=0)
         dists = np.linalg.norm(points[members] - centroid, axis=1)
         best = min(
-            zip(dists, (pairs[i].pair_id for i in members)),
+            zip(dists, (pairs[i].question.id for i in members)),
             key=lambda item: (item[0], item[1]),
         )
         selected_ids.add(best[1])
-    return [p for p in pairs if p.pair_id in selected_ids]
+    return [p for p in pairs if p.question.id in selected_ids]
 
 
 def resample(
@@ -396,7 +394,6 @@ def resample(
 
     labeled = [
         QuestionDescriptionPair(
-            pair_id=p.pair_id,
             question=p.question.with_domain(classify_domain(p, rules)),
             description=p.description,
         )
@@ -415,5 +412,5 @@ def resample(
             embedder,
             derive_seed(seed, "resample", domain),
         )
-        selected_ids.update(p.pair_id for p in chosen)
-    return [p for p in labeled if p.pair_id in selected_ids]
+        selected_ids.update(p.question.id for p in chosen)
+    return [p for p in labeled if p.question.id in selected_ids]

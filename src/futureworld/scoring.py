@@ -1,8 +1,8 @@
 """Numeric evaluation: trajectory rewards, calibration metrics, benchmark scores.
 
-Probabilistic metrics
+Probabilistic metrics, for a label z that is the integer 0 or 1
     reward   = -(pi - z)^2          (invalid output -> -1, the floor)
-    brier    = mean((pi - z)^2)     (invalid output -> worst-case term 1.0)
+    brier    = -mean(reward)        (so an invalid output adds the worst-case 1.0)
     accuracy with a 0.5 threshold, ties counted as positive predictions
     ECE over 10 equal-width bins, last bin closed at 1.0
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,8 +41,7 @@ class ProbPrediction:
     label: int
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be binary, got {self.label!r}")
+        binary_label(self.label)
 
     @property
     def valid(self) -> bool:
@@ -92,27 +91,25 @@ def sum_in_order(values: Iterable[float]) -> float:
     return total
 
 
+def binary_label(label: Any) -> None:
+    """Refuse a label that is not the integer 0 or 1; ``True`` and ``1.0`` are no label."""
+    if type(label) is not int or label not in (0, 1):
+        raise ValueError(f"label must be binary (the integer 0 or 1), got {label!r}")
+
+
 def trajectory_reward(prob: Optional[float], label: int) -> float:
     """Delayed trajectory reward: negative squared error, -1 when invalid."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be binary, got {label!r}")
+    binary_label(label)
     if prob is None or not 0.0 <= prob <= 1.0:
         return -1.0
     return -((prob - label) ** 2)
 
 
-def reward(pred: ProbPrediction) -> float:
-    return trajectory_reward(pred.prob, pred.label)
-
-
 def brier(preds: Sequence[ProbPrediction]) -> float:
-    """Mean squared probability error; lower is better, 0.25 is the 0.5 baseline."""
+    """Mean squared probability error, the negated mean reward; 0.25 is the 0.5 baseline."""
     if not preds:
         raise ValueError("cannot compute Brier score on an empty list")
-    total = 0.0
-    for p in preds:
-        total += (p.prob - p.label) ** 2 if p.valid else 1.0
-    return total / len(preds)
+    return sum_in_order(-trajectory_reward(p.prob, p.label) for p in preds) / len(preds)
 
 
 def accuracy(preds: Sequence[ProbPrediction]) -> float:
@@ -356,7 +353,7 @@ def summarize_probabilistic(
         acc_scores = [
             1.0 if p.valid and (p.prob >= 0.5) == (p.label == 1) else 0.0 for p in preds
         ]
-        brier_terms = [(p.prob - p.label) ** 2 if p.valid else 1.0 for p in preds]
+        brier_terms = [-trajectory_reward(p.prob, p.label) for p in preds]
         report.intervals["accuracy"] = bootstrap_ci(acc_scores, seed=seed)
         report.intervals["brier"] = bootstrap_ci(brier_terms, seed=seed + 1)
         if valid:

@@ -58,7 +58,6 @@ def make_question(
 
 def make_pair(qid: str = "q-1", description: str | None = "Recent highs have been stable.", **kwargs) -> QuestionDescriptionPair:
     return QuestionDescriptionPair(
-        pair_id=qid.replace("q-", "p-"),
         question=make_question(qid=qid, **kwargs),
         description=description,
     )

@@ -100,6 +100,19 @@ def test_export_command_refuses_a_day_never_issued(tmp_path, capsys):
     assert not (run_dir / "exports").exists()
 
 
+def test_a_ledger_that_does_not_replay_is_one_error_line(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    args = ["--agents", "oracle", "--questions-per-day", "4", "--run-dir", str(run_dir)]
+    assert main(["simulate", "--days", "1", *args]) == 0
+    log = next((run_dir / "ledgers" / "oracle").glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join([lines[0].replace('"sequence_no":1,', '"sequence_no":0,'), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(["export", "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sequence_no must strictly increase (sequence_no=0)\n"
+
+
 def test_simulate_command_prints_reports(tmp_path, capsys):
     code = main(
         [

@@ -20,6 +20,7 @@ from futureworld.domain import (
 )
 from futureworld.jsonl import dumps_canonical, from_row, to_row, write_jsonl
 from futureworld.ledger import write_training_batch
+from futureworld.scoring import trajectory_reward
 from futureworld.sources import write_truth_file
 
 from conftest import T0, T1, make_question, make_pair, make_step, make_trajectory
@@ -77,7 +78,7 @@ def test_question_must_resolve_after_its_prediction_time(resolution_time):
 
 def test_description_must_be_non_empty_when_present():
     with pytest.raises(ValueError):
-        QuestionDescriptionPair(pair_id="p", question=make_question(), description="")
+        QuestionDescriptionPair(question=make_question(), description="")
     assert make_pair(description=None).description is None
 
 
@@ -89,15 +90,13 @@ def test_step_requires_action():
 # -- status constructors -------------------------------------------------------
 
 
-def test_resolved_constructor_requires_both_fields():
-    t = make_trajectory()
-    resolved = t.resolved(1, -0.25)
+def test_resolved_constructor_derives_the_reward_from_the_label():
+    resolved = make_trajectory(prob=0.5).resolved(1)
     assert resolved.status is TrajectoryStatus.RESOLVED
     assert (resolved.label, resolved.reward) == (1, -0.25)
-    with pytest.raises(ValueError):
-        t.resolved(2, -0.25)
-    with pytest.raises(ValueError):
-        t.resolved(1, 0.5)
+    assert make_trajectory(prob=None).resolved(0).reward == -1.0
+    with pytest.raises(ValueError, match="label must be binary"):
+        make_trajectory().resolved(2)
 
 
 def test_discarded_constructor_strips_label_and_reward():
@@ -111,15 +110,12 @@ def test_terminal_constructors_equal_dataclasses_replace():
     rng = random.Random(5)
     for _ in range(50):
         t = replace(_random_trajectory(rng), status=TrajectoryStatus.PENDING, label=None, reward=None)
-        label, reward = rng.randrange(2), -round(rng.random(), 6)
-        assert t.resolved(label, reward) == replace(
-            t, status=TrajectoryStatus.RESOLVED, label=label, reward=reward
-        )
+        label = rng.randrange(2)
+        reward = trajectory_reward(t.final_probability, label)
+        assert t.resolved(label) == replace(t, status=TrajectoryStatus.RESOLVED, label=label, reward=reward)
         assert t.discarded() == replace(t, status=TrajectoryStatus.DISCARDED, label=None, reward=None)
         with pytest.raises(ValueError, match="label must be binary"):
-            t.resolved(2, reward)
-        with pytest.raises(ValueError, match="reward must lie in"):
-            t.resolved(label, 0.5)
+            t.resolved(2)
 
 
 # -- serialization round trips ---------------------------------------------------

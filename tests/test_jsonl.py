@@ -93,7 +93,7 @@ RECORDS = [
     ),
     (
         make_pair(),
-        '{"description":"Recent highs have been stable.","pair_id":"p-1","question":{"domain":"weather",'
+        '{"description":"Recent highs have been stable.","question":{"domain":"weather",'
         '"id":"q-1","prediction_time":"2026-03-02T20:00:00+00:00",'
         '"resolution_time":"2026-03-03T20:30:00+00:00","resolver_key":"synthetic",'
         '"resolver_metadata":{"identifier":"evt-001"},"source":"synthetic",'
@@ -110,9 +110,9 @@ RECORDS = [
         '"status":"resolved"}',
     ),
     (
-        make_trajectory().resolved(1, -0.09),
+        make_trajectory().resolved(1),
         '{"final_probability":0.7,"label":1,"prediction_time":"2026-03-02T20:00:00+00:00",'
-        '"question_id":"q-1","raw_final_answer":"FINAL: 0.7","reward":-0.09,"rollout_index":0,'
+        '"question_id":"q-1","raw_final_answer":"FINAL: 0.7","reward":-0.09000000000000002,"rollout_index":0,'
         '"status":"RESOLVED","steps":[{"action":"dallas temperature forecast",'
         '"issued_at":"2026-03-02T20:00:00+00:00","observation":"forecast digest"}],'
         '"trajectory_id":"q-1#k0"}',

@@ -73,7 +73,7 @@ def test_duplicate_append_rejected(tmp_path):
 
 def test_resolved_trajectory_rejected_at_append(tmp_path):
     ledger = TrajectoryLedger(tmp_path)
-    resolved = make_trajectory().resolved(1, -0.25)
+    resolved = make_trajectory().resolved(1)
     with pytest.raises(LedgerError):
         _append(ledger, resolved)
 
@@ -97,7 +97,7 @@ def test_batch_append_assigns_increasing_sequence(tmp_path):
 
 
 
-@pytest.mark.parametrize("bad", ["logged id", "repeated id", "not pending"])
+@pytest.mark.parametrize("bad", ["logged id", "repeated id", "not pending", "question id no string"])
 def test_a_rejected_prefix_batch_leaves_the_log_bytes_unchanged(tmp_path, bad):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
@@ -107,7 +107,8 @@ def test_a_rejected_prefix_batch_leaves_the_log_bytes_unchanged(tmp_path, bad):
     wrong = {
         "logged id": make_trajectory(tid="q-1#k0"),
         "repeated id": good,
-        "not pending": make_trajectory(tid="q-2#k1", qid="q-2", k=1).resolved(1, -0.09),
+        "not pending": make_trajectory(tid="q-2#k1", qid="q-2", k=1).resolved(1),
+        "question id no string": make_trajectory(tid="q-2#k1", qid=("q-2",), k=1),
     }[bad]
     with pytest.raises(LedgerError):
         ledger.append_prefix_batch(DAY, [(good, _transcript(good)), (wrong, _transcript(wrong))])
@@ -841,20 +842,73 @@ def test_replay_rejects_a_prefix_whose_envelope_names_another_trajectory(tmp_pat
     "edit, named",
     [
         (lambda payload: payload.pop("label"), "KeyError"),
-        (lambda payload: payload.update(reward=5.0), r"reward must lie in \[-1, 0\], got 5\.0"),
+        (lambda payload: payload.update(reward=5.0), r"holds reward 5\.0, not -0\.25"),
+        (lambda payload: payload.update(reward=-0.75), r"holds reward -0\.75, not -0\.25"),
+        (lambda payload: payload.update(label=True), r"label must be binary \(the integer 0 or 1\), got True"),
+        (lambda payload: payload.update(label=1.0), r"label must be binary \(the integer 0 or 1\), got 1\.0"),
     ],
-    ids=["no-label", "reward-out-of-range"],
+    ids=["no-label", "reward-out-of-range", "reward-not-derived", "label-true", "label-float"],
 )
 def test_replay_rejects_a_backfill_the_appender_could_not_write(tmp_path, edit, named):
     ledger = TrajectoryLedger(tmp_path)
-    _group(ledger, "q-1", probs=(0.5, 0.6))
+    _group(ledger, "q-1", probs=(0.6, 0.5))
     ledger.backfill(DAY, [OUTCOME])
     log = next(tmp_path.glob("ledger-*.jsonl"))
     lines = log.read_text().splitlines()
     backfill = json.loads(lines[-1])
+    assert backfill["payload"]["reward"] == -0.25  # the 0.5 prediction of q-1#k1, label 1
     edit(backfill["payload"])
     log.write_text("\n".join(lines[:-1] + [dumps_canonical(backfill)]) + "\n")
     _assert_each_access_refuses(tmp_path, backfill["sequence_no"], f"BACKFILL for q-1#k1 .*{named}")
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda record: record["payload"]["trajectory"].pop("steps"), r"does not decode: KeyError\('steps'\)"),
+        (lambda record: record.update(payload=[record["payload"]]), r"does not decode: TypeError"),
+        (
+            lambda record: record["payload"]["transcript"][0].update(text=["prompt text"]),
+            r"does not decode: TypeError\(\"unhashable type: 'list'\"\)",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(status="LATE"),
+            r"does not decode: ValueError\(\"'LATE' is not a valid TrajectoryStatus\"\)",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(prediction_time=5),
+            r"does not decode: AttributeError",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(question_id=["q-1"]),
+            r"has question_id \['q-1'\]; ids must be strings",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(rollout_index="1"),
+            r"has rollout_index '1', not an int",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(final_probability="0.5"),
+            r"has final_probability '0\.5', not a number or null",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(final_probability=True),
+            r"has final_probability True, not a number or null",
+        ),
+    ],
+    ids=[
+        "no-steps", "list-payload", "list-text", "status-late", "instant-number",
+        "question-id-list", "index-string", "prob-string", "prob-true",
+    ],
+)
+def test_replay_rejects_a_prefix_the_appender_could_not_write(tmp_path, edit, named):
+    _group(TrajectoryLedger(tmp_path), "q-1", probs=(0.6, 0.5))
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    prefix = json.loads(lines[-1])
+    edit(prefix)
+    log.write_text("\n".join(lines[:-1] + [dumps_canonical(prefix)]) + "\n")
+    _assert_each_access_refuses(tmp_path, prefix["sequence_no"], f"q-1#k1 .*{named}")
 
 
 def test_replay_rejects_an_unknown_record_kind(tmp_path):
@@ -870,6 +924,26 @@ def test_replay_rejects_an_unknown_record_kind(tmp_path):
     with pytest.raises(ReplayError, match=r"unknown record kind 'RETRACT'") as err:
         replay(tmp_path)
     assert err.value.sequence_no == 2
+
+
+@pytest.mark.parametrize(
+    "edit, sequence_no, named",
+    [
+        (lambda record: [record], None, r"a record must be a JSON object, not list"),
+        (lambda record: dict(record, sequence_no=True), True, r"sequence_no must strictly increase"),
+        (
+            lambda record: dict(record, trajectory_id=[record["trajectory_id"]]),
+            1,
+            r"trajectory_id \['q-1#k0'\] is not a string",
+        ),
+    ],
+    ids=["list-record", "sequence-true", "id-list"],
+)
+def test_replay_rejects_an_envelope_the_appender_could_not_write(tmp_path, edit, sequence_no, named):
+    _group(TrajectoryLedger(tmp_path), "q-1", probs=(0.5,))
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    log.write_text(dumps_canonical(edit(json.loads(log.read_text()))) + "\n")
+    _assert_each_access_refuses(tmp_path, sequence_no, named)
 
 
 def test_replay_rejects_non_increasing_sequence(tmp_path):

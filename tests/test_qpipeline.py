@@ -269,7 +269,7 @@ def test_two_blob_embedding_geometry_and_selection():
 
     selected = resample_domain(pairs, 2, EMBEDDER, seed=5)
     assert len(selected) == 2
-    kinds = {p.pair_id[2] for p in selected}
+    kinds = {p.question.id[2] for p in selected}
     assert kinds == {"w", "s"}
 
 
@@ -343,12 +343,12 @@ def test_resample_is_a_projection():
     pairs = _skewed_pairs()
     once = resample(pairs, 14, DEFAULT_DOMAIN_RULES, EMBEDDER, seed=2)
     twice = resample(once, 14, DEFAULT_DOMAIN_RULES, EMBEDDER, seed=2)
-    assert [p.pair_id for p in once] == [p.pair_id for p in twice]
+    assert [p.question.id for p in once] == [p.question.id for p in twice]
 
 
 def test_resample_never_selects_filtered_pairs():
     pairs = _skewed_pairs()
     kept = [p for p in pairs if apply_filters(p).keep]
     out = resample(kept, 10, DEFAULT_DOMAIN_RULES, EMBEDDER, seed=4)
-    kept_ids = {p.pair_id for p in kept}
-    assert all(p.pair_id in kept_ids for p in out)
+    kept_ids = {p.question.id for p in kept}
+    assert all(p.question.id in kept_ids for p in out)

@@ -7,6 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
+from futureworld.domain import Outcome
 from futureworld.scoring import (
     ChoiceAnswer,
     NumericAnswer,
@@ -19,11 +20,12 @@ from futureworld.scoring import (
     f1_choice,
     numeric_score,
     overall,
-    reward,
     summarize_probabilistic,
     trajectory_reward,
 )
 from futureworld.scoring import _percentile_interval
+
+from conftest import T1, make_trajectory
 
 # -- independent oracles (deliberately different code paths) -------------------
 
@@ -99,7 +101,20 @@ def test_reward_examples():
     assert trajectory_reward(1.0, 1) == 0.0
     assert trajectory_reward(0.0, 0) == 0.0
     assert trajectory_reward(None, 1) == -1.0
-    assert reward(ProbPrediction(prob=None, label=0)) == -1.0
+    assert trajectory_reward(None, 0) == -1.0
+
+
+@pytest.mark.parametrize("label", [True, False, 1.0, 0.0, 2, -1, None, "1"])
+def test_a_label_is_the_integer_0_or_1_wherever_it_is_taken(label):
+    takers = [
+        lambda: trajectory_reward(0.5, label),
+        lambda: ProbPrediction(0.5, label),
+        lambda: Outcome(question_id="q-1", label=label, resolved_at=T1),
+        lambda: make_trajectory().resolved(label),
+    ]
+    for take in takers:
+        with pytest.raises(ValueError, match=r"label must be binary \(the integer 0 or 1\)"):
+            take()
 
 
 def test_reward_bounds_and_brier_identity():
