@@ -8,7 +8,8 @@ its caller issued it on, and nothing else; replaying the logs reconstructs
 the live state exactly, and any prefix of a log is a consistent state. Every
 write call appends its records to one log and fsyncs once before it returns.
 A torn final line left by a crashed writer is skipped by replay and cut off
-before the next append to that log. Replay refuses every other record the
+before the next append to that log; an append that raises drops the day's
+replayed state, so the next use replays the log from disk. Replay refuses every other record the
 appender could not have written, with ``ReplayError`` and its ``sequence_no``,
 such as a BACKFILL whose label is not the integer 0 or 1 or whose reward is
 not the one ``Trajectory.resolved`` derives from that label.
@@ -110,14 +111,23 @@ def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
     return [(r - mean) / denom for r in rewards]
 
 
-def _check_prefix(t: Trajectory, sequence_no: Optional[int] = None) -> None:
+def _check_prefix(
+    t: Trajectory, transcript: Optional[Sequence[Turn]], sequence_no: Optional[int] = None
+) -> None:
     """Refuse a trajectory no PREFIX may hold.
 
     A PREFIX holds a PENDING trajectory without label or reward, whose ids
-    are strings, ``rollout_index`` an int and ``final_probability`` a number
-    or None. The appender checks a whole batch before it writes any of it.
+    are strings, ``rollout_index`` an int, ``final_probability`` a number
+    or None, and whose step, answer and transcript texts are strings. The
+    appender checks a whole batch before it writes any of it. Replay passes
+    no transcript: ``_DayLog._decode_prefix`` checks each text as it first
+    creates the value.
     """
     index, prob = t.rollout_index, t.final_probability
+    not_text = None if transcript is None else next(
+        ((name, text) for name, text in _named_texts(t, transcript) if not isinstance(text, str)),
+        None,
+    )
     if t.status is not TrajectoryStatus.PENDING or t.label is not None or t.reward is not None:
         message = (
             f"a PREFIX must be PENDING without label or reward; {t.trajectory_id} is "
@@ -129,9 +139,29 @@ def _check_prefix(t: Trajectory, sequence_no: Optional[int] = None) -> None:
         message = f"{t.trajectory_id} has rollout_index {index!r}, not an int"
     elif isinstance(prob, bool) or not isinstance(prob, (int, float, type(None))):
         message = f"{t.trajectory_id} has final_probability {prob!r}, not a number or null"
+    elif not_text:
+        message = f"{t.trajectory_id} has {not_text[0]} {not_text[1]!r}, not a string"
     else:
         return
     raise LedgerError(message) if sequence_no is None else ReplayError(message, sequence_no)
+
+
+def _named_texts(t: Trajectory, transcript: Sequence[Turn]) -> Iterator[tuple[str, Any]]:
+    """Each text a PREFIX holds, by name: the answer's, each step's and each turn's."""
+    yield "raw_final_answer", t.raw_final_answer
+    for s in t.steps:
+        yield "step action", s.action
+        yield "step observation", s.observation
+    for turn in transcript:
+        yield "transcript role", turn.role
+        yield "transcript text", turn.text
+
+
+def _text(value: Any, name: str) -> str:
+    """``value`` if it is a string, else a ``TypeError`` naming the PREFIX text ``name``."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} {value!r} is not a string")
+    return value
 
 
 class _Memo(dict):
@@ -199,7 +229,7 @@ class _DayLog:
                 raise ReplayError(f"PREFIX for {tid} does not decode: {exc!r}", seq) from None
             if trajectory.trajectory_id != tid:
                 raise ReplayError(f"PREFIX for {tid} holds trajectory {trajectory.trajectory_id}", seq)
-            _check_prefix(trajectory, seq)
+            _check_prefix(trajectory, None, seq)
             self.add_prefix(trajectory, transcript)
         elif kind in (KIND_BACKFILL, KIND_DISCARD):
             stored = self.records.get(tid)
@@ -230,7 +260,8 @@ class _DayLog:
         and the equal texts of a step and its turn, are one object; each role
         is the module's ``ROLE_*`` constant. Prediction instants come from
         ``instants``, and a step stamped with its trajectory's instant
-        shares that ``datetime``.
+        shares that ``datetime``. A text that is no string raises
+        ``TypeError`` when the table first makes its value.
         """
         data = payload["trajectory"]
         if data["question_id"] != self.question_id:
@@ -246,18 +277,19 @@ class _DayLog:
             step = values.get(key)
             if step is None:
                 step = values[key] = Step(
-                    share(action, action),
-                    share(observation, observation),
+                    share(_text(action, "step action"), action),
+                    share(_text(observation, "step observation"), observation),
                     prediction_time if issued_at == when else parse_rfc3339(issued_at),
                 )
             steps.append(step)
+        answer = data["raw_final_answer"]
         trajectory = Trajectory(
             data["trajectory_id"],
             self.question_id,
             data["rollout_index"],
             prediction_time,
             tuple(steps),
-            share(data["raw_final_answer"], data["raw_final_answer"]),
+            values.get(answer) or share(_text(answer, "raw_final_answer"), answer),
             data["final_probability"],
             TrajectoryStatus(data["status"]),
             data["label"],
@@ -268,7 +300,10 @@ class _DayLog:
             role, text = key = (t["role"], t["text"])
             turn = values.get(key)
             if turn is None:
-                turn = values[key] = Turn(_ROLES.get(role, role), share(text, text))
+                turn = values[key] = Turn(
+                    _ROLES.get(role) or _text(role, "transcript role"),
+                    share(_text(text, "transcript text"), text),
+                )
             transcript.append(turn)
         return trajectory, transcript
 
@@ -379,22 +414,28 @@ class TrajectoryLedger:
         canonical JSON text. Records are numbered and written as they are
         drawn from ``records``, each line the canonical encoding of
         ``{"kind", "payload", "sequence_no", "trajectory_id"}``, so a batch
-        is never held a second time. Returns their sequence numbers.
+        is never held a second time. Returns their sequence numbers. A write
+        that raises drops the day's state: the log may hold part of the
+        batch, so the next use replays it from disk and cuts a torn tail.
         """
         log = self._day(day)
         first = seq = log.seq
-        with self._log_path(day).open("a", encoding="utf-8") as fh:
-            if log.torn_bytes is not None:
-                fh.truncate(log.torn_bytes)
-                log.torn_bytes = None
-            for kind, trajectory_id, payload in records:
-                seq += 1
-                fh.write(
-                    f'{{"kind":{encode_basestring(kind)},"payload":{payload},'
-                    f'"sequence_no":{seq},"trajectory_id":{encode_basestring(trajectory_id)}}}\n'
-                )
-            fh.flush()
-            os.fsync(fh.fileno())
+        try:
+            with self._log_path(day).open("a", encoding="utf-8") as fh:
+                if log.torn_bytes is not None:
+                    fh.truncate(log.torn_bytes)
+                    log.torn_bytes = None
+                for kind, trajectory_id, payload in records:
+                    seq += 1
+                    fh.write(
+                        f'{{"kind":{encode_basestring(kind)},"payload":{payload},'
+                        f'"sequence_no":{seq},"trajectory_id":{encode_basestring(trajectory_id)}}}\n'
+                    )
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            self.release(day)
+            raise
         log.seq = seq
         return list(range(first + 1, seq + 1))
 
@@ -431,8 +472,8 @@ class TrajectoryLedger:
             return []
         log = self._day(day)
         seen: set[str] = set()
-        for trajectory, _ in prefixes:
-            _check_prefix(trajectory)
+        for trajectory, transcript in prefixes:
+            _check_prefix(trajectory, transcript)
             if trajectory.trajectory_id in log.records or trajectory.trajectory_id in seen:
                 raise DuplicateTrajectoryError(trajectory.trajectory_id)
             seen.add(trajectory.trajectory_id)

@@ -422,17 +422,19 @@ class Orchestrator:
     ) -> tuple[CycleReport, dict[str, list[ProbPrediction]]]:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
-        The batch is the agent's day log for ``day``. A crash inside its
-        prefix append left groups short; they are completed first, so every
-        exported group has K rollouts. Once its export and predictions are
-        taken the agent's ledger releases that day: nothing reads a resolved
-        batch again. The cycle report is written last: it marks the batch as
-        resolved. Returns the report and each agent's (probability, label)
-        pairs of the batch's RESOLVED rollouts, in log order, which the
-        final reports score.
+        The batch is the agent's day log for ``day``. A crash in its issue
+        phase may have left groups short, or the issue report without the
+        rollout counts it writes last; the issue phase is re-run first to
+        complete them, so every exported group has K rollouts. Once its
+        export and predictions are taken the agent's ledger releases that
+        day: nothing reads a resolved batch again. The cycle report is
+        written last: it marks the batch as resolved. Returns the report and
+        each agent's (probability, label) pairs of the batch's RESOLVED
+        rollouts, in log order, which the final reports score.
         """
         questions = self._issued_questions(day)
-        if any(self._short_groups(a, day, questions)[1] for a in self.config.agents):
+        counted = read_json(self.issue_report_path(day))["rollouts_recorded"]
+        if any(a not in counted or self._short_groups(a, day, questions)[1] for a in self.config.agents):
             self.run_issue_phase(day)
         now = self.config.resolve_at(day)
         registry = self._resolver_registry(day)
@@ -489,20 +491,18 @@ class Orchestrator:
     # -- benchmark phase -------------------------------------------------------
 
     def run_benchmark_phase(self, day: date) -> dict[str, Any]:
-        """Issue today's benchmark batch and score the lagged one.
+        """Issue today's benchmark batch, then fill in what the run directory lacks.
 
-        A batch whose scoring evening has passed with no benchmark report is
-        scored first, oldest first: that evening's report is written late,
-        with nothing issued, as a missed cycle report is.
+        Oldest first, each issued batch with no scoring report gets the answers
+        an agent lacks and the missing report of its issue or scoring evening
+        before today. A past day is never issued late: its answers would know its outcomes.
         """
         settings = self.config.benchmark
         bench_dir = self.run_dir / "benchmark"
         issued_path = bench_dir / f"issued-{day.isoformat()}.jsonl"
         gold_path = bench_dir / f"gold-{day.isoformat()}.jsonl"
 
-        if issued_path.exists():
-            selection = [from_row(BenchmarkQuestion, r) for r in read_jsonl(issued_path)]
-        else:
+        if not issued_path.exists():
             pool, gold = generate_benchmark_pool(
                 day, settings.pool, self.config.seed, self.config.resolve_at(day)
             )
@@ -514,49 +514,50 @@ class Orchestrator:
             write_jsonl(gold_path, (to_row(g) for g in gold if g.question_id in selected_ids))
             write_jsonl(issued_path, map(to_row, selection))
 
-        gold_records = {r["question_id"]: from_row(GoldRecord, r) for r in read_jsonl(gold_path)}
-        for agent_name in self.config.agents:
-            preds_path = bench_dir / f"preds-{agent_name}-{day.isoformat()}.jsonl"
-            if preds_path.exists():
-                continue
-            answerer = self._benchmark_answerer(agent_name, gold_records)
-            answers = []
-            for question in selection:
-                prompt = render_benchmark_prompt(question)
-                answers.append(to_row(answerer.answer(question, prompt)))
-            write_jsonl(preds_path, answers)
-
         lag = timedelta(days=settings.lag_days)
         for path in sorted(bench_dir.glob("issued-*.jsonl")):
-            evening = date.fromisoformat(path.stem.removeprefix("issued-")) + lag
-            if evening >= day:
-                break
-            if not (bench_dir / f"benchmark-{evening.isoformat()}.json").exists():
-                self._write_benchmark_report(evening, [])
-        return self._write_benchmark_report(day, selection)
+            issued = date.fromisoformat(path.stem.removeprefix("issued-"))
+            if (bench_dir / f"benchmark-{(issued + lag).isoformat()}.json").exists():
+                continue  # scored, so nothing of this batch is missing
+            preds = {a: bench_dir / f"preds-{a}-{issued.isoformat()}.jsonl" for a in self.config.agents}
+            unanswered = {a: p for a, p in preds.items() if not p.exists()}
+            if unanswered:
+                questions, gold_records = self._benchmark_batch(issued)
+                for agent_name, preds_path in unanswered.items():
+                    answerer = self._benchmark_answerer(agent_name, gold_records)
+                    answers = [to_row(answerer.answer(q, render_benchmark_prompt(q))) for q in questions]
+                    write_jsonl(preds_path, answers)
+            for evening in (issued, issued + lag):
+                if evening < day and not (bench_dir / f"benchmark-{evening.isoformat()}.json").exists():
+                    self._write_benchmark_report(evening)
+        return self._write_benchmark_report(day)
 
-    def _write_benchmark_report(
-        self, day: date, selection: Sequence[BenchmarkQuestion]
-    ) -> dict[str, Any]:
-        """Write evening ``day``'s report: its issued batch and the lagged batch's scores."""
+    def _benchmark_batch(self, day: date) -> tuple[list[BenchmarkQuestion], dict[str, GoldRecord]]:
+        """The benchmark questions issued on ``day``, and their gold records by question id."""
+        questions = read_jsonl(self.run_dir / "benchmark" / f"issued-{day.isoformat()}.jsonl")
+        gold = read_jsonl(self.run_dir / "benchmark" / f"gold-{day.isoformat()}.jsonl")
+        return (
+            [from_row(BenchmarkQuestion, r) for r in questions],
+            {r["question_id"]: from_row(GoldRecord, r) for r in gold},
+        )
+
+    def _write_benchmark_report(self, day: date) -> dict[str, Any]:
+        """Write evening ``day``'s report: the batch it issued, if any, and the lagged batch's scores."""
         bench_dir = self.run_dir / "benchmark"
+        issued_path = bench_dir / f"issued-{day.isoformat()}.jsonl"
+        qtypes = [r["qtype"] for r in read_jsonl(issued_path)] if issued_path.exists() else []
         report: dict[str, Any] = {
             "day": day.isoformat(),
-            "issued": len(selection),
-            "issued_by_type": dict(Counter(q.qtype for q in selection)),
+            "issued": len(qtypes),
+            "issued_by_type": dict(Counter(qtypes)),
             "scored_day": None,
             "scores": {},
         }
 
         target_day = day - timedelta(days=self.config.benchmark.lag_days)
-        target_issued = bench_dir / f"issued-{target_day.isoformat()}.jsonl"
-        if target_issued.exists():
+        if (bench_dir / f"issued-{target_day.isoformat()}.jsonl").exists():
             report["scored_day"] = target_day.isoformat()
-            questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(target_issued)]
-            target_gold = {
-                r["question_id"]: from_row(GoldRecord, r)
-                for r in read_jsonl(bench_dir / f"gold-{target_day.isoformat()}.jsonl")
-            }
+            questions, target_gold = self._benchmark_batch(target_day)
             for agent_name in self.config.agents:
                 preds_path = bench_dir / f"preds-{agent_name}-{target_day.isoformat()}.jsonl"
                 if not preds_path.exists():

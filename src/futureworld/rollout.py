@@ -5,9 +5,10 @@ conversation so far, the agent replies with either a search action or a final
 answer, and search results are injected as tool observations. The engine
 enforces the minimum-search rule (a premature final answer is rejected once
 with a corrective message; a second violation terminates the rollout as
-invalid), a step cap, and a per-move time budget. An agent or search tool
-that raises is never silently dropped: the rollout is recorded with an
-invalid final so the floor reward applies at backfill.
+invalid) and a step cap. A move that returns after ``per_move_timeout``
+ends the rollout as invalid; the engine never interrupts a move. An agent
+or search tool that raises is never silently dropped: the rollout is
+recorded with an invalid final so the floor reward applies at backfill.
 
 The final answer contract is a single line ``FINAL: <number>`` where the
 number is a probability in [0, 1] or a percentage.

@@ -97,7 +97,10 @@ def test_batch_append_assigns_increasing_sequence(tmp_path):
 
 
 
-@pytest.mark.parametrize("bad", ["logged id", "repeated id", "not pending", "question id no string"])
+@pytest.mark.parametrize(
+    "bad",
+    ["logged id", "repeated id", "not pending", "question id no string", "action no string", "answer no string"],
+)
 def test_a_rejected_prefix_batch_leaves_the_log_bytes_unchanged(tmp_path, bad):
     ledger = TrajectoryLedger(tmp_path)
     _group(ledger, "q-1")
@@ -109,6 +112,8 @@ def test_a_rejected_prefix_batch_leaves_the_log_bytes_unchanged(tmp_path, bad):
         "repeated id": good,
         "not pending": make_trajectory(tid="q-2#k1", qid="q-2", k=1).resolved(1),
         "question id no string": make_trajectory(tid="q-2#k1", qid=("q-2",), k=1),
+        "action no string": make_trajectory(tid="q-2#k1", qid="q-2", k=1, steps=(make_step(5),)),
+        "answer no string": make_trajectory(tid="q-2#k1", qid="q-2", k=1, raw=7),
     }[bad]
     with pytest.raises(LedgerError):
         ledger.append_prefix_batch(DAY, [(good, _transcript(good)), (wrong, _transcript(wrong))])
@@ -895,10 +900,31 @@ def test_replay_rejects_a_backfill_the_appender_could_not_write(tmp_path, edit, 
             lambda record: record["payload"]["trajectory"].update(final_probability=True),
             r"has final_probability True, not a number or null",
         ),
+        (
+            lambda record: record["payload"]["trajectory"]["steps"][0].update(action=5),
+            r"does not decode: TypeError\('step action 5 is not a string'\)",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"]["steps"][0].update(observation=6),
+            r"does not decode: TypeError\('step observation 6 is not a string'\)",
+        ),
+        (
+            lambda record: record["payload"]["trajectory"].update(raw_final_answer=7),
+            r"does not decode: TypeError\('raw_final_answer 7 is not a string'\)",
+        ),
+        (
+            lambda record: record["payload"]["transcript"][0].update(role=8),
+            r"does not decode: TypeError\('transcript role 8 is not a string'\)",
+        ),
+        (
+            lambda record: record["payload"]["transcript"][0].update(text=9),
+            r"does not decode: TypeError\('transcript text 9 is not a string'\)",
+        ),
     ],
     ids=[
         "no-steps", "list-payload", "list-text", "status-late", "instant-number",
         "question-id-list", "index-string", "prob-string", "prob-true",
+        "action-number", "observation-number", "answer-number", "role-number", "text-number",
     ],
 )
 def test_replay_rejects_a_prefix_the_appender_could_not_write(tmp_path, edit, named):
@@ -909,6 +935,26 @@ def test_replay_rejects_a_prefix_the_appender_could_not_write(tmp_path, edit, na
     edit(prefix)
     log.write_text("\n".join(lines[:-1] + [dumps_canonical(prefix)]) + "\n")
     _assert_each_access_refuses(tmp_path, prefix["sequence_no"], f"q-1#k1 .*{named}")
+
+
+def test_an_append_that_fails_part_way_leaves_a_log_that_replays(tmp_path, monkeypatch):
+    ledger = TrajectoryLedger(tmp_path)
+    first, second = (make_trajectory(tid=f"q-1#k{k}", k=k) for k in range(2))
+    encode = ledger_module._encode_prefixes
+
+    def fail_after_one_record(prefixes):
+        yield next(encode(prefixes))
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(ledger_module, "_encode_prefixes", fail_after_one_record)
+        with pytest.raises(OSError):
+            ledger.append_prefix_batch(DAY, [(t, _transcript(t)) for t in (first, second)])
+    assert ledger.append_prefix_batch(DAY, [(second, _transcript(second))]) == [2]
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    assert [json.loads(line)["sequence_no"] for line in log.read_text().splitlines()] == [1, 2]
+    assert [t.trajectory_id for t in replay(tmp_path).all_trajectories()] == ["q-1#k0", "q-1#k1"]
+    assert ledger.trajectories_for(DAY, "q-1") == [first, second]
 
 
 def test_replay_rejects_an_unknown_record_kind(tmp_path):

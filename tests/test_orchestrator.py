@@ -381,20 +381,29 @@ class _Killed(Exception):
 
 
 def _kill_before_write(monkeypatch, n):
-    """Raise before the n-th derived-file write or ledger append; return the calls seen."""
+    """Raise before the n-th derived-file write or ledger append.
+
+    Returns the calls seen: each derived file's name, or ``_append_batch``.
+    """
     calls = []
 
-    def guarded(write):
+    def guarded(write, label):
         def call(*args, **kwargs):
-            calls.append(write.__name__)
+            calls.append(label(*args))
             if len(calls) == n:
-                raise _Killed(f"write {n}: {write.__name__}")
+                raise _Killed(f"write {n}: {calls[-1]}")
             return write(*args, **kwargs)
 
         return call
 
-    monkeypatch.setattr(jsonl, "write_atomically", guarded(jsonl.write_atomically))
-    monkeypatch.setattr(TrajectoryLedger, "_append_batch", guarded(TrajectoryLedger._append_batch))
+    monkeypatch.setattr(
+        jsonl, "write_atomically", guarded(jsonl.write_atomically, lambda path, chunks: path.name)
+    )
+    monkeypatch.setattr(
+        TrajectoryLedger,
+        "_append_batch",
+        guarded(TrajectoryLedger._append_batch, lambda *args: "_append_batch"),
+    )
     return calls
 
 
@@ -430,6 +439,53 @@ def test_an_evening_killed_before_any_write_reruns_to_the_uninterrupted_files(tm
         files = _run_files(killed)
         differ = sorted(k for k in expected.keys() | files.keys() if expected.get(k) != files.get(k))
         assert differ == [], f"killed before write {n} ({writes[n - 1]})"
+
+
+def test_an_evening_killed_after_its_questions_marker_is_finished_by_the_next_evenings(
+    tmp_path, monkeypatch
+):
+    # No same-evening re-run: a cron deployment next runs the next evening.
+    config = _config(seed=3, event_rate=40)
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    killed_day = (START + timedelta(days=2)).isoformat()
+    history = tmp_path / "history"
+    for offset in range(2):
+        Orchestrator(config, history).run_due_phases(evening(offset))
+
+    def next_three_evenings(run_dir):
+        for offset in range(3, 6):
+            Orchestrator(config, run_dir).run_due_phases(evening(offset))
+        return _run_files(run_dir)
+
+    straight, unbenched = tmp_path / "straight", tmp_path / "unbenched"
+    shutil.copytree(history, straight)
+    with monkeypatch.context() as m:
+        writes = _kill_before_write(m, 0)
+        Orchestrator(config, straight).run_due_phases(evening(2))
+    expected = next_three_evenings(straight)
+    shutil.copytree(history, unbenched)
+    no_benchmark = replace(config, benchmark=replace(config.benchmark, enabled=False))
+    Orchestrator(no_benchmark, unbenched).run_due_phases(evening(2))
+    expected_unbenched = next_three_evenings(unbenched)
+
+    marker = writes.index(f"questions-{killed_day}.jsonl")
+    issued = writes.index(f"issued-{killed_day}.jsonl")
+    for i in range(marker + 1, len(writes)):
+        killed = tmp_path / f"killed-{i}"
+        shutil.copytree(history, killed)
+        with monkeypatch.context() as m:
+            _kill_before_write(m, i + 1)
+            with pytest.raises(_Killed):
+                Orchestrator(config, killed).run_due_phases(evening(2))
+        files = next_three_evenings(killed)
+        if i <= issued:  # the day's benchmark was never issued, and a past day is not issued late
+            # its gold, written before the issued marker, is an orphan like a sidecar before its marker
+            files.pop(f"benchmark/gold-{killed_day}.jsonl", None)
+            want = expected_unbenched
+        else:
+            want = expected
+        differ = sorted(k for k in want.keys() | files.keys() if want.get(k) != files.get(k))
+        assert differ == [], f"killed before write {i + 1} ({writes[i]})"
 
 
 def _cut_append(monkeypatch, n, cut):
