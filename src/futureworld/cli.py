@@ -2,7 +2,7 @@
 
 Commands mirror the pipeline stages so a crashed cycle can be resumed one
 phase at a time: ingest, issue, resolve, benchmark, export, score, plus the
-closed-loop simulate driver and the wall-clock cycle driver.
+cron evening on the wall clock (cycle) or on a virtual clock (simulate).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _cmd_issue(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    report, _ = _orchestrator(args).run_resolve_phase(date.fromisoformat(args.day))
+    report = _orchestrator(args).run_resolve_phase(date.fromisoformat(args.day))
     print(json.dumps(to_row(report), indent=1, sort_keys=True))
     return 0
 

@@ -7,16 +7,15 @@ into the stored prefixes; questions whose outcomes could not be retrieved are
 discarded and excluded from training and scoring. The daily benchmark runs on
 its own two-day resolution lag.
 
-Two modes share every phase but have separate drivers. ``simulate`` drives
-D virtual days against a synthetic world with an injected clock (no waiting,
-fully deterministic given the seed); it holds each issue day until the next
-day's resolve reads it, and resolves every day's batch. ``run_due_phases``
-schedules the same phases by wall clock; a cron evening releases the day it
-issued at once and resolves only batches without a cycle report. Both run
-the scripted agents and the simulated search tool, each built in one place
-below, and the rule-based question filter. Every phase is a pure function of
-(config, ledger state, day), so a run can be killed between phases and
-re-invoked without changing the final ledger.
+One loop schedules the phases: the cron evening ``run_due_phases`` runs
+each phase whose time has passed, releases the day it issued at once, and
+resolves only batches without a cycle report. ``simulate`` is D such
+evenings on a virtual clock (no waiting, deterministic given the seed), then
+the last day's resolve and a summary whose final scores replay the resolved
+batches. Both run the scripted agents and the simulated search tool, each
+built in one place below, and the rule-based question filter. Every phase is
+a pure function of (config, ledger state, day), so a run can be killed
+between phases and re-invoked without changing the final ledger.
 """
 
 from __future__ import annotations
@@ -417,20 +416,15 @@ class Orchestrator:
 
     # -- resolve phase --------------------------------------------------------
 
-    def run_resolve_phase(
-        self, day: date
-    ) -> tuple[CycleReport, dict[str, list[ProbPrediction]]]:
+    def run_resolve_phase(self, day: date) -> CycleReport:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
         The batch is the agent's day log for ``day``. A crash in its issue
         phase may have left groups short, or the issue report without the
         rollout counts it writes last; the issue phase is re-run first to
         complete them, so every exported group has K rollouts. Once its
-        export and predictions are taken the agent's ledger releases that
-        day: nothing reads a resolved batch again. The cycle report is
-        written last: it marks the batch as resolved. Returns the report and
-        each agent's (probability, label) pairs of the batch's RESOLVED
-        rollouts, in log order, which the final reports score.
+        export and metrics are taken the agent's ledger releases that day.
+        The cycle report is written last: it marks the batch as resolved.
         """
         questions = self._issued_questions(day)
         counted = read_json(self.issue_report_path(day))["rollouts_recorded"]
@@ -444,7 +438,6 @@ class Orchestrator:
         rollouts: dict[str, int] = {}
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
-        predictions: dict[str, list[ProbPrediction]] = {}
         for agent_name in self.config.agents:
             ledger = self.ledger_for(agent_name)
             ledger.backfill(day, resolution.outcomes)
@@ -458,7 +451,6 @@ class Orchestrator:
             batch = [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
             preds = [ProbPrediction(prob=t.final_probability, label=t.label) for t in batch]
             metrics[agent_name] = _batch_metrics(preds, [t.reward for t in batch])
-            predictions[agent_name] = preds
             ledger.release(day)
 
         report = CycleReport(
@@ -474,7 +466,7 @@ class Orchestrator:
         if report.outcomes_resolved + report.unresolved_count != report.questions_issued:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
         write_json(self.cycle_report_path(day), to_row(report))
-        return report, predictions
+        return report
 
     def _issued_questions(self, day: date) -> list[Question]:
         path = self.questions_path(day)
@@ -583,67 +575,61 @@ class Orchestrator:
     def simulate(self, days: int) -> SimulationResult:
         """Run D virtual days end to end; deterministic given the config seed.
 
-        Memory does not grow with D: a simulation holds each agent's issue
-        day until the next day's resolve reads it, and the resolve phase
-        releases it. The final reports score the resolved (probability,
-        label) pairs that each resolve phase returns.
+        Each day is one cron evening (``run_due_phases``) on a virtual clock,
+        at the later of the day's issue and resolve times, so a simulation
+        releases each issue day as an evening does and resolves only batches
+        without a cycle report. The last day's batch is resolved after the
+        last evening; then the summary is written from the run directory.
         """
         if days < 1:
             raise ValueError("simulation needs at least one day")
         started = _walltime.monotonic()
-        resolved: list[tuple[CycleReport, dict[str, list[ProbPrediction]]]] = []
-        benchmark_reports: list[dict[str, Any]] = []
-
+        clocks = (self.config.issue_time, self.config.resolve_time)
         for offset in range(days):
             day = self.config.start_day + timedelta(days=offset)
-            self.run_issue_phase(day)
-            if offset > 0:
-                resolved.append(self.run_resolve_phase(day - timedelta(days=1)))
-            if self.config.benchmark.enabled:
-                benchmark_reports.append(self.run_benchmark_phase(day))
-        resolved.append(self.run_resolve_phase(day))  # the last day's batch
+            self.run_due_phases(max(self.config.phase_datetime(day, clock) for clock in clocks))
+        self.run_resolve_phase(day)
+        reports = self.write_summary()
+        return SimulationResult(self.run_dir, *reports, _walltime.monotonic() - started)
 
-        cycle_reports = [report for report, _ in resolved]
-        final_reports = self._final_reports([preds for _, preds in resolved])
-        elapsed = _walltime.monotonic() - started
+    def write_summary(self) -> tuple[list[CycleReport], list[dict[str, Any]], dict[str, ScoreReport]]:
+        """Write ``reports/summary.json`` from the run directory alone; returns its parts.
+
+        The cycles and benchmarks are the report files, oldest first. Each
+        agent's final report scores the RESOLVED rollouts of every resolved
+        batch, replayed one day at a time in question-id order, which is the
+        order of a whole-ledger replay, so the bootstrap intervals match one.
+        """
+        reports_dir, bench_dir = self.run_dir / "reports", self.run_dir / "benchmark"
+        cycles = [from_row(CycleReport, read_json(p)) for p in sorted(reports_dir.glob("cycle-*.json"))]
+        benchmarks = [read_json(p) for p in sorted(bench_dir.glob("benchmark-*.json"))]
+        final: dict[str, ScoreReport] = {}
+        for agent_name in self.config.agents:
+            ledger = self.ledger_for(agent_name)
+            preds: list[ProbPrediction] = []
+            for report in cycles:
+                preds += [
+                    ProbPrediction(prob=t.final_probability, label=t.label)
+                    for qid in ledger.questions_for_day(report.day)
+                    for t in ledger.trajectories_for(report.day, qid)
+                    if t.status is TrajectoryStatus.RESOLVED
+                ]
+                ledger.release(report.day)
+            seed = derive_seed(self.config.seed, "final-ci", agent_name)
+            final[agent_name] = summarize_probabilistic(preds, seed=seed) if preds else ScoreReport()
         summary = {
-            "days": days,
-            "cycles": [to_row(r) for r in cycle_reports],
-            "benchmarks": benchmark_reports,
-            "final": {agent: to_row(report) for agent, report in final_reports.items()},
+            "days": len(cycles),
+            "cycles": [to_row(r) for r in cycles],
+            "benchmarks": benchmarks,
+            "final": {agent: to_row(report) for agent, report in final.items()},
         }
         write_json(self.report_path("summary.json"), summary)
-        return SimulationResult(
-            run_dir=self.run_dir,
-            cycle_reports=cycle_reports,
-            benchmark_reports=benchmark_reports,
-            final_reports=final_reports,
-            elapsed_seconds=elapsed,
-        )
+        return cycles, benchmarks, final
 
-    def _final_reports(
-        self, batches: Sequence[Mapping[str, list[ProbPrediction]]]
-    ) -> dict[str, ScoreReport]:
-        """Aggregate probabilistic metrics per agent over all resolved rollouts.
-
-        The batches' predictions, taken in resolve order, are in the order of
-        a whole-ledger replay, so the bootstrap intervals match one.
-        """
-        reports: dict[str, ScoreReport] = {}
-        for agent_name in self.config.agents:
-            preds = [p for batch in batches for p in batch[agent_name]]
-            if not preds:
-                reports[agent_name] = ScoreReport()
-                continue
-            reports[agent_name] = summarize_probabilistic(
-                preds, seed=derive_seed(self.config.seed, "final-ci", agent_name)
-            )
-        return reports
-
-    # -- live mode ----------------------------------------------------------------
+    # -- the cron evening ---------------------------------------------------------
 
     def run_due_phases(self, now: Optional[datetime] = None) -> list[str]:
-        """Cron-style live driver: run every phase whose wall-clock time has passed.
+        """The cron evening: run every phase due by ``now``, the wall clock by default.
 
         Intended to be invoked periodically (or once per evening); each call
         is idempotent thanks to the phases' restartability. Every issued batch

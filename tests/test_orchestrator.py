@@ -123,11 +123,11 @@ def test_issue_phase_is_idempotent(tmp_path):
 def test_resolve_phase_accounting_and_idempotence(tmp_path):
     orch = Orchestrator(_config(), tmp_path)
     orch.run_issue_phase(START)
-    report, _ = orch.run_resolve_phase(START)
+    report = orch.run_resolve_phase(START)
     assert report.questions_issued == 20
     assert report.outcomes_resolved + report.unresolved_count == 20
     assert report.groups_exported["oracle"] == report.outcomes_resolved
-    rerun, _ = orch.run_resolve_phase(START)
+    rerun = orch.run_resolve_phase(START)
     assert jsonl.to_row(rerun) == jsonl.to_row(report)
 
 
@@ -135,7 +135,7 @@ def test_a_replayed_day_exports_the_rows_the_resolve_phase_wrote(tmp_path):
     agents = ("oracle", "malformed")
     orch = Orchestrator(_config(agents=agents), tmp_path)
     orch.run_issue_phase(START)
-    report, _ = orch.run_resolve_phase(START)
+    report = orch.run_resolve_phase(START)
     for agent in agents:
         written = read_jsonl(orch.export_path(agent, START))
         assert len(written) == report.groups_exported[agent] > 0
@@ -153,7 +153,7 @@ def test_resolve_phase_requires_issued_batch(tmp_path):
 def test_fully_resolvable_world_exports_every_question(tmp_path):
     orch = Orchestrator(_config(unresolved_rate=0.0), tmp_path)
     orch.run_issue_phase(START)
-    report, _ = orch.run_resolve_phase(START)
+    report = orch.run_resolve_phase(START)
     assert report.unresolved_count == 0
     assert report.groups_exported["oracle"] == report.questions_issued
 
@@ -554,6 +554,51 @@ def test_an_evening_killed_inside_any_ledger_append_reruns_to_the_uninterrupted_
             assert differ == [], f"append {n} cut {where}"
 
 
+@pytest.mark.parametrize(
+    "zone, start",
+    [
+        ("UTC", START),
+        # 20:00 AST on March 7 and 20:00 ADT on March 8 are both on UTC March 8
+        ("America/Halifax", date(2026, 3, 7)),
+    ],
+)
+def test_a_simulation_writes_what_cron_evenings_and_a_last_resolve_write(tmp_path, zone, start):
+    config = _config(seed=3, event_rate=40, timezone=zone, start_day=start)
+    simulated, evenings = tmp_path / "simulated", tmp_path / "evenings"
+    Orchestrator(config, simulated).simulate(3)
+    for offset in range(3):
+        day = start + timedelta(days=offset)
+        Orchestrator(config, evenings).run_due_phases(datetime.combine(day, time(21, 0), config.zone))
+    orch = Orchestrator(config, evenings)
+    orch.run_resolve_phase(day)
+    orch.write_summary()
+    expected, files = _run_files(simulated), _run_files(evenings)
+    assert "reports/summary.json" in expected
+    assert sorted(k for k in expected.keys() | files.keys() if expected.get(k) != files.get(k)) == []
+
+
+def test_a_simulation_killed_before_any_write_reruns_to_the_uninterrupted_files(tmp_path, monkeypatch):
+    config = _config(seed=3, event_rate=40)
+    straight = tmp_path / "straight"
+    with monkeypatch.context() as m:
+        writes = _kill_before_write(m, 0)
+        Orchestrator(config, straight).simulate(3)
+    expected = _run_files(straight)
+    assert writes[-1] == "summary.json"
+
+    for n in range(1, len(writes) + 1):
+        killed = tmp_path / f"killed-{n}"
+        with monkeypatch.context() as m:
+            _kill_before_write(m, n)
+            with pytest.raises(_Killed):
+                Orchestrator(config, killed).simulate(3)
+        Orchestrator(config, killed).simulate(3)
+        files = _run_files(killed)
+        differ = sorted(k for k in expected.keys() | files.keys() if expected.get(k) != files.get(k))
+        assert differ == [], f"killed before write {n} ({writes[n - 1]})"
+        shutil.rmtree(killed)
+
+
 def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
     from conftest import make_event
 
@@ -580,7 +625,7 @@ def test_resolve_reads_back_questions_holding_a_line_separator(tmp_path):
     orch = Orchestrator(config, tmp_path / "run")
     assert orch.run_issue_phase(START).questions_issued == 4
     assert "\u2028" in orch.questions_path(START).read_text(encoding="utf-8")
-    report, _ = orch.run_resolve_phase(START)
+    report = orch.run_resolve_phase(START)
     assert report.outcomes_resolved == 4
 
 
@@ -591,7 +636,7 @@ def test_an_unreadable_answer_file_overrides_the_built_in_truth_for_its_key(tmp_
     )
     orch = Orchestrator(config, tmp_path / "run")
     issued = orch.run_issue_phase(START).questions_issued
-    report, _ = orch.run_resolve_phase(START)
+    report = orch.run_resolve_phase(START)
     assert issued > 0 and report.outcomes_resolved == 0
     assert report.unresolved_reasons == {"resolver_error": issued}
 
@@ -608,7 +653,7 @@ def test_resolve_phase_reads_only_the_batch_days_truth_file(tmp_path, monkeypatc
         "from_files",
         classmethod(lambda cls, paths: read.extend(p.name for p in paths) or real(cls, paths)),
     )
-    report, _ = orch.run_resolve_phase(START + timedelta(days=1))
+    report = orch.run_resolve_phase(START + timedelta(days=1))
     assert read == [f"truth-{(START + timedelta(days=1)).isoformat()}.jsonl"]
     assert report.outcomes_resolved > 0
 
@@ -1182,7 +1227,7 @@ def test_two_feeds_sharing_an_identifier_issue_it_once(tmp_path):
     assert report.feed_errors == 1 and report.questions_issued == 3
     issued = [row["resolver_metadata"]["identifier"] for row in read_jsonl(orch.questions_path(START))]
     assert sorted(issued) == ["evt-s0", "evt-s1", "evt-s2"]
-    assert orch.run_resolve_phase(START)[0].outcomes_resolved == 3
+    assert orch.run_resolve_phase(START).outcomes_resolved == 3
 
 
 def test_feed_events_that_build_no_question_are_counted_as_construct_errors(tmp_path):
