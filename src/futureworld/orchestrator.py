@@ -296,7 +296,9 @@ class Orchestrator:
         """Fetch, construct, filter, resample, render, and roll out one day.
 
         Re-run over an issued day, it completes the groups a crash left short
-        and writes the same report as an uninterrupted run.
+        and writes the same report as an uninterrupted run. Each agent's day
+        is released once appended: nothing reads it again before its resolve,
+        which replays it.
         """
         if self.questions_path(day).exists():
             # The pipeline counts were saved before the questions marker.
@@ -329,6 +331,7 @@ class Orchestrator:
             ]
             # One durable append per agent and day.
             self.ledger_for(agent_name).append_prefix_batch(day, prefixes)
+            self.ledger_for(agent_name).release(day)
             report.rollouts_recorded[agent_name] = len(prefixes) + sum(
                 len(recorded.get(q.id, ())) for q in questions
             )
@@ -421,15 +424,14 @@ class Orchestrator:
 
         The batch is the agent's day log for ``day``. A crash in its issue
         phase may have left groups short, or the issue report without the
-        rollout counts it writes last; the issue phase is re-run first to
-        complete them, so every exported group has K rollouts. Once its
-        export and metrics are taken the agent's ledger releases that day.
+        rollout counts it writes last; the issue phase is re-run before the
+        first backfill of an agent it left short, so every exported group has
+        K rollouts. Once its export and metrics are taken the agent's ledger
+        releases that day, so the ledgers hold one agent's day at a time.
         The cycle report is written last: it marks the batch as resolved.
         """
         questions = self._issued_questions(day)
         counted = read_json(self.issue_report_path(day))["rollouts_recorded"]
-        if any(a not in counted or self._short_groups(a, day, questions)[1] for a in self.config.agents):
-            self.run_issue_phase(day)
         now = self.config.resolve_at(day)
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
@@ -439,6 +441,8 @@ class Orchestrator:
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
         for agent_name in self.config.agents:
+            if agent_name not in counted or self._short_groups(agent_name, day, questions)[1]:
+                counted = self.run_issue_phase(day).rollouts_recorded
             ledger = self.ledger_for(agent_name)
             ledger.backfill(day, resolution.outcomes)
             ledger.discard(day, resolution.unresolved, now)
@@ -483,16 +487,17 @@ class Orchestrator:
     # -- benchmark phase -------------------------------------------------------
 
     def run_benchmark_phase(self, day: date) -> dict[str, Any]:
-        """Issue today's benchmark batch, then fill in what the run directory lacks.
+        """Issue and answer today's benchmark batch, then write the reports the run directory lacks.
 
-        Oldest first, each issued batch with no scoring report gets the answers
-        an agent lacks and the missing report of its issue or scoring evening
-        before today. A past day is never issued late: its answers would know its outcomes.
+        A batch is answered on its issue evening, before its issued marker, or
+        never: a past day is never issued or answered late, since its answers
+        would know its outcomes. Oldest first, each issued batch with no
+        scoring report gets the missing report of its issue or scoring evening
+        before today.
         """
         settings = self.config.benchmark
         bench_dir = self.run_dir / "benchmark"
         issued_path = bench_dir / f"issued-{day.isoformat()}.jsonl"
-        gold_path = bench_dir / f"gold-{day.isoformat()}.jsonl"
 
         if not issued_path.exists():
             pool, gold = generate_benchmark_pool(
@@ -502,8 +507,15 @@ class Orchestrator:
                 pool, settings.caps, derive_seed(self.config.seed, "bench-day", day.isoformat())
             )
             selected_ids = {q.id for q in selection}
-            # The issued file marks the day as issued, so it is written last.
-            write_jsonl(gold_path, (to_row(g) for g in gold if g.question_id in selected_ids))
+            selected_gold = {g.question_id: g for g in gold if g.question_id in selected_ids}
+            write_jsonl(bench_dir / f"gold-{day.isoformat()}.jsonl", map(to_row, selected_gold.values()))
+            for agent_name in self.config.agents:
+                answerer = self._benchmark_answerer(agent_name, selected_gold)
+                write_jsonl(
+                    bench_dir / f"preds-{agent_name}-{day.isoformat()}.jsonl",
+                    (to_row(answerer.answer(q, render_benchmark_prompt(q))) for q in selection),
+                )
+            # The issued file marks the day as issued and answered, so it is written last.
             write_jsonl(issued_path, map(to_row, selection))
 
         lag = timedelta(days=settings.lag_days)
@@ -511,27 +523,10 @@ class Orchestrator:
             issued = date.fromisoformat(path.stem.removeprefix("issued-"))
             if (bench_dir / f"benchmark-{(issued + lag).isoformat()}.json").exists():
                 continue  # scored, so nothing of this batch is missing
-            preds = {a: bench_dir / f"preds-{a}-{issued.isoformat()}.jsonl" for a in self.config.agents}
-            unanswered = {a: p for a, p in preds.items() if not p.exists()}
-            if unanswered:
-                questions, gold_records = self._benchmark_batch(issued)
-                for agent_name, preds_path in unanswered.items():
-                    answerer = self._benchmark_answerer(agent_name, gold_records)
-                    answers = [to_row(answerer.answer(q, render_benchmark_prompt(q))) for q in questions]
-                    write_jsonl(preds_path, answers)
             for evening in (issued, issued + lag):
                 if evening < day and not (bench_dir / f"benchmark-{evening.isoformat()}.json").exists():
                     self._write_benchmark_report(evening)
         return self._write_benchmark_report(day)
-
-    def _benchmark_batch(self, day: date) -> tuple[list[BenchmarkQuestion], dict[str, GoldRecord]]:
-        """The benchmark questions issued on ``day``, and their gold records by question id."""
-        questions = read_jsonl(self.run_dir / "benchmark" / f"issued-{day.isoformat()}.jsonl")
-        gold = read_jsonl(self.run_dir / "benchmark" / f"gold-{day.isoformat()}.jsonl")
-        return (
-            [from_row(BenchmarkQuestion, r) for r in questions],
-            {r["question_id"]: from_row(GoldRecord, r) for r in gold},
-        )
 
     def _write_benchmark_report(self, day: date) -> dict[str, Any]:
         """Write evening ``day``'s report: the batch it issued, if any, and the lagged batch's scores."""
@@ -547,9 +542,14 @@ class Orchestrator:
         }
 
         target_day = day - timedelta(days=self.config.benchmark.lag_days)
-        if (bench_dir / f"issued-{target_day.isoformat()}.jsonl").exists():
+        target_path = bench_dir / f"issued-{target_day.isoformat()}.jsonl"
+        if target_path.exists():
             report["scored_day"] = target_day.isoformat()
-            questions, target_gold = self._benchmark_batch(target_day)
+            questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(target_path)]
+            target_gold = {
+                r["question_id"]: from_row(GoldRecord, r)
+                for r in read_jsonl(bench_dir / f"gold-{target_day.isoformat()}.jsonl")
+            }
             for agent_name in self.config.agents:
                 preds_path = bench_dir / f"preds-{agent_name}-{target_day.isoformat()}.jsonl"
                 if not preds_path.exists():
@@ -635,10 +635,8 @@ class Orchestrator:
         is idempotent thanks to the phases' restartability. Every issued batch
         without a cycle report whose resolve time has passed is resolved,
         oldest first, so a missed evening or a call between the issue and
-        resolve times is caught up late. Nothing in the evening reads today's
-        issued day again, so it is released as soon as the issue phase
-        returns; the resolve phase releases the days it resolves. When the
-        call returns, no ledger holds a day.
+        resolve times is caught up late. The issue and resolve phases release
+        the days they hold, so when the call returns, no ledger holds a day.
         """
         now = now or datetime.now(timezone.utc)
         executed: list[str] = []
@@ -646,8 +644,6 @@ class Orchestrator:
         issue_due = now >= self.config.phase_datetime(today, self.config.issue_time)
         if issue_due:
             self.run_issue_phase(today)
-            for agent_name in self.config.agents:
-                self.ledger_for(agent_name).release(today)
             executed.append(f"issue:{today.isoformat()}")
         for path in sorted((self.run_dir / "questions").glob("questions-*.jsonl")):
             day = date.fromisoformat(path.stem.removeprefix("questions-"))

@@ -479,13 +479,45 @@ def test_an_evening_killed_after_its_questions_marker_is_finished_by_the_next_ev
                 Orchestrator(config, killed).run_due_phases(evening(2))
         files = next_three_evenings(killed)
         if i <= issued:  # the day's benchmark was never issued, and a past day is not issued late
-            # its gold, written before the issued marker, is an orphan like a sidecar before its marker
-            files.pop(f"benchmark/gold-{killed_day}.jsonl", None)
+            # its gold and answers, written before the issued marker, are orphans like a sidecar
+            # before its marker
+            for name in ("gold", *(f"preds-{agent}" for agent in config.agents)):
+                files.pop(f"benchmark/{name}-{killed_day}.jsonl", None)
             want = expected_unbenched
         else:
             want = expected
         differ = sorted(k for k in want.keys() | files.keys() if want.get(k) != files.get(k))
         assert differ == [], f"killed before write {i + 1} ({writes[i]})"
+
+
+def test_a_benchmark_batch_is_never_answered_after_its_issue_evening(tmp_path, monkeypatch):
+    # A later evening is past the batch's resolve time, so its answers could know the outcomes.
+    config = _config(seed=3, event_rate=40)
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    killed_day = (START + timedelta(days=2)).isoformat()
+    late_answers = {f"preds-{agent}-{killed_day}.jsonl" for agent in config.agents}
+    history = tmp_path / "history"
+    for offset in range(2):
+        Orchestrator(config, history).run_due_phases(evening(offset))
+    straight = tmp_path / "straight"
+    shutil.copytree(history, straight)
+    with monkeypatch.context() as m:
+        writes = _kill_before_write(m, 0)
+        Orchestrator(config, straight).run_due_phases(evening(2))
+
+    for i in range(writes.index(f"questions-{killed_day}.jsonl") + 1, len(writes)):
+        killed = tmp_path / f"killed-{i}"
+        shutil.copytree(history, killed)
+        with monkeypatch.context() as m:
+            _kill_before_write(m, i + 1)
+            with pytest.raises(_Killed):
+                Orchestrator(config, killed).run_due_phases(evening(2))
+        with monkeypatch.context() as m:
+            later_writes = _kill_before_write(m, 0)
+            for offset in range(3, 6):
+                Orchestrator(config, killed).run_due_phases(evening(offset))
+        assert late_answers.isdisjoint(later_writes), f"killed before write {i + 1} ({writes[i]})"
+        shutil.rmtree(killed)
 
 
 def _cut_append(monkeypatch, n, cut):
@@ -788,6 +820,26 @@ def test_cron_evenings_do_not_accumulate_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peaks[4] <= 1.15 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["complete", "repaired"])
+def test_the_resolve_phase_holds_one_agents_day_at_a_time(tmp_path, monkeypatch, torn):
+    config = _config(benchmark=BenchmarkSettings(enabled=False))
+    Orchestrator(config, tmp_path).run_issue_phase(START)
+    if torn:  # the resolve re-runs the issue phase for the first agent's short groups
+        log = tmp_path / "ledgers" / config.agents[0] / f"ledger-{START.isoformat()}.jsonl"
+        log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+    orch = Orchestrator(config, tmp_path)  # as `fw resolve` runs it, in a new process
+    held, day_of = [], TrajectoryLedger._day
+
+    def spied_day(ledger, day):
+        log = day_of(ledger, day)
+        held.append(sum(len(each._days) for each in orch._ledgers.values()))
+        return log
+
+    monkeypatch.setattr(TrajectoryLedger, "_day", spied_day)
+    orch.run_resolve_phase(START)
+    assert len(config.agents) == 2 and max(held) == 1
 
 
 def test_two_issue_days_on_one_utc_date_keep_their_own_logs_and_exports(tmp_path):
