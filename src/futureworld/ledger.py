@@ -43,6 +43,8 @@ Exports are training groups: for each question with resolved rollouts, the
 masked transcripts, rewards, and group-relative advantages of its RESOLVED
 trajectories. Tool and environment turns are masked; agent turns are not. The
 export yields each group as the row its line holds, and ``jsonl`` writes it.
+The same set in the same order, ``resolved_trajectories``, feeds the cycle
+metrics and the final scores.
 """
 
 from __future__ import annotations
@@ -454,6 +456,20 @@ class TrajectoryLedger:
     def questions_for_day(self, day: date) -> list[str]:
         return sorted(self._day(day).by_question)
 
+    def resolved_trajectories(self, day: date) -> list[Trajectory]:
+        """The RESOLVED trajectories of the batch issued on ``day``, in export order."""
+        return [s.trajectory for _, group in self._resolved_groups(day) for s in group]
+
+    def _resolved_groups(self, day: date) -> Iterator[tuple[str, list[_StoredTrajectory]]]:
+        """Each question of the day with RESOLVED trajectories, in id order, and those in rollout order."""
+        log = self._day(day)
+        for question_id in sorted(log.by_question):
+            group = [log.records[tid] for tid in log.by_question[question_id]]
+            resolved = [s for s in group if s.trajectory.status is TrajectoryStatus.RESOLVED]
+            if resolved:
+                resolved.sort(key=lambda s: s.trajectory.rollout_index)
+                yield question_id, resolved
+
     def all_trajectories(self) -> list[Trajectory]:
         """Every trajectory, in (log day, log order), whichever days were read first."""
         return [rec.trajectory for log in self._all_days() for rec in log.records.values()]
@@ -490,17 +506,11 @@ class TrajectoryLedger:
         the same outcomes changes nothing and returns 0. An unknown question or a
         conflicting outcome (different label) rejects the batch before any write.
         """
-        labels: dict[str, int] = {}
+        labels = {qid: group[0].trajectory.label for qid, group in self._resolved_groups(day)}
         for outcome in outcomes:
-            qid = outcome.question_id
-            if qid not in labels:
-                resolved = [
-                    t.label for t in self.trajectories_for(day, qid)
-                    if t.status is TrajectoryStatus.RESOLVED
-                ]
-                labels[qid] = resolved[0] if resolved else outcome.label
-            if labels[qid] != outcome.label:
-                raise ConflictingOutcomeError(f"question {qid} resolved with label {labels[qid]}")
+            label = labels.setdefault(outcome.question_id, outcome.label)
+            if label != outcome.label:
+                raise ConflictingOutcomeError(f"question {outcome.question_id} resolved with label {label}")
         encode = canonical_encoder()
         records = []
         for outcome, pending in self._pending(day, outcomes):
@@ -558,16 +568,7 @@ class TrajectoryLedger:
         still pending question is absent from the batch. Groups come one at a
         time, in question-id order.
         """
-        log = self._day(day)
-        for question_id in sorted(log.by_question):
-            resolved = [
-                log.records[tid]
-                for tid in log.by_question[question_id]
-                if log.records[tid].trajectory.status is TrajectoryStatus.RESOLVED
-            ]
-            if not resolved:
-                continue
-            resolved.sort(key=lambda s: s.trajectory.rollout_index)
+        for question_id, resolved in self._resolved_groups(day):
             rewards = [s.trajectory.reward for s in resolved]
             advantages = compute_group_advantages(rewards)
             yield {

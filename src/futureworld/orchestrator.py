@@ -7,14 +7,14 @@ into the stored prefixes; questions whose outcomes could not be retrieved are
 discarded and excluded from training and scoring. The daily benchmark runs on
 its own two-day resolution lag.
 
-One loop schedules the phases: the cron evening ``run_due_phases`` runs
-each phase whose time has passed, releases the day it issued at once, and
-resolves only batches without a cycle report. ``simulate`` is D such
-evenings on a virtual clock (no waiting, deterministic given the seed), then
-the last day's resolve and a summary whose final scores replay the resolved
-batches. Both run the scripted agents and the simulated search tool, each
-built in one place below, and the rule-based question filter. Every phase is
-a pure function of (config, ledger state, day), so a run can be killed
+One loop schedules the phases: the cron evening ``run_due_phases`` runs each
+phase whose time has passed and resolves only batches without a cycle report;
+the issue phase releases each agent's day once it is appended. ``simulate`` is
+D such evenings on a virtual clock (no waiting, deterministic given the seed),
+then the last day's resolve and a summary whose final scores replay the
+resolved batches. Both run the scripted agents and the simulated search tool,
+each built in one place below, and the rule-based question filter. Every phase
+is a pure function of (config, ledger state, day), so a run can be killed
 between phases and re-invoked without changing the final ledger.
 """
 
@@ -38,7 +38,7 @@ from .benchmark import (
     generate_benchmark_pool,
     score_benchmark_batch,
 )
-from .domain import Question, TrajectoryStatus
+from .domain import Question
 from .embedding import HashingEmbedder
 from .jsonl import from_row, read_json, read_jsonl, to_row, write_json, write_jsonl
 from .ledger import TrajectoryLedger, write_training_batch
@@ -61,7 +61,7 @@ from .qpipeline import (
 )
 from .resolve import SyntheticTruthResolver, answer_file_resolvers, resolve_batch
 from .rollout import RolloutLimits, run_group
-from .scoring import ProbPrediction, ScoreReport, sum_in_order, summarize_probabilistic
+from .scoring import ProbPrediction, ScoreReport, summarize_probabilistic
 from .seeding import derive_seed
 from .sources import fetch_all, write_truth_file
 
@@ -80,6 +80,9 @@ class BenchmarkSettings:
     def __post_init__(self) -> None:
         if self.lag_days < 1:  # a batch resolves the day after it is issued
             raise ValueError(f"lag_days must be at least 1, got {self.lag_days}")
+        for agent, skill in self.skills.items():
+            if not 0.0 <= skill <= 1.0:
+                raise ValueError(f"skills.{agent} must lie in [0, 1], got {skill}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +193,17 @@ def _parse_clock(text: str, name: str = "clock time") -> time:
         raise ValueError(f"{name} must be a 24-hour HH:MM time, got {text!r}") from None
 
 
-def _batch_metrics(preds: Sequence[ProbPrediction], rewards: Sequence[float]) -> dict[str, Any]:
-    """A resolved batch's cycle-report metrics, from its pairs and rewards in log order."""
+def _resolved_pairs(ledger: TrajectoryLedger, day: date) -> list[ProbPrediction]:
+    """The (probability, label) pairs of the batch issued on ``day``, in export order."""
+    return [ProbPrediction(t.final_probability, t.label) for t in ledger.resolved_trajectories(day)]
+
+
+def _batch_metrics(preds: Sequence[ProbPrediction]) -> dict[str, Any]:
+    """A resolved batch's cycle-report metrics, from its pairs in export order.
+
+    The mean reward is the negated Brier score, exactly: no reward is positive,
+    and ``0.0 -`` keeps a batch of zero rewards at ``+0.0``.
+    """
     if not preds:
         return {"n": 0, "accuracy": None, "brier": None, "ece": None, "mean_reward": None}
     summary = summarize_probabilistic(preds, with_intervals=False)
@@ -200,7 +212,7 @@ def _batch_metrics(preds: Sequence[ProbPrediction], rewards: Sequence[float]) ->
         "accuracy": summary.accuracy,
         "brier": summary.brier,
         "ece": summary.ece,
-        "mean_reward": sum_in_order(rewards) / len(rewards),
+        "mean_reward": 0.0 - summary.brier,
     }
 
 
@@ -428,7 +440,8 @@ class Orchestrator:
         first backfill of an agent it left short, so every exported group has
         K rollouts. Once its export and metrics are taken the agent's ledger
         releases that day, so the ledgers hold one agent's day at a time.
-        The cycle report is written last: it marks the batch as resolved.
+        The cycle report takes its rollout counts from the issue report and
+        is written last: it marks the batch as resolved.
         """
         questions = self._issued_questions(day)
         counted = read_json(self.issue_report_path(day))["rollouts_recorded"]
@@ -436,8 +449,6 @@ class Orchestrator:
         registry = self._resolver_registry(day)
         resolution = resolve_batch(questions, registry, now)
 
-        batch_qids = sorted(q.id for q in questions)
-        rollouts: dict[str, int] = {}
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
         for agent_name in self.config.agents:
@@ -447,20 +458,13 @@ class Orchestrator:
             ledger.backfill(day, resolution.outcomes)
             ledger.discard(day, resolution.unresolved, now)
             groups_exported[agent_name] = self.write_export(agent_name, day)
-
-            # Sorted question ids give the ledger's insertion order, which
-            # the order-sensitive metrics depend on.
-            batch = [t for qid in batch_qids for t in ledger.trajectories_for(day, qid)]
-            rollouts[agent_name] = len(batch)
-            batch = [t for t in batch if t.status is TrajectoryStatus.RESOLVED]
-            preds = [ProbPrediction(prob=t.final_probability, label=t.label) for t in batch]
-            metrics[agent_name] = _batch_metrics(preds, [t.reward for t in batch])
+            metrics[agent_name] = _batch_metrics(_resolved_pairs(ledger, day))
             ledger.release(day)
 
         report = CycleReport(
             day=day,
             questions_issued=len(questions),
-            rollouts_recorded=rollouts,
+            rollouts_recorded={agent: counted[agent] for agent in self.config.agents},
             outcomes_resolved=len(resolution.outcomes),
             unresolved_count=len(resolution.unresolved),
             unresolved_reasons=resolution.unresolved_reasons(),
@@ -597,8 +601,9 @@ class Orchestrator:
 
         The cycles and benchmarks are the report files, oldest first. Each
         agent's final report scores the RESOLVED rollouts of every resolved
-        batch, replayed one day at a time in question-id order, which is the
-        order of a whole-ledger replay, so the bootstrap intervals match one.
+        batch, replayed a day at a time and walked in export order, as its
+        export and cycle metrics are; every flow appends in rollout order, so
+        that is a whole-ledger replay's order and the intervals match one.
         """
         reports_dir, bench_dir = self.run_dir / "reports", self.run_dir / "benchmark"
         cycles = [from_row(CycleReport, read_json(p)) for p in sorted(reports_dir.glob("cycle-*.json"))]
@@ -608,12 +613,7 @@ class Orchestrator:
             ledger = self.ledger_for(agent_name)
             preds: list[ProbPrediction] = []
             for report in cycles:
-                preds += [
-                    ProbPrediction(prob=t.final_probability, label=t.label)
-                    for qid in ledger.questions_for_day(report.day)
-                    for t in ledger.trajectories_for(report.day, qid)
-                    if t.status is TrajectoryStatus.RESOLVED
-                ]
+                preds += _resolved_pairs(ledger, report.day)
                 ledger.release(report.day)
             seed = derive_seed(self.config.seed, "final-ci", agent_name)
             final[agent_name] = summarize_probabilistic(preds, seed=seed) if preds else ScoreReport()

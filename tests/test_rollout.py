@@ -10,6 +10,7 @@ from futureworld.agents import (
     make_scripted_agent,
     question_text_from_prompt,
 )
+from futureworld import rollout
 from futureworld.domain import TrajectoryStatus
 from futureworld.prompts import render_prediction_prompt
 from futureworld.rollout import (
@@ -149,6 +150,56 @@ def test_agent_transport_failure_recorded_not_dropped(question):
     assert "transport failure" in result.failure
     assert result.trajectory.status is TrajectoryStatus.PENDING
     assert result.trajectory.final_probability is None
+
+
+class _FakeClock:
+    """A monotonic clock that moves only when a test moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_a_move_returning_after_the_per_move_timeout_ends_the_rollout_invalid(question, monkeypatch):
+    clock = _FakeClock()
+    monkeypatch.setattr(rollout, "_time", clock)
+
+    class SlowSecondMove(PlaybackAgent):
+        def act(self, trajectory_id, turns):
+            if self.calls == 1:
+                clock.now += LIMITS.per_move_timeout + 1.0
+            return super().act(trajectory_id, turns)
+
+    agent = SlowSecondMove(
+        [AgentMove(kind="search", query="dallas weather"), AgentMove(kind="final", answer="FINAL: 0.7")]
+    )
+    result = run_rollout(_prompt(question), question, agent, EchoSearch(), LIMITS, 0)
+    t = result.trajectory
+    assert result.failure == "per-move timeout exceeded"
+    assert t.final_probability is None and t.raw_final_answer == ""
+    assert [s.action for s in t.steps] == ["dallas weather"]
+    assert t.resolved(1).reward == t.resolved(0).reward == -1.0
+
+
+@pytest.mark.parametrize(
+    "moves, failure",
+    [
+        ([AgentMove(kind="search", query="again")], "step limit exceeded"),
+        ([AgentMove(kind="final", answer="FINAL: 0.9")], "final answer before required searches, twice"),
+        (
+            [AgentMove(kind="final", answer="FINAL: 0.9"), AgentMove(kind="search", query="again")],
+            "step limit exceeded",
+        ),
+    ],
+    ids=["always-searches", "always-answers-early", "answers-early-once-then-searches"],
+)
+def test_a_rollout_ends_within_max_steps_plus_two_moves(question, moves, failure):
+    agent = PlaybackAgent(moves)
+    result = run_rollout(_prompt(question), question, agent, EchoSearch(), LIMITS, 0)
+    assert result.failure == failure
+    assert agent.calls <= LIMITS.max_steps + 2
 
 
 class _FailingSearch:
