@@ -3,19 +3,22 @@
 Commands mirror the pipeline stages so a crashed cycle can be resumed one
 phase at a time: ingest, issue, resolve, benchmark, export, score, plus the
 cron evening on the wall clock (cycle) or on a virtual clock (simulate).
+The issue, resolve and benchmark commands run their phase for one day and
+print the report file the phase wrote. simulate's --seed, --agents and
+--questions-per-day replace only those fields of its --config.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
 from .agents import SCRIPTED_AGENTS
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
-from .jsonl import from_row, read_jsonl, to_row, write_json, write_jsonl
+from .jsonl import from_row, read_jsonl, read_lines, to_row, write_json, write_jsonl
 from .ledger import LedgerError
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
@@ -29,8 +32,10 @@ def _load_config(path: str | None) -> CycleConfig:
     return CycleConfig.from_yaml(Path(path))
 
 
-def _orchestrator(args: argparse.Namespace) -> Orchestrator:
-    return Orchestrator(_load_config(args.config), Path(args.run_dir))
+def _orchestrator(args: argparse.Namespace, **overrides: object) -> Orchestrator:
+    """The run directory's orchestrator; each override that is not None replaces its config field."""
+    changes = {name: value for name, value in overrides.items() if value is not None}
+    return Orchestrator(replace(_load_config(args.config), **changes), Path(args.run_dir))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -45,21 +50,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_issue(args: argparse.Namespace) -> int:
-    report = _orchestrator(args).run_issue_phase(date.fromisoformat(args.day))
-    print(json.dumps(to_row(report), indent=1, sort_keys=True))
-    return 0
-
-
-def _cmd_resolve(args: argparse.Namespace) -> int:
-    report = _orchestrator(args).run_resolve_phase(date.fromisoformat(args.day))
-    print(json.dumps(to_row(report), indent=1, sort_keys=True))
-    return 0
-
-
-def _cmd_benchmark(args: argparse.Namespace) -> int:
-    report = _orchestrator(args).run_benchmark_phase(date.fromisoformat(args.day))
-    print(json.dumps(report, indent=1, sort_keys=True))
+def _cmd_phase(args: argparse.Namespace) -> int:
+    """Run the command's phase for the day and print the report file it wrote."""
+    orch = _orchestrator(args)
+    day = date.fromisoformat(args.day)
+    args.phase(orch, day)
+    sys.stdout.writelines(read_lines(args.report_path(orch, day)))
     return 0
 
 
@@ -144,17 +140,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    from dataclasses import replace
-
-    config = replace(
-        config,
-        seed=args.seed if args.seed is not None else config.seed,
-        agents=tuple(args.agents.split(",")) if args.agents is not None else config.agents,
+    orch = _orchestrator(
+        args, seed=args.seed, agents=args.agents, questions_per_day=args.questions_per_day
     )
-    if args.questions_per_day is not None:
-        config = replace(config, questions_per_day=args.questions_per_day)
-    orch = Orchestrator(config, Path(args.run_dir))
     result = orch.simulate(args.days)
     print(f"simulated {args.days} days in {result.elapsed_seconds:.1f}s -> {result.run_dir}")
     for agent, report in result.final_reports.items():
@@ -188,17 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("issue", help="run the issue phase for a day")
-    common(p)
-    p.set_defaults(func=_cmd_issue)
-
-    p = sub.add_parser("resolve", help="resolve and backfill a day's batch")
-    common(p)
-    p.set_defaults(func=_cmd_resolve)
-
-    p = sub.add_parser("benchmark", help="issue and lag-score the daily benchmark")
-    common(p)
-    p.set_defaults(func=_cmd_benchmark)
+    for name, help_text, phase, report_path in (
+        ("issue", "run the issue phase for a day", Orchestrator.run_issue_phase,
+         Orchestrator.issue_report_path),
+        ("resolve", "resolve and backfill a day's batch", Orchestrator.run_resolve_phase,
+         Orchestrator.cycle_report_path),
+        ("benchmark", "issue and lag-score the daily benchmark", Orchestrator.run_benchmark_phase,
+         Orchestrator.benchmark_report_path),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(func=_cmd_phase, phase=phase, report_path=report_path)
 
     p = sub.add_parser("export", help="re-export training groups for a day")
     common(p)
@@ -215,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a closed-loop multi-day simulation")
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--agents", default=None, help="comma list: " + ",".join(SCRIPTED_AGENTS))
+    p.add_argument(
+        "--agents", type=lambda text: tuple(text.split(",")), default=None,
+        help="comma list: " + ",".join(SCRIPTED_AGENTS),
+    )
     p.add_argument("--questions-per-day", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--run-dir", default="fw-run")

@@ -292,6 +292,9 @@ class Orchestrator:
     def cycle_report_path(self, day: date) -> Path:
         return self.report_path(f"cycle-{day.isoformat()}.json")
 
+    def benchmark_report_path(self, day: date) -> Path:
+        return self.run_dir / "benchmark" / f"benchmark-{day.isoformat()}.json"
+
     def ledger_for(self, agent: str) -> TrajectoryLedger:
         if agent not in self._ledgers:
             self._ledgers[agent] = TrajectoryLedger(self.run_dir / "ledgers" / agent)
@@ -307,19 +310,19 @@ class Orchestrator:
     def run_issue_phase(self, day: date) -> IssueReport:
         """Fetch, construct, filter, resample, render, and roll out one day.
 
-        Re-run over an issued day, it completes the groups a crash left short
-        and writes the same report as an uninterrupted run. Each agent's day
-        is released once appended: nothing reads it again before its resolve,
+        A day without its questions file is built first. Then every run, fresh
+        or a repair, reads the day's counts and questions back from the run
+        directory and runs only the rollouts the agents' day logs lack, so it
+        writes the report an uninterrupted run writes. Each agent's day is
+        released once appended: nothing reads it again before its resolve,
         which replays it.
         """
-        if self.questions_path(day).exists():
-            # The pipeline counts were saved before the questions marker.
-            saved = read_json(self.issue_report_path(day))
-            report = from_row(IssueReport, {**saved, "rollouts_recorded": {}})
-            questions = self._issued_questions(day)
-        else:
-            report = IssueReport(day=day)
-            questions = self._build_questions(day, report)
+        if not self.questions_path(day).exists():
+            self._build_questions(day)
+        # The pipeline counts were saved before the questions marker.
+        saved = read_json(self.issue_report_path(day))
+        report = from_row(IssueReport, {**saved, "rollouts_recorded": {}})
+        questions = self._issued_questions(day)
 
         search_tool = self._search_tool_for(day, questions)
         for agent_name in self.config.agents:
@@ -370,7 +373,9 @@ class Orchestrator:
         ]
         return recorded, short
 
-    def _build_questions(self, day: date, report: IssueReport) -> list[Question]:
+    def _build_questions(self, day: date) -> None:
+        """Write the day's truth and hint sidecars, pipeline counts and questions."""
+        report = IssueReport(day=day)
         fetched = fetch_all(self.config, day)
         report.candidates = len(fetched.events)
         report.feed_errors = len(fetched.errors)
@@ -405,12 +410,10 @@ class Orchestrator:
             self.embedder,
             derive_seed(self.config.seed, "resample", day.isoformat()),
         )
-        questions = [p.question for p in selected]
-        report.questions_issued = len(questions)
+        report.questions_issued = len(selected)
         # The questions file marks the day as issued, so it is written last.
         write_json(self.issue_report_path(day), to_row(report))
-        write_jsonl(self.questions_path(day), map(to_row, questions))
-        return questions
+        write_jsonl(self.questions_path(day), (to_row(p.question) for p in selected))
 
     def _search_tool_for(self, day: date, questions: Sequence[Question]) -> SimulatedSearchTool:
         latent_by_identifier: dict[str, float] = {}
@@ -525,10 +528,10 @@ class Orchestrator:
         lag = timedelta(days=settings.lag_days)
         for path in sorted(bench_dir.glob("issued-*.jsonl")):
             issued = date.fromisoformat(path.stem.removeprefix("issued-"))
-            if (bench_dir / f"benchmark-{(issued + lag).isoformat()}.json").exists():
+            if self.benchmark_report_path(issued + lag).exists():
                 continue  # scored, so nothing of this batch is missing
             for evening in (issued, issued + lag):
-                if evening < day and not (bench_dir / f"benchmark-{evening.isoformat()}.json").exists():
+                if evening < day and not self.benchmark_report_path(evening).exists():
                     self._write_benchmark_report(evening)
         return self._write_benchmark_report(day)
 
@@ -565,7 +568,7 @@ class Orchestrator:
                 score = score_benchmark_batch(questions, answers, target_gold)
                 report["scores"][agent_name] = to_row(score)
 
-        write_json(bench_dir / f"benchmark-{day.isoformat()}.json", report)
+        write_json(self.benchmark_report_path(day), report)
         return report
 
     def _benchmark_answerer(self, agent_name: str, gold: Mapping[str, GoldRecord]):

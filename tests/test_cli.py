@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -32,17 +33,35 @@ def test_simulate_issue_resolve_export_cycle(tmp_path, capsys):
     assert rows and f"constant: {len(rows)} groups -> " in out
 
 
-def test_resolve_command_prints_the_cycle_report_it_writes(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, before, day, report, filled",
+    [
+        ("issue", [], "2026-03-02", "reports/issue-2026-03-02.json", "rollouts_recorded"),
+        ("resolve", ["issue"], "2026-03-02", "reports/cycle-2026-03-02.json", "outcomes_resolved"),
+        # the scoring evening of the first day's batch, so its scores are filled
+        (
+            "benchmark", ["benchmark", "benchmark"], "2026-03-04",
+            "benchmark/benchmark-2026-03-04.json", "scores",
+        ),
+    ],
+    ids=["issue", "resolve", "benchmark"],
+)
+def test_each_phase_command_prints_the_report_file_it_writes(
+    tmp_path, capsys, command, before, day, report, filled
+):
     run_dir = tmp_path / "run"
     config = tmp_path / "config.yaml"
     config.write_text("seed: 11\nquestions_per_day: 8\nevent_rate: 40\nagents: [oracle, constant]\n")
-    args = ["--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]
-    assert main(["issue", *args]) == 0
+    for n, name in enumerate(before):
+        earlier = (date(2026, 3, 2) + timedelta(days=n)).isoformat()
+        assert main([name, "--config", str(config), "--run-dir", str(run_dir), "--day", earlier]) == 0
     capsys.readouterr()
-    assert main(["resolve", *args]) == 0
-    printed = capsys.readouterr().out
-    assert printed == (run_dir / "reports" / "cycle-2026-03-02.json").read_text()
-    assert json.loads(printed)["metrics"]["oracle"]["n"] > 0
+    # the first run does the day's phase, the second runs it over the day it did
+    for _ in range(2):
+        assert main([command, "--config", str(config), "--run-dir", str(run_dir), "--day", day]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == (run_dir / report).read_bytes()
+        assert json.loads(printed)[filled]
 
 
 def test_export_command_writes_the_resolve_phases_groups_west_of_utc(tmp_path, capsys):
@@ -125,6 +144,22 @@ def test_simulate_command_prints_reports(tmp_path, capsys):
     assert "simulated 1 days" in out
     assert "[constant]" in out
     assert list((tmp_path / "sim").rglob("*.txt")) == []  # every report is its JSON record
+
+
+def test_simulate_flags_replace_only_the_config_fields_they_name(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "seed: 3\nquestions_per_day: 8\nevent_rate: 40\nagents: [oracle]\nbenchmark: {enabled: false}\n"
+    )
+    run_dir = tmp_path / "run"
+    flags = ["--seed", "5", "--agents", "constant", "--run-dir", str(run_dir)]
+    assert main(["simulate", "--days", "1", "--config", str(config), *flags]) == 0
+    assert not (run_dir / "benchmark").exists()
+    assert [p.name for p in (run_dir / "ledgers").iterdir()] == ["constant"]
+    expected = tmp_path / "expected"
+    Orchestrator(replace(CycleConfig.from_yaml(config), seed=5, agents=("constant",)), expected).simulate(1)
+    questions = "questions/questions-2026-03-02.jsonl"
+    assert (run_dir / questions).read_bytes() == (expected / questions).read_bytes()
 
 
 def test_simulate_command_refuses_an_empty_agent_list(tmp_path, capsys):
