@@ -174,7 +174,7 @@ class SeededAnswerer:
     seed: int = 0
     gold: Mapping[str, GoldRecord] = field(default_factory=dict)
 
-    def answer(self, question: BenchmarkQuestion, prompt: str = "") -> BenchmarkAnswer:
+    def answer(self, question: BenchmarkQuestion) -> BenchmarkAnswer:
         rng = random.Random(derive_seed(self.seed, "bench-answer", self.name, question.id))
         record = self.gold.get(question.id)
         if question.qtype == NUMERIC:
@@ -203,7 +203,7 @@ class DegenerateAnswerer:
 
     name: str = "degenerate"
 
-    def answer(self, question: BenchmarkQuestion, prompt: str = "") -> BenchmarkAnswer:
+    def answer(self, question: BenchmarkQuestion) -> BenchmarkAnswer:
         if question.qtype == BINARY_CHOICE:
             return BenchmarkAnswer(question.id, question.qtype, selected=(0, 1))
         if question.qtype == NUMERIC:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
-from datetime import date
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .agents import SCRIPTED_AGENTS
@@ -143,8 +144,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     orch = _orchestrator(
         args, seed=args.seed, agents=args.agents, questions_per_day=args.questions_per_day
     )
+    started = time.monotonic()
     result = orch.simulate(args.days)
-    print(f"simulated {args.days} days in {result.elapsed_seconds:.1f}s -> {result.run_dir}")
+    print(f"simulated {args.days} days in {time.monotonic() - started:.1f}s -> {orch.run_dir}")
     for agent, report in result.final_reports.items():
         print(f"[{agent}]")
         print(report.render_text())
@@ -155,7 +157,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     if not args.live:
         print("cycle currently supports --live only; use simulate for virtual runs", file=sys.stderr)
         return 2
-    executed = _orchestrator(args).run_due_phases()
+    executed = _orchestrator(args).run_due_phases(datetime.now(timezone.utc))
     print("executed: " + (", ".join(executed) if executed else "nothing due"))
     return 0
 

@@ -7,12 +7,15 @@ DISCARD. Storage is one append-only JSONL log per batch, named by the day
 its caller issued it on, and nothing else; replaying the logs reconstructs
 the live state exactly, and any prefix of a log is a consistent state. Every
 write call appends its records to one log and fsyncs once before it returns.
-A torn final line left by a crashed writer is skipped by replay and cut off
-before the next append to that log; an append that raises drops the day's
-replayed state, so the next use replays the log from disk. Replay refuses every other record the
-appender could not have written, with ``ReplayError`` and its ``sequence_no``,
-such as a BACKFILL whose label is not the integer 0 or 1 or whose reward is
-not the one ``Trajectory.resolved`` derives from that label.
+The appender writes only whole lines, so a crashed writer leaves at most a
+torn final line, one without its newline: replay skips it and the next
+append to that log cuts it off. An append that raises drops the day's
+replayed state, so the next use replays the log from disk. Replay refuses,
+never truncating it, every complete line the appender could not have
+written: with ``ReplayError`` and its line number a line that does not
+decode, blank or not, and with its ``sequence_no`` a record such as a
+BACKFILL whose label is not 0 or 1 or whose reward is not the one
+``Trajectory.resolved`` derives from that label.
 
 Logs are replayed lazily, one day at a time: every lookup by question or
 trajectory names its log day, and a day's log is read the first time that
@@ -601,11 +604,11 @@ def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Opti
 
     Only newline-terminated lines are records, and only the bytes ``\\n``
     end a line. The log is streamed: neither its bytes nor its records are
-    held. Returns, when the log ends in a torn line from a crashed writer,
-    the byte length up to the end of its last complete line (else None); the
-    prefix up to there is consistent. A malformed line raises
-    ``ReplayError`` unless it is the last line and nothing but whitespace
-    follows it, in which case it is the torn line.
+    held. Only an unterminated final line, all a crashed appender leaves, is
+    torn: then this returns the byte length up to the end of the last
+    complete line (else None), and the prefix up to there is consistent. A
+    complete line that does not decode, blank or not, raises ``ReplayError``
+    naming its line number.
     """
     complete_bytes = 0
     decode = json.JSONDecoder().decode
@@ -613,15 +616,11 @@ def read_log_records(path: Path, fold: Callable[[dict[str, Any]], None]) -> Opti
         for number, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
                 return complete_bytes  # an unterminated tail is torn, even if it parses
-            if not line.isspace():
-                try:
-                    record = decode(line.decode())
-                except ValueError:
-                    rest = fh.readline()
-                    if rest.endswith(b"\n") or rest.strip():
-                        raise ReplayError(f"malformed record at line {number} of {path}")
-                    return complete_bytes
-                fold(record)
+            try:
+                record = decode(line.decode())
+            except ValueError:
+                raise ReplayError(f"malformed record at line {number} of {path}") from None
+            fold(record)
             complete_bytes += len(line)
     return None
 

@@ -7,25 +7,25 @@ into the stored prefixes; questions whose outcomes could not be retrieved are
 discarded and excluded from training and scoring. The daily benchmark runs on
 its own two-day resolution lag.
 
-One loop schedules the phases: the cron evening ``run_due_phases`` runs each
-phase whose time has passed and resolves only batches without a cycle report;
-the issue phase releases each agent's day once it is appended. ``simulate`` is
-D such evenings on a virtual clock (no waiting, deterministic given the seed),
-then the last day's resolve and a summary whose final scores replay the
-resolved batches. Both run the scripted agents and the simulated search tool,
-each built in one place below, and the rule-based question filter. Every phase
-is a pure function of (config, ledger state, day), so a run can be killed
-between phases and re-invoked without changing the final ledger.
+One loop schedules the phases: the cron evening ``run_due_phases(now)`` runs
+each phase whose time has passed and resolves only batches without a cycle
+report; the issue phase releases each agent's day once it is appended.
+``simulate`` is D such evenings on a virtual clock (no waiting, deterministic
+given the seed), then the last day's resolve and a summary whose final scores
+replay the resolved batches. Both run the scripted agents and the simulated
+search tool, each built in one place below, and the rule-based question
+filter. Every phase is a function of config, run directory and instant whose
+only effect is its writes, so a run can be killed between phases and
+re-invoked without changing the final ledger.
 """
 
 from __future__ import annotations
 
-import time as _walltime
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import SCRIPTED_AGENTS, SimulatedSearchTool, make_scripted_agent
@@ -45,7 +45,6 @@ from .ledger import TrajectoryLedger, write_training_batch
 from .prompts import (
     BenchmarkCaps,
     BenchmarkQuestion,
-    render_benchmark_prompt,
     render_prediction_prompt,
     select_daily_benchmark,
 )
@@ -247,26 +246,22 @@ class CycleReport:
 
 @dataclass
 class SimulationResult:
-    run_dir: Path
     cycle_reports: list[CycleReport]
     benchmark_reports: list[dict[str, Any]]
     final_reports: dict[str, ScoreReport]
-    elapsed_seconds: float
 
 
 class Orchestrator:
     """Drives the phases against one run directory.
 
     All state lives on disk (question batches, sidecars, ledgers, exports,
-    reports); constructing an orchestrator over an existing run directory
-    resumes exactly where the previous process stopped.
+    reports); constructing an orchestrator reads and creates nothing, and
+    one over an existing run directory resumes where the last one stopped.
     """
 
     def __init__(self, config: CycleConfig, run_dir: Path):
         self.config = config
         self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.embedder = HashingEmbedder(seed=config.seed)
         self._ledgers: dict[str, TrajectoryLedger] = {}
 
     # -- paths ---------------------------------------------------------------
@@ -407,7 +402,7 @@ class Orchestrator:
             kept,
             self.config.questions_per_day,
             self.config.domain_rules,
-            self.embedder,
+            HashingEmbedder(seed=self.config.seed),
             derive_seed(self.config.seed, "resample", day.isoformat()),
         )
         report.questions_issued = len(selected)
@@ -520,7 +515,7 @@ class Orchestrator:
                 answerer = self._benchmark_answerer(agent_name, selected_gold)
                 write_jsonl(
                     bench_dir / f"preds-{agent_name}-{day.isoformat()}.jsonl",
-                    (to_row(answerer.answer(q, render_benchmark_prompt(q))) for q in selection),
+                    (to_row(answerer.answer(q)) for q in selection),
                 )
             # The issued file marks the day as issued and answered, so it is written last.
             write_jsonl(issued_path, map(to_row, selection))
@@ -586,27 +581,27 @@ class Orchestrator:
         at the later of the day's issue and resolve times, so a simulation
         releases each issue day as an evening does and resolves only batches
         without a cycle report. The last day's batch is resolved after the
-        last evening; then the summary is written from the run directory.
+        last evening; then the summary is written from the run directory,
+        and its parts are returned. A caller that wants the duration times it.
         """
         if days < 1:
             raise ValueError("simulation needs at least one day")
-        started = _walltime.monotonic()
         clocks = (self.config.issue_time, self.config.resolve_time)
         for offset in range(days):
             day = self.config.start_day + timedelta(days=offset)
             self.run_due_phases(max(self.config.phase_datetime(day, clock) for clock in clocks))
         self.run_resolve_phase(day)
-        reports = self.write_summary()
-        return SimulationResult(self.run_dir, *reports, _walltime.monotonic() - started)
+        return self.write_summary()
 
-    def write_summary(self) -> tuple[list[CycleReport], list[dict[str, Any]], dict[str, ScoreReport]]:
-        """Write ``reports/summary.json`` from the run directory alone; returns its parts.
+    def write_summary(self) -> SimulationResult:
+        """Write ``reports/summary.json`` from the run directory alone; return its parts.
 
         The cycles and benchmarks are the report files, oldest first. Each
         agent's final report scores the RESOLVED rollouts of every resolved
         batch, replayed a day at a time and walked in export order, as its
         export and cycle metrics are; every flow appends in rollout order, so
         that is a whole-ledger replay's order and the intervals match one.
+        ``simulate`` returns these parts as they are.
         """
         reports_dir, bench_dir = self.run_dir / "reports", self.run_dir / "benchmark"
         cycles = [from_row(CycleReport, read_json(p)) for p in sorted(reports_dir.glob("cycle-*.json"))]
@@ -627,21 +622,21 @@ class Orchestrator:
             "final": {agent: to_row(report) for agent, report in final.items()},
         }
         write_json(self.report_path("summary.json"), summary)
-        return cycles, benchmarks, final
+        return SimulationResult(cycles, benchmarks, final)
 
     # -- the cron evening ---------------------------------------------------------
 
-    def run_due_phases(self, now: Optional[datetime] = None) -> list[str]:
-        """The cron evening: run every phase due by ``now``, the wall clock by default.
+    def run_due_phases(self, now: datetime) -> list[str]:
+        """The cron evening: run every phase due by the aware instant ``now``.
 
-        Intended to be invoked periodically (or once per evening); each call
-        is idempotent thanks to the phases' restartability. Every issued batch
-        without a cycle report whose resolve time has passed is resolved,
-        oldest first, so a missed evening or a call between the issue and
-        resolve times is caught up late. The issue and resolve phases release
-        the days they hold, so when the call returns, no ledger holds a day.
+        ``fw cycle --live`` passes the wall clock, ``simulate`` a virtual one.
+        Each call is idempotent thanks to the phases' restartability. Every
+        issued batch without a cycle report whose resolve time has passed is
+        resolved, oldest first, so a missed evening or a call between the
+        issue and resolve times is caught up late. The issue and resolve
+        phases release the days they hold, so when the call returns, no
+        ledger holds a day.
         """
-        now = now or datetime.now(timezone.utc)
         executed: list[str] = []
         today = now.astimezone(self.config.zone).date()
         issue_due = now >= self.config.phase_datetime(today, self.config.issue_time)

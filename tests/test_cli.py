@@ -216,6 +216,22 @@ def test_resolve_without_issued_batch_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["resolve", "--day", "2026-03-02"],
+        ["export", "--day", "2026-03-02"],
+        ["simulate", "--days", "0"],
+    ],
+    ids=["resolve", "export", "simulate"],
+)
+def test_a_command_that_fails_before_its_phase_writes_leaves_no_run_directory(tmp_path, capsys, args):
+    run_dir = tmp_path / "never-made"
+    assert main([*args, "--run-dir", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not run_dir.exists()
+
+
 def test_score_command_probabilistic(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     truth = tmp_path / "truth.jsonl"

@@ -439,6 +439,35 @@ def test_a_log_that_fails_to_replay_fails_on_every_access(tmp_path):
             ledger.trajectories_for(DAY, "q-1")
 
 
+def test_a_complete_last_line_that_does_not_decode_is_refused_and_kept(tmp_path):
+    ledger = TrajectoryLedger(tmp_path)
+    _group(ledger, "q-1")
+    ledger.backfill(DAY, [OUTCOME])
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    assert json.loads(lines[-1])["kind"] == "BACKFILL"
+    lines[-1] = lines[-1][:-1]  # a whole line, newline included, without its closing brace
+    log.write_text("\n".join(lines) + "\n")
+    written = log.read_bytes()
+    reopened = TrajectoryLedger(tmp_path)
+    with pytest.raises(ReplayError, match=f"malformed record at line {len(lines)} "):
+        reopened.trajectories_for(DAY, "q-1")
+    with pytest.raises(ReplayError, match=f"malformed record at line {len(lines)} "):
+        reopened.discard(DAY, [Unresolved("q-1", "postponed")], T1)
+    assert log.read_bytes() == written
+
+
+@pytest.mark.parametrize("at", [1, 4], ids=["between records", "last"])
+def test_a_blank_line_in_a_log_is_refused(tmp_path, at):
+    _group(TrajectoryLedger(tmp_path), "q-1")
+    log = next(tmp_path.glob("ledger-*.jsonl"))
+    lines = log.read_text().splitlines()
+    lines.insert(at, "")
+    log.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ReplayError, match=f"malformed record at line {at + 1} "):
+        replay(tmp_path)
+
+
 def test_replay_shares_equal_texts_between_steps_and_turns(tmp_path):
     _group(TrajectoryLedger(tmp_path), "q-1")
     replayed = replay(tmp_path)

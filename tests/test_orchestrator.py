@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import builtins
 import dataclasses
 import gc
 import json
 import os
 import random
+import re
 import shutil
 import sys
 import tracemalloc
@@ -95,6 +97,31 @@ def test_a_simulated_run_writes_only_the_files_a_later_phase_reads(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "benchmark", "exports", "hints", "ledgers", "questions", "reports", "truth",
     ]
+
+
+def test_building_an_orchestrator_creates_nothing(tmp_path):
+    run_dir = tmp_path / "missing"
+    orch = Orchestrator(_config(), run_dir)
+    assert not run_dir.exists()
+    # an evening before the issue time has nothing to write either
+    assert orch.run_due_phases(datetime.combine(START, time(12, 0), timezone.utc)) == []
+    assert not run_dir.exists()
+
+
+def test_the_orchestrator_reads_no_clock():
+    tree = ast.parse(Path(orchestrator.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name == "time" or name.startswith("time.")] == []
+    clock_calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("now", "utcnow", "today")
+    ]
+    assert clock_calls == []
 
 
 def test_issue_phase_capacity_bound(tmp_path):
@@ -520,6 +547,65 @@ def test_a_benchmark_batch_is_never_answered_after_its_issue_evening(tmp_path, m
         shutil.rmtree(killed)
 
 
+def _stamped_reads(monkeypatch):
+    """Spy on ``jsonl.read_lines``, recording each read as (path, instant, inside an issue phase).
+
+    Returns the reads and ``stamp(orch)``, which wraps ``orch``'s phases so
+    that a read gets the ``now`` of its ``run_due_phases`` call, or
+    ``resolve_at(day)`` inside a ``run_resolve_phase(day)`` called on its own.
+    """
+    reads, state = [], {"now": None, "issue": False}
+    read_lines = jsonl.read_lines
+    monkeypatch.setattr(
+        jsonl, "read_lines",
+        lambda path: reads.append((Path(path), state["now"], state["issue"])) or read_lines(path),
+    )
+
+    def during(method, key, value_of):
+        def run(arg):
+            outer = state[key]
+            state[key] = outer or value_of(arg)
+            try:
+                return method(arg)
+            finally:
+                state[key] = outer
+        return run
+
+    def stamp(orch):
+        for name, key, value_of in (
+            ("run_due_phases", "now", lambda now: now),
+            ("run_resolve_phase", "now", orch.config.resolve_at),
+            ("run_issue_phase", "issue", lambda day: True),
+        ):
+            monkeypatch.setattr(orch, name, during(getattr(orch, name), key, value_of))
+        return orch
+
+    return reads, stamp
+
+
+@pytest.mark.parametrize("run", ["simulate lag 1", "simulate lag 2", "cron evenings"])
+def test_no_outcome_file_is_read_before_its_resolve_instant(tmp_path, monkeypatch, run):
+    lag = 1 if run == "simulate lag 1" else 2
+    config = _config(seed=3, event_rate=40)
+    config = replace(config, benchmark=replace(config.benchmark, lag_days=lag))
+    reads, stamp = _stamped_reads(monkeypatch)
+    if run == "cron evenings":
+        for offset in range(4):
+            evening = datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+            stamp(Orchestrator(config, tmp_path)).run_due_phases(evening)
+    else:
+        stamp(Orchestrator(config, tmp_path)).simulate(3)
+    kinds = set()
+    for path, instant, in_issue in reads:
+        match = re.fullmatch(r"(truth|gold)-(\d{4}-\d{2}-\d{2})\.jsonl", path.name)
+        if match:
+            kinds.add(match[1])
+            assert not in_issue, f"{path.name} read by an issue phase"
+            resolves = config.resolve_at(date.fromisoformat(match[2]))
+            assert instant is not None and instant >= resolves, f"{path.name} read at {instant}"
+    assert kinds == {"truth", "gold"}
+
+
 def _cut_append(monkeypatch, n, cut):
     """Let the n-th ledger append finish, keep ``cut(its bytes)`` of them, and raise."""
     append = TrajectoryLedger._append_batch
@@ -898,6 +984,17 @@ def test_benchmark_phase_caps_and_two_day_lag(tmp_path):
     assert set(r2["scores"]) == {"oracle", "constant"}
     for score in r2["scores"].values():
         assert score["s_overall"] is not None
+
+
+def test_an_agent_added_after_a_benchmark_batch_is_issued_is_not_scored_on_it(tmp_path):
+    Orchestrator(_config(agents=("oracle",)), tmp_path).run_benchmark_phase(START)
+    orch = Orchestrator(_config(agents=("oracle", "constant")), tmp_path)
+    reports = [orch.run_benchmark_phase(START + timedelta(days=n)) for n in (1, 2, 3)]
+    assert reports[1]["scored_day"] == START.isoformat()
+    assert set(reports[1]["scores"]) == {"oracle"}
+    assert reports[2]["scored_day"] == (START + timedelta(days=1)).isoformat()
+    assert set(reports[2]["scores"]) == {"oracle", "constant"}
+    assert jsonl.read_json(orch.benchmark_report_path(START + timedelta(days=2))) == reports[1]
 
 
 def test_benchmark_missing_type_uses_dash_convention(tmp_path):
