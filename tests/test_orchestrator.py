@@ -1284,15 +1284,6 @@ def test_config_yaml_float_settings_take_integers(tmp_path):
     assert type(config.limits.per_move_timeout) is float
 
 
-def test_the_readme_config_example_loads(tmp_path):
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    example = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-    config_file = tmp_path / "cycle.yaml"
-    config_file.write_text(example)
-    config = CycleConfig.from_yaml(config_file)
-    assert config.seed == 6 and config.sources == ("feeds/a.jsonl",)
-
-
 def test_fw_reports_a_malformed_config_section_without_a_traceback(tmp_path, capsys):
     config_file = tmp_path / "cycle.yaml"
     config_file.write_text("limits: 5\n")
