@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .agents import SCRIPTED_AGENTS
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
-from .jsonl import from_row, read_jsonl, read_lines, to_row, write_json, write_jsonl
+from .jsonl import from_row, read_json, read_jsonl, read_lines, to_row, write_json, write_jsonl
 from .ledger import LedgerError
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
@@ -61,13 +61,12 @@ def _cmd_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    """Re-export the day for every agent ledger in the run directory, whatever the config lists."""
+    """Re-export the day for every agent its issue report names, whatever the config lists."""
     orch = _orchestrator(args)
     day = date.fromisoformat(args.day)
     if not orch.questions_path(day).exists():
         raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
-    # A day with no questions has no log, yet the resolve phase exported it (empty).
-    for agent in sorted(p.name for p in (orch.run_dir / "ledgers").glob("*") if p.is_dir()):
+    for agent in read_json(orch.issue_report_path(day))["rollouts_recorded"]:
         written = orch.write_export(agent, day)
         print(f"{agent}: {written} groups -> {orch.export_path(agent, day)}")
     return 0

@@ -366,11 +366,12 @@ def _number(value: Any) -> str:
 class TrajectoryLedger:
     """Append-only trajectory store rooted at a directory.
 
-    Constructing a ledger reads nothing; each day's log is replayed the first
-    time that day is used and cached from then on. ``release(day)`` drops
-    that cache entry: the log on disk is untouched, and the next access to
-    the day replays it again, sequence numbers and torn-tail repair included.
-    Trajectory ids are unique within a day log.
+    Constructing a ledger reads nothing, and only an append creates its
+    directory. Each day's log is replayed the first time that day is used
+    and cached from then on. ``release(day)`` drops that cache entry: the
+    log on disk is untouched, and the next access to the day replays it
+    again, sequence numbers and torn-tail repair included. Trajectory ids
+    are unique within a day log.
 
     Concurrency contract: a single appender serializes writes and is the
     only one that repairs a torn log tail; readers see immutable snapshots
@@ -379,7 +380,6 @@ class TrajectoryLedger:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._days: dict[date, _DayLog] = {}
 
     # -- log files ---------------------------------------------------------
@@ -425,6 +425,7 @@ class TrajectoryLedger:
         """
         log = self._day(day)
         first = seq = log.seq
+        self.root.mkdir(parents=True, exist_ok=True)
         try:
             with self._log_path(day).open("a", encoding="utf-8") as fh:
                 if log.torn_bytes is not None:

@@ -227,6 +227,7 @@ class IssueReport:
     #: several criteria flag counts once under each reason
     dropped_by_reason: dict[str, int] = field(default_factory=dict)
     questions_issued: int = 0
+    #: the batch's agents, for every later phase of it, each with K × questions_issued
     rollouts_recorded: dict[str, int] = field(default_factory=dict)
 
 
@@ -305,22 +306,21 @@ class Orchestrator:
     def run_issue_phase(self, day: date) -> IssueReport:
         """Fetch, construct, filter, resample, render, and roll out one day.
 
-        A day without its questions file is built first. Then every run, fresh
-        or a repair, reads the day's counts and questions back from the run
-        directory and runs only the rollouts the agents' day logs lack, so it
-        writes the report an uninterrupted run writes. Each agent's day is
-        released once appended: nothing reads it again before its resolve,
-        which replays it.
+        A day without its questions file is built first, its report naming
+        the config's agents. Then every run, fresh or a repair, reads the
+        report and questions back and runs only the rollouts missing from the
+        day logs of the agents the report names, whatever the config lists
+        now, so a re-run of a complete day writes nothing. Each agent's day is
+        released once appended: nothing reads it again before its resolve.
         """
         if not self.questions_path(day).exists():
             self._build_questions(day)
-        # The pipeline counts were saved before the questions marker.
-        saved = read_json(self.issue_report_path(day))
-        report = from_row(IssueReport, {**saved, "rollouts_recorded": {}})
+        # The report, agents included, was written once, before the questions marker.
+        report = from_row(IssueReport, read_json(self.issue_report_path(day)))
         questions = self._issued_questions(day)
 
         search_tool = self._search_tool_for(day, questions)
-        for agent_name in self.config.agents:
+        for agent_name in report.rollouts_recorded:
             agent = make_scripted_agent(agent_name, seed=self.config.seed)
             # Restart: run only the rollouts a crashed run left unrecorded.
             # Rollouts are seeded by trajectory id, so a repaired day log is
@@ -342,11 +342,6 @@ class Orchestrator:
             # One durable append per agent and day.
             self.ledger_for(agent_name).append_prefix_batch(day, prefixes)
             self.ledger_for(agent_name).release(day)
-            report.rollouts_recorded[agent_name] = len(prefixes) + sum(
-                len(recorded.get(q.id, ())) for q in questions
-            )
-
-        write_json(self.issue_report_path(day), to_row(report))
         return report
 
     def _short_groups(
@@ -406,6 +401,10 @@ class Orchestrator:
             derive_seed(self.config.seed, "resample", day.isoformat()),
         )
         report.questions_issued = len(selected)
+        # run_group records failed rollouts too, so a finished day holds K per group.
+        report.rollouts_recorded = dict.fromkeys(
+            self.config.agents, self.config.rollouts_per_question * len(selected)
+        )
         # The questions file marks the day as issued, so it is written last.
         write_json(self.issue_report_path(day), to_row(report))
         write_jsonl(self.questions_path(day), (to_row(p.question) for p in selected))
@@ -432,11 +431,11 @@ class Orchestrator:
     def run_resolve_phase(self, day: date) -> CycleReport:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
-        The batch is the agent's day log for ``day``. A crash in its issue
-        phase may have left groups short, or the issue report without the
-        rollout counts it writes last; the issue phase is re-run before the
-        first backfill of an agent it left short, so every exported group has
-        K rollouts. Once its export and metrics are taken the agent's ledger
+        The batch is the day logs of the agents its issue report names,
+        whatever the config lists now. A crash in its issue phase may have
+        left groups short; the issue phase is re-run before the first
+        backfill of an agent it left short, so every exported group has K
+        rollouts. Once its export and metrics are taken the agent's ledger
         releases that day, so the ledgers hold one agent's day at a time.
         The cycle report takes its rollout counts from the issue report and
         is written last: it marks the batch as resolved.
@@ -449,10 +448,11 @@ class Orchestrator:
 
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
-        for agent_name in self.config.agents:
-            if agent_name not in counted or self._short_groups(agent_name, day, questions)[1]:
-                counted = self.run_issue_phase(day).rollouts_recorded
+        for agent_name in counted:
             ledger = self.ledger_for(agent_name)
+            if self._short_groups(agent_name, day, questions)[1]:
+                ledger.release(day)  # the repair holds each agent's day in turn
+                self.run_issue_phase(day)
             ledger.backfill(day, resolution.outcomes)
             ledger.discard(day, resolution.unresolved, now)
             groups_exported[agent_name] = self.write_export(agent_name, day)
@@ -462,7 +462,7 @@ class Orchestrator:
         report = CycleReport(
             day=day,
             questions_issued=len(questions),
-            rollouts_recorded={agent: counted[agent] for agent in self.config.agents},
+            rollouts_recorded=counted,
             outcomes_resolved=len(resolution.outcomes),
             unresolved_count=len(resolution.unresolved),
             unresolved_reasons=resolution.unresolved_reasons(),
@@ -543,19 +543,18 @@ class Orchestrator:
             "scores": {},
         }
 
-        target_day = day - timedelta(days=self.config.benchmark.lag_days)
-        target_path = bench_dir / f"issued-{target_day.isoformat()}.jsonl"
+        target_day = (day - timedelta(days=self.config.benchmark.lag_days)).isoformat()
+        target_path = bench_dir / f"issued-{target_day}.jsonl"
         if target_path.exists():
-            report["scored_day"] = target_day.isoformat()
+            report["scored_day"] = target_day
             questions = [from_row(BenchmarkQuestion, r) for r in read_jsonl(target_path)]
             target_gold = {
                 r["question_id"]: from_row(GoldRecord, r)
-                for r in read_jsonl(bench_dir / f"gold-{target_day.isoformat()}.jsonl")
+                for r in read_jsonl(bench_dir / f"gold-{target_day}.jsonl")
             }
-            for agent_name in self.config.agents:
-                preds_path = bench_dir / f"preds-{agent_name}-{target_day.isoformat()}.jsonl"
-                if not preds_path.exists():
-                    continue
+            # The agents that answered the batch, whatever the config lists now.
+            for preds_path in sorted(bench_dir.glob(f"preds-*-{target_day}.jsonl")):
+                agent_name = preds_path.stem.removeprefix("preds-").removesuffix(f"-{target_day}")
                 answers = {
                     r["question_id"]: from_row(BenchmarkAnswer, r)
                     for r in read_jsonl(preds_path)

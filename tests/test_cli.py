@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -117,6 +118,40 @@ def test_export_command_refuses_a_day_never_issued(tmp_path, capsys):
     assert main(["export", "--run-dir", str(run_dir), "--day", "2030-01-01"]) == 1
     assert "no issued batch found for 2030-01-01" in capsys.readouterr().err
     assert not (run_dir / "exports").exists()
+
+
+def test_export_command_writes_only_the_agents_its_batch_was_issued_with(tmp_path, capsys):
+    run_dir, exports = tmp_path / "run", tmp_path / "run" / "exports"
+    first, later = tmp_path / "first.yaml", tmp_path / "later.yaml"
+    first.write_text("seed: 3\nquestions_per_day: 8\nevent_rate: 40\nagents: [oracle]\n")
+    later.write_text("seed: 3\nquestions_per_day: 8\nevent_rate: 40\nagents: [oracle, constant]\n")
+    # constant joins on the second day, so it has a ledger but no batch of the first
+    for command, config, day in (
+        ("issue", first, "2026-03-02"), ("issue", later, "2026-03-03"), ("resolve", first, "2026-03-02")
+    ):
+        assert main([command, "--config", str(config), "--run-dir", str(run_dir), "--day", day]) == 0
+    assert (run_dir / "ledgers" / "constant").is_dir()
+    written = {p.relative_to(exports).as_posix(): p.read_bytes() for p in exports.rglob("*.jsonl")}
+    assert list(written) == ["oracle/train-2026-03-02.jsonl"]
+    shutil.rmtree(exports)
+    assert main(["export", "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
+    assert {p.relative_to(exports).as_posix(): p.read_bytes() for p in exports.rglob("*.jsonl")} == written
+
+
+def test_a_resolve_without_the_issuing_config_backfills_the_agents_the_batch_was_issued_with(
+    tmp_path, capsys
+):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 7\nquestions_per_day: 40\nagents: [oracle, noisy]\n")
+    runs = {}
+    for name, resolve_config in (("given", ["--config", str(config)]), ("default", [])):
+        run_dir = tmp_path / name
+        assert main(["issue", "--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
+        assert main(["resolve", *resolve_config, "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
+        runs[name] = {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    assert runs["default"] == runs["given"]
+    log = runs["default"]["ledgers/noisy/ledger-2026-03-02.jsonl"].decode().splitlines()
+    assert Counter(json.loads(line)["kind"] for line in log) == {"PREFIX": 160, "BACKFILL": 96, "DISCARD": 64}
 
 
 def test_a_ledger_that_does_not_replay_is_one_error_line(tmp_path, capsys):

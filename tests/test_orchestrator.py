@@ -452,8 +452,8 @@ def test_an_evening_killed_before_any_write_reruns_to_the_uninterrupted_files(tm
         writes = _kill_before_write(m, 0)
         Orchestrator(config, straight).run_due_phases(evening(2))
     expected = _run_files(straight)
-    # prefixes, backfills and discards, and 13 files: the issue's 5, 3 of the resolve, 5 of the benchmark
-    assert writes.count("_append_batch") == 2 * 3 and len(writes) == 6 + 13
+    # prefixes, backfills and discards, and 12 files: the issue's 4, 3 of the resolve, 5 of the benchmark
+    assert writes.count("_append_batch") == 2 * 3 and len(writes) == 6 + 12
 
     for n in range(1, len(writes) + 1):
         killed = tmp_path / f"killed-{n}"
@@ -928,12 +928,15 @@ def test_cron_evenings_do_not_accumulate_memory(tmp_path):
     assert peaks[4] <= 1.15 * peaks[1], peaks
 
 
-@pytest.mark.parametrize("torn", [False, True], ids=["complete", "repaired"])
+# "repaired" tears the config's first agent; the resolve re-runs the issue phase for its short groups
+@pytest.mark.parametrize(
+    "torn", [None, "oracle", "constant"], ids=["complete", "repaired", "repaired-constant"]
+)
 def test_the_resolve_phase_holds_one_agents_day_at_a_time(tmp_path, monkeypatch, torn):
     config = _config(benchmark=BenchmarkSettings(enabled=False))
     Orchestrator(config, tmp_path).run_issue_phase(START)
-    if torn:  # the resolve re-runs the issue phase for the first agent's short groups
-        log = tmp_path / "ledgers" / config.agents[0] / f"ledger-{START.isoformat()}.jsonl"
+    if torn:
+        log = tmp_path / "ledgers" / torn / f"ledger-{START.isoformat()}.jsonl"
         log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
     orch = Orchestrator(config, tmp_path)  # as `fw resolve` runs it, in a new process
     held, day_of = [], TrajectoryLedger._day
@@ -995,6 +998,66 @@ def test_an_agent_added_after_a_benchmark_batch_is_issued_is_not_scored_on_it(tm
     assert reports[2]["scored_day"] == (START + timedelta(days=1)).isoformat()
     assert set(reports[2]["scores"]) == {"oracle", "constant"}
     assert jsonl.read_json(orch.benchmark_report_path(START + timedelta(days=2))) == reports[1]
+
+
+def test_the_issue_report_is_written_once_before_the_questions_marker(tmp_path, monkeypatch):
+    """It names the batch's agents, so a re-run of a complete day under other agents writes no file."""
+    stamp = START.isoformat()
+    with monkeypatch.context() as m:
+        writes = _kill_before_write(m, 0)
+        report = Orchestrator(_config(), tmp_path).run_issue_phase(START)
+    assert writes == [
+        f"truth-{stamp}.jsonl", f"hints-{stamp}.jsonl", f"issue-{stamp}.json", f"questions-{stamp}.jsonl",
+        "_append_batch", "_append_batch",
+    ]
+    assert report.rollouts_recorded == {"oracle": 80, "constant": 80}
+    with monkeypatch.context() as m:
+        writes = _kill_before_write(m, 0)
+        rerun = Orchestrator(_config(agents=("oracle", "noisy")), tmp_path).run_issue_phase(START)
+    assert writes == [] and rerun == report
+
+
+@pytest.mark.parametrize("resolved", [False, True], ids=["added-after-issue", "added-after-resolve"])
+def test_a_resolve_backfills_only_the_agents_its_batch_was_issued_with(tmp_path, resolved):
+    """An agent added to the config later is not rolled out after the outcomes."""
+    config = _config(agents=("oracle",), benchmark=BenchmarkSettings(enabled=False))
+    straight = Orchestrator(config, tmp_path / "straight")
+    straight.run_issue_phase(START)
+    straight.run_resolve_phase(START)
+    run_dir = tmp_path / "added"
+    Orchestrator(config, run_dir).run_issue_phase(START)
+    if resolved:
+        Orchestrator(config, run_dir).run_resolve_phase(START)
+    added = Orchestrator(replace(config, agents=("oracle", "constant")), run_dir)
+    assert added.run_resolve_phase(START).rollouts_recorded == {"oracle": 80}
+    assert _run_files(run_dir) == _run_files(tmp_path / "straight")
+
+
+def test_agents_changed_after_an_evening_leave_its_batches_as_an_unchanged_run_writes_them(tmp_path):
+    """Day 0's ledgers, exports, reports and benchmark scores follow the agents it was issued with."""
+    config = _config(seed=3, event_rate=40)
+    evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
+    changed = replace(config, agents=("oracle", "noisy"))
+    for run_dir, later in ((tmp_path / "unchanged", config), (tmp_path / "changed", changed)):
+        Orchestrator(config, run_dir).run_due_phases(evening(0))
+        for offset in (1, 2):
+            Orchestrator(later, run_dir).run_due_phases(evening(offset))
+
+    scored = f"benchmark/benchmark-{START + timedelta(days=2)}.json"  # scores day 0's batch
+    day_zero_files = lambda run_dir: {
+        k: v for k, v in _run_files(run_dir).items() if START.isoformat() in k or k == scored
+    }
+    expected = day_zero_files(tmp_path / "unchanged")
+    assert day_zero_files(tmp_path / "changed") == expected
+    assert set(json.loads(expected[scored])["scores"]) == {"oracle", "constant"}
+    assert f"exports/constant/train-{START}.jsonl" in expected
+
+
+def test_a_summary_naming_an_agent_never_issued_creates_no_ledger(tmp_path):
+    config = _config(agents=("oracle",), benchmark=BenchmarkSettings(enabled=False))
+    Orchestrator(config, tmp_path).simulate(1)
+    Orchestrator(replace(config, agents=("oracle", "constant")), tmp_path).write_summary()
+    assert [p.name for p in (tmp_path / "ledgers").iterdir()] == ["oracle"]
 
 
 def test_benchmark_missing_type_uses_dash_convention(tmp_path):
