@@ -61,12 +61,14 @@ def _cmd_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    """Re-export the day for every agent its issue report names, whatever the config lists."""
+    """Re-export a resolved batch for every agent its cycle report names, whatever the config lists."""
     orch = _orchestrator(args)
     day = date.fromisoformat(args.day)
     if not orch.questions_path(day).exists():
         raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
-    for agent in read_json(orch.issue_report_path(day))["rollouts_recorded"]:
+    if not orch.cycle_report_path(day).exists():
+        raise FileNotFoundError(f"the batch issued on {day.isoformat()} is not resolved yet")
+    for agent in read_json(orch.cycle_report_path(day))["rollouts_recorded"]:
         written = orch.write_export(agent, day)
         print(f"{agent}: {written} groups -> {orch.export_path(agent, day)}")
     return 0

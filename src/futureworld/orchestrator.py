@@ -9,7 +9,7 @@ its own two-day resolution lag.
 
 One loop schedules the phases: the cron evening ``run_due_phases(now)`` runs
 each phase whose time has passed and resolves only batches without a cycle
-report; the issue phase releases each agent's day once it is appended.
+report; the issue phase releases each agent's day once its log is complete.
 ``simulate`` is D such evenings on a virtual clock (no waiting, deterministic
 given the seed), then the last day's resolve and a summary whose final scores
 replay the resolved batches. Both run the scripted agents and the simulated
@@ -308,60 +308,60 @@ class Orchestrator:
 
         A day without its questions file is built first, its report naming
         the config's agents. Then every run, fresh or a repair, reads the
-        report and questions back and runs only the rollouts missing from the
-        day logs of the agents the report names, whatever the config lists
-        now, so a re-run of a complete day writes nothing. Each agent's day is
-        released once appended: nothing reads it again before its resolve.
+        batch back (``_batch``) and completes the day log of each agent the
+        report names, whatever the config lists now (``_complete``), so a
+        re-run of a complete day writes nothing. Each agent's day is
+        released once complete: nothing reads it again before its resolve.
         """
         if not self.questions_path(day).exists():
             self._build_questions(day)
-        # The report, agents included, was written once, before the questions marker.
-        report = from_row(IssueReport, read_json(self.issue_report_path(day)))
-        questions = self._issued_questions(day)
-
-        search_tool = self._search_tool_for(day, questions)
+        report, questions = self._batch(day)
         for agent_name in report.rollouts_recorded:
+            self._complete(agent_name, day, questions).release(day)
+        return report
+
+    def _batch(self, day: date) -> tuple[IssueReport, list[Question]]:
+        """The batch issued on ``day``: its issue report, which names its agents, and its questions."""
+        path = self.questions_path(day)
+        if not path.exists():
+            raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
+        report = from_row(IssueReport, read_json(self.issue_report_path(day)))
+        return report, [from_row(Question, row) for row in read_jsonl(path)]
+
+    def _complete(
+        self, agent_name: str, day: date, questions: Sequence[Question]
+    ) -> TrajectoryLedger:
+        """Make the rollouts of the batch issued on ``day`` that the agent's day log lacks.
+
+        Only when some are missing are the agent and the search tool built
+        and the missing rollouts appended, in one durable batch. Rollouts are
+        seeded by trajectory id, so a completed day log is byte-identical to
+        an uninterrupted one. Returns the agent's ledger, still holding the day.
+        """
+        ledger = self.ledger_for(agent_name)
+        k = self.config.rollouts_per_question
+        recorded = {
+            qid: {t.rollout_index for t in ledger.trajectories_for(day, qid)}
+            for qid in ledger.questions_for_day(day)
+        }
+        short = [q for q in sorted(questions, key=lambda q: q.id) if len(recorded.get(q.id, ())) < k]
+        if short:
             agent = make_scripted_agent(agent_name, seed=self.config.seed)
-            # Restart: run only the rollouts a crashed run left unrecorded.
-            # Rollouts are seeded by trajectory id, so a repaired day log is
-            # byte-identical to an uninterrupted one.
-            recorded, pending = self._short_groups(agent_name, day, questions)
-            prefixes = [
+            search_tool = self._search_tool_for(day, questions)
+            ledger.append_prefix_batch(day, [
                 (r.trajectory, r.transcript)
-                for question in pending
+                for question in short
                 for r in run_group(
                     question,
                     render_prediction_prompt(question),
                     agent,
                     search_tool,
                     self.config.limits,
-                    self.config.rollouts_per_question,
+                    k,
                     recorded=recorded.get(question.id, ()),
                 )
-            ]
-            # One durable append per agent and day.
-            self.ledger_for(agent_name).append_prefix_batch(day, prefixes)
-            self.ledger_for(agent_name).release(day)
-        return report
-
-    def _short_groups(
-        self, agent_name: str, day: date, questions: Sequence[Question]
-    ) -> tuple[dict[str, set[int]], list[Question]]:
-        """Which rollouts of the batch issued on ``day`` the agent's day log holds.
-
-        Returns the recorded rollout indexes per question, and the batch's
-        questions whose group has fewer than K, sorted by id.
-        """
-        ledger = self.ledger_for(agent_name)
-        recorded = {
-            qid: {t.rollout_index for t in ledger.trajectories_for(day, qid)}
-            for qid in ledger.questions_for_day(day)
-        }
-        short = [
-            q for q in sorted(questions, key=lambda q: q.id)
-            if len(recorded.get(q.id, ())) < self.config.rollouts_per_question
-        ]
-        return recorded, short
+            ])
+        return ledger
 
     def _build_questions(self, day: date) -> None:
         """Write the day's truth and hint sidecars, pipeline counts and questions."""
@@ -432,27 +432,23 @@ class Orchestrator:
         """Resolve, backfill and export the batch issued on ``day`` (runs on day+1).
 
         The batch is the day logs of the agents its issue report names,
-        whatever the config lists now. A crash in its issue phase may have
-        left groups short; the issue phase is re-run before the first
-        backfill of an agent it left short, so every exported group has K
-        rollouts. Once its export and metrics are taken the agent's ledger
-        releases that day, so the ledgers hold one agent's day at a time.
-        The cycle report takes its rollout counts from the issue report and
-        is written last: it marks the batch as resolved.
+        whatever the config lists now. Each agent's day log is completed
+        first (``_complete``): a killed issue phase may have left its groups
+        short, and then only its missing rollouts are made, so every exported
+        group has K rollouts. The backfill, discard, export and metrics run on
+        that same ledger, which then releases the day, so the ledgers hold
+        one agent's day at a time and read each day log once. The cycle
+        report takes its rollout counts from the issue report and is written
+        last: it marks the batch as resolved.
         """
-        questions = self._issued_questions(day)
-        counted = read_json(self.issue_report_path(day))["rollouts_recorded"]
+        issued, questions = self._batch(day)
         now = self.config.resolve_at(day)
-        registry = self._resolver_registry(day)
-        resolution = resolve_batch(questions, registry, now)
+        resolution = resolve_batch(questions, self._resolver_registry(day), now)
 
         groups_exported: dict[str, int] = {}
         metrics: dict[str, dict[str, Any]] = {}
-        for agent_name in counted:
-            ledger = self.ledger_for(agent_name)
-            if self._short_groups(agent_name, day, questions)[1]:
-                ledger.release(day)  # the repair holds each agent's day in turn
-                self.run_issue_phase(day)
+        for agent_name in issued.rollouts_recorded:
+            ledger = self._complete(agent_name, day, questions)
             ledger.backfill(day, resolution.outcomes)
             ledger.discard(day, resolution.unresolved, now)
             groups_exported[agent_name] = self.write_export(agent_name, day)
@@ -462,7 +458,7 @@ class Orchestrator:
         report = CycleReport(
             day=day,
             questions_issued=len(questions),
-            rollouts_recorded=counted,
+            rollouts_recorded=issued.rollouts_recorded,
             outcomes_resolved=len(resolution.outcomes),
             unresolved_count=len(resolution.unresolved),
             unresolved_reasons=resolution.unresolved_reasons(),
@@ -473,12 +469,6 @@ class Orchestrator:
             raise RuntimeError("batch accounting broke: issued != resolved + unresolved")
         write_json(self.cycle_report_path(day), to_row(report))
         return report
-
-    def _issued_questions(self, day: date) -> list[Question]:
-        path = self.questions_path(day)
-        if not path.exists():
-            raise FileNotFoundError(f"no issued batch found for {day.isoformat()}")
-        return [from_row(Question, row) for row in read_jsonl(path)]
 
     def _resolver_registry(self, day: date) -> dict[str, Any]:
         """Resolvers for the batch issued on ``day``, whose issue wrote its truth file."""
@@ -595,18 +585,19 @@ class Orchestrator:
     def write_summary(self) -> SimulationResult:
         """Write ``reports/summary.json`` from the run directory alone; return its parts.
 
-        The cycles and benchmarks are the report files, oldest first. Each
-        agent's final report scores the RESOLVED rollouts of every resolved
-        batch, replayed a day at a time and walked in export order, as its
-        export and cycle metrics are; every flow appends in rollout order, so
-        that is a whole-ledger replay's order and the intervals match one.
-        ``simulate`` returns these parts as they are.
+        The cycles and benchmarks are the report files, oldest first. The
+        agents are the ones the cycle reports name, whatever the config lists
+        now. Each agent's final report scores the RESOLVED rollouts of every
+        resolved batch, replayed a day at a time and walked in export order,
+        as its export and cycle metrics are; every flow appends in rollout
+        order, so that is a whole-ledger replay's order and the intervals
+        match one. ``simulate`` returns these parts as they are.
         """
         reports_dir, bench_dir = self.run_dir / "reports", self.run_dir / "benchmark"
         cycles = [from_row(CycleReport, read_json(p)) for p in sorted(reports_dir.glob("cycle-*.json"))]
         benchmarks = [read_json(p) for p in sorted(bench_dir.glob("benchmark-*.json"))]
         final: dict[str, ScoreReport] = {}
-        for agent_name in self.config.agents:
+        for agent_name in dict.fromkeys(a for report in cycles for a in report.rollouts_recorded):
             ledger = self.ledger_for(agent_name)
             preds: list[ProbPrediction] = []
             for report in cycles:

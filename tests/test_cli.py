@@ -120,6 +120,16 @@ def test_export_command_refuses_a_day_never_issued(tmp_path, capsys):
     assert not (run_dir / "exports").exists()
 
 
+def test_export_command_refuses_a_batch_not_resolved_yet(tmp_path, capsys):
+    run_dir, config = tmp_path / "run", tmp_path / "small.yaml"
+    config.write_text("seed: 3\nquestions_per_day: 8\nevent_rate: 40\n")
+    assert main(["issue", "--config", str(config), "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 0
+    capsys.readouterr()
+    assert main(["export", "--run-dir", str(run_dir), "--day", "2026-03-02"]) == 1
+    assert capsys.readouterr().err == "error: the batch issued on 2026-03-02 is not resolved yet\n"
+    assert not (run_dir / "exports").exists()
+
+
 def test_export_command_writes_only_the_agents_its_batch_was_issued_with(tmp_path, capsys):
     run_dir, exports = tmp_path / "run", tmp_path / "run" / "exports"
     first, later = tmp_path / "first.yaml", tmp_path / "later.yaml"

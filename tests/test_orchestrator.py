@@ -928,7 +928,7 @@ def test_cron_evenings_do_not_accumulate_memory(tmp_path):
     assert peaks[4] <= 1.15 * peaks[1], peaks
 
 
-# "repaired" tears the config's first agent; the resolve re-runs the issue phase for its short groups
+# "repaired" tears the config's first agent; the resolve completes its short groups
 @pytest.mark.parametrize(
     "torn", [None, "oracle", "constant"], ids=["complete", "repaired", "repaired-constant"]
 )
@@ -947,8 +947,11 @@ def test_the_resolve_phase_holds_one_agents_day_at_a_time(tmp_path, monkeypatch,
         return log
 
     monkeypatch.setattr(TrajectoryLedger, "_day", spied_day)
+    read = _reads(monkeypatch)
     orch.run_resolve_phase(START)
     assert len(config.agents) == 2 and max(held) == 1
+    logs = [tmp_path / "ledgers" / agent / f"ledger-{START.isoformat()}.jsonl" for agent in config.agents]
+    assert sorted(read) == sorted(logs)  # each day log once, the repaired one included
 
 
 def test_two_issue_days_on_one_utc_date_keep_their_own_logs_and_exports(tmp_path):
@@ -1058,6 +1061,17 @@ def test_a_summary_naming_an_agent_never_issued_creates_no_ledger(tmp_path):
     Orchestrator(config, tmp_path).simulate(1)
     Orchestrator(replace(config, agents=("oracle", "constant")), tmp_path).write_summary()
     assert [p.name for p in (tmp_path / "ledgers").iterdir()] == ["oracle"]
+
+
+def test_a_summary_scores_the_agents_its_cycle_reports_name(tmp_path):
+    """Not the config's: the final scores name the agents every cycle's metrics name."""
+    config = _config(agents=("oracle", "constant"), benchmark=BenchmarkSettings(enabled=False))
+    Orchestrator(config, tmp_path).simulate(2)
+    summary = tmp_path / "reports" / "summary.json"
+    written = summary.read_bytes()
+    result = Orchestrator(replace(config, agents=("oracle", "noisy")), tmp_path).write_summary()
+    assert list(result.final_reports) == ["constant", "oracle"]
+    assert summary.read_bytes() == written
 
 
 def test_benchmark_missing_type_uses_dash_convention(tmp_path):
