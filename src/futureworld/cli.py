@@ -20,7 +20,7 @@ from pathlib import Path
 from .agents import SCRIPTED_AGENTS
 from .benchmark import BenchmarkAnswer, GoldRecord, score_benchmark_batch
 from .jsonl import from_row, read_json, read_jsonl, read_lines, to_row, write_json, write_jsonl
-from .ledger import LedgerError
+from .ledger import LedgerError, write_training_batch
 from .orchestrator import CycleConfig, Orchestrator
 from .prompts import BenchmarkQuestion
 from .scoring import ProbPrediction, summarize_probabilistic
@@ -69,7 +69,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not orch.cycle_report_path(day).exists():
         raise FileNotFoundError(f"the batch issued on {day.isoformat()} is not resolved yet")
     for agent in read_json(orch.cycle_report_path(day))["rollouts_recorded"]:
-        written = orch.write_export(agent, day)
+        groups = orch.ledger_for(agent).export_training_batch(day)
+        written = write_training_batch(orch.export_path(agent, day), groups)
         print(f"{agent}: {written} groups -> {orch.export_path(agent, day)}")
     return 0
 
@@ -226,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError, LedgerError) as exc:
+    except (OSError, ValueError, KeyError, LedgerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -179,21 +179,12 @@ def _expect(kind: type, name: str, value: Any, subject: str, path: str) -> Any:
     return value
 
 
-def canonical_encoder() -> Callable[[Any], str]:
-    """A serializer to the canonical line; a writer of many rows makes one and reuses it.
-
-    Rows are trees built by ``to_row``, so the reference-cycle check is
-    skipped (a cycle still fails, with ``RecursionError``); it costs about a
-    tenth of the encoding.
-    """
-    return json.JSONEncoder(
-        sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
-    ).encode
-
-
-def dumps_canonical(obj: Any) -> str:
-    """Serialize to the canonical single-line JSON used in every JSONL file."""
-    return canonical_encoder()(obj)
+#: Serialize to the canonical single-line JSON of every JSONL file. Rows are
+#: trees built by ``to_row``, so the reference-cycle check is skipped (a cycle
+#: still fails, with ``RecursionError``); it costs about a tenth of the encoding.
+dumps_canonical: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+).encode
 
 
 def write_atomically(path: Path, chunks: Iterable[str]) -> None:
@@ -217,13 +208,12 @@ def write_atomically(path: Path, chunks: Iterable[str]) -> None:
 
 def write_jsonl(path: Path, rows: Iterable[Mapping[str, Any]]) -> int:
     """Write one canonical line per row, all or nothing; returns how many rows."""
-    encode = canonical_encoder()
     written = 0
 
     def lines() -> Iterator[str]:
         nonlocal written
         for row in rows:
-            yield encode(dict(row)) + "\n"
+            yield dumps_canonical(dict(row)) + "\n"
             written += 1
 
     write_atomically(path, lines())

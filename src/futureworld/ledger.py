@@ -69,7 +69,7 @@ from .domain import (
     format_rfc3339,
     parse_rfc3339,
 )
-from .jsonl import canonical_encoder, write_jsonl
+from .jsonl import dumps_canonical, write_jsonl
 from .resolve import Unresolved
 from .rollout import ROLE_AGENT, ROLE_ENVIRONMENT, ROLE_TOOL, Turn
 
@@ -360,7 +360,7 @@ def _number(value: Any) -> str:
     kind = type(value)
     if kind is int or kind is float and math.isfinite(value):
         return repr(value)
-    return canonical_encoder()(value)  # a bool, a NaN or a subclass, rare enough to pay for
+    return dumps_canonical(value)  # a bool, a NaN or a subclass
 
 
 class TrajectoryLedger:
@@ -515,14 +515,13 @@ class TrajectoryLedger:
             label = labels.setdefault(outcome.question_id, outcome.label)
             if label != outcome.label:
                 raise ConflictingOutcomeError(f"question {outcome.question_id} resolved with label {label}")
-        encode = canonical_encoder()
         records = []
         for outcome, pending in self._pending(day, outcomes):
             label, resolved_at = outcome.label, format_rfc3339(outcome.resolved_at)
             for stored in pending:
                 terminal = stored.trajectory.resolved(label)
-                text = encode({"label": label, "reward": terminal.reward, "resolved_at": resolved_at})
-                records.append((stored, terminal, text))
+                payload = {"label": label, "reward": terminal.reward, "resolved_at": resolved_at}
+                records.append((stored, terminal, dumps_canonical(payload)))
         return self._append_terminals(day, KIND_BACKFILL, records)
 
     def discard(self, day: date, unresolved: Sequence[Unresolved], decided_at: datetime) -> int:
@@ -532,10 +531,9 @@ class TrajectoryLedger:
         unknown question rejects the whole batch before anything is written.
         """
         decided = format_rfc3339(decided_at)
-        encode = canonical_encoder()
         records = []
         for item, pending in self._pending(day, unresolved):
-            text = encode({"reason": item.reason, "decided_at": decided})
+            text = dumps_canonical({"reason": item.reason, "decided_at": decided})
             records.extend((stored, stored.trajectory.discarded(), text) for stored in pending)
         return self._append_terminals(day, KIND_DISCARD, records)
 

@@ -9,14 +9,15 @@ its own two-day resolution lag.
 
 One loop schedules the phases: the cron evening ``run_due_phases(now)`` runs
 each phase whose time has passed and resolves only batches without a cycle
-report; the issue phase releases each agent's day once its log is complete.
-``simulate`` is D such evenings on a virtual clock (no waiting, deterministic
-given the seed), then the last day's resolve and a summary whose final scores
-replay the resolved batches. Both run the scripted agents and the simulated
-search tool, each built in one place below, and the rule-based question
-filter. Every phase is a function of config, run directory and instant whose
-only effect is its writes, so a run can be killed between phases and
-re-invoked without changing the final ledger.
+report. Each phase builds the ledger of the agent-day it works on and drops
+it, so nothing is held between calls. ``simulate`` is D such evenings on a
+virtual clock (no waiting, deterministic given the seed), then the last
+day's resolve and a summary whose final scores replay the resolved batches.
+Both run the scripted agents and the simulated search tool, each built in
+one place below, and the rule-based question filter. Every phase is a
+function of config, run directory and instant whose only effect is its
+writes, so a run can be killed between phases and re-invoked without
+changing the final ledger.
 """
 
 from __future__ import annotations
@@ -168,12 +169,19 @@ class CycleConfig:
     def from_yaml(cls, path: Path) -> "CycleConfig":
         """Load a config file, each value checked against its setting's type.
 
-        An empty file means the defaults. YAML is imported here, not with the
-        module: only ``--config`` needs it.
+        An empty file means the defaults, and a YAML syntax error is one
+        ``ValueError`` line naming the file and the line. YAML is imported
+        here, not with the module: only ``--config`` needs it.
         """
         import yaml
 
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+            raise ValueError(f"config {path}: invalid YAML{where}: {problem}") from None
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
@@ -256,14 +264,14 @@ class Orchestrator:
     """Drives the phases against one run directory.
 
     All state lives on disk (question batches, sidecars, ledgers, exports,
-    reports); constructing an orchestrator reads and creates nothing, and
-    one over an existing run directory resumes where the last one stopped.
+    reports); constructing an orchestrator reads and creates nothing, it
+    keeps nothing between calls, and one over an existing run directory
+    resumes where the last one stopped.
     """
 
     def __init__(self, config: CycleConfig, run_dir: Path):
         self.config = config
         self.run_dir = Path(run_dir)
-        self._ledgers: dict[str, TrajectoryLedger] = {}
 
     # -- paths ---------------------------------------------------------------
 
@@ -292,14 +300,8 @@ class Orchestrator:
         return self.run_dir / "benchmark" / f"benchmark-{day.isoformat()}.json"
 
     def ledger_for(self, agent: str) -> TrajectoryLedger:
-        if agent not in self._ledgers:
-            self._ledgers[agent] = TrajectoryLedger(self.run_dir / "ledgers" / agent)
-        return self._ledgers[agent]
-
-    def write_export(self, agent: str, day: date) -> int:
-        """Write ``agent``'s training groups for the batch issued on ``day``; returns how many."""
-        groups = self.ledger_for(agent).export_training_batch(day)
-        return write_training_batch(self.export_path(agent, day), groups)
+        """A new ledger of ``agent``'s logs; building one reads nothing."""
+        return TrajectoryLedger(self.run_dir / "ledgers" / agent)
 
     # -- issue phase -------------------------------------------------------------
 
@@ -310,14 +312,15 @@ class Orchestrator:
         the config's agents. Then every run, fresh or a repair, reads the
         batch back (``_batch``) and completes the day log of each agent the
         report names, whatever the config lists now (``_complete``), so a
-        re-run of a complete day writes nothing. Each agent's day is
-        released once complete: nothing reads it again before its resolve.
+        re-run of a complete day writes nothing. Each agent's ledger is
+        dropped once its day is complete: nothing reads it again before its
+        resolve.
         """
         if not self.questions_path(day).exists():
             self._build_questions(day)
         report, questions = self._batch(day)
         for agent_name in report.rollouts_recorded:
-            self._complete(agent_name, day, questions).release(day)
+            self._complete(agent_name, day, questions)
         return report
 
     def _batch(self, day: date) -> tuple[IssueReport, list[Question]]:
@@ -336,7 +339,7 @@ class Orchestrator:
         Only when some are missing are the agent and the search tool built
         and the missing rollouts appended, in one durable batch. Rollouts are
         seeded by trajectory id, so a completed day log is byte-identical to
-        an uninterrupted one. Returns the agent's ledger, still holding the day.
+        an uninterrupted one. Returns the new ledger it built, holding the day.
         """
         ledger = self.ledger_for(agent_name)
         k = self.config.rollouts_per_question
@@ -436,10 +439,11 @@ class Orchestrator:
         first (``_complete``): a killed issue phase may have left its groups
         short, and then only its missing rollouts are made, so every exported
         group has K rollouts. The backfill, discard, export and metrics run on
-        that same ledger, which then releases the day, so the ledgers hold
-        one agent's day at a time and read each day log once. The cycle
-        report takes its rollout counts from the issue report and is written
-        last: it marks the batch as resolved.
+        the ledger ``_complete`` built, which then releases the day before
+        the next agent's is built, so the phase holds one agent's day at a
+        time and reads each day log once. The cycle report takes its rollout
+        counts from the issue report and is written last: it marks the batch
+        as resolved.
         """
         issued, questions = self._batch(day)
         now = self.config.resolve_at(day)
@@ -451,7 +455,8 @@ class Orchestrator:
             ledger = self._complete(agent_name, day, questions)
             ledger.backfill(day, resolution.outcomes)
             ledger.discard(day, resolution.unresolved, now)
-            groups_exported[agent_name] = self.write_export(agent_name, day)
+            path = self.export_path(agent_name, day)
+            groups_exported[agent_name] = write_training_batch(path, ledger.export_training_batch(day))
             metrics[agent_name] = _batch_metrics(_resolved_pairs(ledger, day))
             ledger.release(day)
 
@@ -478,14 +483,16 @@ class Orchestrator:
 
     # -- benchmark phase -------------------------------------------------------
 
-    def run_benchmark_phase(self, day: date) -> dict[str, Any]:
+    def run_benchmark_phase(self, day: date, now: datetime | None = None) -> dict[str, Any] | None:
         """Issue and answer today's benchmark batch, then write the reports the run directory lacks.
 
         A batch is answered on its issue evening, before its issued marker, or
         never: a past day is never issued or answered late, since its answers
         would know its outcomes. Oldest first, each issued batch with no
         scoring report gets the missing report of its issue or scoring evening
-        before today.
+        before today. Today's report reads the lagged batch's gold, so given
+        the instant ``now`` of a call before that batch resolves, it is left
+        unwritten (and ``None`` returned) for a later call to catch up.
         """
         settings = self.config.benchmark
         bench_dir = self.run_dir / "benchmark"
@@ -518,6 +525,8 @@ class Orchestrator:
             for evening in (issued, issued + lag):
                 if evening < day and not self.benchmark_report_path(evening).exists():
                     self._write_benchmark_report(evening)
+        if now is not None and now < self.config.resolve_at(day - lag):
+            return None
         return self._write_benchmark_report(day)
 
     def _write_benchmark_report(self, day: date) -> dict[str, Any]:
@@ -568,10 +577,11 @@ class Orchestrator:
 
         Each day is one cron evening (``run_due_phases``) on a virtual clock,
         at the later of the day's issue and resolve times, so a simulation
-        releases each issue day as an evening does and resolves only batches
-        without a cycle report. The last day's batch is resolved after the
-        last evening; then the summary is written from the run directory,
-        and its parts are returned. A caller that wants the duration times it.
+        holds each agent-day only while a phase works on it, as an evening
+        does, and resolves only batches without a cycle report. The last
+        day's batch is resolved after the last evening; then the summary is
+        written from the run directory, and its parts are returned. A caller
+        that wants the duration times it.
         """
         if days < 1:
             raise ValueError("simulation needs at least one day")
@@ -588,21 +598,20 @@ class Orchestrator:
         The cycles and benchmarks are the report files, oldest first. The
         agents are the ones the cycle reports name, whatever the config lists
         now. Each agent's final report scores the RESOLVED rollouts of every
-        resolved batch, replayed a day at a time and walked in export order,
-        as its export and cycle metrics are; every flow appends in rollout
-        order, so that is a whole-ledger replay's order and the intervals
-        match one. ``simulate`` returns these parts as they are.
+        resolved batch, each day replayed by a ledger of its own and walked
+        in export order, as its export and cycle metrics are; every flow
+        appends in rollout order, so that is a whole-ledger replay's order
+        and the intervals match one. ``simulate`` returns these parts as they are.
         """
         reports_dir, bench_dir = self.run_dir / "reports", self.run_dir / "benchmark"
         cycles = [from_row(CycleReport, read_json(p)) for p in sorted(reports_dir.glob("cycle-*.json"))]
         benchmarks = [read_json(p) for p in sorted(bench_dir.glob("benchmark-*.json"))]
         final: dict[str, ScoreReport] = {}
         for agent_name in dict.fromkeys(a for report in cycles for a in report.rollouts_recorded):
-            ledger = self.ledger_for(agent_name)
-            preds: list[ProbPrediction] = []
-            for report in cycles:
-                preds += _resolved_pairs(ledger, report.day)
-                ledger.release(report.day)
+            preds = [
+                pred for report in cycles
+                for pred in _resolved_pairs(self.ledger_for(agent_name), report.day)
+            ]
             seed = derive_seed(self.config.seed, "final-ci", agent_name)
             final[agent_name] = summarize_probabilistic(preds, seed=seed) if preds else ScoreReport()
         summary = {
@@ -623,9 +632,10 @@ class Orchestrator:
         Each call is idempotent thanks to the phases' restartability. Every
         issued batch without a cycle report whose resolve time has passed is
         resolved, oldest first, so a missed evening or a call between the
-        issue and resolve times is caught up late. The issue and resolve
-        phases release the days they hold, so when the call returns, no
-        ledger holds a day.
+        issue and resolve times is caught up late, as is a benchmark report
+        whose lagged batch has not resolved yet (``lag_days: 1``). Each phase
+        builds the ledgers it works on, so when the call returns, no ledger
+        holds a day.
         """
         executed: list[str] = []
         today = now.astimezone(self.config.zone).date()
@@ -641,7 +651,7 @@ class Orchestrator:
                 self.run_resolve_phase(day)
                 executed.append(f"resolve:{day.isoformat()}")
         if self.config.benchmark.enabled and issue_due:
-            self.run_benchmark_phase(today)
+            self.run_benchmark_phase(today, now)
             executed.append(f"benchmark:{today.isoformat()}")
         return executed
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, datetime, timezone
 
 import pytest
@@ -98,12 +99,15 @@ def test_scoring_produces_all_four_type_scores():
 
 
 def test_unresolved_type_is_absent_and_overall_averages_the_rest():
-    questions, answers, gold = _score_setup(unresolved_type="numeric")
-    report = score_benchmark_batch(questions, answers, gold)
-    assert report.s_num is None
-    assert report.s_overall == pytest.approx((report.s_bin + report.s_smc + report.s_dmc) / 3)
-    assert "numeric" not in report.n_by_type
-    assert "--" in report.render_text()
+    questions, answers, gold = _score_setup()
+    # a numeric gold row that resolves with no value (``value: null``) leaves its question unscored
+    valueless = {qid: replace(g, value=None) if g.qtype == "numeric" else g for qid, g in gold.items()}
+    for batch in (_score_setup(unresolved_type="numeric"), (questions, answers, valueless)):
+        report = score_benchmark_batch(*batch)
+        assert report.s_num is None
+        assert report.s_overall == pytest.approx((report.s_bin + report.s_smc + report.s_dmc) / 3)
+        assert "numeric" not in report.n_by_type
+        assert "--" in report.render_text()
 
 
 def test_perfect_answerer_scores_one():

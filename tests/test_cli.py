@@ -277,6 +277,22 @@ def test_a_command_that_fails_before_its_phase_writes_leaves_no_run_directory(tm
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["score", "--in", "{dir}", "--truth", "{dir}"],
+        ["issue", "--config", "{dir}", "--run-dir", "{run}", "--day", "2026-03-02"],
+    ],
+    ids=["score", "issue"],
+)
+def test_an_input_that_cannot_be_read_is_one_error_line(tmp_path, capsys, args):
+    run_dir = tmp_path / "never-made"
+    assert main([arg.format(dir=tmp_path, run=run_dir) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    assert not run_dir.exists()
+
+
 def test_score_command_probabilistic(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     truth = tmp_path / "truth.jsonl"

@@ -11,6 +11,7 @@ import re
 import shutil
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -103,6 +104,7 @@ def test_building_an_orchestrator_creates_nothing(tmp_path):
     run_dir = tmp_path / "missing"
     orch = Orchestrator(_config(), run_dir)
     assert not run_dir.exists()
+    assert set(vars(orch)) == {"config", "run_dir"}  # nothing to keep between calls
     # an evening before the issue time has nothing to write either
     assert orch.run_due_phases(datetime.combine(START, time(12, 0), timezone.utc)) == []
     assert not run_dir.exists()
@@ -583,16 +585,29 @@ def _stamped_reads(monkeypatch):
     return reads, stamp
 
 
-@pytest.mark.parametrize("run", ["simulate lag 1", "simulate lag 2", "cron evenings"])
+@pytest.mark.parametrize(
+    "run",
+    ["simulate lag 1", "simulate lag 2", "cron evenings", "cron 20:15 and 21:00, lag 1", "cron 20:15, lag 1"],
+)
 def test_no_outcome_file_is_read_before_its_resolve_instant(tmp_path, monkeypatch, run):
-    lag = 1 if run == "simulate lag 1" else 2
+    lag = 1 if "lag 1" in run else 2
     config = _config(seed=3, event_rate=40)
     config = replace(config, benchmark=replace(config.benchmark, lag_days=lag))
     reads, stamp = _stamped_reads(monkeypatch)
-    if run == "cron evenings":
+    if run.startswith("cron"):
+        # a call between the issue and resolve times issues the lag-1 benchmark batch but
+        # leaves its report, which reads gold not resolved yet, to a later call
+        clocks = {
+            "cron evenings": [time(21, 0)],
+            "cron 20:15 and 21:00, lag 1": [time(20, 15), time(21, 0)],
+            "cron 20:15, lag 1": [time(20, 15)],
+        }[run]
         for offset in range(4):
-            evening = datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
-            stamp(Orchestrator(config, tmp_path)).run_due_phases(evening)
+            for clock in clocks:
+                evening = datetime.combine(START + timedelta(days=offset), clock, timezone.utc)
+                stamp(Orchestrator(config, tmp_path)).run_due_phases(evening)
+        for offset in range(4):
+            assert (tmp_path / "benchmark" / f"issued-{START + timedelta(days=offset)}.jsonl").exists()
     else:
         stamp(Orchestrator(config, tmp_path)).simulate(3)
     kinds = set()
@@ -834,12 +849,12 @@ def test_reports_read_back_as_the_records_the_phases_returned(tmp_path, monkeypa
         ("America/Halifax", date(2026, 3, 7)),
     ],
 )
-def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path, zone, start):
+def test_final_reports_equal_scores_over_the_replayed_ledgers(tmp_path, monkeypatch, zone, start):
     config = _config(timezone=zone, start_day=start)
     orch = Orchestrator(config, tmp_path)
+    live = _live_ledgers(monkeypatch)
     orch.simulate(3)
-    # every simulated day was released once it was exported
-    assert all(orch.ledger_for(agent)._days == {} for agent in config.agents)
+    assert not list(live)  # every ledger the simulation built was dropped
     final = json.loads(orch.report_path("summary.json").read_text())["final"]
     for agent in config.agents:
         preds = [
@@ -872,6 +887,19 @@ def test_each_cycle_report_scores_what_its_export_trains_on(tmp_path):
                 assert repr(metrics["mean_reward"]) == repr(0.0 - metrics["brier"])
 
 
+def _live_ledgers(monkeypatch) -> weakref.WeakSet:
+    """The ledgers built from now on that something still references."""
+    live: weakref.WeakSet = weakref.WeakSet()
+    init = TrajectoryLedger.__init__
+
+    def spied_init(ledger, root):
+        init(ledger, root)
+        live.add(ledger)
+
+    monkeypatch.setattr(TrajectoryLedger, "__init__", spied_init)
+    return live
+
+
 def _simulation_peak_bytes(config: CycleConfig, run_dir, days: int) -> int:
     orch = Orchestrator(config, run_dir)
     tracemalloc.start()
@@ -897,13 +925,14 @@ def test_simulation_memory_does_not_grow_with_the_number_of_days(tmp_path):
     assert long <= 1.15 * short, (short, long)
 
 
-def test_cron_evenings_do_not_accumulate_memory(tmp_path):
-    """An orchestrator kept over five evenings holds no ledger day between them.
+def test_cron_evenings_do_not_accumulate_memory(tmp_path, monkeypatch):
+    """An orchestrator kept over five evenings holds no ledger between them.
 
-    Each evening releases today's issued day and yesterday's resolved day,
-    so evening 5 peaks within 15% of evening 2 (~4% above it here). Keeping
-    them, as evenings once did, holds one more agent-day per agent each
-    evening, and evening 5 then peaks ~60% above evening 2. A full collection
+    Each phase drops the ledger of the agent-day it worked on, so no
+    ledger built during an evening outlives it, and evening 5 peaks within
+    15% of evening 2 (~4% above it here). Keeping their days, as evenings
+    once did, holds one more agent-day per agent each evening, and evening 5
+    then peaks ~60% above evening 2. A full collection
     before each evening empties the interpreter's free lists, whose blocks
     tracemalloc counts: how full earlier tests left them would otherwise move
     the peaks by ~20 KB an evening. A warm-up evening first fills the
@@ -914,6 +943,7 @@ def test_cron_evenings_do_not_accumulate_memory(tmp_path):
     evening = lambda offset: datetime.combine(START + timedelta(days=offset), time(21, 0), timezone.utc)
     Orchestrator(config, tmp_path / "warm-up").run_due_phases(evening(0))
     orch = Orchestrator(config, tmp_path / "run")
+    live = _live_ledgers(monkeypatch)
     peaks = []
     tracemalloc.start()
     try:
@@ -922,7 +952,7 @@ def test_cron_evenings_do_not_accumulate_memory(tmp_path):
             tracemalloc.reset_peak()
             orch.run_due_phases(evening(offset))
             peaks.append(tracemalloc.get_traced_memory()[1])
-            assert all(orch.ledger_for(agent)._days == {} for agent in config.agents)
+            assert not list(live)
     finally:
         tracemalloc.stop()
     assert peaks[4] <= 1.15 * peaks[1], peaks
@@ -939,11 +969,11 @@ def test_the_resolve_phase_holds_one_agents_day_at_a_time(tmp_path, monkeypatch,
         log = tmp_path / "ledgers" / torn / f"ledger-{START.isoformat()}.jsonl"
         log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
     orch = Orchestrator(config, tmp_path)  # as `fw resolve` runs it, in a new process
-    held, day_of = [], TrajectoryLedger._day
+    held, day_of, live = [], TrajectoryLedger._day, _live_ledgers(monkeypatch)
 
     def spied_day(ledger, day):
         log = day_of(ledger, day)
-        held.append(sum(len(each._days) for each in orch._ledgers.values()))
+        held.append(sum(len(each._days) for each in live))
         return log
 
     monkeypatch.setattr(TrajectoryLedger, "_day", spied_day)
@@ -1370,6 +1400,20 @@ def test_fw_reports_a_malformed_config_section_without_a_traceback(tmp_path, cap
     )
     assert code == 1
     assert "config limits must be a mapping, got int" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_fw_reports_a_yaml_syntax_error_as_one_line_naming_the_file_and_line(tmp_path, capsys):
+    config_file = tmp_path / "cycle.yaml"
+    config_file.write_text("seed: [\n")
+    run_dir = tmp_path / "run"
+    code = cli.main(
+        ["issue", "--config", str(config_file), "--run-dir", str(run_dir), "--day", "2026-03-02"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config_file}: invalid YAML at line 2: ")
+    assert err.count("\n") == 1
     assert not run_dir.exists()
 
 

@@ -147,7 +147,9 @@ def test_truth_file_round_trip(tmp_path):
 def test_file_feed_passthrough(tmp_path):
     feed = tmp_path / "feed.jsonl"
     events = [make_event(identifier=f"evt-{i:03d}") for i in range(3)]
-    feed.write_text("\n".join(dumps_canonical(to_row(e)) for e in events) + "\n")
+    lines = [dumps_canonical(to_row(e)) for e in events]
+    lines.insert(1, "  ")  # a blank line is skipped: neither a record error nor an event
+    feed.write_text("\n".join(lines) + "\n")
     result = fetch(feed_config(feed))
     assert len(result.events) == 3
     assert result.errors == []
